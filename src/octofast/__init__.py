@@ -10,11 +10,9 @@ straight-line program.
 from .algebra import (BasisProduct, Octo, basis_mul, mul_naive,
                       quadratic_form, schoolbook_matrix)
 from .kernel import (PrecomputeSet, Pipeline, build_pipeline,
-                     default_pipeline, mul_fast, precompute_corrections,
-                     precompute_s)
+                     default_pipeline, mul_fast)
 from .linform import DegreeError, LinForm, SymMatrix
-from .opcount import (Counted, OpCount, Tally, count_algorithm, counted_add,
-                      counted_mul)
+from .opcount import Counted, OpCount, Tally, count_algorithm
 from .program import (Instr, Program, emit_csv, emit_text, eval_program,
                       flatten)
 from .stages import (Butterfly, FanOut, Permute, QuasiDiagonal, SignScale,
@@ -30,8 +28,7 @@ __all__ = [
     "OpCount", "Permute", "Pipeline", "PrecomputeSet", "Program",
     "QuasiDiagonal", "ResidualReport", "SignScale", "Sum", "SymMatrix",
     "Tally", "apply_stage", "basis_mul", "build_pipeline", "certify",
-    "compose_symbolic", "count_algorithm", "counted_add", "counted_mul",
-    "default_pipeline", "emit_csv", "emit_text", "eval_program", "flatten",
-    "mul_fast", "mul_naive", "precompute_corrections", "precompute_s",
+    "compose_symbolic", "count_algorithm", "default_pipeline", "emit_csv",
+    "emit_text", "eval_program", "flatten", "mul_fast", "mul_naive",
     "quadratic_form", "schoolbook_matrix", "solve_corrections",
 ]

@@ -3,7 +3,8 @@
 Subcommands: ``mul`` (one product), ``verify`` (randomized + symbolic
 checks), ``count`` (instrumented op counts), ``bench`` (wall-clock timing,
 CSV), ``emit`` (straight-line program).  Exit codes: 0 success, 1
-verification failure, 2 usage or operand-parse error.
+verification failure, 2 usage error, unparsable operand, out-of-range
+``--trials``/``--range``, or a float ``mul`` whose product overflows.
 
 Randomized commands take ``--seed``; when absent, the ``OCTOFAST_SEED``
 environment variable is used, else seed 0.  Defaults: 10000 trials, operand
@@ -48,6 +49,11 @@ def _resolve_seed(value):
     return value
 
 
+def _at_least(value: int, low: int, flag: str) -> None:
+    if value < low:
+        raise _CliError(2, f"{flag} must be at least {low}, got {value}")
+
+
 def _parse_octo(text: str, mode: str, what: str) -> Octo:
     try:
         return Octo.from_text(text, mode=mode)
@@ -58,7 +64,10 @@ def _parse_octo(text: str, mode: str, what: str) -> Octo:
 def cmd_mul(args) -> int:
     x = _parse_octo(args.x, args.mode, "--x")
     b = _parse_octo(args.b, args.mode, "--b")
-    y = mul_naive(x, b) if args.algo == "naive" else mul_fast(x, b)
+    try:
+        y = mul_naive(x, b) if args.algo == "naive" else mul_fast(x, b)
+    except ValueError as e:  # Octo rejects the inf/nan an overflow leaves
+        raise _CliError(2, f"float product overflows: {e}")
     print(y.to_text())
     return 0
 
@@ -70,6 +79,8 @@ def _random_octo(rng: random.Random, mode: str, r: int) -> Octo:
 
 
 def cmd_verify(args) -> int:
+    _at_least(args.trials, 1, "--trials")
+    _at_least(args.range, 0, "--range")
     seed = _resolve_seed(args.seed)
     p = kernel.build_pipeline()
     counterexample = None
@@ -138,6 +149,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _at_least(args.trials, 1, "--trials")
     seed = _resolve_seed(args.seed)
     rng = random.Random(seed)
     pairs = [(_random_octo(rng, "float", 0), _random_octo(rng, "float", 0))

@@ -208,7 +208,8 @@ class Pipeline:
     ``stages`` transform the left operand, consuming the precomputed values
     in quasi-diagonal stages.  ``certified`` is flipped by
     ``octofast.verify.certify`` once the symbolic composition of ``stages``
-    matches the schoolbook matrix.
+    matches the schoolbook matrix and ``precompute`` yields every entry form
+    that composition assumed.
     """
 
     def __init__(self, stages: Sequence, pre_stages: Sequence = (),
@@ -293,21 +294,6 @@ def default_pipeline() -> Pipeline:
 # ---------------------------------------------------------------------------
 # Public operations.
 # ---------------------------------------------------------------------------
-
-def precompute_s(b) -> tuple:
-    """The eight scaled sums of the right operand (24 additions)."""
-    coeffs = b.c if isinstance(b, Octo) else tuple(b)
-    vec = list(coeffs)
-    for st in _precompute_stages():
-        vec = apply_stage(st, vec, None)
-    return tuple(vec)
-
-
-def precompute_corrections(b) -> dict:
-    """The eighteen correction values, sharing the scaled-sum intermediates."""
-    p = build_pipeline()
-    return p.precompute(b).m
-
 
 def mul_fast(x: Octo, b: Octo, pipeline: Optional[Pipeline] = None) -> Octo:
     """Product ``x * b`` through the factorized kernel.

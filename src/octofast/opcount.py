@@ -8,9 +8,6 @@ multiplication and addition they actually perform.  Conventions:
 * subtraction counts as an addition; negation is free;
 * wrapped (runtime) operands are never treated as constants, so the counts
   are independent of the input values.
-
-The raw helpers :func:`counted_mul` / :func:`counted_add` apply the same
-rules to plain scalars, recognizing trivial constants by value.
 """
 
 from __future__ import annotations
@@ -126,27 +123,6 @@ class Counted:
 
 def _raw(v):
     return v.v if isinstance(v, Counted) else v
-
-
-def counted_mul(a, b, tally: Tally):
-    """Multiply and tally, unless either operand is a trivial constant."""
-    trivial = ((not isinstance(a, Counted) and is_trivial_factor(a))
-               or (not isinstance(b, Counted) and is_trivial_factor(b)))
-    if not trivial:
-        tally.mults += 1
-    r = _raw(a) * _raw(b)
-    if isinstance(a, Counted) or isinstance(b, Counted):
-        return Counted(r, tally)
-    return r
-
-
-def counted_add(a, b, tally: Tally):
-    """Add and tally; additions are never trivial."""
-    tally.adds += 1
-    r = _raw(a) + _raw(b)
-    if isinstance(a, Counted) or isinstance(b, Counted):
-        return Counted(r, tally)
-    return r
 
 
 def count_algorithm(algo: str, pipeline: Optional[Pipeline] = None) -> OpCount:

@@ -1,15 +1,17 @@
 """Flattening a certified pipeline into a straight-line program.
 
-The interpreted pipeline is convenient for proofs and counting; this module
-unrolls it into an explicit three-address program over the sixteen input
-slots ``x0..x7``/``b0..b7`` (plus a constant ``zero`` slot for structurally
-empty lanes).  Ops are ``add``, ``sub``, ``neg``, ``shift`` (multiply by 2^k)
-and ``mul``; every slot is assigned exactly once.
+:func:`flatten` does not walk the stages itself: it runs the pipeline's own
+``precompute`` and ``apply`` on slot scalars whose arithmetic appends
+instructions, so the program is the walk that execution and operation
+counting run.  The program is three-address code over the sixteen
+input slots ``x0..x7``/``b0..b7`` (plus a constant ``zero`` slot for
+structurally empty lanes).  Ops are ``add``, ``sub``, ``neg``, ``shift``
+(multiply by 2^k) and ``mul``; every slot is assigned exactly once.
 
 Emission is deterministic: same pipeline, byte-identical text.  Free ops
-(``neg``/``shift``) are memoized so shared precompute values are computed
-once, exactly as the interpreter shares them; countable ops are never merged,
-so the program's instruction tallies match the instrumented interpreter's.
+(``neg``/``shift``) are memoized so a value the walk negates or shifts twice
+is computed once; countable ops are never merged, so the program's
+instruction tallies match the instrumented interpreter's.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from typing import Optional
 
 from .algebra import Octo
 from .opcount import OpCount
-from .stages import (Butterfly, FanOut, Permute, QuasiDiagonal, SignScale,
-                     Sum)
 
 INPUTS = tuple(f"x{i}" for i in range(8)) + tuple(f"b{i}" for i in range(8)) \
     + ("zero",)
@@ -109,51 +109,41 @@ class _Emitter:
         return self.memo[key]
 
 
-def _scale_slot(em: _Emitter, name: str, f: Fraction) -> str:
-    if f == 1:
-        return name
-    if f == -1:
-        return em.neg(name)
-    n, d = abs(f.numerator), f.denominator
-    k = n.bit_length() - 1 if n > 1 else -(d.bit_length() - 1)
-    out = em.shift(name, k)
-    if f < 0:
-        out = em.neg(out)
-    return out
+class _Slot:
+    """A scalar whose arithmetic appends instructions instead of computing.
 
+    Running the pipeline's own precompute and apply on slots records exactly
+    the operations execution performs.  Stage scales and recipe factors are
+    constants ``+-2^k``; multiplying by one becomes a free ``shift``, negated
+    if needed.
+    """
 
-def _flatten_stage(em: _Emitter, st, slots, pre_slots):
-    if isinstance(st, Permute):
-        return [slots[i] for i in st.perm]
-    if isinstance(st, FanOut):
-        return [slots[j] for j in st.src]
-    if isinstance(st, SignScale):
-        return [_scale_slot(em, s, f) for s, f in zip(slots, st.factors)]
-    if isinstance(st, Butterfly):
-        out = list(slots)
-        for s in st.starts:
-            for i in range(st.half):
-                a, b = slots[s + i], slots[s + st.half + i]
-                out[s + i] = em.add(a, b)
-                out[s + st.half + i] = em.sub(a, b)
-        return out
-    if isinstance(st, Sum):
-        out = []
-        for row in st.rows:
-            lane, sign = row[0]
-            acc = slots[lane] if sign > 0 else em.neg(slots[lane])
-            for lane, sign in row[1:]:
-                acc = em.add(acc, slots[lane]) if sign > 0 \
-                    else em.sub(acc, slots[lane])
-            out.append(acc)
-        return out
-    if isinstance(st, QuasiDiagonal):
-        rows: list = [None] * st.dim
-        for r, c, name in st.cells:
-            term = em.mul(pre_slots[name], slots[c])
-            rows[r] = term if rows[r] is None else em.add(rows[r], term)
-        return [r if r is not None else "zero" for r in rows]
-    raise TypeError(f"cannot flatten stage {type(st).__name__}")
+    __slots__ = ("name", "em")
+
+    def __init__(self, name: str, em: _Emitter):
+        self.name = name
+        self.em = em
+
+    def zero(self) -> "_Slot":
+        return _Slot("zero", self.em)
+
+    def __add__(self, other):
+        return _Slot(self.em.add(self.name, other.name), self.em)
+
+    def __sub__(self, other):
+        return _Slot(self.em.sub(self.name, other.name), self.em)
+
+    def __neg__(self):
+        return _Slot(self.em.neg(self.name), self.em)
+
+    def __mul__(self, other):
+        if isinstance(other, _Slot):
+            return _Slot(self.em.mul(self.name, other.name), self.em)
+        f = Fraction(other)
+        n, d = abs(f.numerator), f.denominator
+        k = n.bit_length() - 1 if n > 1 else -(d.bit_length() - 1)
+        out = _Slot(self.em.shift(self.name, k), self.em)
+        return -out if f < 0 else out
 
 
 def flatten(p) -> Program:
@@ -165,26 +155,11 @@ def flatten(p) -> Program:
     if not getattr(p, "certified", False):
         raise ValueError("pipeline is not certified; run verify.certify first")
     em = _Emitter()
-
-    b_slots = [f"b{i}" for i in range(8)]
-    tap = b_slots
-    pre_slots = {}
-    if p.pre_stages:
-        for idx, st in enumerate(p.pre_stages):
-            b_slots = _flatten_stage(em, st, b_slots, None)
-            if idx == p.tap_index:
-                tap = b_slots
-        pre_slots = {f"s{k}": b_slots[k] for k in range(len(b_slots))}
-    for name, (src, lane, factor) in p.recipes.items():
-        base = f"b{lane}" if src == "input" else tap[lane]
-        pre_slots[name] = _scale_slot(em, base, Fraction(factor))
-
-    slots = [f"x{i}" for i in range(8)]
-    for st in p.stages:
-        slots = _flatten_stage(em, st, slots, pre_slots)
-
-    instrs = _eliminate_dead(em.instrs, slots)
-    prog = Program(inputs=INPUTS, instrs=tuple(instrs), outputs=tuple(slots))
+    b = [_Slot(f"b{i}", em) for i in range(8)]
+    x = [_Slot(f"x{i}", em) for i in range(8)]
+    outputs = [slot.name for slot in p.apply(x, p.precompute(b))]
+    instrs = _eliminate_dead(em.instrs, outputs)
+    prog = Program(inputs=INPUTS, instrs=tuple(instrs), outputs=tuple(outputs))
     prog.validate()
     return prog
 

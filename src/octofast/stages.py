@@ -267,9 +267,6 @@ class QuasiDiagonal:
         return SymMatrix(m)
 
 
-Stage = (Permute, SignScale, Butterfly, FanOut, Sum, QuasiDiagonal)
-
-
 def apply_stage(stage, vec: Sequence, pre: Optional[Mapping] = None) -> list:
     """Apply one stage to a concrete vector, checking the dimension."""
     if len(vec) != stage.in_dim:

@@ -3,8 +3,10 @@
 The claim "this pipeline computes the product" is discharged by algebra, not
 sampling: every stage is rendered as a matrix of exact linear forms, the
 stages are composed, and the result is compared entry-by-entry with the 8x8
-left-multiplication matrix.  A clean certificate is a theorem about all
-inputs at once.
+left-multiplication matrix.  The composition reads the quasi-diagonal values
+from the pipeline's entry forms, so the precompute that actually produces
+them is run on symbolic inputs and held to the same forms.  A clean
+certificate is a theorem about all inputs at once.
 
 The residual machinery also runs in reverse: :func:`solve_corrections` treats
 chosen quasi-diagonal entries as unknowns and solves the linear system the
@@ -25,6 +27,8 @@ from .stages import QuasiDiagonal
 
 @dataclass(frozen=True)
 class Residual:
+    """One differing entry: of the 8x8 product matrix, or, for a wrong
+    precomputed value, of the quasi-diagonal cell that consumes it."""
     row: int
     col: int
     expected: LinForm
@@ -73,11 +77,15 @@ def compose_symbolic(p) -> SymMatrix:
 
 
 def certify(p, target: Optional[SymMatrix] = None) -> ResidualReport:
-    """Compare ``p``'s symbolic composition with a target matrix.
+    """Prove that ``p`` computes ``target`` for every input.
 
-    The target defaults to the schoolbook left-multiplication matrix.  On
-    success the pipeline's ``certified`` flag is set, which unlocks
-    flattening to a straight-line program.
+    Two checks, both exact: the symbolic composition of the main chain must
+    equal the target (default: the schoolbook left-multiplication matrix),
+    and ``p.precompute`` run on ``b_i = LinForm.var(i)`` must yield, for
+    every quasi-diagonal cell, the entry form the composition assumed.  The
+    second check covers the precompute stages, the tap and the correction
+    recipes.  On success the pipeline's ``certified`` flag is set, which
+    unlocks flattening to a straight-line program.
     """
     if target is None:
         target = schoolbook_matrix()
@@ -88,6 +96,13 @@ def certify(p, target: Optional[SymMatrix] = None) -> ResidualReport:
             e, g = target.entry(i, j), got.entry(i, j)
             if e != g:
                 residuals.append(Residual(i, j, e, g))
+    pre = p.precompute([LinForm.var(i) for i in range(8)])
+    for st in p.stages:
+        if isinstance(st, QuasiDiagonal):
+            for r, c, name in st.cells:
+                if pre[name] != p.entry_forms[name]:
+                    residuals.append(
+                        Residual(r, c, p.entry_forms[name], pre[name]))
     report = ResidualReport(tuple(residuals))
     if report.ok:
         p.certified = True

@@ -5,9 +5,10 @@ from octofast.linform import SymMatrix
 from octofast.stages import QuasiDiagonal, SignScale, Sum
 
 
-def clone_pipeline(p, stages=None, forms=None):
+def clone_pipeline(p, stages=None, forms=None, pre_stages=None, recipes=None):
     return Pipeline(stages if stages is not None else p.stages,
-                    p.pre_stages, p.recipes,
+                    pre_stages if pre_stages is not None else p.pre_stages,
+                    recipes if recipes is not None else p.recipes,
                     forms if forms is not None else p.entry_forms,
                     p.tap_index)
 

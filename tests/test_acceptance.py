@@ -12,7 +12,7 @@ import pytest
 from conftest import sign_mutation_sites
 
 from octofast.algebra import Octo, mul_naive
-from octofast.kernel import build_pipeline, default_pipeline, mul_fast, precompute_s
+from octofast.kernel import build_pipeline, default_pipeline, mul_fast
 from octofast.opcount import count_algorithm
 from octofast.program import eval_program, flatten
 from octofast.verify import certify
@@ -119,8 +119,9 @@ def test_criterion_7_program_fidelity(corpus_scan):
 
 def test_criterion_8_scaled_sum_spot_values():
     h = Fraction(1, 2)
-    ok = (precompute_s(Octo((1,) * 8)) == (h, -h, -h, -h, 0, 0, 0, 0)
-          and precompute_s(Octo.unit(0)) == (Fraction(-1, 8),) * 8)
+    p = default_pipeline()
+    ok = (p.precompute(Octo((1,) * 8)).s == (h, -h, -h, -h, 0, 0, 0, 0)
+          and p.precompute(Octo.unit(0)).s == (Fraction(-1, 8),) * 8)
     _check(8, ok, "scaled sums at all-ones and at the scalar unit match the "
                   "derived spot values")
 

@@ -55,6 +55,27 @@ def test_usage_errors_are_exit_2(capsys):
     assert run(capsys, "mul", "--x", "1,0,0,0,0,0,0,0")[0] == 2
 
 
+HUGE = "1e308,1e308,0,0,0,0,0,0"
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (("verify", "--trials", "-5"), "--trials must be at least 1, got -5"),
+    (("verify", "--range", "-1"), "--range must be at least 0, got -1"),
+    (("bench", "--trials", "0"), "--trials must be at least 1, got 0"),
+    (("mul", "--mode", "float", "--x", HUGE, "--b", HUGE),
+     "float product overflows"),
+    (("mul", "--mode", "float", "--algo", "naive", "--x", HUGE, "--b", HUGE),
+     "float product overflows"),
+], ids=["verify-trials", "verify-range", "bench-trials", "mul-fast-overflow",
+        "mul-naive-overflow"])
+def test_bad_values_are_exit_2_with_one_line(capsys, argv, fragment):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("octofast: ") and err.count("\n") == 1
+    assert fragment in err
+
+
 def test_count(capsys):
     assert run(capsys, "count", "--algo", "naive")[1] == "mults=64 adds=56\n"
     assert run(capsys, "count", "--algo", "fast")[1] == "mults=26 adds=92\n"

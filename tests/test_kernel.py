@@ -5,8 +5,7 @@ import pytest
 
 from octofast.algebra import Octo, basis_mul, mul_naive
 from octofast.kernel import (CORRECTION_FORMS, ENTRY_FORMS, Pipeline,
-                             build_pipeline, default_pipeline, mul_fast,
-                             precompute_corrections, precompute_s)
+                             build_pipeline, default_pipeline, mul_fast)
 from octofast.linform import LinForm
 from octofast.stages import Permute
 
@@ -19,33 +18,36 @@ def rnd_octo(rng, r=100):
 
 
 def test_scaled_sums_spot_values():
-    assert precompute_s(Octo((1,) * 8)) == (HALF, -HALF, -HALF, -HALF, 0, 0, 0, 0)
-    assert precompute_s(Octo.unit(0)) == (-EIGHTH,) * 8
-    assert precompute_s(Octo.zero()) == (0,) * 8
+    p = default_pipeline()
+    assert p.precompute(Octo((1,) * 8)).s == (HALF, -HALF, -HALF, -HALF, 0, 0, 0, 0)
+    assert p.precompute(Octo.unit(0)).s == (-EIGHTH,) * 8
+    assert p.precompute(Octo.zero()).s == (0,) * 8
 
 
 def test_scaled_sums_match_their_forms():
     rng = random.Random(31)
+    p = default_pipeline()
     for _ in range(20):
         b = rnd_octo(rng)
-        s = precompute_s(b)
+        s = p.precompute(b).s
         for k in range(8):
             assert s[k] == ENTRY_FORMS[f"s{k}"].evaluate(b.c)
 
 
 def test_scaled_sums_are_linear():
     rng = random.Random(37)
+    p = default_pipeline()
     for _ in range(10):
         a, b = rnd_octo(rng), rnd_octo(rng)
-        sa, sb = precompute_s(a), precompute_s(b)
-        s_sum = precompute_s(a + b)
-        s_scaled = precompute_s(a.scale(5))
-        assert s_sum == tuple(p + q for p, q in zip(sa, sb))
-        assert s_scaled == tuple(5 * p for p in sa)
+        sa, sb = p.precompute(a).s, p.precompute(b).s
+        s_sum = p.precompute(a + b).s
+        s_scaled = p.precompute(a.scale(5)).s
+        assert s_sum == tuple(x + y for x, y in zip(sa, sb))
+        assert s_scaled == tuple(5 * x for x in sa)
 
 
 def test_corrections_at_all_ones():
-    m = precompute_corrections(Octo((1,) * 8))
+    m = default_pipeline().precompute(Octo((1,) * 8)).m
     assert len(m) == 18
     assert [m[f"sumcorr_{k}"] for k in ("01", "02", "03", "13", "21", "32")] \
         == [-1, -1, -1, -2, -2, -2]
@@ -55,9 +57,10 @@ def test_corrections_at_all_ones():
 
 def test_corrections_match_their_forms():
     rng = random.Random(41)
+    p = default_pipeline()
     for _ in range(20):
         b = rnd_octo(rng)
-        m = precompute_corrections(b)
+        m = p.precompute(b).m
         for name, value in m.items():
             assert value == CORRECTION_FORMS[name].evaluate(b.c), name
 

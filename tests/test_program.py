@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -66,6 +67,16 @@ def test_emission_is_deterministic():
     fresh = build_pipeline()
     certify(fresh)
     assert emit_text(flatten(fresh)) == a
+
+
+def test_emission_is_pinned():
+    # digests of the program emitted by the stage-by-stage emitter this one
+    # replaced; a change here changes the shipped artifact
+    prog = flatten(default_pipeline())
+    assert hashlib.sha256(emit_text(prog).encode()).hexdigest() \
+        == "ec58b250f1d60b7b4529ede6135e72388503f7b117f64cff6be2bacd448196e3"
+    assert hashlib.sha256(emit_csv(prog).encode()).hexdigest() \
+        == "c45baf53f2bf23a1a007ff8901490961d3667571e8d2e1c30aefb32229787114"
 
 
 def test_text_layout():

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import pytest
 from conftest import clone_pipeline, sign_mutation_sites
 
-from octofast.algebra import schoolbook_matrix
-from octofast.kernel import CORRECTION_FORMS, Pipeline, build_pipeline
+from octofast.algebra import Octo, mul_naive, schoolbook_matrix
+from octofast.kernel import CORRECTION_FORMS, Pipeline, build_pipeline, mul_fast
 from octofast.linform import DegreeError, LinForm, SymMatrix
 from octofast.stages import Permute, QuasiDiagonal, SignScale
 from octofast.verify import (InconsistentSystemError, certify,
@@ -64,6 +66,40 @@ def test_every_sign_mutation_site_breaks_certification():
     # exhaustive checking is the acceptance suite's job; spot-check a spread
     for desc, bad in sites[::9]:
         assert not certify(bad).ok, desc
+
+
+def _rejected_and_wrong(bad):
+    """certify rejects ``bad``, whose products are in fact wrong."""
+    x, b = Octo((1, 2, 3, 4, 5, 6, 7, 8)), Octo((8, 7, 6, 5, 4, 3, 2, 1))
+    assert mul_fast(x, b, bad) != mul_naive(x, b)
+    report = certify(bad)
+    assert not report.ok and not bad.certified
+    return report
+
+
+def test_flipped_precompute_sign_breaks_certification():
+    p = build_pipeline()
+    flip = p.pre_stages[0]
+    assert flip.label == "flip-scalar"
+    facs = list(flip.factors)
+    facs[0] = -facs[0]
+    pre = (replace(flip, factors=tuple(facs)),) + p.pre_stages[1:]
+    report = _rejected_and_wrong(clone_pipeline(p, pre_stages=pre))
+    # every scaled sum reads b0 through the flipped lane
+    assert {(r.row, r.col) for r in report.residuals} >= {
+        (0, 0), (1, 1), (2, 2), (3, 3), (8, 8), (9, 9), (10, 10), (11, 11)}
+
+
+def test_negated_recipe_factor_breaks_certification():
+    p = build_pipeline()
+    recipes = dict(p.recipes)
+    src, lane, factor = recipes["diffcorr_23"]
+    recipes["diffcorr_23"] = (src, lane, -factor)
+    report = _rejected_and_wrong(clone_pipeline(p, recipes=recipes))
+    assert len(report.residuals) == 1
+    r = report.residuals[0]
+    assert (r.row, r.col) == (14, 15)
+    assert r.expected == CORRECTION_FORMS["diffcorr_23"] == -r.got
 
 
 def test_two_quasidiagonal_stages_is_structural_violation():
