@@ -16,6 +16,12 @@ the corrections cost no extra additions.
 Every entry form below is certified against the schoolbook matrix by
 ``octofast.verify`` (and re-derived from scratch by its residual solver in the
 test suite); edit nothing here by hand without re-running certification.
+
+:func:`mul_fast` does not interpret the stages.  On its first call with a
+pipeline it lowers that pipeline's own ``precompute``/``apply`` walk into a
+straight-line program, compiles the program into one Python function
+(:func:`octofast.program.compile_pipeline`) and caches it on the pipeline
+object; every later call runs that function.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .algebra import Octo
@@ -210,6 +217,10 @@ class Pipeline:
     ``octofast.verify.certify`` once the symbolic composition of ``stages``
     matches the schoolbook matrix and ``precompute`` yields every entry form
     that composition assumed.
+
+    :func:`mul_fast` compiles the walk of ``pre_stages``, ``recipes``,
+    ``tap_index`` and ``stages`` once and keeps it on the pipeline, so these
+    stay as built: the chains are tuples and ``recipes`` is read-only.
     """
 
     def __init__(self, stages: Sequence, pre_stages: Sequence = (),
@@ -218,10 +229,11 @@ class Pipeline:
                  tap_index: int = 0):
         self.stages = tuple(stages)
         self.pre_stages = tuple(pre_stages)
-        self.recipes = dict(recipes or {})
+        self.recipes = MappingProxyType(dict(recipes or {}))
         self.entry_forms = dict(entry_forms or {})
         self.tap_index = tap_index
         self.certified = False
+        self._compiled = None  # mul_fast's kernel, built on its first call
         _check_chain(self.stages, 8, 8, "main")
         if self.pre_stages:
             _check_chain(self.pre_stages, 8, 8, "precompute")
@@ -299,8 +311,16 @@ def mul_fast(x: Octo, b: Octo, pipeline: Optional[Pipeline] = None) -> Octo:
     """Product ``x * b`` through the factorized kernel.
 
     Numerically identical to :func:`octofast.algebra.mul_naive` in exact
-    arithmetic; uses 26 multiplications instead of 64.
+    arithmetic; uses 26 multiplications instead of 64.  Runs the Python
+    function generated from the lowered walk of ``pipeline`` (default: the
+    certified :func:`default_pipeline`); the function is compiled on the
+    first call with each pipeline object and cached on it.  Its results
+    equal ``p.apply(x.c, p.precompute(b))`` in value and type.
     """
     p = pipeline if pipeline is not None else default_pipeline()
-    pre = p.precompute(b)
-    return Octo(p.apply(x.c, pre))
+    kernel = p._compiled
+    if kernel is None:
+        # deferred: program imports opcount, which imports this module
+        from .program import compile_pipeline
+        kernel = p._compiled = compile_pipeline(p)
+    return Octo(kernel(x.c, b.c))

@@ -1,12 +1,19 @@
-"""Flattening a certified pipeline into a straight-line program.
+"""Lowering a pipeline into a straight-line program, and compiling it.
 
-:func:`flatten` does not walk the stages itself: it runs the pipeline's own
+The lowering does not walk the stages itself: it runs the pipeline's own
 ``precompute`` and ``apply`` on slot scalars whose arithmetic appends
-instructions, so the program is the walk that execution and operation
-counting run.  The program is three-address code over the sixteen
-input slots ``x0..x7``/``b0..b7`` (plus a constant ``zero`` slot for
-structurally empty lanes).  Ops are ``add``, ``sub``, ``neg``, ``shift``
-(multiply by 2^k) and ``mul``; every slot is assigned exactly once.
+instructions, so the program is exactly the walk the interpreter performs.
+The program is three-address code over the sixteen input slots
+``x0..x7``/``b0..b7`` (plus a ``zero`` slot for structurally empty lanes).
+Ops are ``add``, ``sub``, ``neg``, ``shift`` (multiply by 2^k) and ``mul``;
+every slot is assigned exactly once.
+
+:func:`flatten` is the lowering of a certified pipeline, the form that is
+emitted as text or CSV.  :func:`compile_program` turns a program into one
+Python function, one assignment per instruction, and
+:func:`compile_pipeline` does so for any pipeline's lowering;
+:func:`octofast.kernel.mul_fast` runs that function, compiled once per
+pipeline object, so execution, counting and emission all run the same walk.
 
 Emission is deterministic: same pipeline, byte-identical text.  Free ops
 (``neg``/``shift``) are memoized so a value the walk negates or shifts twice
@@ -22,6 +29,7 @@ from typing import Optional
 
 from .algebra import Octo
 from .opcount import OpCount
+from .stages import zero_like
 
 INPUTS = tuple(f"x{i}" for i in range(8)) + tuple(f"b{i}" for i in range(8)) \
     + ("zero",)
@@ -53,6 +61,10 @@ class Program:
     inputs: tuple
     instrs: tuple
     outputs: tuple
+    # The slot whose scalar kind the ``zero`` slot takes in compiled code
+    # (the interpreter's ``zero_like`` of the lane entering the core); None
+    # means the int 0, which eval_program always uses.
+    zero_of: Optional[str] = None
 
     def opcount(self) -> OpCount:
         mults = sum(1 for i in self.instrs if i.op == "mul")
@@ -80,6 +92,7 @@ class _Emitter:
         self.instrs = []
         self.n = 0
         self.memo = {}  # free ops only: merging countable ops would skew tallies
+        self.zero_of = None
 
     def _new(self, op, a, b=None, k=None) -> str:
         self.n += 1
@@ -125,6 +138,11 @@ class _Slot:
         self.em = em
 
     def zero(self) -> "_Slot":
+        if self.em.zero_of not in (None, self.name):
+            # only a chain with two data-dependent stages takes two zeros,
+            # and such a chain is not bilinear
+            raise ValueError("pipeline takes structural zeros from two lanes")
+        self.em.zero_of = self.name
         return _Slot("zero", self.em)
 
     def __add__(self, other):
@@ -146,33 +164,50 @@ class _Slot:
         return -out if f < 0 else out
 
 
-def flatten(p) -> Program:
+def _lower(p) -> Program:
     """Unroll pipeline ``p`` (precompute and main chain) into a Program.
+
+    No certification check: this is what ``p`` computes, proved or not.
+    """
+    em = _Emitter()
+    b = [_Slot(f"b{i}", em) for i in range(8)]
+    x = [_Slot(f"x{i}", em) for i in range(8)]
+    outputs = [slot.name for slot in p.apply(x, p.precompute(b))]
+    instrs = _eliminate_dead(em.instrs, outputs, em.zero_of)
+    prog = Program(inputs=INPUTS, instrs=tuple(instrs),
+                   outputs=tuple(outputs), zero_of=em.zero_of)
+    prog.validate()
+    return prog
+
+
+def flatten(p) -> Program:
+    """The lowered program of a certified pipeline ``p``.
 
     Requires a certified pipeline — flattening an unproven factorization
     would launder an unverified claim into artifact form.
     """
     if not getattr(p, "certified", False):
         raise ValueError("pipeline is not certified; run verify.certify first")
-    em = _Emitter()
-    b = [_Slot(f"b{i}", em) for i in range(8)]
-    x = [_Slot(f"x{i}", em) for i in range(8)]
-    outputs = [slot.name for slot in p.apply(x, p.precompute(b))]
-    instrs = _eliminate_dead(em.instrs, outputs)
-    prog = Program(inputs=INPUTS, instrs=tuple(instrs), outputs=tuple(outputs))
-    prog.validate()
-    return prog
+    return _lower(p)
 
 
-def _eliminate_dead(instrs, outputs):
-    used = set(outputs)
+def _eliminate_dead(instrs, outputs, zero_of=None):
+    used = set()
+
+    def use(slot):  # the zero slot's value is taken from zero_of
+        used.add(slot)
+        if slot == "zero" and zero_of is not None:
+            used.add(zero_of)
+
+    for o in outputs:
+        use(o)
     keep = []
     for ins in reversed(instrs):
         if ins.dest in used:
             keep.append(ins)
-            used.add(ins.a)
+            use(ins.a)
             if ins.b is not None:
-                used.add(ins.b)
+                use(ins.b)
     keep.reverse()
     return keep
 
@@ -199,6 +234,79 @@ def eval_program(prog: Program, x: Octo, b: Octo) -> Octo:
         else:
             raise ValueError(f"unknown op {ins.op!r}")
     return Octo(tuple(env[o] for o in prog.outputs))
+
+
+_OPS = {"add": "{a} + {b}", "sub": "{a} - {b}", "neg": "-{a}",
+        "mul": "{a} * {b}"}
+
+
+def program_source(prog: Program) -> str:
+    """Python source of ``kernel(x, b)``, one assignment per instruction.
+
+    ``prog`` is a lowered program (inputs :data:`INPUTS`); ``x`` and ``b``
+    are 8-sequences of coefficients and the result is the tuple of output
+    slots.  A ``shift`` by 2^k multiplies by the int ``2**k`` for k >= 0 and
+    by ``Fraction(1, 2**-k)`` for k < 0, as :func:`eval_program` does, except
+    that when every input a shifted value derives from is a ``float`` it
+    multiplies by the equal float: a float times a Fraction is that float
+    product, so the results are the same and only the cost differs.  The
+    ``zero`` slot is ``zero_like`` of the slot ``prog.zero_of``, as in the
+    interpreter.
+    """
+    zero_used = "zero" in prog.outputs or any(
+        "zero" in (ins.a, ins.b) for ins in prog.instrs)
+    # deps[slot]: the input slots the value of ``slot`` is derived from
+    deps = {name: {name} for name in INPUTS}
+    head = ["def kernel(x, b):",
+            "    " + ", ".join(INPUTS[:8]) + ", = x",
+            "    " + ", ".join(INPUTS[8:16]) + ", = b"]
+    body, guarded, scales = [], set(), set()
+    if zero_used and prog.zero_of is None:
+        head.append("    zero = 0")
+    elif zero_used and prog.zero_of in INPUTS:
+        head.append(f"    zero = _zero_like({prog.zero_of})")
+        deps["zero"] = deps[prog.zero_of]
+    for ins in prog.instrs:
+        deps[ins.dest] = deps[ins.a] | deps.get(ins.b, set())
+        if ins.op == "shift" and ins.k < 0:
+            rhs = f"{ins.a} * _q{-ins.k}"
+            guarded |= deps[ins.a]
+            scales.add(-ins.k)
+        elif ins.op == "shift":
+            rhs = f"{ins.a} * {2 ** ins.k}"
+        elif ins.op in _OPS:
+            rhs = _OPS[ins.op].format(a=ins.a, b=ins.b)
+        else:
+            raise ValueError(f"unknown op {ins.op!r}")
+        body.append(f"    {ins.dest} = {rhs}")
+        if zero_used and ins.dest == prog.zero_of:
+            body.append(f"    zero = _zero_like({ins.dest})")
+            deps["zero"] = deps[ins.dest]
+    if scales:
+        head.append("    if " + " and ".join(
+            f"_type({name}) is _float"
+            for name in sorted(guarded, key=INPUTS.index)) + ":")
+        head.extend(f"        _q{k} = {2.0 ** -k!r}" for k in sorted(scales))
+        head.append("    else:")
+        head.extend(f"        _q{k} = _Q{k}" for k in sorted(scales))
+    tail = ["    return (" + ", ".join(prog.outputs) + ",)"]
+    return "\n".join(head + body + tail) + "\n"
+
+
+def compile_program(prog: Program):
+    """``prog`` as a Python function ``kernel(x, b) -> tuple``; see
+    :func:`program_source` for its semantics."""
+    scope = {"_zero_like": zero_like, "_type": type, "_float": float}
+    scope.update({f"_Q{-ins.k}": Fraction(1, 2 ** -ins.k)
+                  for ins in prog.instrs if ins.op == "shift" and ins.k < 0})
+    exec(compile(program_source(prog), "<octofast kernel>", "exec"), scope)
+    return scope["kernel"]
+
+
+def compile_pipeline(p):
+    """The compiled lowering of ``p``, certified or not: what ``mul_fast``
+    runs.  Unlike :func:`flatten`, it hands out no program to emit."""
+    return compile_program(_lower(p))
 
 
 def emit_text(prog: Program) -> str:

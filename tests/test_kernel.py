@@ -1,7 +1,9 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from conftest import clone_pipeline
 
 from octofast.algebra import Octo, basis_mul, mul_naive
 from octofast.kernel import (CORRECTION_FORMS, ENTRY_FORMS, Pipeline,
@@ -114,6 +116,54 @@ def test_fast_handles_floats():
         got = mul_fast(x, b)
         for g, r in zip(got.c, ref.c):
             assert abs(g - r) <= 1e-12 * (1 + abs(r))
+
+
+def _walk(p, x, b):
+    """The interpreter: the pipeline's own precompute then apply."""
+    return Octo(p.apply(x.c, p.precompute(b)))
+
+
+def _exactly(y):
+    """Every coefficient with its type; floats bit for bit."""
+    return tuple((type(v), v.hex() if type(v) is float else v) for v in y.c)
+
+
+_DRAW = {
+    "float": lambda rng: rng.uniform(-1000, 1000),
+    "int": lambda rng: rng.randint(-1000, 1000),
+    "wide": lambda rng: rng.getrandbits(300) * rng.choice((1, -1)),
+    "fraction": lambda rng: Fraction(rng.randint(-50, 50), rng.randint(1, 20)),
+    "mixed": lambda rng: rng.choice((rng.randint(-1000, 1000),
+                                     rng.uniform(-1, 1))),
+}
+
+
+@pytest.mark.parametrize("x_kind,b_kind", [
+    ("float", "float"), ("int", "int"), ("wide", "wide"),
+    ("fraction", "fraction"), ("int", "float"), ("float", "int"),
+    ("mixed", "mixed")])
+def test_mul_fast_equals_the_interpreter_walk(x_kind, b_kind):
+    rng = random.Random(59)
+    p = default_pipeline()
+    for _ in range(200):
+        x = Octo(tuple(_DRAW[x_kind](rng) for _ in range(8)))
+        b = Octo(tuple(_DRAW[b_kind](rng) for _ in range(8)))
+        assert _exactly(mul_fast(x, b, p)) == _exactly(_walk(p, x, b))
+
+
+def test_mul_fast_runs_the_pipeline_it_is_given():
+    p = default_pipeline()
+    flip = p.pre_stages[0]
+    assert flip.label == "flip-scalar"
+    facs = (-flip.factors[0],) + flip.factors[1:]
+    bad = clone_pipeline(p, pre_stages=(replace(flip, factors=facs),)
+                         + p.pre_stages[1:])
+    x = Octo((2, -3, 5, -7, 11, -13, 17, -19))
+    b = Octo((23, 29, -31, 37, -41, 43, 47, -53))
+    assert mul_fast(x, b, p) == mul_naive(x, b)
+    assert mul_fast(x, b, bad) != mul_naive(x, b)
+    assert mul_fast(x, b, bad) == _walk(bad, x, b)
+    assert mul_fast(x, b, p) == mul_naive(x, b)
 
 
 def test_default_pipeline_is_certified_and_cached():

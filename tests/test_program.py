@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +10,7 @@ from octofast.linform import SymMatrix
 from octofast.opcount import OpCount, count_algorithm
 from octofast.program import (Instr, Program, _eliminate_dead, emit_csv,
                               emit_text, eval_program, flatten)
-from octofast.stages import Permute
+from octofast.stages import Permute, QuasiDiagonal
 from octofast.verify import certify
 
 
@@ -114,6 +115,19 @@ def test_identity_pipeline_flattens_to_no_arithmetic():
     assert prog.instrs == ()
     assert prog.outputs == ("x4", "x1", "x2", "x3", "x0", "x5", "x6", "x7")
     assert emit_text(prog).endswith("# mults=0 adds=0\n")
+
+
+def test_compiled_zero_takes_the_kind_of_its_lane():
+    # the core is the first stage, so its empty rows are zero_like(x0)
+    p = Pipeline(stages=[QuasiDiagonal(dim=8, cells=((0, 0, "a"),))],
+                 pre_stages=[Permute(tuple(range(8)))],
+                 recipes={"a": ("input", 0, 1)})
+    b = Octo((2,) * 8)
+    for x0 in (3, 3.0, Fraction(3)):
+        x = Octo((x0,) + (1,) * 7)
+        got = mul_fast(x, b, p)
+        assert got == Octo(p.apply(x.c, p.precompute(b)))
+        assert [type(v) for v in got.c] == [type(x0)] * 8
 
 
 def test_validate_rejects_double_assignment():
