@@ -35,7 +35,7 @@ from typing import Mapping, Optional, Sequence
 from .algebra import Octo
 from .linform import LinForm
 from .stages import (Butterfly, FanOut, Permute, QuasiDiagonal, SignScale,
-                     Sum, apply_stage)
+                     Sum, apply_stage, scale)
 
 EIGHTH = Fraction(1, 8)
 
@@ -194,18 +194,6 @@ class PrecomputeSet:
             return self.s[int(name[1])]
         return self.m[name]
 
-    def names(self):
-        return tuple(f"s{k}" for k in range(len(self.s))) + tuple(self.m)
-
-    def validate(self, b) -> None:
-        """Recompute every entry from its defining form; raise on mismatch."""
-        coeffs = b.c if isinstance(b, Octo) else tuple(b)
-        for name in self.names():
-            expect = ENTRY_FORMS[name].evaluate(coeffs)
-            if self[name] != expect:
-                raise ValueError(
-                    f"precomputed {name} = {self[name]}, form gives {expect}")
-
 
 class Pipeline:
     """A complete bilinear-product pipeline.
@@ -250,15 +238,8 @@ class Pipeline:
             vec = apply_stage(st, vec, None)
             if idx == self.tap_index:
                 tap = vec
-        m = {}
-        for name, (src, lane, factor) in self.recipes.items():
-            base = coeffs[lane] if src == "input" else tap[lane]
-            if factor == 1:
-                m[name] = base
-            elif factor == -1:
-                m[name] = -base
-            else:
-                m[name] = base * factor  # +-2: a free shift under counting
+        m = {name: scale(coeffs[lane] if src == "input" else tap[lane], factor)
+             for name, (src, lane, factor) in self.recipes.items()}
         return PrecomputeSet(s=tuple(vec), m=m)
 
     # -- left-operand pass --

@@ -122,6 +122,8 @@ class LinForm:
             k = other.const
             return LinForm(self.const * k, tuple(c * k for c in self.q))
         if isinstance(other, (int, Fraction)):
+            if not other:
+                return _LF_ZERO
             return LinForm(self.const * other, tuple(c * other for c in self.q))
         return NotImplemented
 
@@ -175,7 +177,7 @@ def _coerce(v):
     if isinstance(v, LinForm):
         return v
     if isinstance(v, (int, Fraction)):
-        return LinForm(v)
+        return LinForm(v) if v else _LF_ZERO
     return NotImplemented
 
 
@@ -206,11 +208,6 @@ class SymMatrix:
         one, zero = LinForm.constant(1), LinForm.zero()
         return cls([[one if i == j else zero for j in range(n)]
                     for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "SymMatrix":
-        z = LinForm.zero()
-        return cls([[z] * cols for _ in range(rows)])
 
     def entry(self, i: int, j: int) -> LinForm:
         return self.entries[i][j]

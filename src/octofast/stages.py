@@ -2,12 +2,13 @@
 
 A pipeline is a list of stages applied left to right to a vector of scalars.
 Every stage is linear in its input; the only data-dependent entries live in
-:class:`QuasiDiagonal`, whose cells reference named precomputed values.  Each
-stage knows how to
+:class:`QuasiDiagonal`, whose cells reference named precomputed values.
 
-* apply itself to a concrete vector (exact, float, or instrumented scalars),
-* render itself as a :class:`~octofast.linform.SymMatrix` for symbolic
-  composition.
+A stage has one meaning, its ``apply``: it runs on concrete vectors (exact,
+float, or instrumented scalars) and on the slot scalars the lowering uses.
+Its :class:`~octofast.linform.SymMatrix`, which the proof composes, is read
+off that same ``apply`` (:meth:`Stage.matrix`), so the matrices certified are
+those of the code that runs.
 
 Scale factors are restricted to ``±2^k`` so that every constant multiplication
 is a free shift under the counting rules.
@@ -19,12 +20,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .linform import LinForm, SymMatrix
+from .linform import SymMatrix
 
 
 def _is_pow2_scale(f: Fraction) -> bool:
     n, d = abs(f.numerator), f.denominator
     return n > 0 and n & (n - 1) == 0 and d & (d - 1) == 0
+
+
+def scale(v, f):
+    """``v * f`` for a ±2^k factor ``f``; ``v`` or ``-v`` when ``f`` is ±1."""
+    if f == 1:
+        return v
+    if f == -1:
+        return -v
+    return v * f
 
 
 def zero_like(v):
@@ -35,8 +45,25 @@ def zero_like(v):
     return type(v)(0)
 
 
+class Stage:
+    """Base of every stage: a linear ``apply`` from ``in_dim`` lanes to
+    ``out_dim`` lanes."""
+
+    def matrix(self, forms: Optional[Mapping] = None) -> SymMatrix:
+        """The stage as a matrix, read off ``apply``.
+
+        Column ``j`` is ``apply`` of the ``j``-th unit vector; quasi-diagonal
+        values are read from ``forms``.  This is the stage's matrix only
+        because ``apply`` is linear; a nonlinear ``apply`` is not detected.
+        """
+        n = self.in_dim
+        cols = [self.apply([int(i == j) for i in range(n)], forms)
+                for j in range(n)]
+        return SymMatrix(list(zip(*cols)))
+
+
 @dataclass(frozen=True)
-class Permute:
+class Permute(Stage):
     """out[i] = in[perm[i]] — pure reindexing, no arithmetic."""
     perm: tuple
     label: str = ""
@@ -56,16 +83,9 @@ class Permute:
     def apply(self, vec, pre=None):
         return [vec[i] for i in self.perm]
 
-    def matrix(self, forms=None) -> SymMatrix:
-        n = len(self.perm)
-        m = [[0] * n for _ in range(n)]
-        for i, j in enumerate(self.perm):
-            m[i][j] = 1
-        return SymMatrix(m)
-
 
 @dataclass(frozen=True)
-class SignScale:
+class SignScale(Stage):
     """Diagonal stage; every factor is ±2^k, so no multiplications count."""
     factors: tuple
     label: str = ""
@@ -86,24 +106,11 @@ class SignScale:
         return len(self.factors)
 
     def apply(self, vec, pre=None):
-        out = []
-        for v, f in zip(vec, self.factors):
-            if f == 1:
-                out.append(v)
-            elif f == -1:
-                out.append(-v)
-            else:
-                out.append(v * f)
-        return out
-
-    def matrix(self, forms=None) -> SymMatrix:
-        n = len(self.factors)
-        return SymMatrix([[self.factors[i] if i == j else 0 for j in range(n)]
-                          for i in range(n)])
+        return [scale(v, f) for v, f in zip(vec, self.factors)]
 
 
 @dataclass(frozen=True)
-class Butterfly:
+class Butterfly(Stage):
     """Sum/difference pairs: lanes (s+i, s+half+i) become (a+b, a-b).
 
     Covers blocks starting at each index in ``starts``; lanes outside any
@@ -137,20 +144,9 @@ class Butterfly:
                 out[s + self.half + i] = a - b
         return out
 
-    def matrix(self, forms=None) -> SymMatrix:
-        m = [[0] * self.dim for _ in range(self.dim)]
-        for i in range(self.dim):
-            m[i][i] = 1
-        for s in self.starts:
-            for i in range(self.half):
-                t, u = s + i, s + self.half + i
-                m[t][t], m[t][u] = 1, 1
-                m[u][t], m[u][u] = 1, -1
-        return SymMatrix(m)
-
 
 @dataclass(frozen=True)
-class FanOut:
+class FanOut(Stage):
     """out[i] = in[src[i]] — duplication, possibly widening the vector."""
     src: tuple
     in_dim: int
@@ -168,15 +164,9 @@ class FanOut:
     def apply(self, vec, pre=None):
         return [vec[j] for j in self.src]
 
-    def matrix(self, forms=None) -> SymMatrix:
-        m = [[0] * self.in_dim for _ in self.src]
-        for i, j in enumerate(self.src):
-            m[i][j] = 1
-        return SymMatrix(m)
-
 
 @dataclass(frozen=True)
-class Sum:
+class Sum(Stage):
     """Signed lane sums: each output row is ``sum(sign * in[lane])``."""
     rows: tuple  # of tuples of (lane, sign); every row non-empty
     in_dim: int
@@ -209,16 +199,9 @@ class Sum:
             out.append(acc)
         return out
 
-    def matrix(self, forms=None) -> SymMatrix:
-        m = [[0] * self.in_dim for _ in self.rows]
-        for i, row in enumerate(self.rows):
-            for lane, sign in row:
-                m[i][lane] += sign
-        return SymMatrix(m)
-
 
 @dataclass(frozen=True)
-class QuasiDiagonal:
+class QuasiDiagonal(Stage):
     """Square stage whose only nonzero entries are named precomputed values.
 
     This is the one place data-dependent multiplications happen: applying the
@@ -260,11 +243,7 @@ class QuasiDiagonal:
     def matrix(self, forms: Optional[Mapping] = None) -> SymMatrix:
         if forms is None:
             raise ValueError("quasi-diagonal stage needs entry forms")
-        z = LinForm.zero()
-        m = [[z] * self.dim for _ in range(self.dim)]
-        for r, c, name in self.cells:
-            m[r][c] = forms[name]
-        return SymMatrix(m)
+        return super().matrix(forms)
 
 
 def apply_stage(stage, vec: Sequence, pre: Optional[Mapping] = None) -> list:

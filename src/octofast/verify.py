@@ -1,12 +1,14 @@
 """Symbolic certification of pipelines against the schoolbook matrix.
 
 The claim "this pipeline computes the product" is discharged by algebra, not
-sampling: every stage is rendered as a matrix of exact linear forms, the
-stages are composed, and the result is compared entry-by-entry with the 8x8
-left-multiplication matrix.  The composition reads the quasi-diagonal values
-from the pipeline's entry forms, so the precompute that actually produces
-them is run on symbolic inputs and held to the same forms.  A clean
-certificate is a theorem about all inputs at once.
+sampling: every stage's matrix of exact linear forms is read off the stage's
+own ``apply`` (:meth:`~octofast.stages.Stage.matrix`), the same code that is
+lowered, compiled and counted; the matrices are composed, and the result is
+compared entry-by-entry with the 8x8 left-multiplication matrix.  The
+composition reads the quasi-diagonal values from the pipeline's entry forms,
+so the precompute that actually produces them is run on symbolic inputs and
+held to the same forms.  A clean certificate is a theorem about all inputs at
+once.
 
 The residual machinery also runs in reverse: :func:`solve_corrections` treats
 chosen quasi-diagonal entries as unknowns and solves the linear system the
@@ -82,10 +84,12 @@ def certify(p, target: Optional[SymMatrix] = None) -> ResidualReport:
     Two checks, both exact: the symbolic composition of the main chain must
     equal the target (default: the schoolbook left-multiplication matrix),
     and ``p.precompute`` run on ``b_i = LinForm.var(i)`` must yield, for
-    every quasi-diagonal cell, the entry form the composition assumed.  The
-    second check covers the precompute stages, the tap and the correction
-    recipes.  On success the pipeline's ``certified`` flag is set, which
-    unlocks flattening to a straight-line program.
+    every quasi-diagonal cell, the entry form the composition assumed.  Each
+    stage matrix in the first check is read off that stage's ``apply``, so
+    the chain proved is the chain that runs; the second check covers the
+    precompute stages, the tap and the correction recipes.  On success the
+    pipeline's ``certified`` flag is set, which unlocks flattening to a
+    straight-line program.
     """
     if target is None:
         target = schoolbook_matrix()

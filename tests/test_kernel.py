@@ -67,16 +67,12 @@ def test_corrections_match_their_forms():
             assert value == CORRECTION_FORMS[name].evaluate(b.c), name
 
 
-def test_precompute_set_lookup_and_validate():
+def test_precompute_set_lookup():
     b = Octo((2, -3, 5, -7, 11, -13, 17, -19))
     p = build_pipeline()
     pre = p.precompute(b)
     assert pre["s0"] == ENTRY_FORMS["s0"].evaluate(b.c)
     assert pre["sumcorr_01"] == 13
-    pre.validate(b)
-    pre.m["sumcorr_01"] = 999
-    with pytest.raises(ValueError):
-        pre.validate(b)
 
 
 def test_fast_equals_naive_on_basis_pairs():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from octofast.kernel import build_pipeline
 from octofast.linform import LinForm
 from octofast.stages import (Butterfly, FanOut, Permute, QuasiDiagonal,
                              SignScale, Sum, apply_stage, zero_like)
@@ -77,9 +78,12 @@ def test_apply_stage_checks_dimension():
 
 
 def test_matrices_agree_with_apply():
-    # every stage kind: the symbolic matrix must reproduce apply() exactly
+    # every stage kind and every shipped stage: the matrix read off the unit
+    # vectors must reproduce apply() on any vector, i.e. apply is linear
     rng = random.Random(23)
-    forms = {"a": LinForm.var(1, 2), "b": LinForm.combo([(0, 1), (2, -1)])}
+    p = build_pipeline()
+    forms = {"a": LinForm.var(1, 2), "b": LinForm.combo([(0, 1), (2, -1)]),
+             **p.entry_forms}
     pre_b = [Fraction(rng.randint(-9, 9)) for _ in range(8)]
     pre = {k: f.evaluate(pre_b) for k, f in forms.items()}
     stages = [
@@ -90,6 +94,7 @@ def test_matrices_agree_with_apply():
         Sum(rows=(((0, 1), (4, -1)), ((1, 1), (2, 1), (3, 1)),
                   ((2, -1),), ((3, 1),)), in_dim=5),
         QuasiDiagonal(dim=4, cells=((0, 0, "a"), (1, 2, "b"), (3, 3, "a"))),
+        *p.pre_stages, *p.stages,
     ]
     for st in stages:
         vec = [Fraction(rng.randint(-9, 9)) for _ in range(st.in_dim)]

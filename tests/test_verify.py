@@ -6,7 +6,7 @@ from conftest import clone_pipeline, sign_mutation_sites
 from octofast.algebra import Octo, mul_naive, schoolbook_matrix
 from octofast.kernel import CORRECTION_FORMS, Pipeline, build_pipeline, mul_fast
 from octofast.linform import DegreeError, LinForm, SymMatrix
-from octofast.stages import Permute, QuasiDiagonal, SignScale
+from octofast.stages import Butterfly, Permute, QuasiDiagonal, SignScale
 from octofast.verify import (InconsistentSystemError, certify,
                              compose_symbolic, solve_corrections)
 
@@ -100,6 +100,28 @@ def test_negated_recipe_factor_breaks_certification():
     r = report.residuals[0]
     assert (r.row, r.col) == (14, 15)
     assert r.expected == CORRECTION_FORMS["diffcorr_23"] == -r.got
+
+
+class _SwappedButterfly(Butterfly):
+    """Declares a Butterfly, but its apply emits (a-b, a+b), not (a+b, a-b)."""
+
+    def apply(self, vec, pre=None):
+        out = list(vec)
+        for s in self.starts:
+            for i in range(self.half):
+                a, b = vec[s + i], vec[s + self.half + i]
+                out[s + i], out[s + self.half + i] = a - b, a + b
+        return out
+
+
+def test_stage_that_departs_from_its_class_breaks_certification():
+    # certify reads the matrix off the apply that runs, not off the class
+    p = build_pipeline()
+    si = next(i for i, st in enumerate(p.stages) if st.label == "mix-head")
+    st = p.stages[si]
+    swapped = _SwappedButterfly(st.half, st.starts, st.dim, st.label)
+    stages = p.stages[:si] + (swapped,) + p.stages[si + 1:]
+    _rejected_and_wrong(clone_pipeline(p, stages=stages))
 
 
 def test_two_quasidiagonal_stages_is_structural_violation():
