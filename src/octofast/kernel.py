@@ -13,9 +13,9 @@ lane swap get wrong.  Every correction value is a ±1 or ±2 multiple of either
 a ``b`` coefficient or an intermediate the precompute pass already built, so
 the corrections cost no extra additions.
 
-Every entry form below is certified against the schoolbook matrix by
-``octofast.verify`` (and re-derived from scratch by its residual solver in the
-test suite); edit nothing here by hand without re-running certification.
+``octofast.verify.certify`` proves the stages and recipes below as they run,
+precompute included.  The entry forms only document, in closed form, what the
+precompute yields, and are the targets of ``verify.solve_corrections``.
 
 :func:`mul_fast` does not interpret the stages.  On its first call with a
 pipeline it lowers that pipeline's own ``precompute``/``apply`` walk into a
@@ -202,9 +202,9 @@ class Pipeline:
     correction values from the input or from the tap intermediate;
     ``stages`` transform the left operand, consuming the precomputed values
     in quasi-diagonal stages.  ``certified`` is flipped by
-    ``octofast.verify.certify`` once the symbolic composition of ``stages``
-    matches the schoolbook matrix and ``precompute`` yields every entry form
-    that composition assumed.
+    ``octofast.verify.certify`` once the composition of ``stages``, with the
+    values ``precompute`` yields on a symbolic ``b``, matches the target.
+    ``entry_forms`` name those values; only ``solve_corrections`` reads them.
 
     :func:`mul_fast` compiles the walk of ``pre_stages``, ``recipes``,
     ``tap_index`` and ``stages`` once and keeps it on the pipeline, so these
@@ -223,15 +223,12 @@ class Pipeline:
         self.certified = False
         self._compiled = None  # mul_fast's kernel, built on its first call
         _check_chain(self.stages, 8, 8, "main")
-        if self.pre_stages:
-            _check_chain(self.pre_stages, 8, 8, "precompute")
+        _check_chain(self.pre_stages, 8, 8, "precompute")
 
     # -- right-operand pass --
 
     def precompute(self, b) -> PrecomputeSet:
         coeffs = b.c if isinstance(b, Octo) else tuple(b)
-        if not self.pre_stages:
-            return PrecomputeSet(s=(), m={})
         vec = list(coeffs)
         tap = vec
         for idx, st in enumerate(self.pre_stages):

@@ -23,7 +23,8 @@ _ZEROQ = (Fraction(0),) * NVARS
 
 
 class DegreeError(ArithmeticError):
-    """Product of two non-constant linear forms (degree would exceed one)."""
+    """A non-bilinear product: of two non-constant linear forms, or a lowered
+    ``mul`` without one x-side and one b-side operand."""
 
 
 def _frac(v) -> Fraction:

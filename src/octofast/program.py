@@ -6,7 +6,8 @@ instructions, so the program is exactly the walk the interpreter performs.
 The program is three-address code over the sixteen input slots
 ``x0..x7``/``b0..b7`` (plus a ``zero`` slot for structurally empty lanes).
 Ops are ``add``, ``sub``, ``neg``, ``shift`` (multiply by 2^k) and ``mul``;
-every slot is assigned exactly once.
+every slot is assigned exactly once.  The lowering is refused unless every
+``mul`` takes one x-side and one b-side value and every constant is ``+-2^k``.
 
 :func:`flatten` is the lowering of a certified pipeline, the form that is
 emitted as text or CSV.  :func:`compile_program` turns a program into one
@@ -28,8 +29,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import Octo
+from .linform import DegreeError
 from .opcount import OpCount
-from .stages import zero_like
+from .stages import _is_pow2_scale, zero_like
 
 INPUTS = tuple(f"x{i}" for i in range(8)) + tuple(f"b{i}" for i in range(8)) \
     + ("zero",)
@@ -65,6 +67,17 @@ class Program:
     # (the interpreter's ``zero_like`` of the lane entering the core); None
     # means the int 0, which eval_program always uses.
     zero_of: Optional[str] = None
+
+    def dependencies(self) -> dict:
+        """deps[slot]: the input slots the value of ``slot`` derives from."""
+        deps = {name: {name} for name in INPUTS}
+        if self.zero_of in INPUTS:
+            deps["zero"] = deps[self.zero_of]
+        for ins in self.instrs:
+            deps[ins.dest] = deps[ins.a] | deps.get(ins.b, set())
+            if ins.dest == self.zero_of:
+                deps["zero"] = deps[ins.dest]
+        return deps
 
     def opcount(self) -> OpCount:
         mults = sum(1 for i in self.instrs if i.op == "mul")
@@ -126,9 +139,9 @@ class _Slot:
     """A scalar whose arithmetic appends instructions instead of computing.
 
     Running the pipeline's own precompute and apply on slots records exactly
-    the operations execution performs.  Stage scales and recipe factors are
-    constants ``+-2^k``; multiplying by one becomes a free ``shift``, negated
-    if needed.
+    the operations execution performs.  Stage scales and recipe factors must
+    be constants ``+-2^k``; multiplying by one becomes a free ``shift``,
+    negated if needed, and any other constant raises ``ValueError``.
     """
 
     __slots__ = ("name", "em")
@@ -158,25 +171,37 @@ class _Slot:
         if isinstance(other, _Slot):
             return _Slot(self.em.mul(self.name, other.name), self.em)
         f = Fraction(other)
-        n, d = abs(f.numerator), f.denominator
-        k = n.bit_length() - 1 if n > 1 else -(d.bit_length() - 1)
+        if not _is_pow2_scale(f):
+            raise ValueError(f"constant factor {f} is not a signed power of two")
+        k = abs(f.numerator).bit_length() - f.denominator.bit_length()
         out = _Slot(self.em.shift(self.name, k), self.em)
         return -out if f < 0 else out
+
+
+_X_SIDE, _B_SIDE = frozenset(INPUTS[:8]), frozenset(INPUTS[8:16])
 
 
 def _lower(p) -> Program:
     """Unroll pipeline ``p`` (precompute and main chain) into a Program.
 
     No certification check: this is what ``p`` computes, proved or not.
+    A ``mul`` not of one value derived only from ``x0..x7`` and one derived
+    only from ``b0..b7`` raises :class:`~octofast.linform.DegreeError`.
     """
     em = _Emitter()
     b = [_Slot(f"b{i}", em) for i in range(8)]
     x = [_Slot(f"x{i}", em) for i in range(8)]
     outputs = [slot.name for slot in p.apply(x, p.precompute(b))]
-    instrs = _eliminate_dead(em.instrs, outputs, em.zero_of)
-    prog = Program(inputs=INPUTS, instrs=tuple(instrs),
+    prog = Program(inputs=INPUTS, instrs=tuple(em.instrs),
                    outputs=tuple(outputs), zero_of=em.zero_of)
     prog.validate()
+    deps = prog.dependencies()
+    for ins in prog.instrs:
+        if ins.op == "mul" and not (
+                deps[ins.a] <= _X_SIDE and deps[ins.b] <= _B_SIDE
+                or deps[ins.a] <= _B_SIDE and deps[ins.b] <= _X_SIDE):
+            raise DegreeError(f"{ins.to_text()}: not one x-side and one "
+                              f"b-side operand")
     return prog
 
 
@@ -189,27 +214,6 @@ def flatten(p) -> Program:
     if not getattr(p, "certified", False):
         raise ValueError("pipeline is not certified; run verify.certify first")
     return _lower(p)
-
-
-def _eliminate_dead(instrs, outputs, zero_of=None):
-    used = set()
-
-    def use(slot):  # the zero slot's value is taken from zero_of
-        used.add(slot)
-        if slot == "zero" and zero_of is not None:
-            used.add(zero_of)
-
-    for o in outputs:
-        use(o)
-    keep = []
-    for ins in reversed(instrs):
-        if ins.dest in used:
-            keep.append(ins)
-            use(ins.a)
-            if ins.b is not None:
-                use(ins.b)
-    keep.reverse()
-    return keep
 
 
 def eval_program(prog: Program, x: Octo, b: Octo) -> Octo:
@@ -255,8 +259,7 @@ def program_source(prog: Program) -> str:
     """
     zero_used = "zero" in prog.outputs or any(
         "zero" in (ins.a, ins.b) for ins in prog.instrs)
-    # deps[slot]: the input slots the value of ``slot`` is derived from
-    deps = {name: {name} for name in INPUTS}
+    deps = prog.dependencies()
     head = ["def kernel(x, b):",
             "    " + ", ".join(INPUTS[:8]) + ", = x",
             "    " + ", ".join(INPUTS[8:16]) + ", = b"]
@@ -265,9 +268,7 @@ def program_source(prog: Program) -> str:
         head.append("    zero = 0")
     elif zero_used and prog.zero_of in INPUTS:
         head.append(f"    zero = _zero_like({prog.zero_of})")
-        deps["zero"] = deps[prog.zero_of]
     for ins in prog.instrs:
-        deps[ins.dest] = deps[ins.a] | deps.get(ins.b, set())
         if ins.op == "shift" and ins.k < 0:
             rhs = f"{ins.a} * _q{-ins.k}"
             guarded |= deps[ins.a]
@@ -281,7 +282,6 @@ def program_source(prog: Program) -> str:
         body.append(f"    {ins.dest} = {rhs}")
         if zero_used and ins.dest == prog.zero_of:
             body.append(f"    zero = _zero_like({ins.dest})")
-            deps["zero"] = deps[ins.dest]
     if scales:
         head.append("    if " + " and ".join(
             f"_type({name}) is _float"

@@ -1,17 +1,16 @@
 """Symbolic certification of pipelines against the schoolbook matrix.
 
 The claim "this pipeline computes the product" is discharged by algebra, not
-sampling: every stage's matrix of exact linear forms is read off the stage's
-own ``apply`` (:meth:`~octofast.stages.Stage.matrix`), the same code that is
-lowered, compiled and counted; the matrices are composed, and the result is
-compared entry-by-entry with the 8x8 left-multiplication matrix.  The
-composition reads the quasi-diagonal values from the pipeline's entry forms,
-so the precompute that actually produces them is run on symbolic inputs and
-held to the same forms.  A clean certificate is a theorem about all inputs at
-once.
+sampling.  The pipeline's own ``precompute`` runs on the symbolic operand
+``b_i = LinForm.var(i)``; every main-chain stage's matrix is read off its own
+``apply`` (:meth:`~octofast.stages.Stage.matrix`) with those values in the
+core; the matrices are composed and compared entry by entry with the 8x8
+left-multiplication matrix.  A clean certificate is a theorem about all
+inputs at once, about the code that runs.
 
-The residual machinery also runs in reverse: :func:`solve_corrections` treats
-chosen quasi-diagonal entries as unknowns and solves the linear system the
+The entry forms take no part in the proof.  They are the targets of
+:func:`solve_corrections`, which runs the residual machinery in reverse:
+chosen quasi-diagonal entries become unknowns of the linear system the
 surrounding constant stages impose, which is how damaged or unknown entry
 forms are reconstructed in the first place.
 """
@@ -24,13 +23,14 @@ from typing import Iterable, Optional
 
 from .algebra import schoolbook_matrix
 from .linform import LinForm, SymMatrix
+from .program import _lower
 from .stages import QuasiDiagonal
 
 
 @dataclass(frozen=True)
 class Residual:
-    """One differing entry: of the 8x8 product matrix, or, for a wrong
-    precomputed value, of the quasi-diagonal cell that consumes it."""
+    """One differing entry ``(row, col)`` of the 8x8 product matrix: the
+    target's form ``expected`` and the composed form ``got``."""
     row: int
     col: int
     expected: LinForm
@@ -67,32 +67,32 @@ class InconsistentSystemError(ValueError):
 
 
 def compose_symbolic(p) -> SymMatrix:
-    """Exact product of all stage matrices of ``p`` (an 8x8 form matrix).
+    """Exact product of the main-chain stage matrices of ``p`` (8x8 forms),
+    with the values ``p.precompute`` yields on a symbolic ``b`` in the core.
 
     Raises :class:`~octofast.linform.DegreeError` if two data-dependent
     stages would multiply — a structural violation of the bilinear shape.
     """
+    pre = p.precompute([LinForm.var(i) for i in range(8)])
     acc = SymMatrix.identity(8)
     for st in p.stages:
-        acc = st.matrix(p.entry_forms) @ acc
+        acc = st.matrix(pre) @ acc
     return acc
 
 
 def certify(p, target: Optional[SymMatrix] = None) -> ResidualReport:
     """Prove that ``p`` computes ``target`` for every input.
 
-    Two checks, both exact: the symbolic composition of the main chain must
-    equal the target (default: the schoolbook left-multiplication matrix),
-    and ``p.precompute`` run on ``b_i = LinForm.var(i)`` must yield, for
-    every quasi-diagonal cell, the entry form the composition assumed.  Each
-    stage matrix in the first check is read off that stage's ``apply``, so
-    the chain proved is the chain that runs; the second check covers the
-    precompute stages, the tap and the correction recipes.  On success the
-    pipeline's ``certified`` flag is set, which unlocks flattening to a
-    straight-line program.
+    :func:`compose_symbolic` must equal ``target`` (default: the schoolbook
+    matrix); each differing entry is a :class:`Residual`.  The lowering of
+    ``p`` is built first and raises if it is not bilinear (see
+    :mod:`octofast.program`), which catches a nonlinear ``apply`` that unit
+    vectors cannot reveal.  On success ``p.certified`` is set, which
+    unlocks flattening to a straight-line program.
     """
     if target is None:
         target = schoolbook_matrix()
+    _lower(p)
     got = compose_symbolic(p)
     residuals = []
     for i in range(8):
@@ -100,13 +100,6 @@ def certify(p, target: Optional[SymMatrix] = None) -> ResidualReport:
             e, g = target.entry(i, j), got.entry(i, j)
             if e != g:
                 residuals.append(Residual(i, j, e, g))
-    pre = p.precompute([LinForm.var(i) for i in range(8)])
-    for st in p.stages:
-        if isinstance(st, QuasiDiagonal):
-            for r, c, name in st.cells:
-                if pre[name] != p.entry_forms[name]:
-                    residuals.append(
-                        Residual(r, c, p.entry_forms[name], pre[name]))
     report = ResidualReport(tuple(residuals))
     if report.ok:
         p.certified = True

@@ -1,8 +1,8 @@
 from dataclasses import replace
 
 from octofast.kernel import Pipeline
-from octofast.linform import SymMatrix
-from octofast.stages import QuasiDiagonal, SignScale, Sum
+from octofast.linform import LinForm, SymMatrix
+from octofast.stages import SignScale, Sum
 
 
 def clone_pipeline(p, stages=None, forms=None, pre_stages=None, recipes=None):
@@ -19,51 +19,56 @@ def _swap(stages, i, st):
     return tuple(out)
 
 
-def sign_mutation_sites(p):
-    """All (description, pipeline) pairs with one main-chain sign flipped.
+def _live_lanes(stages, forms):
+    """live[si] = lanes of stage si's input that depend on the chain input."""
+    acc = SymMatrix.identity(stages[0].in_dim)
+    live = []
+    for st in stages:
+        live.append({i for i in range(acc.rows)
+                     if any(not acc.entry(i, j).is_zero for j in range(acc.cols))})
+        acc = st.matrix(forms) @ acc
+    return live
 
-    Entries that multiply a structurally zero lane are excluded up front:
-    flipping them cannot change the composed matrix, so they are not part of
-    the bilinear algorithm in any meaningful sense.
-    """
-    prefixes = []
-    acc = SymMatrix.identity(8)
-    for st in p.stages:
-        prefixes.append(acc)
-        acc = st.matrix(p.entry_forms) @ acc
 
-    def live(si, lane):
-        m = prefixes[si]
-        return any(not m.entry(lane, j).is_zero for j in range(m.cols))
-
-    sites = []
-    for si, st in enumerate(p.stages):
+def _sign_flips(stages, forms):
+    """(site, stage index, flipped stage) for each live SignScale/Sum sign."""
+    live = _live_lanes(stages, forms)
+    for si, st in enumerate(stages):
         if isinstance(st, SignScale):
-            for lane in range(len(st.factors)):
-                if not live(si, lane):
-                    continue
-                facs = list(st.factors)
-                facs[lane] = -facs[lane]
-                sites.append((f"{st.label}[{lane}]",
-                              clone_pipeline(p, stages=_swap(
-                                  p.stages, si,
-                                  replace(st, factors=tuple(facs))))))
+            for lane, f in enumerate(st.factors):
+                if lane in live[si]:
+                    facs = list(st.factors)
+                    facs[lane] = -f
+                    yield (f"{st.label}[{lane}]", si,
+                           replace(st, factors=tuple(facs)))
         elif isinstance(st, Sum):
             for ri, row in enumerate(st.rows):
                 for ti, (lane, sign) in enumerate(row):
-                    if not live(si, lane):
-                        continue
-                    rows = [list(r) for r in st.rows]
-                    rows[ri][ti] = (lane, -sign)
-                    newst = replace(st, rows=tuple(tuple(r) for r in rows))
-                    sites.append((f"{st.label}[{ri}.{ti}]",
-                                  clone_pipeline(p, stages=_swap(p.stages, si,
-                                                                 newst))))
-        elif isinstance(st, QuasiDiagonal):
-            for _, c, name in st.cells:
-                if not live(si, c):
-                    continue
-                forms = dict(p.entry_forms)
-                forms[name] = -forms[name]
-                sites.append((f"core[{name}]", clone_pipeline(p, forms=forms)))
+                    if lane in live[si]:
+                        rows = [list(r) for r in st.rows]
+                        rows[ri][ti] = (lane, -sign)
+                        yield (f"{st.label}[{ri}.{ti}]", si,
+                               replace(st, rows=tuple(tuple(r) for r in rows)))
+
+
+def sign_mutation_sites(p):
+    """All (description, pipeline) pairs with one sign of running code flipped.
+
+    The sites are every live sign of a main-chain or precompute stage (a
+    ``SignScale`` factor or a ``Sum`` term) and every recipe factor.  Signs
+    on lanes that are structurally zero are excluded up front: flipping them
+    cannot change what the pipeline computes, so they are not part of the
+    bilinear algorithm in any meaningful sense.
+    """
+    pre = p.precompute([LinForm.var(i) for i in range(8)])
+    sites = [(f"main:{site}",
+              clone_pipeline(p, stages=_swap(p.stages, si, st)))
+             for site, si, st in _sign_flips(p.stages, pre)]
+    sites += [(f"pre:{site}",
+               clone_pipeline(p, pre_stages=_swap(p.pre_stages, si, st)))
+              for site, si, st in _sign_flips(p.pre_stages, None)]
+    for name, (src, lane, factor) in p.recipes.items():
+        recipes = dict(p.recipes)
+        recipes[name] = (src, lane, -factor)
+        sites.append((f"recipe:{name}", clone_pipeline(p, recipes=recipes)))
     return sites

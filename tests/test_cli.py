@@ -115,9 +115,10 @@ def test_invalid_environment_seed(capsys, monkeypatch):
 
 def test_verify_detects_a_corrupted_kernel(capsys, monkeypatch):
     good = kernel.build_pipeline()
-    forms = dict(good.entry_forms)
-    forms["diffcorr_23"] = LinForm.zero()
-    bad = clone_pipeline(good, forms=forms)
+    recipes = dict(good.recipes)
+    src, lane, factor = recipes["diffcorr_23"]
+    recipes["diffcorr_23"] = (src, lane, -factor)
+    bad = clone_pipeline(good, recipes=recipes)
     monkeypatch.setattr(kernel, "build_pipeline", lambda: bad)
     rc, out, _ = run(capsys, "verify", "--trials", "50", "--seed", "1")
     assert rc == 1

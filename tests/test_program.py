@@ -7,10 +7,10 @@ import pytest
 from octofast.algebra import Octo, mul_naive
 from octofast.kernel import Pipeline, build_pipeline, default_pipeline, mul_fast
 from octofast.linform import SymMatrix
-from octofast.opcount import OpCount, count_algorithm
-from octofast.program import (Instr, Program, _eliminate_dead, emit_csv,
-                              emit_text, eval_program, flatten)
-from octofast.stages import Permute, QuasiDiagonal
+from octofast.opcount import OpCount, Tally, count_algorithm
+from octofast.program import (Instr, Program, emit_csv, emit_text,
+                              eval_program, flatten)
+from octofast.stages import Butterfly, FanOut, Permute, QuasiDiagonal, Sum
 from octofast.verify import certify
 
 
@@ -147,10 +147,21 @@ def test_validate_rejects_use_before_definition():
         prog.validate()
 
 
-def test_dead_code_elimination():
-    live = Instr("t1", "add", "x0", "x1")
-    dead = Instr("t2", "mul", "x0", "x2")
-    assert _eliminate_dead([live, dead], ["t1"]) == [live]
+def test_dead_lane_counts_agree():
+    # the butterfly's a-b half feeds nothing, but it runs: every count view
+    # reports the walk that executes, dead lane included
+    p = Pipeline(stages=[FanOut(src=tuple(range(8)) * 2, in_dim=8),
+                         Butterfly(half=8, starts=(0,), dim=16),
+                         Sum(rows=tuple(((k, 1),) for k in range(8)),
+                             in_dim=16)])
+    twice = SymMatrix([[2 * (i == j) for j in range(8)] for i in range(8)])
+    assert certify(p, target=twice).ok
+    tally = Tally()
+    p.apply(tally.wrap_octo(Octo.unit(0)).c,
+            p.precompute(tally.wrap_octo(Octo.unit(0))))
+    assert tally.snapshot() == OpCount(0, 16)
+    assert flatten(p).opcount() == tally.snapshot()
+    assert count_algorithm("fast", p) == tally.snapshot()
 
 
 def test_shift_evaluation():

@@ -51,12 +51,15 @@ def test_flipping_final_scale_confines_residuals_to_one_row():
     assert report.rows() == {5}
 
 
-def test_zeroed_correction_breaks_certification():
+def test_zeroed_entry_form_runs_and_certifies_unchanged():
+    # entry forms document the precompute; the proof runs the precompute
     p = build_pipeline()
     forms = dict(p.entry_forms)
     forms["sumcorr_13"] = LinForm.zero()
-    report = certify(clone_pipeline(p, forms=forms))
-    assert not report.ok
+    edited = clone_pipeline(p, forms=forms)
+    assert certify(edited).ok
+    x, b = Octo((1, 2, 3, 4, 5, 6, 7, 8)), Octo((8, 7, 6, 5, 4, 3, 2, 1))
+    assert mul_fast(x, b, edited) == mul_naive(x, b)
 
 
 def test_every_sign_mutation_site_breaks_certification():
@@ -85,9 +88,13 @@ def test_flipped_precompute_sign_breaks_certification():
     facs[0] = -facs[0]
     pre = (replace(flip, factors=tuple(facs)),) + p.pre_stages[1:]
     report = _rejected_and_wrong(clone_pipeline(p, pre_stages=pre))
-    # every scaled sum reads b0 through the flipped lane
-    assert {(r.row, r.col) for r in report.residuals} >= {
-        (0, 0), (1, 1), (2, 2), (3, 3), (8, 8), (9, 9), (10, 10), (11, 11)}
+    # every scaled sum reads b0 through the flipped lane; together they
+    # reach the product only on the diagonal, where they carry b0
+    assert {(r.row, r.col) for r in report.residuals} == {
+        (i, i) for i in range(8)}
+    for r in report.residuals:
+        diff = r.got - r.expected
+        assert diff.const == 0 and diff.q[0] != 0 and not any(diff.q[1:])
 
 
 def test_negated_recipe_factor_breaks_certification():
@@ -96,10 +103,11 @@ def test_negated_recipe_factor_breaks_certification():
     src, lane, factor = recipes["diffcorr_23"]
     recipes["diffcorr_23"] = (src, lane, -factor)
     report = _rejected_and_wrong(clone_pipeline(p, recipes=recipes))
-    assert len(report.residuals) == 1
-    r = report.residuals[0]
-    assert (r.row, r.col) == (14, 15)
-    assert r.expected == CORRECTION_FORMS["diffcorr_23"] == -r.got
+    assert {(r.row, r.col) for r in report.residuals} == {
+        (2, 3), (2, 7), (6, 3), (6, 7)}
+    twice = 2 * CORRECTION_FORMS["diffcorr_23"]
+    for r in report.residuals:
+        assert r.got - r.expected in (twice, -twice)
 
 
 class _SwappedButterfly(Butterfly):
@@ -124,9 +132,48 @@ def test_stage_that_departs_from_its_class_breaks_certification():
     _rejected_and_wrong(clone_pipeline(p, stages=stages))
 
 
+class _SquaringPermute(Permute):
+    """Declares a Permute, but its apply squares each lane it moves."""
+
+    def apply(self, vec, pre=None):
+        return [vec[i] * vec[i] for i in self.perm]
+
+
+def test_nonlinear_stage_breaks_certification():
+    # unit vectors square to themselves, so the matrix read off apply is
+    # the Permute's; the lowering sees the x-by-x multiplications
+    p = build_pipeline()
+    si = next(i for i, st in enumerate(p.stages) if st.label == "swap04")
+    squaring = _SquaringPermute(p.stages[si].perm, "swap04")
+    bad = clone_pipeline(p, stages=p.stages[:si] + (squaring,) + p.stages[si + 1:])
+    x, b = Octo((1, 2, 3, 4, 5, 6, 7, 8)), Octo((8, 7, 6, 5, 4, 3, 2, 1))
+    assert Octo(bad.apply(x.c, bad.precompute(b))) != mul_naive(x, b)
+    with pytest.raises(DegreeError, match="mul x4 x4"):
+        certify(bad)
+    assert not bad.certified
+    with pytest.raises(DegreeError):
+        mul_fast(x, b, bad)
+
+
+def test_constant_that_is_not_a_power_of_two_is_refused():
+    # the walk multiplies b0 by 3; composition alone would prove 3*b0*I
+    core = QuasiDiagonal(dim=8, cells=tuple((i, i, "a") for i in range(8)))
+    p = Pipeline(stages=[core], pre_stages=[Permute(tuple(range(8)))],
+                 recipes={"a": ("input", 0, 3)},
+                 entry_forms={"a": LinForm.var(0, 3)})
+    target = SymMatrix([[LinForm.var(0, 3) if i == j else 0
+                         for j in range(8)] for i in range(8)])
+    with pytest.raises(ValueError, match="power of two"):
+        certify(p, target=target)
+    assert not p.certified
+    with pytest.raises(ValueError, match="power of two"):
+        mul_fast(Octo((1,) * 8), Octo((5,) + (0,) * 7), p)
+
+
 def test_two_quasidiagonal_stages_is_structural_violation():
     qd = QuasiDiagonal(dim=8, cells=((0, 0, "a"),))
-    p = Pipeline(stages=[qd, qd], entry_forms={"a": LinForm.var(0)})
+    p = Pipeline(stages=[qd, qd], recipes={"a": ("input", 0, 1)},
+                 entry_forms={"a": LinForm.var(0)})
     with pytest.raises(DegreeError):
         compose_symbolic(p)
 
