@@ -150,6 +150,9 @@ class LinForm:
         return self.const == other.const and self.q == other.q
 
     def __hash__(self):
+        # a constant form equals its constant, so it must hash as one
+        if self.is_constant:
+            return hash(self.const)
         return hash((self.const, self.q))
 
     def __repr__(self):

@@ -7,8 +7,8 @@ Every stage is linear in its input; the only data-dependent entries live in
 A stage has one meaning, its ``apply``: it runs on concrete vectors (exact,
 float, or instrumented scalars) and on the slot scalars the lowering uses.
 Its :class:`~octofast.linform.SymMatrix`, which the proof composes, is read
-off that same ``apply`` (:meth:`Stage.matrix`), so the matrices certified are
-those of the code that runs.
+off that same ``apply`` (:meth:`Stage.matrix`, through :func:`matrix_of`), so
+the matrices certified are those of the code that runs.
 
 Scale factors are restricted to ``±2^k`` so that every constant multiplication
 is a free shift under the counting rules.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .linform import SymMatrix
 
@@ -45,21 +45,25 @@ def zero_like(v):
     return type(v)(0)
 
 
+def matrix_of(apply: Callable[[list], Sequence], n: int) -> SymMatrix:
+    """The matrix of ``apply`` on ``n`` lanes: column ``j`` is ``apply`` of
+    the ``j``-th unit vector.
+
+    This is the map's matrix only because ``apply`` is linear; a nonlinear
+    ``apply`` is not detected.
+    """
+    cols = [apply([int(i == j) for i in range(n)]) for j in range(n)]
+    return SymMatrix(list(zip(*cols)))
+
+
 class Stage:
     """Base of every stage: a linear ``apply`` from ``in_dim`` lanes to
     ``out_dim`` lanes."""
 
     def matrix(self, forms: Optional[Mapping] = None) -> SymMatrix:
-        """The stage as a matrix, read off ``apply``.
-
-        Column ``j`` is ``apply`` of the ``j``-th unit vector; quasi-diagonal
-        values are read from ``forms``.  This is the stage's matrix only
-        because ``apply`` is linear; a nonlinear ``apply`` is not detected.
-        """
-        n = self.in_dim
-        cols = [self.apply([int(i == j) for i in range(n)], forms)
-                for j in range(n)]
-        return SymMatrix(list(zip(*cols)))
+        """The stage's matrix, read off its ``apply`` by :func:`matrix_of`,
+        with quasi-diagonal values read from ``forms``."""
+        return matrix_of(lambda vec: self.apply(vec, forms), self.in_dim)
 
 
 @dataclass(frozen=True)

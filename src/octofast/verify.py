@@ -10,9 +10,9 @@ inputs at once, about the code that runs.
 
 The entry forms take no part in the proof.  They are the targets of
 :func:`solve_corrections`, which runs the residual machinery in reverse:
-chosen quasi-diagonal entries become unknowns of the linear system the
-surrounding constant stages impose, which is how damaged or unknown entry
-forms are reconstructed in the first place.
+chosen quasi-diagonal entries become unknowns, and the main chain's
+dependence on each of them, read off ``Pipeline.apply``, gives the linear
+system against the target that reconstructs damaged or unknown entry forms.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterable, Optional
 from .algebra import schoolbook_matrix
 from .linform import LinForm, SymMatrix
 from .program import _lower
-from .stages import QuasiDiagonal
+from .stages import QuasiDiagonal, matrix_of
 
 
 @dataclass(frozen=True)
@@ -114,59 +114,46 @@ class CorrectionSolve:
 
 
 def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionSolve:
-    """Solve for quasi-diagonal entry forms from the surrounding stages.
+    """Solve for quasi-diagonal entry forms from the main chain that runs.
 
-    Entries named in ``unknown`` (default: every entry with a correction
-    recipe) are treated as unknown linear forms; the constant stages before
-    and after the quasi-diagonal stage fix them via a linear system against
-    the schoolbook matrix.  Inconsistency raises
-    :class:`InconsistentSystemError`; under-determined unknowns resolve to the
-    zero form (the fewest-nonzero-coefficients choice) and are reported in
-    ``free``.  Unknowns are processed in sorted-name order, so the result is
-    deterministic.
+    Entries named in ``unknown`` (default: every core entry with a
+    correction recipe) are treated as unknown linear forms.  The chain's
+    matrix is affine in the core values, so :func:`~octofast.stages.matrix_of`
+    reads it off ``p.apply`` with the known entry forms in the core (unknowns
+    at 0), and once per unknown set to 1 alone: its coefficients.  Matched
+    against the schoolbook matrix, these give a linear system.
+
+    Inconsistency raises :class:`InconsistentSystemError`; under-determined
+    unknowns resolve to the zero form (the fewest-nonzero-coefficients
+    choice) and are reported in ``free``.  Unknowns are processed in
+    sorted-name order, so the result is deterministic.  An unknown the core
+    does not read raises ``ValueError``.
     """
-    qd_positions = [i for i, st in enumerate(p.stages)
-                    if isinstance(st, QuasiDiagonal)]
-    if len(qd_positions) != 1:
+    cores = [st for st in p.stages if isinstance(st, QuasiDiagonal)]
+    if len(cores) != 1:
+        # with two cores the chain multiplies core values: not linear
         raise ValueError(
-            f"expected exactly one quasi-diagonal stage, found {len(qd_positions)}")
-    at = qd_positions[0]
-    core = p.stages[at]
+            f"expected exactly one quasi-diagonal stage, found {len(cores)}")
+    read = {name for _, _, name in cores[0].cells}
 
     if unknown is None:
-        unknown = [name for _, _, name in core.cells if name in p.recipes]
+        unknown = [name for name in read if name in p.recipes]
     names = sorted(set(unknown))
-    index = {n: k for k, n in enumerate(names)}
+    stray = [n for n in names if n not in read]
+    if stray:
+        raise ValueError(f"unknowns the core does not read: {', '.join(stray)}")
 
-    pre = SymMatrix.identity(8)
-    for st in p.stages[:at]:
-        pre = st.matrix(None) @ pre          # 24x8, constant entries
-    post = SymMatrix.identity(core.dim)
-    for st in p.stages[at + 1:]:
-        post = st.matrix(None) @ post        # 8x24, constant entries
+    def walk(values):
+        return matrix_of(lambda x: p.apply(x, values), 8)
 
-    def const(m, i, j) -> Fraction:
-        e = m.entry(i, j)
-        if not e.is_constant:
-            raise ValueError("stages around the quasi-diagonal must be constant")
-        return e.const
+    known = walk({n: 0 if n in names else p.entry_forms[n] for n in read})
+    coeffs = [walk({n: int(n == u) for n in read}) for u in names]
 
     # One equation per output entry: sum(coeff * unknown) = target - known.
-    equations = []
     target = schoolbook_matrix()
-    for i in range(8):
-        for j in range(8):
-            coeffs = [Fraction(0)] * len(names)
-            known = LinForm.zero()
-            for r, c, name in core.cells:
-                w = const(post, i, r) * const(pre, c, j)
-                if w == 0:
-                    continue
-                if name in index:
-                    coeffs[index[name]] += w
-                else:
-                    known = known + w * p.entry_forms[name]
-            equations.append((coeffs, target.entry(i, j) - known))
+    equations = [([c.entry(i, j).const for c in coeffs],
+                  target.entry(i, j) - known.entry(i, j))
+                 for i in range(8) for j in range(8)]
 
     assignment, free = _solve_linear(names, equations)
     return CorrectionSolve(assignment=assignment, free=tuple(free))

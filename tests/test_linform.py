@@ -90,3 +90,10 @@ def test_matrix_shape_errors():
         SymMatrix([[LinForm.zero()], [LinForm.zero(), LinForm.zero()]])
     with pytest.raises(ValueError):
         SymMatrix.identity(2) @ SymMatrix.identity(3)
+
+
+def test_constant_form_hashes_as_its_constant():
+    assert hash(LinForm(3)) == hash(3)
+    assert hash(LinForm.zero()) == hash(0)
+    assert len({LinForm(3), 3, Fraction(3)}) == 1
+    assert LinForm(Fraction(1, 2)) in {Fraction(1, 2)}

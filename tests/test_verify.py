@@ -185,9 +185,10 @@ def test_solver_recovers_all_frozen_corrections():
     assert sol.assignment == CORRECTION_FORMS
 
 
-def test_solver_recovers_a_chosen_block():
+@pytest.mark.parametrize("block", ["sumcorr", "diffcorr", "swapcorr"])
+def test_solver_recovers_a_chosen_block(block):
     p = build_pipeline()
-    names = [n for n in CORRECTION_FORMS if n.startswith("sumcorr")]
+    names = [n for n in CORRECTION_FORMS if n.startswith(block)]
     sol = solve_corrections(p, unknown=names)
     assert sol.free == ()
     assert sol.assignment == {n: CORRECTION_FORMS[n] for n in names}
@@ -211,3 +212,34 @@ def test_solver_reports_inconsistency():
 def test_solver_needs_exactly_one_core():
     with pytest.raises(ValueError):
         solve_corrections(Pipeline(stages=[Permute(tuple(range(8)))]))
+
+
+def test_solver_recovers_each_correction_alone():
+    p = build_pipeline()
+    for name, form in CORRECTION_FORMS.items():
+        sol = solve_corrections(p, unknown=[name])
+        assert sol.free == () and sol.assignment == {name: form}, name
+
+
+def test_solver_recovers_an_unknown_with_no_entry_form():
+    p = build_pipeline()
+    forms = dict(p.entry_forms)
+    del forms["diffcorr_12"]
+    sol = solve_corrections(clone_pipeline(p, forms=forms),
+                            unknown=["diffcorr_12"])
+    assert sol.free == ()
+    assert sol.assignment == {"diffcorr_12": CORRECTION_FORMS["diffcorr_12"]}
+
+
+def test_solver_rejects_an_unknown_the_core_does_not_read():
+    with pytest.raises(ValueError, match="sumcorr_O1"):
+        solve_corrections(build_pipeline(), unknown=["sumcorr_O1"])
+
+
+def test_solver_rejects_two_cores():
+    # two cores would multiply core values: the system is no longer linear
+    qd = QuasiDiagonal(dim=8, cells=((0, 0, "a"),))
+    p = Pipeline(stages=[qd, qd], recipes={"a": ("input", 0, 1)},
+                 entry_forms={"a": LinForm.var(0)})
+    with pytest.raises(ValueError, match="exactly one"):
+        solve_corrections(p)
