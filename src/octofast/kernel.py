@@ -34,8 +34,10 @@ from typing import Mapping, Optional, Sequence
 
 from .algebra import Octo
 from .linform import LinForm
+from .program import compile_pipeline
 from .stages import (Butterfly, FanOut, Permute, QuasiDiagonal, SignScale,
-                     Sum, apply_stage, scale)
+                     Sum, apply_stage)
+from .verify import certify
 
 EIGHTH = Fraction(1, 8)
 
@@ -198,8 +200,9 @@ class PrecomputeSet:
 class Pipeline:
     """A complete bilinear-product pipeline.
 
-    ``pre_stages`` transform the right operand; ``recipes`` derive the
-    correction values from the input or from the tap intermediate;
+    ``pre_stages`` transform the right operand; each recipe
+    ``(src, lane, factor)`` reads ``lane`` of the input (``"input"``) or of
+    pre-stage ``tap_index``'s output (``"tap"``) times a ``+-2^k`` factor;
     ``stages`` transform the left operand, consuming the precomputed values
     in quasi-diagonal stages.  ``certified`` is flipped by
     ``octofast.verify.certify`` once the composition of ``stages``, with the
@@ -224,6 +227,15 @@ class Pipeline:
         self._compiled = None  # mul_fast's kernel, built on its first call
         _check_chain(self.stages, 8, 8, "main")
         _check_chain(self.pre_stages, 8, 8, "precompute")
+        # the width of each source a recipe may read; "tap" only when
+        # tap_index names a precompute stage
+        widths = {"input": 8}
+        if 0 <= tap_index < len(self.pre_stages):
+            widths["tap"] = self.pre_stages[tap_index].out_dim
+        for name, (src, lane, _) in self.recipes.items():
+            if not 0 <= lane < widths.get(src, 0):
+                raise ValueError(f"recipe {name}: {src!r} has no lane {lane} "
+                                 f"(widths {widths}, tap_index {tap_index})")
 
     # -- right-operand pass --
 
@@ -235,7 +247,7 @@ class Pipeline:
             vec = apply_stage(st, vec, None)
             if idx == self.tap_index:
                 tap = vec
-        m = {name: scale(coeffs[lane] if src == "input" else tap[lane], factor)
+        m = {name: (coeffs[lane] if src == "input" else tap[lane]) * factor
              for name, (src, lane, factor) in self.recipes.items()}
         return PrecomputeSet(s=tuple(vec), m=m)
 
@@ -272,7 +284,6 @@ def build_pipeline() -> Pipeline:
 @lru_cache(maxsize=1)
 def default_pipeline() -> Pipeline:
     """The shared certified pipeline used by :func:`mul_fast`."""
-    from .verify import certify  # deferred: verify depends on this module's data
     p = build_pipeline()
     report = certify(p)
     if not report.ok:
@@ -298,7 +309,5 @@ def mul_fast(x: Octo, b: Octo, pipeline: Optional[Pipeline] = None) -> Octo:
     p = pipeline if pipeline is not None else default_pipeline()
     kernel = p._compiled
     if kernel is None:
-        # deferred: program imports opcount, which imports this module
-        from .program import compile_pipeline
         kernel = p._compiled = compile_pipeline(p)
     return Octo(kernel(x.c, b.c))

@@ -3,8 +3,9 @@
 Both kernels run unchanged on :class:`Counted` scalars, which tally every
 multiplication and addition they actually perform.  Conventions:
 
-* a multiplication is free when one operand is a compile-time constant in
-  ``{0, +-1, +-2^k}`` (sign flips and shifts);
+* a multiplication is free when one operand is a compile-time constant 0 or
+  ``+-2^k`` (sign flips and shifts), the constants
+  :func:`~octofast.stages.pow2_exponent` accepts;
 * subtraction counts as an addition; negation is free;
 * wrapped (runtime) operands are never treated as constants, so the counts
   are independent of the input values.
@@ -12,40 +13,27 @@ multiplication and addition they actually perform.  Conventions:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .algebra import Octo, mul_naive
 from .kernel import Pipeline, default_pipeline, mul_fast
-
-
-@dataclass(frozen=True)
-class OpCount:
-    mults: int
-    adds: int
-
-    def __str__(self):
-        return f"mults={self.mults} adds={self.adds}"
+from .program import OpCount
+from .stages import pow2_exponent
 
 
 def is_trivial_factor(v) -> bool:
-    """True for constants in {0, +-2^k}: multiplying by them is free."""
-    if isinstance(v, bool):
+    """True for constants 0 and ``+-2^k`` (:func:`pow2_exponent`):
+    multiplying by them is free."""
+    if not isinstance(v, (int, Fraction, float)):
+        return False
+    if v == 0:
         return True
-    if isinstance(v, int):
-        n = abs(v)
-        return n & (n - 1) == 0
-    if isinstance(v, Fraction):
-        n, d = abs(v.numerator), v.denominator
-        return n & (n - 1) == 0 and d & (d - 1) == 0
-    if isinstance(v, float):
-        if v == 0 or not math.isfinite(v):
-            return v == 0
-        m, _ = math.frexp(abs(v))
-        return m == 0.5
-    return False
+    try:
+        pow2_exponent(v)
+    except (ValueError, OverflowError):  # not +-2^k, or a float inf or nan
+        return False
+    return True
 
 
 class Tally:

@@ -7,7 +7,8 @@ The program is three-address code over the sixteen input slots
 ``x0..x7``/``b0..b7`` (plus a ``zero`` slot for structurally empty lanes).
 Ops are ``add``, ``sub``, ``neg``, ``shift`` (multiply by 2^k) and ``mul``;
 every slot is assigned exactly once.  The lowering is refused unless every
-``mul`` takes one x-side and one b-side value and every constant is ``+-2^k``.
+``mul`` takes one x-side and one b-side value and every constant is ``+-2^k``
+(:func:`~octofast.stages.pow2_exponent` gives the ``shift``'s ``k``).
 
 :func:`flatten` is the lowering of a certified pipeline, the form that is
 emitted as text or CSV.  :func:`compile_program` turns a program into one
@@ -25,16 +26,23 @@ instruction tallies match the instrumented interpreter's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .algebra import Octo
 from .linform import DegreeError
-from .opcount import OpCount
-from .stages import _is_pow2_scale, zero_like
+from .stages import pow2, pow2_exponent, zero_like
 
 INPUTS = tuple(f"x{i}" for i in range(8)) + tuple(f"b{i}" for i in range(8)) \
     + ("zero",)
+
+
+@dataclass(frozen=True)
+class OpCount:
+    mults: int
+    adds: int
+
+    def __str__(self):
+        return f"mults={self.mults} adds={self.adds}"
 
 
 @dataclass(frozen=True)
@@ -103,36 +111,18 @@ class Program:
 class _Emitter:
     def __init__(self):
         self.instrs = []
-        self.n = 0
         self.memo = {}  # free ops only: merging countable ops would skew tallies
         self.zero_of = None
 
-    def _new(self, op, a, b=None, k=None) -> str:
-        self.n += 1
-        dest = f"t{self.n}"
+    def emit(self, op, a, b=None, k=None) -> str:
+        key = (op, a, k)
+        if key in self.memo:
+            return self.memo[key]
+        dest = f"t{len(self.instrs) + 1}"
         self.instrs.append(Instr(dest, op, a, b, k))
+        if op in ("neg", "shift"):
+            self.memo[key] = dest
         return dest
-
-    def add(self, a, b):
-        return self._new("add", a, b)
-
-    def sub(self, a, b):
-        return self._new("sub", a, b)
-
-    def mul(self, a, b):
-        return self._new("mul", a, b)
-
-    def neg(self, a):
-        key = ("neg", a)
-        if key not in self.memo:
-            self.memo[key] = self._new("neg", a)
-        return self.memo[key]
-
-    def shift(self, a, k):
-        key = ("shift", a, k)
-        if key not in self.memo:
-            self.memo[key] = self._new("shift", a, k=k)
-        return self.memo[key]
 
 
 class _Slot:
@@ -140,8 +130,9 @@ class _Slot:
 
     Running the pipeline's own precompute and apply on slots records exactly
     the operations execution performs.  Stage scales and recipe factors must
-    be constants ``+-2^k``; multiplying by one becomes a free ``shift``,
-    negated if needed, and any other constant raises ``ValueError``.
+    be constants ``+-2^k``: multiplying by one becomes a free ``shift`` by
+    :func:`~octofast.stages.pow2_exponent` (none for ``k = 0``), negated if
+    needed, and any other constant raises ``ValueError``.
     """
 
     __slots__ = ("name", "em")
@@ -159,23 +150,20 @@ class _Slot:
         return _Slot("zero", self.em)
 
     def __add__(self, other):
-        return _Slot(self.em.add(self.name, other.name), self.em)
+        return _Slot(self.em.emit("add", self.name, other.name), self.em)
 
     def __sub__(self, other):
-        return _Slot(self.em.sub(self.name, other.name), self.em)
+        return _Slot(self.em.emit("sub", self.name, other.name), self.em)
 
     def __neg__(self):
-        return _Slot(self.em.neg(self.name), self.em)
+        return _Slot(self.em.emit("neg", self.name), self.em)
 
     def __mul__(self, other):
         if isinstance(other, _Slot):
-            return _Slot(self.em.mul(self.name, other.name), self.em)
-        f = Fraction(other)
-        if not _is_pow2_scale(f):
-            raise ValueError(f"constant factor {f} is not a signed power of two")
-        k = abs(f.numerator).bit_length() - f.denominator.bit_length()
-        out = _Slot(self.em.shift(self.name, k), self.em)
-        return -out if f < 0 else out
+            return _Slot(self.em.emit("mul", self.name, other.name), self.em)
+        k = pow2_exponent(other)
+        out = _Slot(self.em.emit("shift", self.name, k=k), self.em) if k else self
+        return -out if other < 0 else out
 
 
 _X_SIDE, _B_SIDE = frozenset(INPUTS[:8]), frozenset(INPUTS[8:16])
@@ -232,9 +220,7 @@ def eval_program(prog: Program, x: Octo, b: Octo) -> Octo:
         elif ins.op == "mul":
             env[ins.dest] = env[ins.a] * env[ins.b]
         elif ins.op == "shift":
-            k = ins.k
-            env[ins.dest] = env[ins.a] * (2 ** k if k >= 0
-                                          else Fraction(1, 2 ** -k))
+            env[ins.dest] = env[ins.a] * pow2(ins.k)
         else:
             raise ValueError(f"unknown op {ins.op!r}")
     return Octo(tuple(env[o] for o in prog.outputs))
@@ -249,8 +235,8 @@ def program_source(prog: Program) -> str:
 
     ``prog`` is a lowered program (inputs :data:`INPUTS`); ``x`` and ``b``
     are 8-sequences of coefficients and the result is the tuple of output
-    slots.  A ``shift`` by 2^k multiplies by the int ``2**k`` for k >= 0 and
-    by ``Fraction(1, 2**-k)`` for k < 0, as :func:`eval_program` does, except
+    slots.  A ``shift`` by ``k`` multiplies by ``pow2(k)`` (an int for
+    k >= 0, a ``Fraction`` for k < 0), as :func:`eval_program` does, except
     that when every input a shifted value derives from is a ``float`` it
     multiplies by the equal float: a float times a Fraction is that float
     product, so the results are the same and only the cost differs.  The
@@ -274,7 +260,7 @@ def program_source(prog: Program) -> str:
             guarded |= deps[ins.a]
             scales.add(-ins.k)
         elif ins.op == "shift":
-            rhs = f"{ins.a} * {2 ** ins.k}"
+            rhs = f"{ins.a} * {pow2(ins.k)}"
         elif ins.op in _OPS:
             rhs = _OPS[ins.op].format(a=ins.a, b=ins.b)
         else:
@@ -286,7 +272,8 @@ def program_source(prog: Program) -> str:
         head.append("    if " + " and ".join(
             f"_type({name}) is _float"
             for name in sorted(guarded, key=INPUTS.index)) + ":")
-        head.extend(f"        _q{k} = {2.0 ** -k!r}" for k in sorted(scales))
+        head.extend(f"        _q{k} = {float(pow2(-k))!r}"
+                    for k in sorted(scales))
         head.append("    else:")
         head.extend(f"        _q{k} = _Q{k}" for k in sorted(scales))
     tail = ["    return (" + ", ".join(prog.outputs) + ",)"]
@@ -297,7 +284,7 @@ def compile_program(prog: Program):
     """``prog`` as a Python function ``kernel(x, b) -> tuple``; see
     :func:`program_source` for its semantics."""
     scope = {"_zero_like": zero_like, "_type": type, "_float": float}
-    scope.update({f"_Q{-ins.k}": Fraction(1, 2 ** -ins.k)
+    scope.update({f"_Q{-ins.k}": pow2(ins.k)
                   for ins in prog.instrs if ins.op == "shift" and ins.k < 0})
     exec(compile(program_source(prog), "<octofast kernel>", "exec"), scope)
     return scope["kernel"]

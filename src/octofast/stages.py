@@ -10,8 +10,10 @@ Its :class:`~octofast.linform.SymMatrix`, which the proof composes, is read
 off that same ``apply`` (:meth:`Stage.matrix`, through :func:`matrix_of`), so
 the matrices certified are those of the code that runs.
 
-Scale factors are restricted to ``±2^k`` so that every constant multiplication
-is a free shift under the counting rules.
+Every constant a stage or recipe multiplies by is ``±2^k``, a free shift
+under the counting rules.  That rule lives here alone: :func:`pow2_exponent`
+gives ``k`` for such a constant and refuses any other; :func:`pow2` gives back
+the canonical constant, which lowering, compiled code and counting all use.
 """
 
 from __future__ import annotations
@@ -23,18 +25,19 @@ from typing import Callable, Mapping, Optional, Sequence
 from .linform import SymMatrix
 
 
-def _is_pow2_scale(f: Fraction) -> bool:
-    n, d = abs(f.numerator), f.denominator
-    return n > 0 and n & (n - 1) == 0 and d & (d - 1) == 0
+def pow2_exponent(f) -> int:
+    """``k`` for a constant ``f = ±2^k``; ``ValueError`` for any other."""
+    q = Fraction(f)
+    n, d = abs(q.numerator), q.denominator
+    if n == 0 or n & (n - 1) or d & (d - 1):
+        raise ValueError(f"constant factor {f} is not a signed power of two")
+    return n.bit_length() - d.bit_length()
 
 
-def scale(v, f):
-    """``v * f`` for a ±2^k factor ``f``; ``v`` or ``-v`` when ``f`` is ±1."""
-    if f == 1:
-        return v
-    if f == -1:
-        return -v
-    return v * f
+def pow2(k: int, sign: int = 1):
+    """The canonical constant ``sign * 2^k``: an ``int`` when ``k >= 0``,
+    else a ``Fraction``."""
+    return sign << k if k >= 0 else Fraction(sign, 1 << -k)
 
 
 def zero_like(v):
@@ -90,15 +93,14 @@ class Permute(Stage):
 
 @dataclass(frozen=True)
 class SignScale(Stage):
-    """Diagonal stage; every factor is ±2^k, so no multiplications count."""
+    """Diagonal stage; every factor is ±2^k, so no multiplications count.
+    Factors are stored canonical (:func:`pow2`): int lanes stay int."""
     factors: tuple
     label: str = ""
 
     def __post_init__(self):
-        fixed = tuple(Fraction(f) for f in self.factors)
-        for f in fixed:
-            if not _is_pow2_scale(f):
-                raise ValueError(f"factor {f} is not a signed power of two")
+        fixed = tuple(pow2(pow2_exponent(f), -1 if f < 0 else 1)
+                      for f in self.factors)
         object.__setattr__(self, "factors", fixed)
 
     @property
@@ -110,7 +112,7 @@ class SignScale(Stage):
         return len(self.factors)
 
     def apply(self, vec, pre=None):
-        return [scale(v, f) for v, f in zip(vec, self.factors)]
+        return [v * f for v, f in zip(vec, self.factors)]
 
 
 @dataclass(frozen=True)

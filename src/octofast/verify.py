@@ -127,7 +127,7 @@ def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionS
     unknowns resolve to the zero form (the fewest-nonzero-coefficients
     choice) and are reported in ``free``.  Unknowns are processed in
     sorted-name order, so the result is deterministic.  An unknown the core
-    does not read raises ``ValueError``.
+    does not read, and a known with no entry form, raise ``ValueError``.
     """
     cores = [st for st in p.stages if isinstance(st, QuasiDiagonal)]
     if len(cores) != 1:
@@ -142,6 +142,9 @@ def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionS
     stray = [n for n in names if n not in read]
     if stray:
         raise ValueError(f"unknowns the core does not read: {', '.join(stray)}")
+    formless = sorted(n for n in read - set(names) if n not in p.entry_forms)
+    if formless:
+        raise ValueError(f"knowns with no entry form: {', '.join(formless)}")
 
     def walk(values):
         return matrix_of(lambda x: p.apply(x, values), 8)

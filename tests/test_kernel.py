@@ -9,7 +9,7 @@ from octofast.algebra import Octo, basis_mul, mul_naive
 from octofast.kernel import (CORRECTION_FORMS, ENTRY_FORMS, Pipeline,
                              build_pipeline, default_pipeline, mul_fast)
 from octofast.linform import LinForm
-from octofast.stages import Permute
+from octofast.stages import Permute, SignScale
 
 HALF = Fraction(1, 2)
 EIGHTH = Fraction(1, 8)
@@ -147,6 +147,21 @@ def test_mul_fast_equals_the_interpreter_walk(x_kind, b_kind):
         assert _exactly(mul_fast(x, b, p)) == _exactly(_walk(p, x, b))
 
 
+@pytest.mark.parametrize("kind", ["int", "fraction", "float"])
+def test_signscale_walk_and_mul_fast_agree_in_type(kind):
+    # integral factors keep int lanes int in the walk, as in compiled code
+    p = Pipeline(stages=[SignScale((2, -4, HALF, 1, -1, 2, -EIGHTH, 8))])
+    rng = random.Random(61)
+    for _ in range(50):
+        x = Octo(tuple(_DRAW[kind](rng) for _ in range(8)))
+        b = Octo(tuple(_DRAW[kind](rng) for _ in range(8)))
+        got = mul_fast(x, b, p)
+        assert _exactly(got) == _exactly(_walk(p, x, b))
+        if kind == "int":
+            assert [type(v) for i, v in enumerate(got.c)
+                    if i not in (2, 6)] == [int] * 6
+
+
 def test_mul_fast_runs_the_pipeline_it_is_given():
     p = default_pipeline()
     flip = p.pre_stages[0]
@@ -174,6 +189,31 @@ def test_pipeline_rejects_broken_chains():
     with pytest.raises(ValueError):
         Pipeline(stages=[Permute(tuple(range(8)))],
                  pre_stages=[Permute((0, 1))])
+
+
+def _with_recipe(recipe, tap_index=0):
+    return Pipeline(stages=[Permute(tuple(range(8)))],
+                    pre_stages=[Permute(tuple(range(8)))],
+                    recipes={"a": recipe}, tap_index=tap_index)
+
+
+def test_pipeline_rejects_a_recipe_source_other_than_input_or_tap():
+    with pytest.raises(ValueError, match="inptu"):
+        _with_recipe(("inptu", 0, 1))
+
+
+@pytest.mark.parametrize("src,lane", [("input", 8), ("input", -1),
+                                      ("tap", 8), ("tap", -1)])
+def test_pipeline_rejects_a_recipe_lane_outside_its_source(src, lane):
+    with pytest.raises(ValueError, match="lane"):
+        _with_recipe((src, lane, 1))
+
+
+@pytest.mark.parametrize("tap_index", [1, 7, -1])
+def test_pipeline_rejects_a_tap_recipe_without_its_pre_stage(tap_index):
+    with pytest.raises(ValueError, match="tap_index"):
+        _with_recipe(("tap", 0, 1), tap_index)
+    _with_recipe(("input", 0, 1), tap_index)  # no tap read, nothing to check
 
 
 def test_frozen_correction_forms_shape():

@@ -6,7 +6,8 @@ import pytest
 from octofast.kernel import build_pipeline
 from octofast.linform import LinForm
 from octofast.stages import (Butterfly, FanOut, Permute, QuasiDiagonal,
-                             SignScale, Sum, apply_stage, zero_like)
+                             SignScale, Sum, apply_stage, pow2, pow2_exponent,
+                             zero_like)
 
 
 def test_butterfly_pair():
@@ -38,6 +39,19 @@ def test_signscale():
         SignScale((3,))
     with pytest.raises(ValueError):
         SignScale((0,))
+
+
+def test_pow2_rule():
+    for f, k in ((1, 0), (-8, 3), (Fraction(1, 8), -3), (-0.5, -1)):
+        assert pow2_exponent(f) == k, f
+        assert pow2(k, -1 if f < 0 else 1) == f
+    for f in (0, 3, Fraction(3, 4), 0.3, -6):
+        with pytest.raises(ValueError, match="power of two"):
+            pow2_exponent(f)
+    assert type(pow2(3, -1)) is int and type(pow2(-3)) is Fraction
+    factors = SignScale((2.0, Fraction(-4), 0.5, -1.0)).factors
+    assert factors == (2, -4, Fraction(1, 2), -1)
+    assert [type(f) for f in factors] == [int, int, Fraction, int]
 
 
 def test_fanout():

@@ -236,6 +236,15 @@ def test_solver_rejects_an_unknown_the_core_does_not_read():
         solve_corrections(build_pipeline(), unknown=["sumcorr_O1"])
 
 
+def test_solver_rejects_a_known_with_no_entry_form():
+    p = build_pipeline()
+    forms = dict(p.entry_forms)
+    del forms["sumcorr_01"]
+    with pytest.raises(ValueError, match="sumcorr_01"):
+        solve_corrections(clone_pipeline(p, forms=forms),
+                          unknown=["diffcorr_12"])
+
+
 def test_solver_rejects_two_cores():
     # two cores would multiply core values: the system is no longer linear
     qd = QuasiDiagonal(dim=8, cells=((0, 0, "a"),))
