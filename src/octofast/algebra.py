@@ -61,6 +61,13 @@ def basis_mul(i: int, j: int) -> BasisProduct:
     return BasisProduct(sign, index)
 
 
+def _exact(token: str):
+    """``token`` as an ``int`` when its value is integral, else a
+    ``Fraction``."""
+    q = Fraction(token)
+    return q.numerator if q.denominator == 1 else q
+
+
 class Octo:
     """A hyperbolic octonion as an immutable 8-tuple of coefficients.
 
@@ -103,14 +110,15 @@ class Octo:
     def from_text(cls, text: str, mode: str = "exact") -> "Octo":
         """Parse the canonical text form: 8 comma-separated coefficients.
 
-        ``exact`` mode accepts integers and ``p/q`` rationals; ``float`` mode
-        accepts decimal numbers.
+        ``exact`` mode accepts integers and ``p/q`` rationals, and gives an
+        ``int`` for each integral value (``3/1``, ``-0``) and a ``Fraction``
+        for any other; ``float`` mode accepts decimal numbers.
         """
         parts = [p.strip() for p in text.split(",")]
         if len(parts) != 8:
             raise ValueError(f"expected 8 comma-separated values, got {len(parts)}")
         if mode == "exact":
-            return cls(tuple(Fraction(p) for p in parts))
+            return cls(tuple(_exact(p) for p in parts))
         if mode == "float":
             return cls(tuple(float(p) for p in parts))
         raise ValueError(f"unknown mode: {mode!r}")

@@ -4,7 +4,9 @@ Subcommands: ``mul`` (one product), ``verify`` (randomized + symbolic
 checks), ``count`` (instrumented op counts), ``bench`` (wall-clock timing,
 CSV), ``emit`` (straight-line program).  Exit codes: 0 success, 1
 verification failure, 2 usage error, unparsable operand, out-of-range
-``--trials``/``--range``, or a float ``mul`` whose product overflows.
+``--trials``/``--range``, a float ``mul`` whose product overflows, or an
+exact ``mul`` whose product has a coefficient too long to print (Python's
+int-to-text digit limit).
 
 Randomized commands take ``--seed``; when absent, the ``OCTOFAST_SEED``
 environment variable is used, else seed 0.  Defaults: 10000 trials, operand
@@ -68,7 +70,11 @@ def cmd_mul(args) -> int:
         y = mul_naive(x, b) if args.algo == "naive" else mul_fast(x, b)
     except ValueError as e:  # Octo rejects the inf/nan an overflow leaves
         raise _CliError(2, f"float product overflows: {e}")
-    print(y.to_text())
+    try:
+        text = y.to_text()
+    except ValueError as e:  # Python's limit on int-to-text digits
+        raise _CliError(2, f"product too long to print: {e}")
+    print(text)
     return 0
 
 

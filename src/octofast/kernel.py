@@ -22,6 +22,17 @@ pipeline it lowers that pipeline's own ``precompute``/``apply`` walk into a
 straight-line program, compiles the program into one Python function
 (:func:`octofast.program.compile_pipeline`) and caches it on the pipeline
 object; every later call runs that function.
+
+When all sixteen coefficients are of type ``int``, that function hands
+them to a generated twin that runs in exact dyadic ints: each value is held
+as an int numerator over a power of two fixed at codegen time, so the 1/8
+above costs no ``Fraction`` arithmetic, only a ``<< 3`` where a scaled sum
+meets a correction and a ``>> 3`` per output.  A certified pipeline then
+returns ``int`` coefficients; a value that is not integral (an uncertified
+pipeline's) comes back as a ``Fraction``.  Every other kind of operand
+(float, ``Fraction``, mixed, ``bool``, instrumented scalars, linear forms)
+runs the generic code, which computes exactly what the interpreter walk
+computes; see :func:`octofast.program.program_source`.
 """
 
 from __future__ import annotations
@@ -304,7 +315,9 @@ def mul_fast(x: Octo, b: Octo, pipeline: Optional[Pipeline] = None) -> Octo:
     function generated from the lowered walk of ``pipeline`` (default: the
     certified :func:`default_pipeline`); the function is compiled on the
     first call with each pipeline object and cached on it.  Its results
-    equal ``p.apply(x.c, p.precompute(b))`` in value and type.
+    equal ``p.apply(x.c, p.precompute(b))`` in value; in type too, except
+    that when every coefficient of ``x`` and ``b`` is an ``int`` each
+    integral result is an ``int`` and any other a ``Fraction``.
     """
     p = pipeline if pipeline is not None else default_pipeline()
     kernel = p._compiled

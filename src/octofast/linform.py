@@ -120,13 +120,16 @@ class LinForm:
                     raise DegreeError(
                         f"product of non-constant forms: ({self}) * ({other})")
                 self, other = other, self
-            k = other.const
-            return LinForm(self.const * k, tuple(c * k for c in self.q))
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return _LF_ZERO
-            return LinForm(self.const * other, tuple(c * other for c in self.q))
-        return NotImplemented
+            other = other.const
+        elif not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if not other:
+            return _LF_ZERO
+        if other == 1:
+            return self
+        if other == -1:
+            return -self
+        return LinForm(self.const * other, tuple(c * other for c in self.q))
 
     __rmul__ = __mul__
 

@@ -12,7 +12,8 @@ every slot is assigned exactly once.  The lowering is refused unless every
 
 :func:`flatten` is the lowering of a certified pipeline, the form that is
 emitted as text or CSV.  :func:`compile_program` turns a program into one
-Python function, one assignment per instruction, and
+Python function, one assignment per instruction (which hands all-int
+operands to a twin in exact dyadic ints, see :func:`program_source`), and
 :func:`compile_pipeline` does so for any pipeline's lowering;
 :func:`octofast.kernel.mul_fast` runs that function, compiled once per
 pipeline object, so execution, counting and emission all run the same walk.
@@ -26,6 +27,7 @@ instruction tallies match the instrumented interpreter's.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .algebra import Octo
@@ -230,25 +232,84 @@ _OPS = {"add": "{a} + {b}", "sub": "{a} - {b}", "neg": "-{a}",
         "mul": "{a} * {b}"}
 
 
+def _int_kernel_source(prog: Program, unpack: list) -> list:
+    """Lines of ``_int_kernel(x, b)``, see :func:`program_source`.
+
+    Slot ``s`` holds an int numerator of the value ``N / 2**e[s]``, with
+    ``e[s] >= 0`` fixed here.  ``ref[s]`` is the name holding that numerator:
+    a shift that only moves ``e`` emits no statement and reuses its source's
+    name.
+    """
+    ref = {name: name for name in INPUTS}
+    ref["zero"] = "0"
+    e = dict.fromkeys(INPUTS, 0)
+
+    def at(slot, to):  # the numerator of ``slot`` over 2**to, to >= e[slot]
+        d = to - e[slot]
+        return f"({ref[slot]} << {d})" if d else ref[slot]
+
+    lines = ["def _int_kernel(x, b):"] + unpack
+    for ins in prog.instrs:
+        if ins.op == "shift":
+            to = e[ins.a] - ins.k
+            if to >= 0:
+                ref[ins.dest], e[ins.dest] = ref[ins.a], to
+                continue
+            rhs, to = f"{ref[ins.a]} << {-to}", 0
+        elif ins.op == "mul":
+            rhs, to = f"{ref[ins.a]} * {ref[ins.b]}", e[ins.a] + e[ins.b]
+        elif ins.op == "neg":
+            rhs, to = f"-{ref[ins.a]}", e[ins.a]
+        elif ins.op in ("add", "sub"):
+            to = max(e[ins.a], e[ins.b])
+            rhs = _OPS[ins.op].format(a=at(ins.a, to), b=at(ins.b, to))
+        else:
+            raise ValueError(f"unknown op {ins.op!r}")
+        lines.append(f"    {ins.dest} = {rhs}")
+        ref[ins.dest], e[ins.dest] = ins.dest, to
+    outs = []
+    for o in prog.outputs:
+        n, d = ref[o], e[o]
+        outs.append(f"{n} >> {d} if not {n} & {(1 << d) - 1} "
+                    f"else _Fraction({n}, {1 << d})" if d else n)
+    lines.append("    return (" + ", ".join(outs) + ",)")
+    return lines
+
+
 def program_source(prog: Program) -> str:
     """Python source of ``kernel(x, b)``, one assignment per instruction.
 
     ``prog`` is a lowered program (inputs :data:`INPUTS`); ``x`` and ``b``
     are 8-sequences of coefficients and the result is the tuple of output
-    slots.  A ``shift`` by ``k`` multiplies by ``pow2(k)`` (an int for
-    k >= 0, a ``Fraction`` for k < 0), as :func:`eval_program` does, except
-    that when every input a shifted value derives from is a ``float`` it
-    multiplies by the equal float: a float times a Fraction is that float
-    product, so the results are the same and only the cost differs.  The
-    ``zero`` slot is ``zero_like`` of the slot ``prog.zero_of``, as in the
-    interpreter.
+    slots, equal to :func:`eval_program`'s in value and type.  A ``shift``
+    by ``k`` multiplies by ``pow2(k)`` (an int for k >= 0, a ``Fraction``
+    for k < 0), as :func:`eval_program` does, except that when every input a
+    shifted value derives from is a ``float`` it multiplies by the equal
+    float: a float times a Fraction is that float product, so the results
+    are the same and only the cost differs.  The ``zero`` slot is
+    ``zero_like`` of the slot ``prog.zero_of``, as in the interpreter.
+
+    The one exception to equal types: when the program shifts by some
+    ``k < 0`` and all sixteen coefficients are of type ``int`` (not
+    ``bool``, no subclass), ``kernel`` returns ``_int_kernel(x, b)``, which
+    computes in exact dyadic ints.  There every slot holds an int numerator
+    ``N`` of the value ``N / 2**e``, with ``e >= 0`` fixed per slot at
+    codegen time: a shift by ``k < 0`` only raises ``e``; one by ``k > 0``
+    lowers ``e`` or becomes ``<<``; a ``mul`` adds the exponents; an
+    ``add``/``sub`` first shifts the operand with the smaller ``e`` left.
+    An output is ``N >> e`` when its low ``e`` bits are zero, else
+    ``Fraction(N, 2**e)``.  So each value equals the walk's, and an integral
+    one is an ``int`` where the walk has a ``Fraction``.  Without a
+    ``k < 0`` every ``e`` is 0 and ``kernel`` keeps ints exact by itself.
+    The call to the twin sits in the branch that float operands do not
+    reach, so they pay nothing for it.
     """
     zero_used = "zero" in prog.outputs or any(
         "zero" in (ins.a, ins.b) for ins in prog.instrs)
     deps = prog.dependencies()
-    head = ["def kernel(x, b):",
-            "    " + ", ".join(INPUTS[:8]) + ", = x",
-            "    " + ", ".join(INPUTS[8:16]) + ", = b"]
+    unpack = ["    " + ", ".join(INPUTS[:8]) + ", = x",
+              "    " + ", ".join(INPUTS[8:16]) + ", = b"]
+    head = ["def kernel(x, b):"] + unpack
     body, guarded, scales = [], set(), set()
     if zero_used and prog.zero_of is None:
         head.append("    zero = 0")
@@ -274,8 +335,12 @@ def program_source(prog: Program) -> str:
             for name in sorted(guarded, key=INPUTS.index)) + ":")
         head.extend(f"        _q{k} = {float(pow2(-k))!r}"
                     for k in sorted(scales))
+        head.append("    elif " + " and ".join(
+            f"_type({name}) is _int" for name in INPUTS[:16]) + ":")
+        head.append("        return _int_kernel(x, b)")
         head.append("    else:")
         head.extend(f"        _q{k} = _Q{k}" for k in sorted(scales))
+        head = _int_kernel_source(prog, unpack) + ["", ""] + head
     tail = ["    return (" + ", ".join(prog.outputs) + ",)"]
     return "\n".join(head + body + tail) + "\n"
 
@@ -283,7 +348,8 @@ def program_source(prog: Program) -> str:
 def compile_program(prog: Program):
     """``prog`` as a Python function ``kernel(x, b) -> tuple``; see
     :func:`program_source` for its semantics."""
-    scope = {"_zero_like": zero_like, "_type": type, "_float": float}
+    scope = {"_zero_like": zero_like, "_type": type, "_float": float,
+             "_int": int, "_Fraction": Fraction}
     scope.update({f"_Q{-ins.k}": pow2(ins.k)
                   for ins in prog.instrs if ins.op == "shift" and ins.k < 0})
     exec(compile(program_source(prog), "<octofast kernel>", "exec"), scope)

@@ -1,9 +1,13 @@
+import sys
+from fractions import Fraction
+
 import pytest
 from conftest import clone_pipeline
 
 from octofast import kernel
+from octofast.algebra import Octo
 from octofast.cli import main
-from octofast.kernel import default_pipeline
+from octofast.kernel import default_pipeline, mul_fast
 from octofast.linform import LinForm
 from octofast.program import emit_csv, emit_text, flatten
 
@@ -34,6 +38,21 @@ def test_mul_exact_rationals(capsys):
                      "--b", "1/3,0,0,0,0,0,0,0")
     assert rc == 0
     assert out == "1/6,0,0,0,0,0,0,0\n"
+
+
+def test_mul_exact_integral_tokens_are_ints(capsys):
+    x = Octo.from_text("5,3/1,-0,7/2,0,0,0,0")
+    assert [type(v) for v in x.c[:4]] == [int, int, int, Fraction]
+    assert x.c[:4] == (5, 3, 0, Fraction(7, 2))
+    y = mul_fast(Octo.from_text("5,3/1,-0,0,0,0,0,0"),
+                 Octo.from_text("2,0,0,0,0,0,0,0"))
+    assert [type(v) for v in y.c] == [int] * 8
+    for algo in ("fast", "naive"):
+        rc, out, _ = run(capsys, "mul", "--algo", algo,
+                         "--x", "5,3/1,-0,7/2,0,0,0,0",
+                         "--b", "1,0,0,0,0,0,0,0")
+        assert rc == 0
+        assert out == "5,3,0,7/2,0,0,0,0\n"
 
 
 def test_mul_float_mode(capsys):
@@ -74,6 +93,19 @@ def test_bad_values_are_exit_2_with_one_line(capsys, argv, fragment):
     assert out == ""
     assert err.startswith("octofast: ") and err.count("\n") == 1
     assert fragment in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-text digit limit in this Python")
+@pytest.mark.parametrize("algo", ["fast", "naive"])
+def test_mul_product_too_long_to_print_is_exit_2(capsys, algo):
+    rc, out, err = run(capsys, "mul", "--algo", algo,
+                       "--x", "1e5000,0,0,0,0,0,0,0",
+                       "--b", "1,0,0,0,0,0,0,0")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("octofast: product too long to print")
+    assert err.count("\n") == 1
 
 
 def test_count(capsys):

@@ -3,7 +3,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from conftest import clone_pipeline
+from conftest import clone_pipeline, sign_mutation_sites
 
 from octofast.algebra import Octo, basis_mul, mul_naive
 from octofast.kernel import (CORRECTION_FORMS, ENTRY_FORMS, Pipeline,
@@ -124,6 +124,13 @@ def _exactly(y):
     return tuple((type(v), v.hex() if type(v) is float else v) for v in y.c)
 
 
+def _int_rule(y):
+    """``y`` as all-int operands give it: each value an ``int`` where it is
+    integral, else a (reduced) ``Fraction``."""
+    return Octo(int(v) if Fraction(v).denominator == 1 else Fraction(v)
+                for v in y.c)
+
+
 _DRAW = {
     "float": lambda rng: rng.uniform(-1000, 1000),
     "int": lambda rng: rng.randint(-1000, 1000),
@@ -144,7 +151,10 @@ def test_mul_fast_equals_the_interpreter_walk(x_kind, b_kind):
     for _ in range(200):
         x = Octo(tuple(_DRAW[x_kind](rng) for _ in range(8)))
         b = Octo(tuple(_DRAW[b_kind](rng) for _ in range(8)))
-        assert _exactly(mul_fast(x, b, p)) == _exactly(_walk(p, x, b))
+        want = _walk(p, x, b)
+        if {x_kind, b_kind} <= {"int", "wide"}:   # int in gives int out
+            want = _int_rule(want)
+        assert _exactly(mul_fast(x, b, p)) == _exactly(want)
 
 
 @pytest.mark.parametrize("kind", ["int", "fraction", "float"])
@@ -156,10 +166,53 @@ def test_signscale_walk_and_mul_fast_agree_in_type(kind):
         x = Octo(tuple(_DRAW[kind](rng) for _ in range(8)))
         b = Octo(tuple(_DRAW[kind](rng) for _ in range(8)))
         got = mul_fast(x, b, p)
-        assert _exactly(got) == _exactly(_walk(p, x, b))
+        want = _walk(p, x, b)
+        if kind == "int":   # int in gives int out
+            want = _int_rule(want)
+        assert _exactly(got) == _exactly(want)
         if kind == "int":
             assert [type(v) for i, v in enumerate(got.c)
                     if i not in (2, 6)] == [int] * 6
+
+
+def test_int_twin_equals_every_sign_mutant_walk():
+    # most mutants give non-integral values on int operands, so this covers
+    # the Fraction outputs of the exact-int twin on many program shapes
+    rng = random.Random(67)
+    pairs = [(rnd_octo(rng, 1000), rnd_octo(rng, 1000)) for _ in range(2)]
+    fractions = 0
+    for site, m in sign_mutation_sites(default_pipeline()):
+        for x, b in pairs:
+            got = mul_fast(x, b, m)
+            assert _exactly(got) == _exactly(_int_rule(_walk(m, x, b))), site
+            fractions += sum(type(v) is Fraction for v in got.c)
+    assert fractions > 0
+
+
+def test_int_twin_adds_exponents_across_a_mul():
+    # an eighth on the x side too: both factors of every mul carry one
+    p = default_pipeline()
+    scaled = clone_pipeline(p, stages=(SignScale((EIGHTH,) * 8),) + p.stages)
+    rng = random.Random(73)
+    for _ in range(50):
+        x, b = rnd_octo(rng, 1000), rnd_octo(rng, 1000)
+        want = _int_rule(mul_naive(x, b).scale(EIGHTH))
+        assert _exactly(mul_fast(x, b, scaled)) == _exactly(want)
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("odd", [True, _Int(3)], ids=["bool", "int-subclass"])
+def test_operands_not_all_of_type_int_run_the_generic_code(odd):
+    p = default_pipeline()
+    rng = random.Random(71)
+    for lane in range(16):
+        c = [rng.randint(-1000, 1000) for _ in range(16)]
+        c[lane] = odd
+        x, b = Octo(c[:8]), Octo(c[8:])
+        assert _exactly(mul_fast(x, b, p)) == _exactly(_walk(p, x, b))
 
 
 def test_mul_fast_runs_the_pipeline_it_is_given():

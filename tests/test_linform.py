@@ -28,6 +28,14 @@ def test_scaling():
     assert Fraction(1, 8) * f == LinForm.var(3, Fraction(1, 8))
 
 
+def test_unit_factors_reuse_the_form():
+    f = LinForm.combo([(0, 1), (5, -2)], const=Fraction(1, 2))
+    for one in (1, Fraction(1), LinForm.constant(1)):
+        assert f * one is f and one * f is f
+    for minus_one in (-1, Fraction(-1), LinForm.constant(-1)):
+        assert f * minus_one == -f == minus_one * f
+
+
 def test_variable_times_variable_rejected():
     with pytest.raises(DegreeError):
         LinForm.var(0) * LinForm.var(1)

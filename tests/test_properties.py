@@ -16,6 +16,13 @@ def octos(scalars):
 
 
 INTS = octos(st.integers(min_value=-2 ** 200, max_value=2 ** 200))
+# signed ints of 1 to 300 bits, with 0, +-1 and +-2^k drawn on purpose
+EDGE_INTS = octos(st.one_of(
+    st.sampled_from((0, 1, -1)),
+    st.builds(lambda k, sign: sign << k, st.integers(0, 300),
+              st.sampled_from((1, -1))),
+    st.integers(1, 300).flatmap(
+        lambda w: st.integers(1 - (1 << w), (1 << w) - 1))))
 FRACTIONS = octos(st.fractions(max_denominator=10 ** 6))
 FLOATS = octos(st.floats(min_value=-1e6, max_value=1e6))
 
@@ -24,6 +31,14 @@ FLOATS = octos(st.floats(min_value=-1e6, max_value=1e6))
 @given(INTS, INTS)
 def test_fast_equals_naive_on_ints(x, b):
     assert mul_fast(x, b) == mul_naive(x, b)
+
+
+@FIXED
+@given(EDGE_INTS, EDGE_INTS)
+def test_int_operands_give_int_coefficients(x, b):
+    got = mul_fast(x, b).c
+    assert [type(v) for v in got] == [int] * 8
+    assert got == mul_naive(x, b).c
 
 
 @FIXED
