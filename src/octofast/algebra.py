@@ -18,6 +18,8 @@ Tests pin the three views to each other; the fast kernel is certified against
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -63,7 +65,14 @@ def basis_mul(i: int, j: int) -> BasisProduct:
 
 def _exact(token: str):
     """``token`` as an ``int`` when its value is integral, else a
-    ``Fraction``."""
+    ``Fraction``.  An exponent beyond the int-to-text digit limit is refused
+    before ``10**exp`` is built, which can take seconds and much memory."""
+    # a Python without the limit (before 3.10.7) behaves as with limit 0
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    exp = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\Z", token)
+    if exp and limit and abs(int(exp[1])) > limit:
+        raise ValueError(f"exponent of {token[:40]!r} is beyond "
+                         f"{limit}, Python's int-to-text digit limit")
     q = Fraction(token)
     return q.numerator if q.denominator == 1 else q
 
@@ -112,7 +121,8 @@ class Octo:
 
         ``exact`` mode accepts integers and ``p/q`` rationals, and gives an
         ``int`` for each integral value (``3/1``, ``-0``) and a ``Fraction``
-        for any other; ``float`` mode accepts decimal numbers.
+        for any other, and refuses a decimal exponent beyond Python's
+        int-to-text digit limit; ``float`` mode accepts decimal numbers.
         """
         parts = [p.strip() for p in text.split(",")]
         if len(parts) != 8:

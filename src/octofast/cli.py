@@ -3,10 +3,11 @@
 Subcommands: ``mul`` (one product), ``verify`` (randomized + symbolic
 checks), ``count`` (instrumented op counts), ``bench`` (wall-clock timing,
 CSV), ``emit`` (straight-line program).  Exit codes: 0 success, 1
-verification failure, 2 usage error, unparsable operand, out-of-range
-``--trials``/``--range``, a float ``mul`` whose product overflows, or an
-exact ``mul`` whose product has a coefficient too long to print (Python's
-int-to-text digit limit).
+verification failure, 2 usage error, unparsable operand (an exact token
+whose decimal exponent is beyond Python's int-to-text digit limit among
+them), out-of-range ``--trials``/``--range``, a float ``mul`` whose product
+overflows, or an exact ``mul`` whose product has a coefficient too long to
+print (that same limit).
 
 Randomized commands take ``--seed``; when absent, the ``OCTOFAST_SEED``
 environment variable is used, else seed 0.  Defaults: 10000 trials, operand

@@ -24,7 +24,7 @@ _ZEROQ = (Fraction(0),) * NVARS
 
 class DegreeError(ArithmeticError):
     """A non-bilinear product: of two non-constant linear forms, or a lowered
-    ``mul`` without one x-side and one b-side operand."""
+    ``mul`` that is not an x-side value times a b-side value."""
 
 
 def _frac(v) -> Fraction:

@@ -4,11 +4,12 @@ The lowering does not walk the stages itself: it runs the pipeline's own
 ``precompute`` and ``apply`` on slot scalars whose arithmetic appends
 instructions, so the program is exactly the walk the interpreter performs.
 The program is three-address code over the sixteen input slots
-``x0..x7``/``b0..b7`` (plus a ``zero`` slot for structurally empty lanes).
-Ops are ``add``, ``sub``, ``neg``, ``shift`` (multiply by 2^k) and ``mul``;
-every slot is assigned exactly once.  The lowering is refused unless every
-``mul`` takes one x-side and one b-side value and every constant is ``+-2^k``
-(:func:`~octofast.stages.pow2_exponent` gives the ``shift``'s ``k``).
+``x0..x7``/``b0..b7``.  Ops are ``add``, ``sub``, ``neg``, ``shift``
+(multiply by 2^k), ``mul`` and ``zero`` (a zero of its operand's scalar
+kind, for a structurally empty lane); every slot is assigned exactly once.
+The lowering is refused unless every ``mul`` is an x-side value times a
+b-side value, in the schoolbook product's order, and every constant is
+``+-2^k`` (:func:`~octofast.stages.pow2_exponent` gives the shift's ``k``).
 
 :func:`flatten` is the lowering of a certified pipeline, the form that is
 emitted as text or CSV.  :func:`compile_program` turns a program into one
@@ -19,9 +20,9 @@ operands to a twin in exact dyadic ints, see :func:`program_source`), and
 pipeline object, so execution, counting and emission all run the same walk.
 
 Emission is deterministic: same pipeline, byte-identical text.  Free ops
-(``neg``/``shift``) are memoized so a value the walk negates or shifts twice
-is computed once; countable ops are never merged, so the program's
-instruction tallies match the instrumented interpreter's.
+(``neg``/``shift``/``zero``) are memoized so a value the walk negates or
+shifts twice is computed once; countable ops are never merged, so the
+program's instruction tallies match the instrumented interpreter's.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from .algebra import Octo
 from .linform import DegreeError
 from .stages import pow2, pow2_exponent, zero_like
 
-INPUTS = tuple(f"x{i}" for i in range(8)) + tuple(f"b{i}" for i in range(8)) \
-    + ("zero",)
+INPUTS = tuple(f"x{i}" for i in range(8)) + tuple(f"b{i}" for i in range(8))
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,10 @@ class OpCount:
 
 @dataclass(frozen=True)
 class Instr:
+    """``dest = op a [b]`` or ``dest = shift a k``; ``neg``, ``shift`` and
+    ``zero`` (a zero of ``a``'s scalar kind) are free, the rest counted."""
     dest: str
-    op: str            # add | sub | neg | shift | mul
+    op: str            # add | sub | neg | shift | mul | zero
     a: str
     b: Optional[str] = None
     k: Optional[int] = None
@@ -70,23 +72,16 @@ class Instr:
 
 @dataclass(frozen=True)
 class Program:
+    """Straight-line code: ``instrs`` over ``inputs``, then ``outputs``."""
     inputs: tuple
     instrs: tuple
     outputs: tuple
-    # The slot whose scalar kind the ``zero`` slot takes in compiled code
-    # (the interpreter's ``zero_like`` of the lane entering the core); None
-    # means the int 0, which eval_program always uses.
-    zero_of: Optional[str] = None
 
     def dependencies(self) -> dict:
         """deps[slot]: the input slots the value of ``slot`` derives from."""
         deps = {name: {name} for name in INPUTS}
-        if self.zero_of in INPUTS:
-            deps["zero"] = deps[self.zero_of]
         for ins in self.instrs:
             deps[ins.dest] = deps[ins.a] | deps.get(ins.b, set())
-            if ins.dest == self.zero_of:
-                deps["zero"] = deps[ins.dest]
         return deps
 
     def opcount(self) -> OpCount:
@@ -114,7 +109,6 @@ class _Emitter:
     def __init__(self):
         self.instrs = []
         self.memo = {}  # free ops only: merging countable ops would skew tallies
-        self.zero_of = None
 
     def emit(self, op, a, b=None, k=None) -> str:
         key = (op, a, k)
@@ -122,7 +116,7 @@ class _Emitter:
             return self.memo[key]
         dest = f"t{len(self.instrs) + 1}"
         self.instrs.append(Instr(dest, op, a, b, k))
-        if op in ("neg", "shift"):
+        if op in ("neg", "shift", "zero"):
             self.memo[key] = dest
         return dest
 
@@ -144,12 +138,7 @@ class _Slot:
         self.em = em
 
     def zero(self) -> "_Slot":
-        if self.em.zero_of not in (None, self.name):
-            # only a chain with two data-dependent stages takes two zeros,
-            # and such a chain is not bilinear
-            raise ValueError("pipeline takes structural zeros from two lanes")
-        self.em.zero_of = self.name
-        return _Slot("zero", self.em)
+        return _Slot(self.em.emit("zero", self.name), self.em)
 
     def __add__(self, other):
         return _Slot(self.em.emit("add", self.name, other.name), self.em)
@@ -168,30 +157,30 @@ class _Slot:
         return -out if other < 0 else out
 
 
-_X_SIDE, _B_SIDE = frozenset(INPUTS[:8]), frozenset(INPUTS[8:16])
+_X_SIDE, _B_SIDE = frozenset(INPUTS[:8]), frozenset(INPUTS[8:])
 
 
 def _lower(p) -> Program:
     """Unroll pipeline ``p`` (precompute and main chain) into a Program.
 
     No certification check: this is what ``p`` computes, proved or not.
-    A ``mul`` not of one value derived only from ``x0..x7`` and one derived
-    only from ``b0..b7`` raises :class:`~octofast.linform.DegreeError`.
+    A ``mul`` whose left operand does not derive only from ``x0..x7``, or
+    whose right operand does not derive only from ``b0..b7``, raises
+    :class:`~octofast.linform.DegreeError`.
     """
     em = _Emitter()
     b = [_Slot(f"b{i}", em) for i in range(8)]
     x = [_Slot(f"x{i}", em) for i in range(8)]
     outputs = [slot.name for slot in p.apply(x, p.precompute(b))]
     prog = Program(inputs=INPUTS, instrs=tuple(em.instrs),
-                   outputs=tuple(outputs), zero_of=em.zero_of)
+                   outputs=tuple(outputs))
     prog.validate()
     deps = prog.dependencies()
     for ins in prog.instrs:
-        if ins.op == "mul" and not (
-                deps[ins.a] <= _X_SIDE and deps[ins.b] <= _B_SIDE
-                or deps[ins.a] <= _B_SIDE and deps[ins.b] <= _X_SIDE):
-            raise DegreeError(f"{ins.to_text()}: not one x-side and one "
-                              f"b-side operand")
+        if ins.op == "mul" and not (deps[ins.a] <= _X_SIDE
+                                    and deps[ins.b] <= _B_SIDE):
+            raise DegreeError(f"{ins.to_text()}: not an x-side value times "
+                              f"a b-side value")
     return prog
 
 
@@ -208,10 +197,7 @@ def flatten(p) -> Program:
 
 def eval_program(prog: Program, x: Octo, b: Octo) -> Octo:
     """Execute the program on concrete operands."""
-    env = {"zero": 0}
-    for i in range(8):
-        env[f"x{i}"] = x.c[i]
-        env[f"b{i}"] = b.c[i]
+    env = dict(zip(INPUTS, x.c + b.c))
     for ins in prog.instrs:
         if ins.op == "add":
             env[ins.dest] = env[ins.a] + env[ins.b]
@@ -223,6 +209,8 @@ def eval_program(prog: Program, x: Octo, b: Octo) -> Octo:
             env[ins.dest] = env[ins.a] * env[ins.b]
         elif ins.op == "shift":
             env[ins.dest] = env[ins.a] * pow2(ins.k)
+        elif ins.op == "zero":
+            env[ins.dest] = zero_like(env[ins.a])
         else:
             raise ValueError(f"unknown op {ins.op!r}")
     return Octo(tuple(env[o] for o in prog.outputs))
@@ -241,7 +229,6 @@ def _int_kernel_source(prog: Program, unpack: list) -> list:
     name.
     """
     ref = {name: name for name in INPUTS}
-    ref["zero"] = "0"
     e = dict.fromkeys(INPUTS, 0)
 
     def at(slot, to):  # the numerator of ``slot`` over 2**to, to >= e[slot]
@@ -250,6 +237,9 @@ def _int_kernel_source(prog: Program, unpack: list) -> list:
 
     lines = ["def _int_kernel(x, b):"] + unpack
     for ins in prog.instrs:
+        if ins.op == "zero":
+            ref[ins.dest], e[ins.dest] = "0", 0
+            continue
         if ins.op == "shift":
             to = e[ins.a] - ins.k
             if to >= 0:
@@ -286,8 +276,8 @@ def program_source(prog: Program) -> str:
     for k < 0), as :func:`eval_program` does, except that when every input a
     shifted value derives from is a ``float`` it multiplies by the equal
     float: a float times a Fraction is that float product, so the results
-    are the same and only the cost differs.  The ``zero`` slot is
-    ``zero_like`` of the slot ``prog.zero_of``, as in the interpreter.
+    are the same and only the cost differs.  A ``zero`` is ``zero_like``
+    of its operand, as in the interpreter.
 
     The one exception to equal types: when the program shifts by some
     ``k < 0`` and all sixteen coefficients are of type ``int`` (not
@@ -296,7 +286,8 @@ def program_source(prog: Program) -> str:
     ``N`` of the value ``N / 2**e``, with ``e >= 0`` fixed per slot at
     codegen time: a shift by ``k < 0`` only raises ``e``; one by ``k > 0``
     lowers ``e`` or becomes ``<<``; a ``mul`` adds the exponents; an
-    ``add``/``sub`` first shifts the operand with the smaller ``e`` left.
+    ``add``/``sub`` first shifts the operand with the smaller ``e`` left; a
+    ``zero`` is the literal ``0`` with ``e = 0``.
     An output is ``N >> e`` when its low ``e`` bits are zero, else
     ``Fraction(N, 2**e)``.  So each value equals the walk's, and an integral
     one is an ``int`` where the walk has a ``Fraction``.  Without a
@@ -304,17 +295,11 @@ def program_source(prog: Program) -> str:
     The call to the twin sits in the branch that float operands do not
     reach, so they pay nothing for it.
     """
-    zero_used = "zero" in prog.outputs or any(
-        "zero" in (ins.a, ins.b) for ins in prog.instrs)
     deps = prog.dependencies()
     unpack = ["    " + ", ".join(INPUTS[:8]) + ", = x",
-              "    " + ", ".join(INPUTS[8:16]) + ", = b"]
+              "    " + ", ".join(INPUTS[8:]) + ", = b"]
     head = ["def kernel(x, b):"] + unpack
     body, guarded, scales = [], set(), set()
-    if zero_used and prog.zero_of is None:
-        head.append("    zero = 0")
-    elif zero_used and prog.zero_of in INPUTS:
-        head.append(f"    zero = _zero_like({prog.zero_of})")
     for ins in prog.instrs:
         if ins.op == "shift" and ins.k < 0:
             rhs = f"{ins.a} * _q{-ins.k}"
@@ -322,13 +307,13 @@ def program_source(prog: Program) -> str:
             scales.add(-ins.k)
         elif ins.op == "shift":
             rhs = f"{ins.a} * {pow2(ins.k)}"
+        elif ins.op == "zero":
+            rhs = f"_zero_like({ins.a})"
         elif ins.op in _OPS:
             rhs = _OPS[ins.op].format(a=ins.a, b=ins.b)
         else:
             raise ValueError(f"unknown op {ins.op!r}")
         body.append(f"    {ins.dest} = {rhs}")
-        if zero_used and ins.dest == prog.zero_of:
-            body.append(f"    zero = _zero_like({ins.dest})")
     if scales:
         head.append("    if " + " and ".join(
             f"_type({name}) is _float"
@@ -336,7 +321,7 @@ def program_source(prog: Program) -> str:
         head.extend(f"        _q{k} = {float(pow2(-k))!r}"
                     for k in sorted(scales))
         head.append("    elif " + " and ".join(
-            f"_type({name}) is _int" for name in INPUTS[:16]) + ":")
+            f"_type({name}) is _int" for name in INPUTS) + ":")
         head.append("        return _int_kernel(x, b)")
         head.append("    else:")
         head.extend(f"        _q{k} = _Q{k}" for k in sorted(scales))

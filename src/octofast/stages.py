@@ -211,9 +211,11 @@ class QuasiDiagonal(Stage):
     """Square stage whose only nonzero entries are named precomputed values.
 
     This is the one place data-dependent multiplications happen: applying the
-    stage multiplies each referenced value by an input lane.  ``cells`` is a
-    row-major tuple of ``(row, col, name)``; rows with no cells produce a
-    structural zero of the input's scalar kind.
+    stage multiplies an input lane by each referenced value, x side on the
+    left as in the schoolbook product, so the identity also holds for
+    coefficients that commute only with the constants ``±2^k`` (integer
+    matrices, say).  ``cells`` is a row-major tuple of ``(row, col, name)``;
+    rows with no cells hold a structural zero of the input's scalar kind.
     """
     dim: int
     cells: tuple  # of (row, col, name), row-major
@@ -241,9 +243,9 @@ class QuasiDiagonal(Stage):
     def apply(self, vec, pre: Mapping):
         rows: list = [None] * self.dim
         for r, c, name in self.cells:
-            term = pre[name] * vec[c]
+            term = vec[c] * pre[name]
             rows[r] = term if rows[r] is None else rows[r] + term
-        zero = zero_like(vec[0])
+        zero = zero_like(vec[0]) if any(v is None for v in rows) else None
         return [zero if v is None else v for v in rows]
 
     def matrix(self, forms: Optional[Mapping] = None) -> SymMatrix:

@@ -1,8 +1,14 @@
+import contextlib
+import io
+import os
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from conftest import clone_pipeline
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octofast import kernel
 from octofast.algebra import Octo
@@ -100,12 +106,83 @@ def test_bad_values_are_exit_2_with_one_line(capsys, argv, fragment):
 @pytest.mark.parametrize("algo", ["fast", "naive"])
 def test_mul_product_too_long_to_print_is_exit_2(capsys, algo):
     rc, out, err = run(capsys, "mul", "--algo", algo,
-                       "--x", "1e5000,0,0,0,0,0,0,0",
-                       "--b", "1,0,0,0,0,0,0,0")
+                       "--x", "1e4299,0,0,0,0,0,0,0",
+                       "--b", "10,0,0,0,0,0,0,0")
     assert rc == 2
     assert out == ""
     assert err.startswith("octofast: product too long to print")
     assert err.count("\n") == 1
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-text digit limit in this Python")
+def test_huge_exponent_is_refused_when_parsed(capsys):
+    # 10**5000 would be built before anything printed it
+    assert Octo.from_text("1e4299,0,0,0,0,0,0,0").c[0] == 10 ** 4299
+    for token in ("1e5000", "1e-5000", "2E+4301", "1e999999999"):
+        with pytest.raises(ValueError, match="digit limit"):
+            Octo.from_text(f"{token},0,0,0,0,0,0,0")
+    rc, out, err = run(capsys, "mul", "--x", "1e999999999,0,0,0,0,0,0,0",
+                       "--b", "1,0,0,0,0,0,0,0")
+    assert (rc, out) == (2, "")
+    assert err.startswith("octofast: cannot parse --x operand: ")
+    assert err.count("\n") == 1
+
+
+# argv built from the CLI grammar, with values that are out of range,
+# malformed or costly; every run must end in a documented exit code
+_NUMBERS = st.one_of(
+    st.integers(-2 ** 70, 2 ** 70).map(str),
+    st.builds("{}e{}".format, st.integers(-9, 9),
+              st.integers(-10 ** 5, 10 ** 5)))
+_TOKENS = st.one_of(_NUMBERS, st.sampled_from((
+    "p/0", "1/0", "nan", "inf", "-inf", "1_000", "", " ", "0.5", "1/3", "1e",
+    "1e308", "-0")))
+_OPERANDS = st.one_of(st.lists(_NUMBERS, min_size=8, max_size=8),
+                      st.lists(_TOKENS, min_size=8, max_size=8),
+                      st.lists(_TOKENS, max_size=10)).map(",".join)
+_SEEDS = st.sampled_from(("0", "1", str(2 ** 63 - 1), str(2 ** 63),
+                          str(2 ** 64 - 1), str(2 ** 64), "-1", "x", ""))
+_TRIALS = st.sampled_from(("-1", "0", "1", "3", "x", ""))
+
+
+def _flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+def _argv(command, *parts):
+    return st.tuples(*parts).map(lambda ps: [command] + sum(ps, []))
+
+
+_ALGOS = st.sampled_from(("naive", "fast", "schoolbook"))
+_MODES = st.sampled_from(("exact", "float", "real"))
+_ARGV = st.one_of(
+    _argv("mul", _OPERANDS.map(lambda v: ["--x", v]),
+          _OPERANDS.map(lambda v: ["--b", v]),
+          _flag("--algo", _ALGOS), _flag("--mode", _MODES)),
+    _argv("verify", _TRIALS.map(lambda t: ["--trials", t]),
+          _flag("--seed", _SEEDS), _flag("--mode", _MODES),
+          _flag("--range", st.sampled_from(("-1", "0", "1000", "100000")))),
+    _argv("count", _flag("--algo", _ALGOS)),
+    _argv("bench", _TRIALS.map(lambda t: ["--trials", t]),
+          _flag("--seed", _SEEDS)),
+    _argv("emit", _flag("--format", st.sampled_from(("text", "csv", "xml")))),
+    st.lists(st.sampled_from(("mul", "--x", "--trials", "-h", "", "frob")),
+             max_size=3))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_ARGV, st.one_of(st.none(), _SEEDS))
+def test_fuzzed_argv_ends_in_a_documented_exit_code(argv, env_seed):
+    env = {} if env_seed is None else {"OCTOFAST_SEED": env_seed}
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        if env_seed is None:
+            os.environ.pop("OCTOFAST_SEED", None)
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_count(capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from octofast.algebra import Octo, mul_naive
 from octofast.kernel import Pipeline, build_pipeline, default_pipeline, mul_fast
-from octofast.linform import SymMatrix
+from octofast.linform import LinForm, SymMatrix
 from octofast.opcount import OpCount, Tally, count_algorithm
 from octofast.program import (Instr, Program, emit_csv, emit_text,
                               eval_program, flatten)
@@ -75,16 +75,15 @@ def test_emission_is_pinned():
     # replaced; a change here changes the shipped artifact
     prog = flatten(default_pipeline())
     assert hashlib.sha256(emit_text(prog).encode()).hexdigest() \
-        == "ec58b250f1d60b7b4529ede6135e72388503f7b117f64cff6be2bacd448196e3"
+        == "2679ba3cf996055467215013a4637b155c0724a818c7929f0fbd5706d3159a57"
     assert hashlib.sha256(emit_csv(prog).encode()).hexdigest() \
-        == "c45baf53f2bf23a1a007ff8901490961d3667571e8d2e1c30aefb32229787114"
+        == "0ce63bd34e696d911093935db3cd749c4163c1415785e66427e81208a835b273"
 
 
 def test_text_layout():
     text = emit_text(flatten(default_pipeline()))
     lines = text.splitlines()
     assert lines[1].startswith("# inputs: x0 ")
-    assert lines[1].endswith(" zero")
     assert lines[-2].startswith("# outputs: ")
     assert lines[-1] == "# mults=26 adds=92"
     assert text.endswith("\n")
@@ -102,10 +101,9 @@ def test_csv_matches_instruction_list():
 
 def test_zero_slot_feeds_exactly_two_additions():
     prog = flatten(default_pipeline())
-    zero_adds = [i for i in prog.instrs
-                 if i.op == "add" and (i.a == "zero" or i.b == "zero")]
-    assert len(zero_adds) == 2
-    assert "zero" in prog.inputs
+    [zero] = [i.dest for i in prog.instrs if i.op == "zero"]
+    uses = [i for i in prog.instrs if zero in (i.a, i.b)]
+    assert [i.op for i in uses] == ["add", "add"]
 
 
 def test_identity_pipeline_flattens_to_no_arithmetic():
@@ -128,6 +126,34 @@ def test_compiled_zero_takes_the_kind_of_its_lane():
         got = mul_fast(x, b, p)
         assert got == Octo(p.apply(x.c, p.precompute(b)))
         assert [type(v) for v in got.c] == [type(x0)] * 8
+
+
+def test_eval_program_gives_the_walks_types():
+    # the core is the first stage, so its empty rows are zeros of x0's kind
+    p = Pipeline(stages=[QuasiDiagonal(dim=8, cells=((0, 0, "a"),))],
+                 pre_stages=[Permute(tuple(range(8)))],
+                 recipes={"a": ("input", 0, 1)})
+    assert certify(p, target=p.stages[0].matrix({"a": LinForm.var(0)})).ok
+    x, b = Octo((3.0,) + (1.0,) * 7), Octo((2.0,) * 8)
+    want = p.apply(x.c, p.precompute(b))
+    for got in (eval_program(flatten(p), x, b), mul_fast(x, b, p)):
+        assert got == Octo(want)
+        assert [type(v) for v in got.c] == [float] * 8
+
+
+def test_second_cell_less_core_lowers():
+    # the second core's rows are all empty: zeros of a product's kind
+    p = Pipeline(stages=[QuasiDiagonal(dim=8, cells=((0, 0, "a"),)),
+                         QuasiDiagonal(dim=8, cells=())],
+                 pre_stages=[Permute(tuple(range(8)))],
+                 recipes={"a": ("input", 0, 1)})
+    b = Octo((2,) * 8)
+    for x0 in (3, 3.0, Fraction(3)):
+        x = Octo((x0,) + (1,) * 7)
+        want = p.apply(x.c, p.precompute(b))
+        got = mul_fast(x, b, p)
+        assert got == Octo(want)
+        assert [type(v) for v in got.c] == [type(v) for v in want]
 
 
 def test_validate_rejects_double_assignment():

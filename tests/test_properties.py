@@ -55,3 +55,62 @@ def test_compiled_float_kernel_is_the_walk_bit_for_bit(x, b):
     want = p.apply(x.c, p.precompute(b))
     assert all(type(v) is float for v in got)
     assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+class Mat:
+    """A square matrix of exact entries: a scalar that does not commute.
+
+    It is scaled by an ``int`` or a ``Fraction`` from either side, as the
+    kernel's ``+-2^k`` constants need, and has the ``zero()`` that
+    ``stages.zero_like`` reads.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = tuple(tuple(r) for r in rows)
+
+    def zero(self):
+        return Mat([[0] * len(self.rows)] * len(self.rows))
+
+    def __add__(self, other):
+        return Mat([[a + b for a, b in zip(r, s)]
+                    for r, s in zip(self.rows, other.rows)])
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return Mat([[-a for a in r] for r in self.rows])
+
+    def __mul__(self, other):
+        if isinstance(other, Mat):
+            cols = tuple(zip(*other.rows))
+            return Mat([[sum(a * b for a, b in zip(r, c)) for c in cols]
+                        for r in self.rows])
+        return Mat([[a * other for a in r] for r in self.rows])
+
+    def __rmul__(self, scalar):
+        return self * scalar
+
+    def __eq__(self, other):
+        return isinstance(other, Mat) and self.rows == other.rows
+
+    def __repr__(self):
+        return f"Mat({self.rows})"
+
+
+def mat_octos(n):
+    entries = st.integers(min_value=-50, max_value=50)
+    return octos(st.lists(st.lists(entries, min_size=n, max_size=n),
+                          min_size=n, max_size=n).map(Mat))
+
+
+@FIXED
+@given(st.sampled_from((2, 3)).flatmap(
+    lambda n: st.tuples(mat_octos(n), mat_octos(n))))
+def test_fast_equals_naive_on_matrix_coefficients(pair):
+    # x-side times b-side in every product: only the +-2^k constants
+    # commute with the coefficients
+    x, b = pair
+    assert mul_fast(x, b) == mul_naive(x, b)

@@ -6,7 +6,8 @@ from conftest import clone_pipeline, sign_mutation_sites
 from octofast.algebra import Octo, mul_naive, schoolbook_matrix
 from octofast.kernel import CORRECTION_FORMS, Pipeline, build_pipeline, mul_fast
 from octofast.linform import DegreeError, LinForm, SymMatrix
-from octofast.stages import Butterfly, Permute, QuasiDiagonal, SignScale
+from octofast.stages import (Butterfly, Permute, QuasiDiagonal, SignScale,
+                             zero_like)
 from octofast.verify import (InconsistentSystemError, certify,
                              compose_symbolic, solve_corrections)
 
@@ -153,6 +154,41 @@ def test_nonlinear_stage_breaks_certification():
     assert not bad.certified
     with pytest.raises(DegreeError):
         mul_fast(x, b, bad)
+
+
+class _BSideFirstCore(QuasiDiagonal):
+    """The product core with each product written b-side first: b * x."""
+
+    def apply(self, vec, pre):
+        rows = [None] * self.dim
+        for r, c, name in self.cells:
+            term = pre[name] * vec[c]
+            rows[r] = term if rows[r] is None else rows[r] + term
+        return [zero_like(vec[0]) if v is None else v for v in rows]
+
+
+def test_core_product_with_b_side_first_is_refused():
+    # on commuting scalars b * x is right, so only the lowering can tell;
+    # on matrix coefficients it is wrong (tests/test_properties.py)
+    p = build_pipeline()
+    si = next(i for i, st in enumerate(p.stages) if isinstance(st, QuasiDiagonal))
+    core = p.stages[si]
+    swapped = _BSideFirstCore(core.dim, core.cells, core.label)
+    bad = clone_pipeline(p, stages=p.stages[:si] + (swapped,) + p.stages[si + 1:])
+    x, b = Octo((1, 2, 3, 4, 5, 6, 7, 8)), Octo((8, 7, 6, 5, 4, 3, 2, 1))
+    assert Octo(bad.apply(x.c, bad.precompute(b))) == mul_naive(x, b)
+    with pytest.raises(DegreeError,
+                       match=r"^t\d+ = mul t\d+ t\d+: not an x-side value"):
+        certify(bad)
+    assert not bad.certified
+    with pytest.raises(DegreeError, match=r"= mul "):
+        mul_fast(x, b, bad)
+    # the smallest case names the inputs themselves
+    first = Pipeline(stages=[_BSideFirstCore(dim=8, cells=((0, 0, "a"),))],
+                     pre_stages=[Permute(tuple(range(8)))],
+                     recipes={"a": ("input", 0, 1)})
+    with pytest.raises(DegreeError, match=r"^t1 = mul b0 x0: "):
+        mul_fast(x, b, first)
 
 
 def test_constant_that_is_not_a_power_of_two_is_refused():
