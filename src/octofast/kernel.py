@@ -203,9 +203,15 @@ class PrecomputeSet:
     m: dict
 
     def __getitem__(self, name: str):
-        if len(name) == 2 and name[0] == "s" and name[1].isdigit():
+        if self.is_lane(name):
             return self.s[int(name[1])]
         return self.m[name]
+
+    @staticmethod
+    def is_lane(name: str) -> bool:
+        """Whether ``name`` reads a precompute lane (``s0``..``s9``), which
+        no recipe of that name can override."""
+        return len(name) == 2 and name[0] == "s" and name[1].isdigit()
 
 
 class Pipeline:
@@ -221,19 +227,25 @@ class Pipeline:
     ``entry_forms`` name those values; only ``solve_corrections`` reads them.
 
     :func:`mul_fast` compiles the walk of ``pre_stages``, ``recipes``,
-    ``tap_index`` and ``stages`` once and keeps it on the pipeline, so these
-    stay as built: the chains are tuples and ``recipes`` is read-only.
+    ``tap_index`` and ``stages`` once and keeps it on the pipeline, and
+    ``certified`` vouches for that walk, so the structure stays as built:
+    the chains are tuples, ``recipes`` is read-only, and assigning any of
+    the five structural fields raises ``AttributeError``.
     """
+
+    _FROZEN = frozenset({"stages", "pre_stages", "recipes", "entry_forms",
+                         "tap_index"})
 
     def __init__(self, stages: Sequence, pre_stages: Sequence = (),
                  recipes: Optional[Mapping] = None,
                  entry_forms: Optional[Mapping] = None,
                  tap_index: int = 0):
-        self.stages = tuple(stages)
-        self.pre_stages = tuple(pre_stages)
-        self.recipes = MappingProxyType(dict(recipes or {}))
-        self.entry_forms = dict(entry_forms or {})
-        self.tap_index = tap_index
+        fix = object.__setattr__
+        fix(self, "stages", tuple(stages))
+        fix(self, "pre_stages", tuple(pre_stages))
+        fix(self, "recipes", MappingProxyType(dict(recipes or {})))
+        fix(self, "entry_forms", dict(entry_forms or {}))
+        fix(self, "tap_index", tap_index)
         self.certified = False
         self._compiled = None  # mul_fast's kernel, built on its first call
         _check_chain(self.stages, 8, 8, "main")
@@ -244,9 +256,26 @@ class Pipeline:
         if 0 <= tap_index < len(self.pre_stages):
             widths["tap"] = self.pre_stages[tap_index].out_dim
         for name, (src, lane, _) in self.recipes.items():
+            if PrecomputeSet.is_lane(name):
+                raise ValueError(f"recipe {name}: the name of a precompute "
+                                 f"lane, which the core reads instead")
             if not 0 <= lane < widths.get(src, 0):
                 raise ValueError(f"recipe {name}: {src!r} has no lane {lane} "
                                  f"(widths {widths}, tap_index {tap_index})")
+        lanes = {f"s{k}" for k in range(8)}
+        for st in self.stages:
+            cells = st.cells if isinstance(st, QuasiDiagonal) else ()
+            for r, c, name in cells:
+                if name not in lanes and name not in self.recipes:
+                    raise ValueError(
+                        f"{st.label or type(st).__name__} cell ({r},{c}): "
+                        f"{name!r} is neither a precompute lane s0..s7 nor "
+                        f"a recipe")
+
+    def __setattr__(self, name, value):
+        if name in self._FROZEN:
+            raise AttributeError(f"Pipeline.{name} is fixed when built")
+        object.__setattr__(self, name, value)
 
     # -- right-operand pass --
 

@@ -18,6 +18,7 @@ operands to a twin in exact dyadic ints, see :func:`program_source`), and
 :func:`compile_pipeline` does so for any pipeline's lowering;
 :func:`octofast.kernel.mul_fast` runs that function, compiled once per
 pipeline object, so execution, counting and emission all run the same walk.
+:func:`eval_program` runs it too: each op has one rendering per body.
 
 Emission is deterministic: same pipeline, byte-identical text.  Free ops
 (``neg``/``shift``/``zero``) are memoized so a value the walk negates or
@@ -28,6 +29,7 @@ program's instruction tallies match the instrumented interpreter's.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -76,6 +78,11 @@ class Program:
     inputs: tuple
     instrs: tuple
     outputs: tuple
+
+    @cached_property
+    def _compiled(self):
+        """:func:`compile_program` of this program, built on first use."""
+        return compile_program(self)
 
     def dependencies(self) -> dict:
         """deps[slot]: the input slots the value of ``slot`` derives from."""
@@ -195,27 +202,6 @@ def flatten(p) -> Program:
     return _lower(p)
 
 
-def eval_program(prog: Program, x: Octo, b: Octo) -> Octo:
-    """Execute the program on concrete operands."""
-    env = dict(zip(INPUTS, x.c + b.c))
-    for ins in prog.instrs:
-        if ins.op == "add":
-            env[ins.dest] = env[ins.a] + env[ins.b]
-        elif ins.op == "sub":
-            env[ins.dest] = env[ins.a] - env[ins.b]
-        elif ins.op == "neg":
-            env[ins.dest] = -env[ins.a]
-        elif ins.op == "mul":
-            env[ins.dest] = env[ins.a] * env[ins.b]
-        elif ins.op == "shift":
-            env[ins.dest] = env[ins.a] * pow2(ins.k)
-        elif ins.op == "zero":
-            env[ins.dest] = zero_like(env[ins.a])
-        else:
-            raise ValueError(f"unknown op {ins.op!r}")
-    return Octo(tuple(env[o] for o in prog.outputs))
-
-
 _OPS = {"add": "{a} + {b}", "sub": "{a} - {b}", "neg": "-{a}",
         "mul": "{a} * {b}"}
 
@@ -271,13 +257,14 @@ def program_source(prog: Program) -> str:
 
     ``prog`` is a lowered program (inputs :data:`INPUTS`); ``x`` and ``b``
     are 8-sequences of coefficients and the result is the tuple of output
-    slots, equal to :func:`eval_program`'s in value and type.  A ``shift``
-    by ``k`` multiplies by ``pow2(k)`` (an int for k >= 0, a ``Fraction``
-    for k < 0), as :func:`eval_program` does, except that when every input a
+    slots, equal in value and type to what the walk it was lowered from,
+    ``p.apply(x, p.precompute(b))``, computes.  A ``shift`` by ``k``
+    multiplies by ``pow2(k)`` (an int for k >= 0, a ``Fraction`` for
+    k < 0), as the walk's stages do, except that when every input a
     shifted value derives from is a ``float`` it multiplies by the equal
     float: a float times a Fraction is that float product, so the results
     are the same and only the cost differs.  A ``zero`` is ``zero_like``
-    of its operand, as in the interpreter.
+    of its operand, as in a quasi-diagonal stage.
 
     The one exception to equal types: when the program shifts by some
     ``k < 0`` and all sixteen coefficients are of type ``int`` (not
@@ -339,6 +326,16 @@ def compile_program(prog: Program):
                   for ins in prog.instrs if ins.op == "shift" and ins.k < 0})
     exec(compile(program_source(prog), "<octofast kernel>", "exec"), scope)
     return scope["kernel"]
+
+
+def eval_program(prog: Program, x: Octo, b: Octo) -> Octo:
+    """Run ``prog`` on concrete operands through :func:`compile_program`,
+    compiled on the first call and kept on ``prog``: the same function, and
+    so the same values and types, as :func:`octofast.kernel.mul_fast`.
+
+    Kept because the frozen benchmark (``perfbench/layers.py``) imports it.
+    """
+    return Octo(prog._compiled(x.c, b.c))
 
 
 def compile_pipeline(p):

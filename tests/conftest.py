@@ -2,6 +2,7 @@ from dataclasses import replace
 
 from octofast.kernel import Pipeline
 from octofast.linform import LinForm, SymMatrix
+from octofast.program import INPUTS, Instr, Program, emit_text
 from octofast.stages import SignScale, Sum
 
 
@@ -72,3 +73,33 @@ def sign_mutation_sites(p):
         recipes[name] = (src, lane, -factor)
         sites.append((f"recipe:{name}", clone_pipeline(p, recipes=recipes)))
     return sites
+
+
+_ARITY = {"add": 2, "sub": 2, "mul": 2, "neg": 1, "zero": 1, "shift": 2}
+
+
+def read_program(text):
+    """The :class:`Program` that ``emit_text`` wrote as ``text``.
+
+    Strict, so that what the tests compile is the emitted artifact and
+    nothing else: the inputs must be the sixteen operand slots, every op
+    known with its operand count, every slot a Python identifier assigned
+    once and used after it, and ``text`` byte-identical to ``emit_text`` of
+    the result (so the header and the ``# mults=.. adds=..`` line agree with
+    the instructions).  Anything else raises ``ValueError``.
+    """
+    _, inputs, *body, outputs, _ = text.splitlines()
+    if inputs.split()[2:] != list(INPUTS):
+        raise ValueError(f"inputs are not {' '.join(INPUTS)}: {inputs!r}")
+    instrs = []
+    for line in body:
+        dest, eq, op, *args = line.split()
+        if eq != "=" or _ARITY.get(op) != len(args) or not dest.isidentifier():
+            raise ValueError(f"not an instruction: {line!r}")
+        instrs.append(Instr(dest, op, args[0], k=int(args[1])) if op == "shift"
+                      else Instr(dest, op, *args))
+    prog = Program(INPUTS, tuple(instrs), tuple(outputs.split()[2:]))
+    prog.validate()
+    if emit_text(prog) != text:
+        raise ValueError("text differs from the emission of what it encodes")
+    return prog

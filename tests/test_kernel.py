@@ -9,7 +9,9 @@ from octofast.algebra import Octo, basis_mul, mul_naive
 from octofast.kernel import (CORRECTION_FORMS, ENTRY_FORMS, Pipeline,
                              build_pipeline, default_pipeline, mul_fast)
 from octofast.linform import LinForm
-from octofast.stages import Permute, SignScale
+from octofast.program import emit_text, flatten
+from octofast.stages import Permute, QuasiDiagonal, SignScale
+from octofast.verify import certify
 
 HALF = Fraction(1, 2)
 EIGHTH = Fraction(1, 8)
@@ -267,6 +269,36 @@ def test_pipeline_rejects_a_tap_recipe_without_its_pre_stage(tap_index):
     with pytest.raises(ValueError, match="tap_index"):
         _with_recipe(("tap", 0, 1), tap_index)
     _with_recipe(("input", 0, 1), tap_index)  # no tap read, nothing to check
+
+
+def test_pipeline_rejects_a_recipe_a_lane_shadows():
+    # the core would read lane s0 (10) where the recipe means b5 (60)
+    core = QuasiDiagonal(dim=8, cells=((0, 0, "s0"),))
+    with pytest.raises(ValueError, match="recipe s0: the name of a precompute"):
+        Pipeline(stages=[core], recipes={"s0": ("input", 5, 1)})
+
+
+@pytest.mark.parametrize("name", ["s9", "nope"])
+def test_pipeline_rejects_a_core_cell_that_names_nothing(name):
+    core = QuasiDiagonal(dim=8, cells=((0, 0, "s1"), (3, 2, name)))
+    with pytest.raises(ValueError, match=rf"cell \(3,2\): '{name}' is neither"):
+        Pipeline(stages=[core], recipes={"a": ("input", 0, 1)})
+
+
+@pytest.mark.parametrize("field", ["stages", "pre_stages", "recipes",
+                                   "entry_forms", "tap_index"])
+def test_pipeline_structure_is_fixed_once_built(field):
+    p = build_pipeline()
+    assert certify(p).ok
+    x, b = Octo((1, 2, 3, 4, 5, 6, 7, 8)), Octo((8, 7, 6, 5, 4, 3, 2, 1))
+    assert mul_fast(x, b, p) == mul_naive(x, b)
+    with pytest.raises(AttributeError, match=field):
+        setattr(p, field, getattr(p, field))
+    assert p.tap_index == 1 and emit_text(flatten(p)) == emit_text(
+        flatten(default_pipeline()))
+    p.certified = False  # the verdict and the compiled kernel stay writable
+    p._compiled = None
+    assert mul_fast(x, b, p) == mul_naive(x, b)
 
 
 def test_frozen_correction_forms_shape():

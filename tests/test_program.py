@@ -1,8 +1,10 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from conftest import read_program
 
 from octofast.algebra import Octo, mul_naive
 from octofast.kernel import Pipeline, build_pipeline, default_pipeline, mul_fast
@@ -10,8 +12,9 @@ from octofast.linform import LinForm, SymMatrix
 from octofast.opcount import OpCount, Tally, count_algorithm
 from octofast.program import (Instr, Program, emit_csv, emit_text,
                               eval_program, flatten)
-from octofast.stages import Butterfly, FanOut, Permute, QuasiDiagonal, Sum
-from octofast.verify import certify
+from octofast.stages import (Butterfly, FanOut, Permute, QuasiDiagonal,
+                             SignScale, Sum)
+from octofast.verify import certify, compose_symbolic
 
 
 def rnd_octo(rng, r=100):
@@ -197,3 +200,51 @@ def test_shift_evaluation():
                    outputs=("t2",) * 8)
     y = eval_program(prog, Octo.zero(), Octo((6,) + (0,) * 7))
     assert y.c[0] == 6 * 2 / 8
+
+
+def test_eval_program_keeps_ints_exact():
+    # it runs the compiled kernel, so all-int operands take the int twin
+    prog = flatten(default_pipeline())
+    rng = random.Random(73)
+    for _ in range(50):
+        x, b = rnd_octo(rng, 1000), rnd_octo(rng, 1000)
+        y = eval_program(prog, x, b)
+        assert y == mul_naive(x, b)
+        assert [type(v) for v in y.c] == [int] * 8
+
+
+def _toy_program():
+    # shifts by +2, -3 and +1 (the recipe's 2), and six empty core rows
+    p = Pipeline(stages=[SignScale((4, Fraction(1, 8)) + (1,) * 6),
+                         QuasiDiagonal(dim=8, cells=((0, 0, "a"), (1, 1, "a")))],
+                 pre_stages=[Permute(tuple(range(8)))],
+                 recipes={"a": ("input", 0, 2)})
+    assert certify(p, target=compose_symbolic(p)).ok
+    return flatten(p)
+
+
+@pytest.mark.parametrize("make", [lambda: flatten(default_pipeline()),
+                                  _toy_program], ids=["shipped", "toy"])
+def test_reader_round_trips_the_emission(make):
+    prog = make()
+    assert read_program(emit_text(prog)) == prog
+
+
+def test_toy_program_has_zero_and_shifts_both_ways():
+    ops = {(i.op, i.k) for i in _toy_program().instrs}
+    assert {("zero", None), ("shift", 2), ("shift", -3), ("shift", 1)} <= ops
+
+
+@pytest.mark.parametrize("old,new,why", [
+    ("= neg ", "= pow ", "not an instruction"),
+    ("= mul t63 ", "= mul __import__ ", "__import__ not yet defined"),
+    ("t2 = ", "t1 = ", "t1 assigned twice"),
+    ("# mults=26 adds=92", "# mults=25 adds=92", "text differs"),
+    ("\nt1 = ", "\nt1=print(1);t0 = ", "not an instruction"),
+    ("# inputs: x0", "# inputs: x9", "inputs are not"),
+])
+def test_reader_refuses_what_emit_text_would_not_write(old, new, why):
+    text = emit_text(flatten(default_pipeline()))
+    assert old in text
+    with pytest.raises(ValueError, match=re.escape(why)):
+        read_program(text.replace(old, new, 1))
