@@ -17,11 +17,10 @@ the corrections cost no extra additions.
 precompute included.  The entry forms only document, in closed form, what the
 precompute yields, and are the targets of ``verify.solve_corrections``.
 
-:func:`mul_fast` does not interpret the stages.  On its first call with a
-pipeline it lowers that pipeline's own ``precompute``/``apply`` walk into a
-straight-line program, compiles the program into one Python function
-(:func:`octofast.program.compile_pipeline`) and caches it on the pipeline
-object; every later call runs that function.
+:func:`mul_fast` does not interpret the stages.  A pipeline lowers its own
+``precompute``/``apply`` walk into a straight-line program once, on first
+use, and keeps it: ``certify`` gates that program, ``flatten`` hands it out
+and :func:`mul_fast` runs it, compiled once into one Python function.
 
 When all sixteen coefficients are of type ``int``, that function hands
 them to a generated twin that runs in exact dyadic ints: each value is held
@@ -39,15 +38,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .algebra import Octo
 from .linform import LinForm
-from .program import compile_pipeline
+from .program import Program, _lower
 from .stages import (Butterfly, FanOut, Permute, QuasiDiagonal, SignScale,
-                     Sum, apply_stage)
+                     Sum, apply_stage, canonical_pow2)
 from .verify import certify
 
 EIGHTH = Fraction(1, 8)
@@ -226,15 +225,17 @@ class Pipeline:
     values ``precompute`` yields on a symbolic ``b``, matches the target.
     ``entry_forms`` name those values; only ``solve_corrections`` reads them.
 
-    :func:`mul_fast` compiles the walk of ``pre_stages``, ``recipes``,
-    ``tap_index`` and ``stages`` once and keeps it on the pipeline, and
-    ``certified`` vouches for that walk, so the structure stays as built:
-    the chains are tuples, ``recipes`` is read-only, and assigning any of
-    the five structural fields raises ``AttributeError``.
+    The walk of ``pre_stages``, ``recipes``, ``tap_index`` and ``stages``
+    is lowered once, on first use, into the one program that ``certify``
+    gates, ``flatten`` emits and :func:`mul_fast` runs, and ``certified``
+    vouches for it, so the structure stays as built: the chains are tuples,
+    ``recipes`` is read-only with canonical factors (``canonical_pow2``
+    refuses one that is not ``+-2^k``), and assigning any of the five
+    structural fields, or the program, raises ``AttributeError``.
     """
 
     _FROZEN = frozenset({"stages", "pre_stages", "recipes", "entry_forms",
-                         "tap_index"})
+                         "tap_index", "_program"})
 
     def __init__(self, stages: Sequence, pre_stages: Sequence = (),
                  recipes: Optional[Mapping] = None,
@@ -243,11 +244,12 @@ class Pipeline:
         fix = object.__setattr__
         fix(self, "stages", tuple(stages))
         fix(self, "pre_stages", tuple(pre_stages))
-        fix(self, "recipes", MappingProxyType(dict(recipes or {})))
+        fix(self, "recipes", MappingProxyType(
+            {name: (src, lane, canonical_pow2(factor))
+             for name, (src, lane, factor) in (recipes or {}).items()}))
         fix(self, "entry_forms", dict(entry_forms or {}))
         fix(self, "tap_index", tap_index)
         self.certified = False
-        self._compiled = None  # mul_fast's kernel, built on its first call
         _check_chain(self.stages, 8, 8, "main")
         _check_chain(self.pre_stages, 8, 8, "precompute")
         # the width of each source a recipe may read; "tap" only when
@@ -276,6 +278,11 @@ class Pipeline:
         if name in self._FROZEN:
             raise AttributeError(f"Pipeline.{name} is fixed when built")
         object.__setattr__(self, name, value)
+
+    @cached_property
+    def _program(self) -> Program:
+        """:func:`octofast.program._lower` of this pipeline, on first use."""
+        return _lower(self)
 
     # -- right-operand pass --
 
@@ -340,16 +347,12 @@ def mul_fast(x: Octo, b: Octo, pipeline: Optional[Pipeline] = None) -> Octo:
     """Product ``x * b`` through the factorized kernel.
 
     Numerically identical to :func:`octofast.algebra.mul_naive` in exact
-    arithmetic; uses 26 multiplications instead of 64.  Runs the Python
-    function generated from the lowered walk of ``pipeline`` (default: the
-    certified :func:`default_pipeline`); the function is compiled on the
-    first call with each pipeline object and cached on it.  Its results
-    equal ``p.apply(x.c, p.precompute(b))`` in value; in type too, except
-    that when every coefficient of ``x`` and ``b`` is an ``int`` each
-    integral result is an ``int`` and any other a ``Fraction``.
+    arithmetic; uses 26 multiplications instead of 64.  Runs the function
+    compiled from the one lowered program of ``pipeline`` (default: the
+    certified :func:`default_pipeline`), which ``flatten`` hands out.  Its
+    results equal ``p.apply(x.c, p.precompute(b))`` in value; in type too,
+    except that when every coefficient of ``x`` and ``b`` is an ``int``
+    each integral result is an ``int`` and any other a ``Fraction``.
     """
     p = pipeline if pipeline is not None else default_pipeline()
-    kernel = p._compiled
-    if kernel is None:
-        kernel = p._compiled = compile_pipeline(p)
-    return Octo(kernel(x.c, b.c))
+    return Octo(p._program._compiled(x.c, b.c))

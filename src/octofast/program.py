@@ -11,14 +11,13 @@ The lowering is refused unless every ``mul`` is an x-side value times a
 b-side value, in the schoolbook product's order, and every constant is
 ``+-2^k`` (:func:`~octofast.stages.pow2_exponent` gives the shift's ``k``).
 
-:func:`flatten` is the lowering of a certified pipeline, the form that is
+A pipeline is lowered once and keeps that program (``Pipeline._program``);
+:func:`flatten` hands it out once the pipeline is certified, the form that is
 emitted as text or CSV.  :func:`compile_program` turns a program into one
 Python function, one assignment per instruction (which hands all-int
-operands to a twin in exact dyadic ints, see :func:`program_source`), and
-:func:`compile_pipeline` does so for any pipeline's lowering;
-:func:`octofast.kernel.mul_fast` runs that function, compiled once per
-pipeline object, so execution, counting and emission all run the same walk.
-:func:`eval_program` runs it too: each op has one rendering per body.
+operands to a twin in exact dyadic ints, see :func:`program_source`), built
+once per program; :func:`octofast.kernel.mul_fast` and :func:`eval_program`
+run that function, so execution, counting, emission and proof share it.
 
 Emission is deterministic: same pipeline, byte-identical text.  Free ops
 (``neg``/``shift``/``zero``) are memoized so a value the walk negates or
@@ -192,14 +191,14 @@ def _lower(p) -> Program:
 
 
 def flatten(p) -> Program:
-    """The lowered program of a certified pipeline ``p``.
+    """The lowered program of a certified pipeline ``p``, kept on ``p``.
 
     Requires a certified pipeline — flattening an unproven factorization
     would launder an unverified claim into artifact form.
     """
     if not getattr(p, "certified", False):
         raise ValueError("pipeline is not certified; run verify.certify first")
-    return _lower(p)
+    return p._program
 
 
 _OPS = {"add": "{a} + {b}", "sub": "{a} - {b}", "neg": "-{a}",
@@ -336,12 +335,6 @@ def eval_program(prog: Program, x: Octo, b: Octo) -> Octo:
     Kept because the frozen benchmark (``perfbench/layers.py``) imports it.
     """
     return Octo(prog._compiled(x.c, b.c))
-
-
-def compile_pipeline(p):
-    """The compiled lowering of ``p``, certified or not: what ``mul_fast``
-    runs.  Unlike :func:`flatten`, it hands out no program to emit."""
-    return compile_program(_lower(p))
 
 
 def emit_text(prog: Program) -> str:

@@ -40,6 +40,11 @@ def pow2(k: int, sign: int = 1):
     return sign << k if k >= 0 else Fraction(sign, 1 << -k)
 
 
+def canonical_pow2(f):
+    """``f = ±2^k`` as :func:`pow2` gives it; ``ValueError`` for any other."""
+    return pow2(pow2_exponent(f), -1 if f < 0 else 1)
+
+
 def zero_like(v):
     """A zero of the same scalar kind as ``v`` (wrapper-aware)."""
     mk = getattr(v, "zero", None)
@@ -99,9 +104,8 @@ class SignScale(Stage):
     label: str = ""
 
     def __post_init__(self):
-        fixed = tuple(pow2(pow2_exponent(f), -1 if f < 0 else 1)
-                      for f in self.factors)
-        object.__setattr__(self, "factors", fixed)
+        object.__setattr__(self, "factors",
+                           tuple(map(canonical_pow2, self.factors)))
 
     @property
     def in_dim(self):

@@ -23,7 +23,6 @@ from typing import Iterable, Optional
 
 from .algebra import schoolbook_matrix
 from .linform import LinForm, SymMatrix
-from .program import _lower
 from .stages import QuasiDiagonal, matrix_of
 
 
@@ -87,12 +86,12 @@ def certify(p, target: Optional[SymMatrix] = None) -> ResidualReport:
     matrix); each differing entry is a :class:`Residual`.  The lowering of
     ``p`` is built first and raises if it is not bilinear (see
     :mod:`octofast.program`), which catches a nonlinear ``apply`` that unit
-    vectors cannot reveal.  On success ``p.certified`` is set, which
-    unlocks flattening to a straight-line program.
+    vectors cannot reveal; the lowering it gates is the one ``mul_fast``
+    runs and ``flatten`` emits.  On success ``p.certified`` is set.
     """
     if target is None:
         target = schoolbook_matrix()
-    _lower(p)
+    p._program  # lowered first: it refuses what composition cannot see
     got = compose_symbolic(p)
     residuals = []
     for i in range(8):

@@ -271,6 +271,18 @@ def test_pipeline_rejects_a_tap_recipe_without_its_pre_stage(tap_index):
     _with_recipe(("input", 0, 1), tap_index)  # no tap read, nothing to check
 
 
+@pytest.mark.parametrize("factor", [2.0, Fraction(2)])
+def test_recipe_factor_is_stored_canonical(factor):
+    core = QuasiDiagonal(dim=8, cells=((0, 0, "a"),))
+    p = Pipeline(stages=[core], recipes={"a": ("input", 0, factor)})
+    assert p.recipes["a"] == ("input", 0, 2) and type(p.recipes["a"][2]) is int
+    x, b = Octo((3,) + (1,) * 7), Octo((5,) + (0,) * 7)
+    walk = p.apply(x.c, p.precompute(b))
+    fast = mul_fast(x, b, p).c
+    assert [(type(v), v) for v in fast] == [(type(v), v) for v in walk]
+    assert fast[0] == 30 and type(fast[0]) is int
+
+
 def test_pipeline_rejects_a_recipe_a_lane_shadows():
     # the core would read lane s0 (10) where the recipe means b5 (60)
     core = QuasiDiagonal(dim=8, cells=((0, 0, "s0"),))
@@ -286,7 +298,7 @@ def test_pipeline_rejects_a_core_cell_that_names_nothing(name):
 
 
 @pytest.mark.parametrize("field", ["stages", "pre_stages", "recipes",
-                                   "entry_forms", "tap_index"])
+                                   "entry_forms", "tap_index", "_program"])
 def test_pipeline_structure_is_fixed_once_built(field):
     p = build_pipeline()
     assert certify(p).ok
@@ -296,8 +308,7 @@ def test_pipeline_structure_is_fixed_once_built(field):
         setattr(p, field, getattr(p, field))
     assert p.tap_index == 1 and emit_text(flatten(p)) == emit_text(
         flatten(default_pipeline()))
-    p.certified = False  # the verdict and the compiled kernel stay writable
-    p._compiled = None
+    p.certified = False  # the verdict stays writable
     assert mul_fast(x, b, p) == mul_naive(x, b)
 
 

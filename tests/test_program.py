@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from conftest import read_program
 
+from octofast import kernel, program
 from octofast.algebra import Octo, mul_naive
 from octofast.kernel import Pipeline, build_pipeline, default_pipeline, mul_fast
 from octofast.linform import LinForm, SymMatrix
@@ -24,6 +25,45 @@ def rnd_octo(rng, r=100):
 def test_flatten_requires_certification():
     with pytest.raises(ValueError):
         flatten(build_pipeline())
+
+
+def test_each_pipeline_is_lowered_and_compiled_once(monkeypatch):
+    calls = {"lower": 0, "compile": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    lower = counted("lower", program._lower)
+    monkeypatch.setattr(program, "_lower", lower)
+    monkeypatch.setattr(kernel, "_lower", lower)
+    monkeypatch.setattr(program, "compile_program",
+                        counted("compile", program.compile_program))
+    p = build_pipeline()
+    x, b = Octo((1, 2, 3, 4, 5, 6, 7, 8)), Octo((8, 7, 6, 5, 4, 3, 2, 1))
+    assert certify(p).ok and certify(p).ok
+    assert flatten(p) is flatten(p)
+    assert mul_fast(x, b, p) == mul_fast(x, b, p) == mul_naive(x, b)
+    assert eval_program(flatten(p), x, b) == mul_naive(x, b)
+    assert calls == {"lower": 1, "compile": 1}
+
+
+def test_mul_fast_runs_the_flattened_programs_function():
+    p = build_pipeline()
+    assert certify(p).ok
+    prog = flatten(p)
+    seen, compiled = [], prog._compiled
+
+    def spy(x, b):
+        seen.append((x, b))
+        return compiled(x, b)
+
+    prog.__dict__["_compiled"] = spy  # where the cached function is kept
+    x, b = Octo((1, 2, 3, 4, 5, 6, 7, 8)), Octo((8, 7, 6, 5, 4, 3, 2, 1))
+    assert mul_fast(x, b, p) == mul_naive(x, b)
+    assert seen == [(x.c, b.c)]
 
 
 def test_program_counts_match_instrumented_counts():

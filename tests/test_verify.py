@@ -191,19 +191,32 @@ def test_core_product_with_b_side_first_is_refused():
         mul_fast(x, b, first)
 
 
+class _TriplingPermute(Permute):
+    """The identity permutation that also multiplies lane 0 by 3."""
+
+    def apply(self, vec, pre=None):
+        return [vec[0] * 3] + list(vec[1:])
+
+
 def test_constant_that_is_not_a_power_of_two_is_refused():
-    # the walk multiplies b0 by 3; composition alone would prove 3*b0*I
     core = QuasiDiagonal(dim=8, cells=tuple((i, i, "a") for i in range(8)))
-    p = Pipeline(stages=[core], pre_stages=[Permute(tuple(range(8)))],
-                 recipes={"a": ("input", 0, 3)},
+    with pytest.raises(ValueError, match="power of two"):
+        Pipeline(stages=[core], pre_stages=[Permute(tuple(range(8)))],
+                 recipes={"a": ("input", 0, 3)})
+    # the walk multiplies b0 by 3 in a stage; composition alone would prove
+    # 3*b0*I, so only the lowering refuses it
+    p = Pipeline(stages=[core], pre_stages=[_TriplingPermute(tuple(range(8)))],
+                 recipes={"a": ("tap", 0, 1)},
                  entry_forms={"a": LinForm.var(0, 3)})
     target = SymMatrix([[LinForm.var(0, 3) if i == j else 0
                          for j in range(8)] for i in range(8)])
-    with pytest.raises(ValueError, match="power of two"):
+    with pytest.raises(ValueError, match="power of two") as proof:
         certify(p, target=target)
     assert not p.certified
-    with pytest.raises(ValueError, match="power of two"):
+    with pytest.raises(ValueError) as run:
         mul_fast(Octo((1,) * 8), Octo((5,) + (0,) * 7), p)
+    assert str(run.value) == str(proof.value)
+    assert compose_symbolic(p) == target
 
 
 def test_two_quasidiagonal_stages_is_structural_violation():
