@@ -14,10 +14,14 @@ b-side value, in the schoolbook product's order, and every constant is
 A pipeline is lowered once and keeps that program (``Pipeline._program``);
 :func:`flatten` hands it out once the pipeline is certified, the form that is
 emitted as text or CSV.  :func:`compile_program` turns a program into one
-Python function, one assignment per instruction (which hands all-int
-operands to a twin in exact dyadic ints, see :func:`program_source`), built
-once per program; :func:`octofast.kernel.mul_fast` and :func:`eval_program`
-run that function, so execution, counting, emission and proof share it.
+Python function, built once per program, that evaluates the program's
+operation tree: each instruction is one operation in the source; a slot
+that one instruction reads, and that is not an output, is written into that
+reader as a parenthesised sub-expression, up to a fixed nesting depth; every
+other slot is assigned to its name (see :func:`program_source`, which also
+describes the twin in exact dyadic ints that all-int operands run).
+:func:`octofast.kernel.mul_fast` and :func:`eval_program` run that
+function, so execution, counting, emission and proof share it.
 
 Emission is deterministic: same pipeline, byte-identical text.  Free ops
 (``neg``/``shift``/``zero``) are memoized so a value the walk negates or
@@ -27,6 +31,7 @@ program's instruction tallies match the instrumented interpreter's.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -204,66 +209,127 @@ def flatten(p) -> Program:
 _OPS = {"add": "{a} + {b}", "sub": "{a} - {b}", "neg": "-{a}",
         "mul": "{a} * {b}"}
 
+# Deepest parenthesis nesting a slot's expression may reach before it is
+# assigned to its name instead: CPython's parser refuses more than 200
+# nested parentheses, so a long chain of single-use slots is cut into
+# statements.  A statement nests at most one level deeper than this.
+_MAX_NESTING = 64
+
+
+class _Body:
+    """The statements of one generated function, with single-use slots
+    inlined.
+
+    A slot read exactly once (``uses[slot] == 1``) and not in ``keep`` is
+    written into its one reader as a parenthesised sub-expression, unless
+    its expression is already :data:`_MAX_NESTING` parentheses deep; any
+    other slot is assigned to its name.  ``text[slot]``/``depth[slot]``:
+    what a reader writes for ``slot`` and how deeply it nests parentheses
+    (input slots are their own names).
+    """
+
+    def __init__(self, uses: Counter, keep: set):
+        self.uses, self.keep = uses, keep
+        self.text = {name: name for name in INPUTS}
+        self.depth = dict.fromkeys(INPUTS, 0)
+        self.lines = []
+
+    def define(self, dest: str, rhs: str, depth: int) -> None:
+        if (self.uses[dest] == 1 and dest not in self.keep
+                and depth < _MAX_NESTING):
+            self.text[dest], self.depth[dest] = f"({rhs})", depth + 1
+        else:
+            self.lines.append(f"    {dest} = {rhs}")
+            self.text[dest], self.depth[dest] = dest, 0
+
 
 def _int_kernel_source(prog: Program, unpack: list) -> list:
     """Lines of ``_int_kernel(x, b)``, see :func:`program_source`.
 
     Slot ``s`` holds an int numerator of the value ``N / 2**e[s]``, with
-    ``e[s] >= 0`` fixed here.  ``ref[s]`` is the name holding that numerator:
-    a shift that only moves ``e`` emits no statement and reuses its source's
-    name.
+    ``e[s] >= 0`` fixed here.  A shift that only moves ``e`` emits nothing:
+    its slot is an alias whose readers read its source ``root[s]``, so uses
+    are counted per root, and a root is kept named when it is (the source
+    of) an output, whose rule reads ``N`` three times.  A ``zero`` is the
+    literal ``0``, which reads nothing: its root is ``"0"``.
     """
-    ref = {name: name for name in INPUTS}
-    e = dict.fromkeys(INPUTS, 0)
-
-    def at(slot, to):  # the numerator of ``slot`` over 2**to, to >= e[slot]
-        d = to - e[slot]
-        return f"({ref[slot]} << {d})" if d else ref[slot]
-
-    lines = ["def _int_kernel(x, b):"] + unpack
+    e, root = dict.fromkeys(INPUTS, 0), {name: name for name in INPUTS}
+    uses = Counter()
     for ins in prog.instrs:
         if ins.op == "zero":
-            ref[ins.dest], e[ins.dest] = "0", 0
+            e[ins.dest], root[ins.dest] = 0, "0"
+            continue
+        if ins.op == "shift" and e[ins.a] - ins.k >= 0:
+            e[ins.dest], root[ins.dest] = e[ins.a] - ins.k, root[ins.a]
             continue
         if ins.op == "shift":
-            to = e[ins.a] - ins.k
-            if to >= 0:
-                ref[ins.dest], e[ins.dest] = ref[ins.a], to
-                continue
-            rhs, to = f"{ref[ins.a]} << {-to}", 0
+            e[ins.dest] = 0
         elif ins.op == "mul":
-            rhs, to = f"{ref[ins.a]} * {ref[ins.b]}", e[ins.a] + e[ins.b]
+            e[ins.dest] = e[ins.a] + e[ins.b]
         elif ins.op == "neg":
-            rhs, to = f"-{ref[ins.a]}", e[ins.a]
+            e[ins.dest] = e[ins.a]
         elif ins.op in ("add", "sub"):
-            to = max(e[ins.a], e[ins.b])
-            rhs = _OPS[ins.op].format(a=at(ins.a, to), b=at(ins.b, to))
+            e[ins.dest] = max(e[ins.a], e[ins.b])
         else:
             raise ValueError(f"unknown op {ins.op!r}")
-        lines.append(f"    {ins.dest} = {rhs}")
-        ref[ins.dest], e[ins.dest] = ins.dest, to
+        root[ins.dest] = ins.dest
+        for src in (ins.a, ins.b):
+            if src is not None:
+                uses[root[src]] += 1
+    body = _Body(uses, {root[o] for o in prog.outputs})
+    body.text["0"], body.depth["0"] = "0", 0
+
+    def ref(slot):  # text and nesting of ``slot``'s numerator
+        return body.text[root[slot]], body.depth[root[slot]]
+
+    def at(slot, to):  # the numerator of ``slot`` over 2**to, to >= e[slot]
+        (text, depth), d = ref(slot), to - e[slot]
+        return (f"({text} << {d})", depth + 1) if d else (text, depth)
+
+    for ins in prog.instrs:
+        if root[ins.dest] != ins.dest:
+            continue
+        (a, da), to = ref(ins.a), e[ins.dest]
+        if ins.op == "shift":
+            rhs, depth = f"{a} << {ins.k - e[ins.a]}", da
+        elif ins.op in ("add", "sub"):
+            (a, da), (b, db) = at(ins.a, to), at(ins.b, to)
+            rhs, depth = _OPS[ins.op].format(a=a, b=b), max(da, db)
+        else:
+            b, db = ref(ins.b) if ins.b is not None else ("", 0)
+            rhs, depth = _OPS[ins.op].format(a=a, b=b), max(da, db)
+        body.define(ins.dest, rhs, depth)
     outs = []
     for o in prog.outputs:
-        n, d = ref[o], e[o]
+        (n, _), d = ref(o), e[o]
         outs.append(f"{n} >> {d} if not {n} & {(1 << d) - 1} "
                     f"else _Fraction({n}, {1 << d})" if d else n)
-    lines.append("    return (" + ", ".join(outs) + ",)")
-    return lines
+    return (["def _int_kernel(x, b):"] + unpack + body.lines
+            + ["    return (" + ", ".join(outs) + ",)"])
 
 
 def program_source(prog: Program) -> str:
-    """Python source of ``kernel(x, b)``, one assignment per instruction.
+    """Python source of ``kernel(x, b)``: the program's operation tree, with
+    each slot that is read exactly once written into its reader.
 
     ``prog`` is a lowered program (inputs :data:`INPUTS`); ``x`` and ``b``
     are 8-sequences of coefficients and the result is the tuple of output
     slots, equal in value and type to what the walk it was lowered from,
-    ``p.apply(x, p.precompute(b))``, computes.  A ``shift`` by ``k``
-    multiplies by ``pow2(k)`` (an int for k >= 0, a ``Fraction`` for
-    k < 0), as the walk's stages do, except that when every input a
-    shifted value derives from is a ``float`` it multiplies by the equal
-    float: a float times a Fraction is that float product, so the results
-    are the same and only the cost differs.  A ``zero`` is ``zero_like``
-    of its operand, as in a quasi-diagonal stage.
+    ``p.apply(x, p.precompute(b))``, computes.  Each instruction becomes
+    one operation in the source.  A slot read by exactly one instruction
+    and not an output is written into that reader as a parenthesised
+    sub-expression (up to a fixed nesting depth, see :class:`_Body`);
+    every other slot is assigned to its name.  Python so evaluates the
+    same operations on the same operands, and floats come out bit for bit
+    as from one statement per instruction; only the stores and loads of
+    single-use temporaries are saved.
+
+    A ``shift`` by ``k`` multiplies by ``pow2(k)`` (an int for k >= 0, a
+    ``Fraction`` for k < 0), as the walk's stages do, except that when
+    every input a shifted value derives from is a ``float`` it multiplies
+    by the equal float: a float times a Fraction is that float product, so
+    the results are the same and only the cost differs.  A ``zero`` is
+    ``zero_like`` of its operand, as in a quasi-diagonal stage.
 
     The one exception to equal types: when the program shifts by some
     ``k < 0`` and all sixteen coefficients are of type ``int`` (not
@@ -273,7 +339,9 @@ def program_source(prog: Program) -> str:
     codegen time: a shift by ``k < 0`` only raises ``e``; one by ``k > 0``
     lowers ``e`` or becomes ``<<``; a ``mul`` adds the exponents; an
     ``add``/``sub`` first shifts the operand with the smaller ``e`` left; a
-    ``zero`` is the literal ``0`` with ``e = 0``.
+    ``zero`` is the literal ``0`` with ``e = 0``.  A shift that only moves
+    ``e`` is no operation, so its readers read its source's numerator and
+    count as readers of that source when single-use slots are inlined.
     An output is ``N >> e`` when its low ``e`` bits are zero, else
     ``Fraction(N, 2**e)``.  So each value equals the walk's, and an integral
     one is an ``int`` where the walk has a ``Fraction``.  Without a
@@ -285,21 +353,26 @@ def program_source(prog: Program) -> str:
     unpack = ["    " + ", ".join(INPUTS[:8]) + ", = x",
               "    " + ", ".join(INPUTS[8:]) + ", = b"]
     head = ["def kernel(x, b):"] + unpack
-    body, guarded, scales = [], set(), set()
+    uses = Counter(src for ins in prog.instrs for src in (ins.a, ins.b)
+                   if src is not None)
+    body, guarded, scales = _Body(uses, set(prog.outputs)), set(), set()
     for ins in prog.instrs:
+        a, depth = body.text[ins.a], body.depth[ins.a]
         if ins.op == "shift" and ins.k < 0:
-            rhs = f"{ins.a} * _q{-ins.k}"
+            rhs = f"{a} * _q{-ins.k}"
             guarded |= deps[ins.a]
             scales.add(-ins.k)
         elif ins.op == "shift":
-            rhs = f"{ins.a} * {pow2(ins.k)}"
+            rhs = f"{a} * {pow2(ins.k)}"
         elif ins.op == "zero":
-            rhs = f"_zero_like({ins.a})"
+            rhs, depth = f"_zero_like({a})", depth + 1
         elif ins.op in _OPS:
-            rhs = _OPS[ins.op].format(a=ins.a, b=ins.b)
+            b = body.text.get(ins.b, "")
+            rhs = _OPS[ins.op].format(a=a, b=b)
+            depth = max(depth, body.depth.get(ins.b, 0))
         else:
             raise ValueError(f"unknown op {ins.op!r}")
-        body.append(f"    {ins.dest} = {rhs}")
+        body.define(ins.dest, rhs, depth)
     if scales:
         head.append("    if " + " and ".join(
             f"_type({name}) is _float"
@@ -313,12 +386,13 @@ def program_source(prog: Program) -> str:
         head.extend(f"        _q{k} = _Q{k}" for k in sorted(scales))
         head = _int_kernel_source(prog, unpack) + ["", ""] + head
     tail = ["    return (" + ", ".join(prog.outputs) + ",)"]
-    return "\n".join(head + body + tail) + "\n"
+    return "\n".join(head + body.lines + tail) + "\n"
 
 
 def compile_program(prog: Program):
-    """``prog`` as a Python function ``kernel(x, b) -> tuple``; see
-    :func:`program_source` for its semantics."""
+    """``prog`` as a Python function ``kernel(x, b) -> tuple``, compiled
+    from :func:`program_source`: the program's operations, with single-use
+    slots inlined, and the int twin for all-int operands."""
     scope = {"_zero_like": zero_like, "_type": type, "_float": float,
              "_int": int, "_Fraction": Fraction}
     scope.update({f"_Q{-ins.k}": pow2(ins.k)

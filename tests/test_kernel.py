@@ -10,7 +10,7 @@ from octofast.kernel import (CORRECTION_FORMS, ENTRY_FORMS, Pipeline,
                              build_pipeline, default_pipeline, mul_fast)
 from octofast.linform import LinForm
 from octofast.program import emit_text, flatten
-from octofast.stages import Permute, QuasiDiagonal, SignScale
+from octofast.stages import Permute, QuasiDiagonal, SignScale, Sum
 from octofast.verify import certify
 
 HALF = Fraction(1, 2)
@@ -175,6 +175,35 @@ def test_signscale_walk_and_mul_fast_agree_in_type(kind):
         if kind == "int":
             assert [type(v) for i, v in enumerate(got.c)
                     if i not in (2, 6)] == [int] * 6
+
+
+_ADD_LANE_1 = Sum(rows=(((0, 1), (1, 1)),)
+                  + tuple(((k, 1),) for k in range(1, 8)), in_dim=8)
+_DEEP_CHAINS = {
+    # each lane is one chain of 250 single-use values, longer than the
+    # parser's limit of 200 nested parentheses if it were written inline
+    "doublings": lambda: Pipeline(stages=[SignScale((2,) * 8)] * 250),
+    "sums": lambda: Pipeline(stages=[_ADD_LANE_1] * 250),
+    # a shift by -1 first, so all-int operands take the int twin
+    "halved-sums": lambda: Pipeline(
+        stages=[SignScale((HALF,) + (1,) * 7)] + [_ADD_LANE_1] * 250),
+}
+
+
+@pytest.mark.parametrize("chain", sorted(_DEEP_CHAINS))
+def test_deep_chain_compiles_and_equals_the_walk(chain):
+    p = _DEEP_CHAINS[chain]()
+    rng = random.Random(83)
+    if chain == "sums":
+        assert mul_fast(Octo((1.0,) * 8), Octo((1.0,) * 8), p).c[0] == 251.0
+    for kind, one in (("float", 1.0), ("int", 1)):
+        for x in [Octo((one,) * 8)] + [
+                Octo(tuple(_DRAW[kind](rng) for _ in range(8)))
+                for _ in range(20)]:
+            want = _walk(p, x, x)
+            if kind == "int":
+                want = _int_rule(want)
+            assert _exactly(mul_fast(x, x, p)) == _exactly(want)
 
 
 def test_int_twin_equals_every_sign_mutant_walk():

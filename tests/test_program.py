@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import random
 import re
@@ -11,8 +12,8 @@ from octofast.algebra import Octo, mul_naive
 from octofast.kernel import Pipeline, build_pipeline, default_pipeline, mul_fast
 from octofast.linform import LinForm, SymMatrix
 from octofast.opcount import OpCount, Tally, count_algorithm
-from octofast.program import (Instr, Program, emit_csv, emit_text,
-                              eval_program, flatten)
+from octofast.program import (INPUTS, Instr, Program, emit_csv, emit_text,
+                              eval_program, flatten, program_source)
 from octofast.stages import (Butterfly, FanOut, Permute, QuasiDiagonal,
                              SignScale, Sum)
 from octofast.verify import certify, compose_symbolic
@@ -251,6 +252,60 @@ def test_eval_program_keeps_ints_exact():
         y = eval_program(prog, x, b)
         assert y == mul_naive(x, b)
         assert [type(v) for v in y.c] == [int] * 8
+
+
+def _functions(prog):
+    """The generated functions of ``prog``'s source, by name."""
+    tree = ast.parse(program_source(prog))
+    return {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+
+
+def _binops(fn, *ops):
+    return [n for n in ast.walk(fn)
+            if isinstance(n, ast.BinOp) and isinstance(n.op, ops)]
+
+
+def _is_scale(node):
+    """A constant factor: a literal or one of the kernel's ``_qK``."""
+    return (isinstance(node, ast.Constant)
+            or isinstance(node, ast.Name) and node.id.startswith("_q"))
+
+
+def test_generated_bodies_keep_every_operation():
+    # inlining moves operations into their readers; none may be dropped or
+    # written twice
+    prog = flatten(default_pipeline())
+    fns = _functions(prog)
+    for name in ("kernel", "_int_kernel"):
+        fn = fns[name]
+        assert len(_binops(fn, ast.Add, ast.Sub)) == 92
+        products = _binops(fn, ast.Mult)
+        assert sum(not _is_scale(n.left) and not _is_scale(n.right)
+                   for n in products) == 26
+        assigns = [n for n in ast.walk(fn) if isinstance(n, ast.Assign)
+                   and isinstance(n.targets[0], ast.Name)
+                   and n.targets[0].id.startswith("t")]
+        assert len(assigns) < len(prog.instrs)
+    # the eight 1/8 scalings and the four doublings of b0, b5, b6, b7
+    assert sum(_is_scale(n.right) for n in _binops(fns["kernel"], ast.Mult)) \
+        == 12
+
+
+def test_int_twin_counts_an_aliases_readers_toward_its_source():
+    # t2 only raises t1's exponent, so the int twin reads t1's numerator
+    # wherever t2 is read: t1, read once, must not be inlined twice
+    prog = Program(inputs=INPUTS,
+                   instrs=(Instr("t1", "add", "x0", "x1"),
+                           Instr("t2", "shift", "t1", k=-1),
+                           Instr("t3", "add", "t2", "x2"),
+                           Instr("t4", "sub", "t2", "x3")),
+                   outputs=("t3", "t4") + INPUTS[2:8])
+    assert len(_binops(_functions(prog)["_int_kernel"], ast.Add, ast.Sub)) \
+        == 3
+    x, b = Octo((3, 4, 5, 6, 7, 8, 9, 10)), Octo((1,) * 8)
+    y = eval_program(prog, x, b)
+    assert y.c[:2] == (Fraction(17, 2), Fraction(-5, 2))
+    assert y.c[2:] == x.c[2:]
 
 
 def _toy_program():
