@@ -45,8 +45,8 @@ from typing import Mapping, Optional, Sequence
 from .algebra import Octo
 from .linform import LinForm
 from .program import Program, _lower
-from .stages import (Butterfly, FanOut, Permute, QuasiDiagonal, SignScale,
-                     Sum, apply_stage, canonical_pow2)
+from .stages import (Butterfly, FanOut, QuasiDiagonal, SignScale, Sum,
+                     apply_stage, canonical_pow2)
 from .verify import certify
 
 EIGHTH = Fraction(1, 8)
@@ -167,7 +167,7 @@ def _main_stages() -> tuple:
         (22, 20, "swapcorr_64"), (23, 20, "swapcorr_74"),
     )
     return (
-        Permute((4, 1, 2, 3, 0, 5, 6, 7), label="swap04"),
+        FanOut(src=(4, 1, 2, 3, 0, 5, 6, 7), in_dim=8, label="swap04"),
         FanOut(src=tuple(range(8)) + tuple(range(8)), in_dim=8, label="dup"),
         Butterfly(half=4, starts=(0,), dim=16, label="mix-head"),
         FanOut(src=(0, 1, 2, 3, 0, 1, 2, 3, 4, 5, 6, 7, 4, 5, 6, 7,
@@ -195,6 +195,10 @@ def _main_stages() -> tuple:
 # Precomputed-value container and pipeline.
 # ---------------------------------------------------------------------------
 
+# The names of the eight precompute lanes, which a core cell reads by name.
+LANES = tuple(f"s{k}" for k in range(8))
+
+
 @dataclass
 class PrecomputeSet:
     """The 26 named right-operand values the quasi-diagonal stage consumes."""
@@ -208,9 +212,9 @@ class PrecomputeSet:
 
     @staticmethod
     def is_lane(name: str) -> bool:
-        """Whether ``name`` reads a precompute lane (``s0``..``s9``), which
-        no recipe of that name can override."""
-        return len(name) == 2 and name[0] == "s" and name[1].isdigit()
+        """Whether ``name`` reads a precompute lane (one of :data:`LANES`),
+        which no recipe of that name can override."""
+        return name in LANES
 
 
 class Pipeline:
@@ -222,7 +226,8 @@ class Pipeline:
     ``stages`` transform the left operand, consuming the precomputed values
     in quasi-diagonal stages.  ``certified`` is flipped by
     ``octofast.verify.certify`` once the composition of ``stages``, with the
-    values ``precompute`` yields on a symbolic ``b``, matches the target.
+    values ``precompute`` yields on a symbolic ``b``, equals the schoolbook
+    product matrix: it vouches for that claim alone.
     ``entry_forms`` name those values; only ``solve_corrections`` reads them.
 
     The walk of ``pre_stages``, ``recipes``, ``tap_index`` and ``stages``
@@ -264,11 +269,10 @@ class Pipeline:
             if not 0 <= lane < widths.get(src, 0):
                 raise ValueError(f"recipe {name}: {src!r} has no lane {lane} "
                                  f"(widths {widths}, tap_index {tap_index})")
-        lanes = {f"s{k}" for k in range(8)}
         for st in self.stages:
             cells = st.cells if isinstance(st, QuasiDiagonal) else ()
             for r, c, name in cells:
-                if name not in lanes and name not in self.recipes:
+                if name not in LANES and name not in self.recipes:
                     raise ValueError(
                         f"{st.label or type(st).__name__} cell ({r},{c}): "
                         f"{name!r} is neither a precompute lane s0..s7 nor "

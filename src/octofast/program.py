@@ -198,8 +198,9 @@ def _lower(p) -> Program:
 def flatten(p) -> Program:
     """The lowered program of a certified pipeline ``p``, kept on ``p``.
 
-    Requires a certified pipeline — flattening an unproven factorization
-    would launder an unverified claim into artifact form.
+    Requires a certified pipeline, one proved to compute the product, so an
+    emitted program always carries that claim; flattening an unproven
+    factorization would launder an unverified claim into artifact form.
     """
     if not getattr(p, "certified", False):
         raise ValueError("pipeline is not certified; run verify.certify first")

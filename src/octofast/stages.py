@@ -75,28 +75,6 @@ class Stage:
 
 
 @dataclass(frozen=True)
-class Permute(Stage):
-    """out[i] = in[perm[i]] — pure reindexing, no arithmetic."""
-    perm: tuple
-    label: str = ""
-
-    def __post_init__(self):
-        if sorted(self.perm) != list(range(len(self.perm))):
-            raise ValueError(f"not a permutation: {self.perm}")
-
-    @property
-    def in_dim(self):
-        return len(self.perm)
-
-    @property
-    def out_dim(self):
-        return len(self.perm)
-
-    def apply(self, vec, pre=None):
-        return [vec[i] for i in self.perm]
-
-
-@dataclass(frozen=True)
 class SignScale(Stage):
     """Diagonal stage; every factor is ±2^k, so no multiplications count.
     Factors are stored canonical (:func:`pow2`): int lanes stay int."""
@@ -157,7 +135,8 @@ class Butterfly(Stage):
 
 @dataclass(frozen=True)
 class FanOut(Stage):
-    """out[i] = in[src[i]] — duplication, possibly widening the vector."""
+    """out[i] = in[src[i]] — pure reindexing, no arithmetic: a permutation,
+    a duplication, or a widening of the vector."""
     src: tuple
     in_dim: int
     label: str = ""

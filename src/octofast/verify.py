@@ -1,7 +1,8 @@
 """Symbolic certification of pipelines against the schoolbook matrix.
 
-The claim "this pipeline computes the product" is discharged by algebra, not
-sampling.  The pipeline's own ``precompute`` runs on the symbolic operand
+The one claim a certificate makes is "this pipeline computes the product of
+hyperbolic octonions", and it is discharged by algebra, not sampling.  The
+pipeline's own ``precompute`` runs on the symbolic operand
 ``b_i = LinForm.var(i)``; every main-chain stage's matrix is read off its own
 ``apply`` (:meth:`~octofast.stages.Stage.matrix`) with those values in the
 core; the matrices are composed and compared entry by entry with the 8x8
@@ -12,7 +13,7 @@ The entry forms take no part in the proof.  They are the targets of
 :func:`solve_corrections`, which runs the residual machinery in reverse:
 chosen quasi-diagonal entries become unknowns, and the main chain's
 dependence on each of them, read off ``Pipeline.apply``, gives the linear
-system against the target that reconstructs damaged or unknown entry forms.
+system against the product that reconstructs damaged or unknown entry forms.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .stages import QuasiDiagonal, matrix_of
 @dataclass(frozen=True)
 class Residual:
     """One differing entry ``(row, col)`` of the 8x8 product matrix: the
-    target's form ``expected`` and the composed form ``got``."""
+    schoolbook form ``expected`` and the composed form ``got``."""
     row: int
     col: int
     expected: LinForm
@@ -38,7 +39,7 @@ class Residual:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Entrywise differences between a composed pipeline and the target."""
+    """Entrywise differences between a composed pipeline and the product."""
     residuals: tuple
 
     @property
@@ -79,18 +80,19 @@ def compose_symbolic(p) -> SymMatrix:
     return acc
 
 
-def certify(p, target: Optional[SymMatrix] = None) -> ResidualReport:
-    """Prove that ``p`` computes ``target`` for every input.
+def certify(p) -> ResidualReport:
+    """Prove that ``p`` computes the hyperbolic-octonion product for every
+    input.
 
-    :func:`compose_symbolic` must equal ``target`` (default: the schoolbook
-    matrix); each differing entry is a :class:`Residual`.  The lowering of
-    ``p`` is built first and raises if it is not bilinear (see
+    :func:`compose_symbolic` must equal the schoolbook matrix, and no other
+    target can be given; each differing entry is a :class:`Residual`.  The
+    lowering of ``p`` is built first and raises if it is not bilinear (see
     :mod:`octofast.program`), which catches a nonlinear ``apply`` that unit
     vectors cannot reveal; the lowering it gates is the one ``mul_fast``
-    runs and ``flatten`` emits.  On success ``p.certified`` is set.
+    runs and ``flatten`` emits.  On success ``p.certified`` is set: it
+    vouches for this one claim and no other.
     """
-    if target is None:
-        target = schoolbook_matrix()
+    target = schoolbook_matrix()
     p._program  # lowered first: it refuses what composition cannot see
     got = compose_symbolic(p)
     residuals = []

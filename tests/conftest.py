@@ -3,7 +3,7 @@ from dataclasses import replace
 from octofast.kernel import Pipeline
 from octofast.linform import LinForm, SymMatrix
 from octofast.program import INPUTS, Instr, Program, emit_text
-from octofast.stages import SignScale, Sum
+from octofast.stages import FanOut, SignScale, Sum
 
 
 def clone_pipeline(p, stages=None, forms=None, pre_stages=None, recipes=None):
@@ -12,6 +12,11 @@ def clone_pipeline(p, stages=None, forms=None, pre_stages=None, recipes=None):
                     recipes if recipes is not None else p.recipes,
                     forms if forms is not None else p.entry_forms,
                     p.tap_index)
+
+
+def identity(n=8):
+    """The reindexing stage that leaves ``n`` lanes where they are."""
+    return FanOut(src=tuple(range(n)), in_dim=n)
 
 
 def _swap(stages, i, st):

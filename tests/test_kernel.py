@@ -3,14 +3,15 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from conftest import clone_pipeline, sign_mutation_sites
+from conftest import clone_pipeline, identity, sign_mutation_sites
 
 from octofast.algebra import Octo, basis_mul, mul_naive
-from octofast.kernel import (CORRECTION_FORMS, ENTRY_FORMS, Pipeline,
-                             build_pipeline, default_pipeline, mul_fast)
+from octofast.kernel import (CORRECTION_FORMS, ENTRY_FORMS, LANES, Pipeline,
+                             PrecomputeSet, build_pipeline, default_pipeline,
+                             mul_fast)
 from octofast.linform import LinForm
 from octofast.program import emit_text, flatten
-from octofast.stages import Permute, QuasiDiagonal, SignScale, Sum
+from octofast.stages import QuasiDiagonal, SignScale, Sum
 from octofast.verify import certify
 
 HALF = Fraction(1, 2)
@@ -269,15 +270,13 @@ def test_default_pipeline_is_certified_and_cached():
 
 def test_pipeline_rejects_broken_chains():
     with pytest.raises(ValueError):
-        Pipeline(stages=[Permute((0, 1, 2))])           # 3 lanes, needs 8
+        Pipeline(stages=[identity(3)])  # 3 lanes, needs 8
     with pytest.raises(ValueError):
-        Pipeline(stages=[Permute(tuple(range(8)))],
-                 pre_stages=[Permute((0, 1))])
+        Pipeline(stages=[identity()], pre_stages=[identity(2)])
 
 
 def _with_recipe(recipe, tap_index=0):
-    return Pipeline(stages=[Permute(tuple(range(8)))],
-                    pre_stages=[Permute(tuple(range(8)))],
+    return Pipeline(stages=[identity()], pre_stages=[identity()],
                     recipes={"a": recipe}, tap_index=tap_index)
 
 
@@ -317,6 +316,19 @@ def test_pipeline_rejects_a_recipe_a_lane_shadows():
     core = QuasiDiagonal(dim=8, cells=((0, 0, "s0"),))
     with pytest.raises(ValueError, match="recipe s0: the name of a precompute"):
         Pipeline(stages=[core], recipes={"s0": ("input", 5, 1)})
+
+
+def test_only_the_eight_lane_names_are_reserved():
+    # s8 names no precompute lane, so a recipe may take it; s7 does
+    assert LANES == tuple(f"s{k}" for k in range(8))
+    assert not PrecomputeSet.is_lane("s8") and PrecomputeSet.is_lane("s7")
+    core = QuasiDiagonal(dim=8, cells=((0, 0, "s8"),))
+    p = Pipeline(stages=[core], recipes={"s8": ("input", 5, 1)})
+    x, b = Octo((3,) + (0,) * 7), Octo((0,) * 5 + (7, 0, 0))
+    assert mul_fast(x, b, p).c[0] == 21 == p.apply(x.c, p.precompute(b))[0]
+    with pytest.raises(ValueError, match="recipe s7: the name of a precompute"):
+        Pipeline(stages=[core], recipes={"s8": ("input", 5, 1),
+                                         "s7": ("input", 5, 1)})
 
 
 @pytest.mark.parametrize("name", ["s9", "nope"])

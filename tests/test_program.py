@@ -5,17 +5,17 @@ import re
 from fractions import Fraction
 
 import pytest
-from conftest import read_program
+from conftest import identity, read_program
 
 from octofast import kernel, program
 from octofast.algebra import Octo, mul_naive
 from octofast.kernel import Pipeline, build_pipeline, default_pipeline, mul_fast
 from octofast.linform import LinForm, SymMatrix
 from octofast.opcount import OpCount, Tally, count_algorithm
-from octofast.program import (INPUTS, Instr, Program, emit_csv, emit_text,
-                              eval_program, flatten, program_source)
-from octofast.stages import (Butterfly, FanOut, Permute, QuasiDiagonal,
-                             SignScale, Sum)
+from octofast.program import (INPUTS, Instr, Program, compile_program,
+                              emit_csv, emit_text, eval_program, flatten,
+                              program_source)
+from octofast.stages import Butterfly, FanOut, QuasiDiagonal, SignScale, Sum
 from octofast.verify import certify, compose_symbolic
 
 
@@ -151,9 +151,9 @@ def test_zero_slot_feeds_exactly_two_additions():
 
 
 def test_identity_pipeline_flattens_to_no_arithmetic():
-    p = Pipeline(stages=[Permute((4, 1, 2, 3, 0, 5, 6, 7))])
-    certify(p, target=p.stages[0].matrix())
-    prog = flatten(p)
+    # not the product, so never certified: read the lowering mul_fast runs
+    p = Pipeline(stages=[FanOut(src=(4, 1, 2, 3, 0, 5, 6, 7), in_dim=8)])
+    prog = p._program
     assert prog.instrs == ()
     assert prog.outputs == ("x4", "x1", "x2", "x3", "x0", "x5", "x6", "x7")
     assert emit_text(prog).endswith("# mults=0 adds=0\n")
@@ -162,7 +162,7 @@ def test_identity_pipeline_flattens_to_no_arithmetic():
 def test_compiled_zero_takes_the_kind_of_its_lane():
     # the core is the first stage, so its empty rows are zero_like(x0)
     p = Pipeline(stages=[QuasiDiagonal(dim=8, cells=((0, 0, "a"),))],
-                 pre_stages=[Permute(tuple(range(8)))],
+                 pre_stages=[identity()],
                  recipes={"a": ("input", 0, 1)})
     b = Octo((2,) * 8)
     for x0 in (3, 3.0, Fraction(3)):
@@ -175,12 +175,12 @@ def test_compiled_zero_takes_the_kind_of_its_lane():
 def test_eval_program_gives_the_walks_types():
     # the core is the first stage, so its empty rows are zeros of x0's kind
     p = Pipeline(stages=[QuasiDiagonal(dim=8, cells=((0, 0, "a"),))],
-                 pre_stages=[Permute(tuple(range(8)))],
+                 pre_stages=[identity()],
                  recipes={"a": ("input", 0, 1)})
-    assert certify(p, target=p.stages[0].matrix({"a": LinForm.var(0)})).ok
+    assert compose_symbolic(p) == p.stages[0].matrix({"a": LinForm.var(0)})
     x, b = Octo((3.0,) + (1.0,) * 7), Octo((2.0,) * 8)
     want = p.apply(x.c, p.precompute(b))
-    for got in (eval_program(flatten(p), x, b), mul_fast(x, b, p)):
+    for got in (eval_program(p._program, x, b), mul_fast(x, b, p)):
         assert got == Octo(want)
         assert [type(v) for v in got.c] == [float] * 8
 
@@ -189,7 +189,7 @@ def test_second_cell_less_core_lowers():
     # the second core's rows are all empty: zeros of a product's kind
     p = Pipeline(stages=[QuasiDiagonal(dim=8, cells=((0, 0, "a"),)),
                          QuasiDiagonal(dim=8, cells=())],
-                 pre_stages=[Permute(tuple(range(8)))],
+                 pre_stages=[identity()],
                  recipes={"a": ("input", 0, 1)})
     b = Octo((2,) * 8)
     for x0 in (3, 3.0, Fraction(3)):
@@ -225,12 +225,12 @@ def test_dead_lane_counts_agree():
                          Sum(rows=tuple(((k, 1),) for k in range(8)),
                              in_dim=16)])
     twice = SymMatrix([[2 * (i == j) for j in range(8)] for i in range(8)])
-    assert certify(p, target=twice).ok
+    assert compose_symbolic(p) == twice
     tally = Tally()
     p.apply(tally.wrap_octo(Octo.unit(0)).c,
             p.precompute(tally.wrap_octo(Octo.unit(0))))
     assert tally.snapshot() == OpCount(0, 16)
-    assert flatten(p).opcount() == tally.snapshot()
+    assert p._program.opcount() == tally.snapshot()
     assert count_algorithm("fast", p) == tally.snapshot()
 
 
@@ -291,6 +291,58 @@ def test_generated_bodies_keep_every_operation():
         == 12
 
 
+def _structural_zero(node, zero):
+    """The generic body's zero slot, or the int twin's literal 0, which it
+    may shift left to meet the other operand's exponent."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift):
+        node = node.left
+    return (isinstance(node, ast.Name) and node.id == zero
+            or isinstance(node, ast.Constant) and node.value == 0)
+
+
+def test_every_flipped_addition_in_the_generated_bodies_is_caught():
+    # flip each + or - of one body in turn: the mutant kernel, compiled into
+    # the scope the real one runs in, must miss the product somewhere.  Only
+    # adding or subtracting the core's structural zero goes unseen.
+    prog = flatten(default_pipeline())
+    [zero] = [i.dest for i in prog.instrs if i.op == "zero"]
+    scope = compile_program(prog).__globals__
+    tree = ast.parse(program_source(prog))
+    fns = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    rng = random.Random(29)
+    floats = [(tuple(rng.uniform(-1, 1) for _ in range(8)),
+               tuple(rng.uniform(-1, 1) for _ in range(8))) for _ in range(4)]
+    ints = [(rnd_octo(rng, 1000).c, rnd_octo(rng, 1000).c) for _ in range(4)]
+
+    def float_ok(got, want):
+        return all(abs(g - w) <= 1e-12 * (1 + abs(w)) for g, w in zip(got, want))
+
+    def int_ok(got, want):
+        return got == want
+
+    def survives(ok, pairs):
+        mutant = dict(scope)
+        exec(compile(tree, "<mutant kernel>", "exec"), mutant)
+        return all(ok(mutant["kernel"](x, b), mul_naive(Octo(x), Octo(b)).c)
+                   for x, b in pairs)
+
+    for name, ok, pairs in (("kernel", float_ok, floats),
+                            ("_int_kernel", int_ok, ints)):
+        assert survives(ok, pairs)  # the unmutated source passes
+        flips = _binops(fns[name], ast.Add, ast.Sub)
+        assert len(flips) == 92
+        survivors = []
+        for node in flips:
+            op = node.op
+            node.op = ast.Sub() if isinstance(op, ast.Add) else ast.Add()
+            if survives(ok, pairs):
+                survivors.append(node)
+            node.op = op
+        assert len(survivors) == 2, name
+        assert all(_structural_zero(n.right, zero) for n in survivors), [
+            ast.unparse(n) for n in survivors]
+
+
 def test_int_twin_counts_an_aliases_readers_toward_its_source():
     # t2 only raises t1's exponent, so the int twin reads t1's numerator
     # wherever t2 is read: t1, read once, must not be inlined twice
@@ -312,10 +364,9 @@ def _toy_program():
     # shifts by +2, -3 and +1 (the recipe's 2), and six empty core rows
     p = Pipeline(stages=[SignScale((4, Fraction(1, 8)) + (1,) * 6),
                          QuasiDiagonal(dim=8, cells=((0, 0, "a"), (1, 1, "a")))],
-                 pre_stages=[Permute(tuple(range(8)))],
+                 pre_stages=[identity()],
                  recipes={"a": ("input", 0, 2)})
-    assert certify(p, target=compose_symbolic(p)).ok
-    return flatten(p)
+    return p._program
 
 
 @pytest.mark.parametrize("make", [lambda: flatten(default_pipeline()),

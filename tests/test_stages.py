@@ -5,9 +5,8 @@ import pytest
 
 from octofast.kernel import build_pipeline
 from octofast.linform import LinForm
-from octofast.stages import (Butterfly, FanOut, Permute, QuasiDiagonal,
-                             SignScale, Sum, apply_stage, pow2, pow2_exponent,
-                             zero_like)
+from octofast.stages import (Butterfly, FanOut, QuasiDiagonal, SignScale, Sum,
+                             apply_stage, pow2, pow2_exponent, zero_like)
 
 
 def test_butterfly_pair():
@@ -23,13 +22,6 @@ def test_butterfly_leaves_outside_lanes():
 def test_butterfly_block_bounds():
     with pytest.raises(ValueError):
         Butterfly(half=2, starts=(1,), dim=4)
-
-
-def test_permute():
-    st = Permute((2, 0, 1))
-    assert st.apply([10, 11, 12]) == [12, 10, 11]
-    with pytest.raises(ValueError):
-        Permute((0, 0, 1))
 
 
 def test_signscale():
@@ -57,6 +49,7 @@ def test_pow2_rule():
 def test_fanout():
     st = FanOut(src=(0, 0, 1), in_dim=2)
     assert st.apply([7, 9]) == [7, 7, 9]
+    assert FanOut(src=(2, 0, 1), in_dim=3).apply([10, 11, 12]) == [12, 10, 11]
     with pytest.raises(ValueError):
         FanOut(src=(2,), in_dim=2)
 
@@ -88,7 +81,7 @@ def test_zero_like():
 
 def test_apply_stage_checks_dimension():
     with pytest.raises(ValueError):
-        apply_stage(Permute((0, 1)), [1, 2, 3])
+        apply_stage(FanOut(src=(0, 1), in_dim=2), [1, 2, 3])
 
 
 def test_matrices_agree_with_apply():
@@ -101,7 +94,7 @@ def test_matrices_agree_with_apply():
     pre_b = [Fraction(rng.randint(-9, 9)) for _ in range(8)]
     pre = {k: f.evaluate(pre_b) for k, f in forms.items()}
     stages = [
-        Permute((3, 1, 0, 2)),
+        FanOut(src=(3, 1, 0, 2), in_dim=4),
         SignScale((1, -1, Fraction(1, 2), 4)),
         Butterfly(half=2, starts=(0,), dim=4),
         FanOut(src=(0, 1, 2, 3, 2), in_dim=4),

@@ -1,12 +1,12 @@
 from dataclasses import replace
 
 import pytest
-from conftest import clone_pipeline, sign_mutation_sites
+from conftest import clone_pipeline, identity, sign_mutation_sites
 
 from octofast.algebra import Octo, mul_naive, schoolbook_matrix
 from octofast.kernel import CORRECTION_FORMS, Pipeline, build_pipeline, mul_fast
 from octofast.linform import DegreeError, LinForm, SymMatrix
-from octofast.stages import (Butterfly, Permute, QuasiDiagonal, SignScale,
+from octofast.stages import (Butterfly, FanOut, QuasiDiagonal, SignScale,
                              zero_like)
 from octofast.verify import (InconsistentSystemError, certify,
                              compose_symbolic, solve_corrections)
@@ -30,12 +30,11 @@ def test_composition_entries():
 
 
 def test_identity_pipeline_composes_to_identity():
-    p = Pipeline(stages=[Permute(tuple(range(8)))])
+    p = Pipeline(stages=[identity()])
     assert compose_symbolic(p) == SymMatrix.identity(8)
-    assert certify(p, target=SymMatrix.identity(8)).ok
-    # against the wrong target every diagonal-bearing entry differs
+    # the identity is not the product: every entry differs from it
     report = certify(p)
-    assert not report.ok
+    assert not report.ok and not p.certified
     assert len(report.residuals) == 64
 
 
@@ -133,19 +132,19 @@ def test_stage_that_departs_from_its_class_breaks_certification():
     _rejected_and_wrong(clone_pipeline(p, stages=stages))
 
 
-class _SquaringPermute(Permute):
-    """Declares a Permute, but its apply squares each lane it moves."""
+class _SquaringFanOut(FanOut):
+    """Declares a FanOut, but its apply squares each lane it moves."""
 
     def apply(self, vec, pre=None):
-        return [vec[i] * vec[i] for i in self.perm]
+        return [vec[j] * vec[j] for j in self.src]
 
 
 def test_nonlinear_stage_breaks_certification():
     # unit vectors square to themselves, so the matrix read off apply is
-    # the Permute's; the lowering sees the x-by-x multiplications
+    # the FanOut's; the lowering sees the x-by-x multiplications
     p = build_pipeline()
     si = next(i for i, st in enumerate(p.stages) if st.label == "swap04")
-    squaring = _SquaringPermute(p.stages[si].perm, "swap04")
+    squaring = _SquaringFanOut(p.stages[si].src, 8, "swap04")
     bad = clone_pipeline(p, stages=p.stages[:si] + (squaring,) + p.stages[si + 1:])
     x, b = Octo((1, 2, 3, 4, 5, 6, 7, 8)), Octo((8, 7, 6, 5, 4, 3, 2, 1))
     assert Octo(bad.apply(x.c, bad.precompute(b))) != mul_naive(x, b)
@@ -185,14 +184,14 @@ def test_core_product_with_b_side_first_is_refused():
         mul_fast(x, b, bad)
     # the smallest case names the inputs themselves
     first = Pipeline(stages=[_BSideFirstCore(dim=8, cells=((0, 0, "a"),))],
-                     pre_stages=[Permute(tuple(range(8)))],
+                     pre_stages=[identity()],
                      recipes={"a": ("input", 0, 1)})
     with pytest.raises(DegreeError, match=r"^t1 = mul b0 x0: "):
         mul_fast(x, b, first)
 
 
-class _TriplingPermute(Permute):
-    """The identity permutation that also multiplies lane 0 by 3."""
+class _TriplingFanOut(FanOut):
+    """The identity reindexing that also multiplies lane 0 by 3."""
 
     def apply(self, vec, pre=None):
         return [vec[0] * 3] + list(vec[1:])
@@ -201,22 +200,23 @@ class _TriplingPermute(Permute):
 def test_constant_that_is_not_a_power_of_two_is_refused():
     core = QuasiDiagonal(dim=8, cells=tuple((i, i, "a") for i in range(8)))
     with pytest.raises(ValueError, match="power of two"):
-        Pipeline(stages=[core], pre_stages=[Permute(tuple(range(8)))],
+        Pipeline(stages=[core], pre_stages=[identity()],
                  recipes={"a": ("input", 0, 3)})
     # the walk multiplies b0 by 3 in a stage; composition alone would prove
     # 3*b0*I, so only the lowering refuses it
-    p = Pipeline(stages=[core], pre_stages=[_TriplingPermute(tuple(range(8)))],
+    p = Pipeline(stages=[core],
+                 pre_stages=[_TriplingFanOut(tuple(range(8)), 8)],
                  recipes={"a": ("tap", 0, 1)},
                  entry_forms={"a": LinForm.var(0, 3)})
-    target = SymMatrix([[LinForm.var(0, 3) if i == j else 0
-                         for j in range(8)] for i in range(8)])
+    tripled = SymMatrix([[LinForm.var(0, 3) if i == j else 0
+                          for j in range(8)] for i in range(8)])
     with pytest.raises(ValueError, match="power of two") as proof:
-        certify(p, target=target)
+        certify(p)
     assert not p.certified
     with pytest.raises(ValueError) as run:
         mul_fast(Octo((1,) * 8), Octo((5,) + (0,) * 7), p)
     assert str(run.value) == str(proof.value)
-    assert compose_symbolic(p) == target
+    assert compose_symbolic(p) == tripled
 
 
 def test_two_quasidiagonal_stages_is_structural_violation():
@@ -260,7 +260,7 @@ def test_solver_reports_inconsistency():
 
 def test_solver_needs_exactly_one_core():
     with pytest.raises(ValueError):
-        solve_corrections(Pipeline(stages=[Permute(tuple(range(8)))]))
+        solve_corrections(Pipeline(stages=[identity()]))
 
 
 def test_solver_recovers_each_correction_alone():
