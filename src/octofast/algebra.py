@@ -21,6 +21,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple, Sequence
 
 from .linform import LinForm, SymMatrix
@@ -196,12 +197,14 @@ _MATRIX_ENTRIES = (
 )
 
 
+@cache
 def schoolbook_matrix() -> SymMatrix:
     """The 8x8 left-multiplication matrix with symbolic entries.
 
     ``schoolbook_matrix().evaluate(b.c)`` applied to ``x.c`` reproduces
     ``mul_naive(x, b)`` exactly; the fast kernel is certified against this
-    matrix.
+    matrix.  It is built once: a ``SymMatrix`` is immutable, so every caller
+    shares it.
     """
     return SymMatrix([[LinForm.var(idx, sign) for idx, sign in row]
                       for row in _MATRIX_ENTRIES])

@@ -1,10 +1,15 @@
 """Exact linear forms in the right operand, and dense symbolic matrices.
 
 A :class:`LinForm` is an affine expression ``c + q0*b0 + ... + q7*b7`` over the
-eight coefficients of the multiplication's right operand, with
-``fractions.Fraction`` coefficients throughout.  Every stage matrix of the fast
-kernel has LinForm entries, so composing stages symbolically stays exact and a
-claimed factorization can be checked by literal matrix equality.
+eight coefficients of the multiplication's right operand, with rational
+coefficients.  It is stored as nine integer numerators (``c`` first, then
+``q0..q7``) over one positive denominator, in lowest terms: the gcd of the
+numerators and the denominator is 1.  Equal forms therefore have equal
+fields, so comparison and hashing are tuple operations and the arithmetic is
+integer arithmetic; ``.const`` and ``.q`` give the coefficients back as
+``fractions.Fraction``.  Every stage matrix of the fast kernel has LinForm
+entries, so composing stages symbolically stays exact and a claimed
+factorization can be checked by literal matrix equality.
 
 Forms are degree-at-most-one by construction: multiplying two non-constant
 forms raises :class:`DegreeError`.  That restriction is the structural
@@ -15,11 +20,13 @@ quasi-diagonal stage.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, neg, sub
 from typing import Iterable, Sequence
 
 NVARS = 8
 
-_ZEROQ = (Fraction(0),) * NVARS
+_ZEROQ = (0,) * NVARS
 
 
 class DegreeError(ArithmeticError):
@@ -27,25 +34,51 @@ class DegreeError(ArithmeticError):
     ``mul`` that is not an x-side value times a b-side value."""
 
 
-def _frac(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    return Fraction(v)
+def _exact(v):
+    """``v`` itself if it is an int or a Fraction, else ``Fraction(v)``."""
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
 
 
 class LinForm:
-    """Affine form ``const + sum(q[i] * b_i)`` with rational coefficients."""
+    """Affine form ``const + sum(q[i] * b_i)`` with rational coefficients.
 
-    __slots__ = ("const", "q")
+    ``numerators`` holds the nine integer numerators (constant first) and
+    ``denominator`` their common positive denominator, in lowest terms.
+    """
+
+    __slots__ = ("_n", "_d")
 
     def __init__(self, const=0, q: Sequence = _ZEROQ):
         if len(q) != NVARS:
             raise ValueError(f"expected {NVARS} coefficients, got {len(q)}")
-        object.__setattr__(self, "const", _frac(const))
-        object.__setattr__(self, "q", tuple(_frac(c) for c in q))
+        vals = (const, *q)
+        if all(type(v) is int for v in vals):
+            self._n, self._d = vals, 1
+            return
+        fr = [v if isinstance(v, Fraction) else Fraction(v) for v in vals]
+        d = lcm(*(f.denominator for f in fr))
+        # each coefficient in lowest terms over the lcm leaves gcd 1
+        self._n = tuple(f.numerator * (d // f.denominator) for f in fr)
+        self._d = d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LinForm is immutable")
+    # ---- fields ----
+
+    @property
+    def numerators(self) -> tuple:
+        return self._n
+
+    @property
+    def denominator(self) -> int:
+        return self._d
+
+    @property
+    def const(self) -> Fraction:
+        return Fraction(self._n[0], self._d)
+
+    @property
+    def q(self) -> tuple:
+        d = self._d
+        return tuple(Fraction(n, d) for n in self._n[1:])
 
     # ---- constructors ----
 
@@ -55,117 +88,124 @@ class LinForm:
 
     @classmethod
     def constant(cls, v) -> "LinForm":
-        return cls(v)
+        return _coerce(_exact(v))
 
     @classmethod
     def var(cls, i: int, scale=1) -> "LinForm":
         """The form ``scale * b_i``."""
-        q = [Fraction(0)] * NVARS
-        q[i] = _frac(scale)
-        return cls(0, q)
+        scale = _exact(scale)
+        q = list(_ZEROQ)
+        q[i] = scale.numerator
+        return _form((0, *q), scale.denominator)
 
     @classmethod
     def combo(cls, terms: Iterable[tuple[int, object]], const=0) -> "LinForm":
         """Build from (index, coefficient) pairs; repeated indices accumulate."""
-        q = [Fraction(0)] * NVARS
+        q = list(_ZEROQ)
         for i, c in terms:
-            q[i] += _frac(c)
+            q[i] += _exact(c)
         return cls(const, q)
 
     # ---- predicates ----
 
     @property
     def is_constant(self) -> bool:
-        return all(c == 0 for c in self.q)
+        return not any(self._n[1:])
 
     @property
     def is_zero(self) -> bool:
-        return self.const == 0 and self.is_constant
+        return not any(self._n)
 
     def nonzero_count(self) -> int:
-        n = sum(1 for c in self.q if c != 0)
-        return n + (1 if self.const != 0 else 0)
+        return sum(1 for c in self._n if c)
 
     # ---- arithmetic ----
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return LinForm(self.const + other.const,
-                       tuple(a + b for a, b in zip(self.q, other.q)))
+        if not isinstance(other, LinForm):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _combine(add, self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return LinForm(self.const - other.const,
-                       tuple(a - b for a, b in zip(self.q, other.q)))
+        if not isinstance(other, LinForm):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _combine(sub, self, other)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other - self
+        return _combine(sub, other, self)
 
     def __neg__(self):
-        return LinForm(-self.const, tuple(-c for c in self.q))
+        return _form(tuple(map(neg, self._n)), self._d)
 
     def __mul__(self, other):
         if isinstance(other, LinForm):
-            if not other.is_constant:
-                if not self.is_constant:
+            if any(other._n[1:]):
+                if any(self._n[1:]):
                     raise DegreeError(
                         f"product of non-constant forms: ({self}) * ({other})")
                 self, other = other, self
-            other = other.const
-        elif not isinstance(other, (int, Fraction)):
+            p, r = other._n[0], other._d
+        elif isinstance(other, (int, Fraction)):
+            p, r = other.numerator, other.denominator
+        else:
             return NotImplemented
-        if not other:
+        if not p:
             return _LF_ZERO
-        if other == 1:
-            return self
-        if other == -1:
-            return -self
-        return LinForm(self.const * other, tuple(c * other for c in self.q))
+        if r == 1:
+            if p == 1:
+                return self
+            if p == -1:
+                return -self
+        return _reduced(tuple(p * n for n in self._n), self._d * r)
 
     __rmul__ = __mul__
 
     def scale(self, k) -> "LinForm":
-        return self * _frac(k)
+        return self * _exact(k)
 
     # ---- evaluation / comparison ----
 
     def evaluate(self, b: Sequence):
         """Value of the form at concrete coefficients ``b`` (length 8)."""
-        acc = self.const if self.const else 0
+        const = self.const
+        acc = const if const else 0
         for c, v in zip(self.q, b):
             if c:
                 acc = acc + c * v
         return acc
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.const == other.const and self.q == other.q
+        if not isinstance(other, LinForm):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._n == other._n and self._d == other._d
 
     def __hash__(self):
         # a constant form equals its constant, so it must hash as one
         if self.is_constant:
-            return hash(self.const)
-        return hash((self.const, self.q))
+            c = self._n[0]
+            return hash(c) if self._d == 1 else hash(Fraction(c, self._d))
+        return hash((self._n, self._d))
 
     def __repr__(self):
         return f"LinForm({self})"
 
     def __str__(self):
+        const, q = self.const, self.q
         parts = []
-        if self.const != 0 or self.is_constant:
-            parts.append(str(self.const))
-        for i, c in enumerate(self.q):
+        if const != 0 or self.is_constant:
+            parts.append(str(const))
+        for i, c in enumerate(q):
             if c == 0:
                 continue
             if c == 1:
@@ -180,15 +220,51 @@ class LinForm:
         return " ".join(parts)
 
 
+_new = object.__new__
+
+
+def _form(n: tuple, d: int) -> LinForm:
+    """The form with numerators ``n`` over ``d``, already in lowest terms."""
+    f = _new(LinForm)
+    f._n, f._d = n, d
+    return f
+
+
+def _reduced(n: tuple, d: int) -> LinForm:
+    """The form ``n / d`` for a positive ``d``, brought to lowest terms."""
+    if d != 1:
+        g = gcd(d, *n)
+        if g != 1:
+            n, d = tuple(v // g for v in n), d // g
+    return _form(n, d)
+
+
+def _combine(op, f: LinForm, g: LinForm) -> LinForm:
+    """``op(f, g)`` for ``op`` ``add`` or ``sub``."""
+    d = f._d
+    if d == g._d:
+        return _reduced(tuple(map(op, f._n, g._n)), d)
+    k = gcd(d, g._d)
+    mf, mg = g._d // k, d // k
+    return _reduced(tuple(op(a * mf, b * mg) for a, b in zip(f._n, g._n)),
+                    d * mf)
+
+
+_LF_ZERO = _form((0, *_ZEROQ), 1)
+# shared constant forms: every stage matrix is mostly 0 and +-1
+_SMALL = {0: _LF_ZERO, 1: _form((1, *_ZEROQ), 1), -1: _form((-1, *_ZEROQ), 1)}
+
+
 def _coerce(v):
+    """``v`` as a form: itself, or the constant form of an int or Fraction."""
+    if type(v) is int:
+        f = _SMALL.get(v)
+        return f if f is not None else _form((v, *_ZEROQ), 1)
     if isinstance(v, LinForm):
         return v
     if isinstance(v, (int, Fraction)):
-        return LinForm(v) if v else _LF_ZERO
+        return _form((v.numerator, *_ZEROQ), v.denominator)
     return NotImplemented
-
-
-_LF_ZERO = LinForm(0)
 
 
 class SymMatrix:
@@ -197,23 +273,21 @@ class SymMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence]):
-        grid = tuple(tuple(_entry(v) for v in row) for row in entries)
+        grid = tuple(tuple(map(_entry, row)) for row in entries)
         if not grid:
             raise ValueError("empty matrix")
         width = len(grid[0])
         if any(len(row) != width for row in grid):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "entries", grid)
+        _fill(self, grid)
 
     def __setattr__(self, name, value):
         raise AttributeError("SymMatrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "SymMatrix":
-        one, zero = LinForm.constant(1), LinForm.zero()
-        return cls([[one if i == j else zero for j in range(n)]
+        one = _SMALL[1]
+        return cls([[one if i == j else _LF_ZERO for j in range(n)]
                     for i in range(n)])
 
     def entry(self, i: int, j: int) -> LinForm:
@@ -222,19 +296,47 @@ class SymMatrix:
     def __matmul__(self, other: "SymMatrix") -> "SymMatrix":
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.cols} vs {other.rows}")
-        zero = LinForm.zero()
-        out = [[zero] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            arow = self.entries[i]
-            orow = out[i]
-            for k in range(self.cols):
-                a = arow[k]
-                if a.is_zero:
-                    continue  # skip: stage matrices are sparse
-                for j, bkj in enumerate(other.entries[k]):
-                    if not bkj.is_zero:
-                        orow[j] = orow[j] + a * bkj
-        return SymMatrix(out)
+        zero, brows, cols = _LF_ZERO, other.entries, range(other.cols)
+        out = []
+        for arow in self.entries:
+            # stage matrices are sparse: skip the shared zero, and keep the
+            # integer scale of each constant entry (None for the others)
+            terms = [(a, None if any(a._n[1:]) else a._n[0], brows[k])
+                     for k, a in enumerate(arow) if a is not zero]
+            row = []
+            for j in cols:
+                acc = None
+                for a, s, brow in terms:
+                    b = brow[j]
+                    if b is zero:
+                        continue
+                    if s is None:
+                        if any(b._n[1:]):
+                            raise DegreeError(f"product of non-constant "
+                                              f"forms: ({a}) * ({b})")
+                        t, n = b._n[0], a._n
+                    else:
+                        t, n = s, b._n
+                    d = a._d * b._d
+                    if acc is None:
+                        acc, den, last = (n if t == 1 else
+                                          [t * v for v in n]), d, b
+                    elif d == den:
+                        acc = (list(map(add, acc, n)) if t == 1 else
+                               [u + t * v for u, v in zip(acc, n)])
+                    else:
+                        k = gcd(den, d)
+                        ma, mt = d // k, t * (den // k)
+                        acc = [u * ma + mt * v for u, v in zip(acc, n)]
+                        den *= ma
+                if acc is None or not any(acc):
+                    row.append(zero)
+                elif acc is last._n and den == last._d:
+                    row.append(last)  # one term times 1: the entry itself
+                else:
+                    row.append(_reduced(tuple(acc), den))
+            out.append(tuple(row))
+        return _matrix(tuple(out))
 
     def evaluate(self, b: Sequence) -> list:
         """Concrete rational matrix at right-operand coefficients ``b``."""
@@ -251,6 +353,19 @@ class SymMatrix:
 
     def __repr__(self):
         return f"SymMatrix({self.rows}x{self.cols})"
+
+
+def _fill(m: SymMatrix, grid: tuple) -> None:
+    object.__setattr__(m, "rows", len(grid))
+    object.__setattr__(m, "cols", len(grid[0]))
+    object.__setattr__(m, "entries", grid)
+
+
+def _matrix(grid: tuple) -> SymMatrix:
+    """A SymMatrix over a rectangular grid of LinForms, taken as is."""
+    m = _new(SymMatrix)
+    _fill(m, grid)
+    return m
 
 
 def _entry(v) -> LinForm:

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from conftest import clone_pipeline, identity, sign_mutation_sites
@@ -70,6 +71,27 @@ def test_every_sign_mutation_site_breaks_certification():
     for desc, bad in sites[::9]:
         assert not certify(bad).ok, desc
 
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("site, golden", [
+    ("main:flip-tail[5]", "certify_main_flip-tail_5.txt"),
+    ("pre:scale-eighth[3]", "certify_pre_scale-eighth_3.txt"),
+])
+def test_failure_report_text_is_unchanged(site, golden):
+    # the report octofast verify prints, down to how each form is written;
+    # the precompute flip's residuals carry fractional coefficients
+    bad = dict(sign_mutation_sites(build_pipeline()))[site]
+    report = certify(bad)
+    text = (GOLDEN / golden).read_text()
+    assert report.to_text() == text
+    rows = text.splitlines()[2:]
+    assert len(rows) == len(report.residuals)
+    for line, r in zip(rows, report.residuals):
+        expected, got = line[9:].split(" | ")  # after " row col "
+        assert (str(r.expected), str(r.got)) == (expected, got)
+        assert repr(r.got) == f"LinForm({got})"
 
 def _rejected_and_wrong(bad):
     """certify rejects ``bad``, whose products are in fact wrong."""
