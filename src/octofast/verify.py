@@ -11,9 +11,11 @@ inputs at once, about the code that runs.
 
 The entry forms take no part in the proof.  They are the targets of
 :func:`solve_corrections`, which runs the residual machinery in reverse:
-chosen quasi-diagonal entries become unknowns, and the main chain's
-dependence on each of them, read off ``Pipeline.apply``, gives the linear
-system against the product that reconstructs damaged or unknown entry forms.
+chosen quasi-diagonal entries become unknowns.  The main chain is
+``post · core · pre``, two constant halves around its one core, each read
+once off its stages' ``apply``; the chain is then linear in each core
+entry, and matching it against the product gives the linear system that
+reconstructs damaged or unknown entry forms.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Iterable, Optional
 
 from .algebra import schoolbook_matrix
 from .linform import LinForm, SymMatrix
-from .stages import QuasiDiagonal, matrix_of
+from .stages import QuasiDiagonal
 
 
 @dataclass(frozen=True)
@@ -118,11 +120,16 @@ def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionS
     """Solve for quasi-diagonal entry forms from the main chain that runs.
 
     Entries named in ``unknown`` (default: every core entry with a
-    correction recipe) are treated as unknown linear forms.  The chain's
-    matrix is affine in the core values, so :func:`~octofast.stages.matrix_of`
-    reads it off ``p.apply`` with the known entry forms in the core (unknowns
-    at 0), and once per unknown set to 1 alone: its coefficients.  Matched
-    against the schoolbook matrix, these give a linear system.
+    correction recipe) are treated as unknown linear forms.  The main chain
+    is ``post · core · pre`` with constant halves around its one
+    quasi-diagonal core, each read once off its stages' own ``apply`` on
+    unit vectors (ints, or ``Fraction`` where a ``SignScale`` carries
+    ``2^-k``).  The known part of the chain is ``post @ (K @ pre)``, with
+    ``K`` the core holding the known entry forms (unknowns at 0); the
+    coefficient of an unknown ``u`` in entry ``(i, j)`` is
+    ``sum(post[i][r] * pre[c][j])`` over the cells ``(r, c, u)`` that read
+    it.  Matched against the schoolbook matrix, these give one linear
+    equation per entry.
 
     Inconsistency raises :class:`InconsistentSystemError`; under-determined
     unknowns resolve to the zero form (the fewest-nonzero-coefficients
@@ -130,12 +137,14 @@ def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionS
     sorted-name order, so the result is deterministic.  An unknown the core
     does not read, and a known with no entry form, raise ``ValueError``.
     """
-    cores = [st for st in p.stages if isinstance(st, QuasiDiagonal)]
-    if len(cores) != 1:
+    at = [k for k, st in enumerate(p.stages) if isinstance(st, QuasiDiagonal)]
+    if len(at) != 1:
         # with two cores the chain multiplies core values: not linear
         raise ValueError(
-            f"expected exactly one quasi-diagonal stage, found {len(cores)}")
-    read = {name for _, _, name in cores[0].cells}
+            f"expected exactly one quasi-diagonal stage, found {len(at)}")
+    k = at[0]
+    core = p.stages[k]
+    read = {name for _, _, name in core.cells}
 
     if unknown is None:
         unknown = [name for name in read if name in p.recipes]
@@ -147,61 +156,90 @@ def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionS
     if formless:
         raise ValueError(f"knowns with no entry form: {', '.join(formless)}")
 
-    def walk(values):
-        return matrix_of(lambda x: p.apply(x, values), 8)
+    pre = list(zip(*_unit_columns(p.stages[:k], 8)))  # core.dim rows of 8
+    post_cols = _unit_columns(p.stages[k + 1:], core.dim)  # core.dim cols of 8
 
-    known = walk({n: 0 if n in names else p.entry_forms[n] for n in read})
-    coeffs = [walk({n: int(n == u) for n in read}) for u in names]
+    col = {n: u for u, n in enumerate(names)}
+    core_known = [[0] * core.dim for _ in range(core.dim)]
+    coeffs = [[0] * len(names) for _ in range(64)]  # row 8*i + j: entry (i, j)
+    for r, c, name in core.cells:
+        if name not in col:
+            core_known[r][c] = p.entry_forms[name]
+            continue
+        u = col[name]
+        for i, a in enumerate(post_cols[r]):
+            if a:
+                for j, b in enumerate(pre[c]):
+                    if b:
+                        coeffs[8 * i + j][u] += a * b
+    known = SymMatrix(list(zip(*post_cols))) @ (
+        SymMatrix(core_known) @ SymMatrix(pre))
 
     # One equation per output entry: sum(coeff * unknown) = target - known.
     target = schoolbook_matrix()
-    equations = [([c.entry(i, j).const for c in coeffs],
-                  target.entry(i, j) - known.entry(i, j))
-                 for i in range(8) for j in range(8)]
-
-    assignment, free = _solve_linear(names, equations)
+    rhs = [target.entry(i, j) - known.entry(i, j)
+           for i in range(8) for j in range(8)]
+    assignment, free = _solve_linear(names, coeffs, rhs)
     return CorrectionSolve(assignment=assignment, free=tuple(free))
 
 
-def _solve_linear(names, equations):
-    """Gauss-Jordan over the rationals with LinForm right-hand sides."""
+def _unit_columns(stages, n: int) -> list:
+    """Column ``j`` of the constant chain ``stages``: each stage's ``apply``
+    in turn on the ``j``-th of ``n`` unit vectors."""
+    cols = []
+    for j in range(n):
+        vec = [int(i == j) for i in range(n)]
+        for st in stages:
+            vec = st.apply(vec, None)
+        cols.append(vec)
+    return cols
+
+
+def _solve_linear(names, coeffs, rhs):
+    """Gauss-Jordan on int or ``Fraction`` coefficient rows with LinForm
+    right-hand sides, free of division until the end.
+
+    A pivot ``a`` clears its column from row ``r`` by ``r <- a*r - f*pivot``
+    (the integer-preserving step of Bareiss elimination, without Bareiss's
+    division by the previous pivot, which the chain's small coefficients do
+    not need); each solved right-hand side is scaled once by ``1/a`` for
+    its final pivot ``a``.  ``scale`` keeps what each row was multiplied by,
+    so a residual is reported as plain subtraction would leave it.
+    """
     n = len(names)
-    rows = [(list(c), rhs) for c, rhs in equations]
+    rows = [[list(c), r, 1] for c, r in zip(coeffs, rhs)]
     pivot_of_col = {}
     rank = 0
     for col in range(n):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][0][col] != 0),
+        piv = next((r for r in range(rank, len(rows)) if rows[r][0][col]),
                    None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        pc, prhs = rows[rank]
-        inv = Fraction(1) / pc[col]
-        pc = [v * inv for v in pc]
-        prhs = prhs * inv
-        rows[rank] = (pc, prhs)
-        for r in range(len(rows)):
-            if r == rank:
-                continue
-            f = rows[r][0][col]
-            if f != 0:
-                rc, rrhs = rows[r]
-                rows[r] = ([a - f * b for a, b in zip(rc, pc)],
-                           rrhs - f * prhs)
+        pc, prhs, _ = rows[rank]
+        a = pc[col]
+        for r, row in enumerate(rows):
+            f = row[0][col]
+            if f and r != rank:
+                row[0] = [a * u - f * v for u, v in zip(row[0], pc)]
+                row[1] = a * row[1] - f * prhs
+                row[2] *= a
         pivot_of_col[col] = rank
         rank += 1
 
-    for coeffs, rhs in rows[rank:]:
-        if not rhs.is_zero:
+    for _, residual, scale in rows[rank:]:
+        if not residual.is_zero:
             raise InconsistentSystemError(
                 f"no entry assignment satisfies the fixed stages "
-                f"(residual {rhs} over zero coefficients)")
+                f"(residual {residual * (1 / Fraction(scale))} over zero "
+                f"coefficients)")
 
     free = [names[c] for c in range(n) if c not in pivot_of_col]
     assignment = {}
     for col, name in enumerate(names):
         if col in pivot_of_col:
-            assignment[name] = rows[pivot_of_col[col]][1]
+            pc, prhs, _ = rows[pivot_of_col[col]]
+            assignment[name] = prhs * (1 / Fraction(pc[col]))
         else:
             assignment[name] = LinForm.zero()
     return assignment, free

@@ -1,9 +1,12 @@
 from dataclasses import replace
+from fractions import Fraction
 
+from octofast.algebra import schoolbook_matrix
 from octofast.kernel import Pipeline
 from octofast.linform import LinForm, SymMatrix
 from octofast.program import INPUTS, Instr, Program, emit_text
-from octofast.stages import FanOut, SignScale, Sum
+from octofast.stages import FanOut, QuasiDiagonal, SignScale, Sum, matrix_of
+from octofast.verify import CorrectionSolve, InconsistentSystemError
 
 
 def clone_pipeline(p, stages=None, forms=None, pre_stages=None, recipes=None):
@@ -78,6 +81,60 @@ def sign_mutation_sites(p):
         recipes[name] = (src, lane, -factor)
         sites.append((f"recipe:{name}", clone_pipeline(p, recipes=recipes)))
     return sites
+
+
+def reference_solve(p, unknown=None):
+    """What ``verify.solve_corrections`` computes, built the slow way.
+
+    The whole main chain is walked through ``Pipeline.apply`` on unit
+    vectors once with the known entry forms in the core and once per
+    unknown set to 1 alone, and the system is eliminated by Gauss-Jordan
+    over ``Fraction``s, normalizing each pivot row as it is chosen.
+    Validation of ``unknown`` is left to the solver under test.
+    """
+    core, = (st for st in p.stages if isinstance(st, QuasiDiagonal))
+    read = {name for _, _, name in core.cells}
+    if unknown is None:
+        unknown = [name for name in read if name in p.recipes]
+    names = sorted(set(unknown))
+
+    def walk(values):
+        return matrix_of(lambda x: p.apply(x, values), 8)
+
+    known = walk({n: 0 if n in names else p.entry_forms[n] for n in read})
+    coeffs = [walk({n: int(n == u) for n in read}) for u in names]
+    target = schoolbook_matrix()
+    rows = [([c.entry(i, j).const for c in coeffs],
+             target.entry(i, j) - known.entry(i, j))
+            for i in range(8) for j in range(8)]
+
+    pivot_of_col, rank = {}, 0
+    for col in range(len(names)):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][0][col] != 0),
+                   None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pc, prhs = rows[rank]
+        inv = Fraction(1) / pc[col]
+        pc, prhs = [v * inv for v in pc], prhs * inv
+        rows[rank] = (pc, prhs)
+        for r in range(len(rows)):
+            f = rows[r][0][col]
+            if r != rank and f != 0:
+                rc, rrhs = rows[r]
+                rows[r] = ([a - f * b for a, b in zip(rc, pc)], rrhs - f * prhs)
+        pivot_of_col[col] = rank
+        rank += 1
+    for _, rhs in rows[rank:]:
+        if not rhs.is_zero:
+            raise InconsistentSystemError(
+                f"no entry assignment satisfies the fixed stages "
+                f"(residual {rhs} over zero coefficients)")
+    free = tuple(n for c, n in enumerate(names) if c not in pivot_of_col)
+    assignment = {n: rows[pivot_of_col[c]][1] if c in pivot_of_col
+                  else LinForm.zero() for c, n in enumerate(names)}
+    return CorrectionSolve(assignment=assignment, free=free)
 
 
 _ARITY = {"add": 2, "sub": 2, "mul": 2, "neg": 1, "zero": 1, "shift": 2}

@@ -1,15 +1,17 @@
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import clone_pipeline, identity, sign_mutation_sites
+from conftest import (clone_pipeline, identity, reference_solve,
+                      sign_mutation_sites)
 
 from octofast.algebra import Octo, mul_naive, schoolbook_matrix
 from octofast.kernel import CORRECTION_FORMS, Pipeline, build_pipeline, mul_fast
 from octofast.linform import DegreeError, LinForm, SymMatrix
-from octofast.stages import (Butterfly, FanOut, QuasiDiagonal, SignScale,
+from octofast.stages import (Butterfly, FanOut, QuasiDiagonal, SignScale, Sum,
                              zero_like)
-from octofast.verify import (InconsistentSystemError, certify,
+from octofast.verify import (InconsistentSystemError, _unit_columns, certify,
                              compose_symbolic, solve_corrections)
 
 
@@ -323,3 +325,102 @@ def test_solver_rejects_two_cores():
                  entry_forms={"a": LinForm.var(0)})
     with pytest.raises(ValueError, match="exactly one"):
         solve_corrections(p)
+
+
+def _solve_outcome(solve, p, unknown):
+    try:
+        sol = solve(p, unknown)
+    except InconsistentSystemError as e:
+        return "inconsistent", str(e)
+    return sol.assignment, sol.free
+
+
+@pytest.mark.parametrize("unknowns", ["default", "all"])
+def test_solver_agrees_with_the_walk_per_unknown(unknowns):
+    # the shipped pipeline and every main-chain sign mutant, solved from the
+    # chain's two constant halves and by walking the whole chain per unknown
+    p = build_pipeline()
+    core, = (st for st in p.stages if isinstance(st, QuasiDiagonal))
+    every = sorted({name for _, _, name in core.cells})
+    unknown = None if unknowns == "default" else every
+    cases = [("shipped", p)] + [(site, m) for site, m in sign_mutation_sites(p)
+                                if site.startswith("main:")]
+    outcomes = set()
+    for site, q in cases:
+        got = _solve_outcome(solve_corrections, q, unknown)
+        assert got == _solve_outcome(reference_solve, q, unknown), site
+        outcomes.add(got[0] == "inconsistent")
+    assert outcomes == {True, False}  # both kinds of outcome are compared
+
+
+def _toy_chain(name64, row64):
+    """A chain through a 65-lane core.  Lane 8i + j carries x_j times
+    schoolbook entry (i, j), read off a recipe e{i}{j}, and row i of a Sum
+    adds up lanes 8i..8i+7: that alone computes the product.  Lane 64
+    carries x_0 times the value ``name64`` (a recipe for b_0 if it is not
+    an e{i}{j}), and row ``row64`` of the Sum adds it too (None: none)."""
+    target = schoolbook_matrix()
+    recipes, forms, cells = {}, {}, []
+    for i in range(8):
+        for j in range(8):
+            e = target.entry(i, j)
+            k = next(k for k, q in enumerate(e.numerators[1:]) if q)
+            recipes[f"e{i}{j}"] = ("input", k, e.numerators[1 + k])
+            forms[f"e{i}{j}"] = e
+            cells.append((8 * i + j, 8 * i + j, f"e{i}{j}"))
+    recipes.setdefault(name64, ("input", 0, 1))
+    forms.setdefault(name64, LinForm.var(0))
+    cells.append((64, 64, name64))
+    rows = [[(8 * i + j, 1) for j in range(8)] for i in range(8)]
+    if row64 is not None:
+        rows[row64].append((64, 1))
+    stages = [FanOut(src=tuple(range(8)) * 8 + (0,), in_dim=8),
+              QuasiDiagonal(dim=65, cells=tuple(cells)),
+              Sum(rows=tuple(map(tuple, rows)), in_dim=65)]
+    return Pipeline(stages=stages, recipes=recipes, entry_forms=forms)
+
+
+def test_solver_frees_an_unknown_on_a_dropped_core_row():
+    p = _toy_chain("spare", None)
+    assert certify(p).ok
+    sol = solve_corrections(p)
+    assert sol.free == ("spare",)
+    assert sol.assignment.pop("spare") is LinForm.zero()
+    assert sol.assignment == {n: f for n, f in p.entry_forms.items()
+                              if n != "spare"}
+    assert _solve_outcome(solve_corrections, p, None) == \
+        _solve_outcome(reference_solve, p, None)
+
+
+def test_solver_adds_up_the_cells_that_read_one_name():
+    # e00 is read on lanes 0 and 64, both summed into output 0: its
+    # coefficient in entry (0, 0) is 2, so it must be b_0 / 2
+    p = _toy_chain("e00", 0)
+    sol = solve_corrections(p, unknown=["e00"])
+    assert sol.free == ()
+    assert sol.assignment == {"e00": LinForm.var(0, Fraction(1, 2))}
+    assert _solve_outcome(solve_corrections, p, ["e00"]) == \
+        _solve_outcome(reference_solve, p, ["e00"])
+
+
+def test_solver_reads_fraction_halves():
+    # 2^k before the core on some lanes and 2^-k after it on the same lanes
+    # leave the product alone, but put Fractions into both constant halves
+    p = build_pipeline()
+    at = next(k for k, st in enumerate(p.stages)
+              if isinstance(st, QuasiDiagonal))
+    core = p.stages[at]
+    before = [Fraction(1, 2)] * 4 + [1] * 4 + [4] * 4 + [1] * 12
+    after = [1 / Fraction(f) for f in before]
+    stages = (p.stages[:at] + (SignScale(tuple(before), label="pre-scale"),
+                               core,
+                               SignScale(tuple(after), label="post-scale"))
+              + p.stages[at + 1:])
+    q = clone_pipeline(p, stages=stages)
+    assert certify(q).ok
+    pre = _unit_columns(q.stages[:at + 1], 8)
+    post = _unit_columns(q.stages[at + 2:], core.dim)
+    for half in (pre, post):
+        assert any(type(v) is Fraction for column in half for v in column)
+    sol = solve_corrections(q)
+    assert sol.free == () and sol.assignment == CORRECTION_FORMS
