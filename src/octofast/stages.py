@@ -6,9 +6,9 @@ Every stage is linear in its input; the only data-dependent entries live in
 
 A stage has one meaning, its ``apply``: it runs on concrete vectors (exact,
 float, or instrumented scalars) and on the slot scalars the lowering uses.
-Its :class:`~octofast.linform.SymMatrix`, which the proof composes, is read
-off that same ``apply`` (:meth:`Stage.matrix`, through :func:`matrix_of`), so
-the matrices certified are those of the code that runs.
+The proof runs that same ``apply`` too, on unit vectors and symbolic core
+values (:func:`octofast.verify.compose_symbolic`), so the matrix certified
+is that of the code that runs.
 
 Every constant a stage or recipe multiplies by is ``±2^k``, a free shift
 under the counting rules.  That rule lives here alone: :func:`pow2_exponent`
@@ -70,7 +70,11 @@ class Stage:
 
     def matrix(self, forms: Optional[Mapping] = None) -> SymMatrix:
         """The stage's matrix, read off its ``apply`` by :func:`matrix_of`,
-        with quasi-diagonal values read from ``forms``."""
+        with quasi-diagonal values read from ``forms``.
+
+        Kept because the frozen benchmark (``perfbench/harness.py``) and the
+        tests call it; the proof runs whole chains on unit vectors instead.
+        """
         return matrix_of(lambda vec: self.apply(vec, forms), self.in_dim)
 
 

@@ -3,9 +3,10 @@
 The one claim a certificate makes is "this pipeline computes the product of
 hyperbolic octonions", and it is discharged by algebra, not sampling.  The
 pipeline's own ``precompute`` runs on the symbolic operand
-``b_i = LinForm.var(i)``; every main-chain stage's matrix is read off its own
-``apply`` (:meth:`~octofast.stages.Stage.matrix`) with those values in the
-core; the matrices are composed and compared entry by entry with the 8x8
+``b_i = LinForm.var(i)``.  The main chain is read as a head, which ends with
+its quasi-diagonal core, and a constant tail; each runs once through its
+stages' own ``apply`` on unit vectors, the head with those values in the
+core.  Their product ``tail @ head`` is compared entry by entry with the 8x8
 left-multiplication matrix.  A clean certificate is a theorem about all
 inputs at once, about the code that runs.
 
@@ -69,30 +70,40 @@ class InconsistentSystemError(ValueError):
 
 
 def compose_symbolic(p) -> SymMatrix:
-    """Exact product of the main-chain stage matrices of ``p`` (8x8 forms),
-    with the values ``p.precompute`` yields on a symbolic ``b`` in the core.
+    """The 8x8 matrix of the main chain of ``p``, with the values
+    ``p.precompute`` yields on a symbolic ``b`` in the core.
+
+    The chain is split just after its last quasi-diagonal stage, or before
+    its first stage if it has none (:func:`_split`).  The head runs once on
+    the 8 unit vectors through its stages' own ``apply``: plain ints up to
+    the core, linear forms from it on.  The tail is constant and runs once,
+    in plain ints (``Fraction`` after a ``2^-k`` scale), on the unit vectors
+    of the head's output width.  Column ``j`` of each is its image of the
+    ``j``-th unit vector, so for linear stages the result is
+    ``tail @ head``: one product of two matrices.
 
     Raises :class:`~octofast.linform.DegreeError` if two data-dependent
     stages would multiply — a structural violation of the bilinear shape.
     """
     pre = p.precompute([LinForm.var(i) for i in range(8)])
-    acc = SymMatrix.identity(8)
-    for st in p.stages:
-        acc = st.matrix(pre) @ acc
-    return acc
+    _, head, tail = _split(p.stages)
+    head = _unit_columns(head, 8, pre)
+    return SymMatrix(list(zip(*tail))) @ SymMatrix(list(zip(*head)))
 
 
 def certify(p) -> ResidualReport:
     """Prove that ``p`` computes the hyperbolic-octonion product for every
     input.
 
-    :func:`compose_symbolic` must equal the schoolbook matrix, and no other
-    target can be given; each differing entry is a :class:`Residual`.  The
-    lowering of ``p`` is built first and raises if it is not bilinear (see
-    :mod:`octofast.program`), which catches a nonlinear ``apply`` that unit
-    vectors cannot reveal; the lowering it gates is the one ``mul_fast``
-    runs and ``flatten`` emits.  On success ``p.certified`` is set: it
-    vouches for this one claim and no other.
+    :func:`compose_symbolic`, the main chain's head and constant tail each
+    read once off their stages' ``apply`` and multiplied, must equal the
+    schoolbook matrix, and no other target can be given; each differing
+    entry is a :class:`Residual`.  The lowering of ``p`` is built first and
+    raises if it is not bilinear (see :mod:`octofast.program`), which
+    catches a nonlinear ``apply`` that unit vectors cannot reveal; the
+    lowering it gates is the one ``mul_fast`` runs and ``flatten`` emits.
+    On success ``p.certified`` is set: it vouches for this one claim and no
+    other.
     """
     target = schoolbook_matrix()
     p._program  # lowered first: it refuses what composition cannot see
@@ -124,7 +135,8 @@ def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionS
     is ``post · core · pre`` with constant halves around its one
     quasi-diagonal core, each read once off its stages' own ``apply`` on
     unit vectors (ints, or ``Fraction`` where a ``SignScale`` carries
-    ``2^-k``).  The known part of the chain is ``post @ (K @ pre)``, with
+    ``2^-k``), split as :func:`compose_symbolic` splits it (:func:`_split`).
+    The known part of the chain is ``post @ (K @ pre)``, with
     ``K`` the core holding the known entry forms (unknowns at 0); the
     coefficient of an unknown ``u`` in entry ``(i, j)`` is
     ``sum(post[i][r] * pre[c][j])`` over the cells ``(r, c, u)`` that read
@@ -137,13 +149,12 @@ def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionS
     sorted-name order, so the result is deterministic.  An unknown the core
     does not read, and a known with no entry form, raise ``ValueError``.
     """
-    at = [k for k, st in enumerate(p.stages) if isinstance(st, QuasiDiagonal)]
-    if len(at) != 1:
+    cores, head, post_cols = _split(p.stages)  # core.dim cols of 8
+    if len(cores) != 1:
         # with two cores the chain multiplies core values: not linear
         raise ValueError(
-            f"expected exactly one quasi-diagonal stage, found {len(at)}")
-    k = at[0]
-    core = p.stages[k]
+            f"expected exactly one quasi-diagonal stage, found {len(cores)}")
+    core = head[-1]
     read = {name for _, _, name in core.cells}
 
     if unknown is None:
@@ -156,8 +167,7 @@ def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionS
     if formless:
         raise ValueError(f"knowns with no entry form: {', '.join(formless)}")
 
-    pre = list(zip(*_unit_columns(p.stages[:k], 8)))  # core.dim rows of 8
-    post_cols = _unit_columns(p.stages[k + 1:], core.dim)  # core.dim cols of 8
+    pre = list(zip(*_unit_columns(head[:-1], 8)))  # core.dim rows of 8
 
     col = {n: u for u, n in enumerate(names)}
     core_known = [[0] * core.dim for _ in range(core.dim)]
@@ -183,14 +193,28 @@ def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionS
     return CorrectionSolve(assignment=assignment, free=tuple(free))
 
 
-def _unit_columns(stages, n: int) -> list:
-    """Column ``j`` of the constant chain ``stages``: each stage's ``apply``
-    in turn on the ``j``-th of ``n`` unit vectors."""
+def _split(stages) -> tuple:
+    """Split the main chain ``stages`` just after its last quasi-diagonal
+    stage, or before its first stage if it has none.
+
+    Returns ``(cores, head, tail)``: the indices of the quasi-diagonal
+    stages, the stages up to the split, and the columns of the constant
+    stages after it on the unit vectors of the split's width.
+    """
+    cores = [k for k, st in enumerate(stages) if isinstance(st, QuasiDiagonal)]
+    k = cores[-1] + 1 if cores else 0
+    width = stages[k - 1].out_dim if k else 8
+    return cores, stages[:k], _unit_columns(stages[k:], width)
+
+
+def _unit_columns(stages, n: int, values=None) -> list:
+    """Column ``j`` of the chain ``stages``: each stage's ``apply`` in turn
+    on the ``j``-th of ``n`` unit vectors, with ``values`` in any core."""
     cols = []
     for j in range(n):
         vec = [int(i == j) for i in range(n)]
         for st in stages:
-            vec = st.apply(vec, None)
+            vec = st.apply(vec, values)
         cols.append(vec)
     return cols
 

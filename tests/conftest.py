@@ -83,6 +83,17 @@ def sign_mutation_sites(p):
     return sites
 
 
+def reference_compose(p):
+    """What ``verify.compose_symbolic`` computes, built the slow way: every
+    main-chain stage's matrix read off its ``apply`` on unit vectors, with
+    the symbolic precompute in the core, multiplied in one at a time."""
+    pre = p.precompute([LinForm.var(i) for i in range(8)])
+    acc = SymMatrix.identity(8)
+    for st in p.stages:
+        acc = st.matrix(pre) @ acc
+    return acc
+
+
 def reference_solve(p, unknown=None):
     """What ``verify.solve_corrections`` computes, built the slow way.
 

@@ -3,16 +3,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import (clone_pipeline, identity, reference_solve,
-                      sign_mutation_sites)
+from conftest import (clone_pipeline, identity, reference_compose,
+                      reference_solve, sign_mutation_sites)
 
 from octofast.algebra import Octo, mul_naive, schoolbook_matrix
 from octofast.kernel import CORRECTION_FORMS, Pipeline, build_pipeline, mul_fast
 from octofast.linform import DegreeError, LinForm, SymMatrix
 from octofast.stages import (Butterfly, FanOut, QuasiDiagonal, SignScale, Sum,
                              zero_like)
-from octofast.verify import (InconsistentSystemError, _unit_columns, certify,
-                             compose_symbolic, solve_corrections)
+from octofast import verify
+from octofast.verify import (InconsistentSystemError, _split, _unit_columns,
+                             certify, compose_symbolic, solve_corrections)
 
 
 def test_pipeline_certifies():
@@ -423,4 +424,105 @@ def test_solver_reads_fraction_halves():
     for half in (pre, post):
         assert any(type(v) is Fraction for column in half for v in column)
     sol = solve_corrections(q)
+    assert sol.free == () and sol.assignment == CORRECTION_FORMS
+
+
+def test_composition_agrees_with_the_stage_by_stage_product():
+    # the head and the tail walked once each against every stage's matrix
+    # multiplied in, on the shipped pipeline and every sign mutant
+    p = build_pipeline()
+    cases = [("shipped", p)] + sign_mutation_sites(p)
+    assert {site.split(":")[0] for site, _ in cases} >= {"main", "pre"}
+    for site, q in cases:
+        assert compose_symbolic(q) == reference_compose(q), site
+
+
+def _core_first():
+    p = build_pipeline()
+    core = QuasiDiagonal(dim=8, cells=tuple((i, i, f"s{i}") for i in range(8))
+                         + ((0, 3, "sumcorr_01"), (5, 2, "diffcorr_12")))
+    return clone_pipeline(p, stages=(
+        core, Butterfly(half=4, starts=(0,), dim=8),
+        SignScale((1, -1) * 4), FanOut(src=(7, 6, 5, 4, 3, 2, 1, 0), in_dim=8)))
+
+
+def _core_last():
+    p = build_pipeline()
+    core = QuasiDiagonal(dim=16, cells=tuple((i, i, f"s{i % 8}")
+                                             for i in range(0, 16, 3))
+                         + ((1, 9, "swapcorr_11"), (15, 2, "sumcorr_02")))
+    return clone_pipeline(p, stages=(
+        FanOut(src=(4, 1, 2, 3, 0, 5, 6, 7), in_dim=8),
+        FanOut(src=tuple(range(8)) * 2, in_dim=8),
+        Butterfly(half=4, starts=(0, 8), dim=16), core,
+        Sum(rows=tuple(((j, 1), (j + 8, -1)) for j in range(8)), in_dim=16)))
+
+
+def _fraction_halves():
+    # 2^-1 and 2^2 before the core, their inverses after it
+    p = build_pipeline()
+    at = next(k for k, st in enumerate(p.stages)
+              if isinstance(st, QuasiDiagonal))
+    before = [Fraction(1, 2)] * 4 + [1] * 4 + [4] * 4 + [1] * 12
+    after = [1 / Fraction(f) for f in before]
+    return clone_pipeline(p, stages=(
+        p.stages[:at] + (SignScale(tuple(before), label="pre-scale"),
+                         p.stages[at],
+                         SignScale(tuple(after), label="post-scale"))
+        + p.stages[at + 1:]))
+
+
+@pytest.mark.parametrize("make, certifies", [
+    (_core_first, False),
+    (_core_last, False),
+    (lambda: Pipeline(stages=[identity()]), False),
+    (lambda: Pipeline(stages=[]), False),
+    (_fraction_halves, True),
+], ids=["core-first", "core-last", "no-core", "empty", "fraction-halves"])
+def test_composition_agrees_on_chains_split_anywhere(make, certifies):
+    p = make()
+    assert compose_symbolic(p) == reference_compose(p)
+    assert certify(p).ok is certifies
+    if make is _fraction_halves:
+        # both halves carry Fractions: the ints before the core and the tail
+        _, head, tail = _split(p.stages)
+        assert any(type(v) is Fraction
+                   for col in _unit_columns(head[:-1], 8) for v in col)
+        assert any(type(v) is Fraction for col in tail for v in col)
+
+
+def test_two_cores_raise_in_both_compositions():
+    qd = QuasiDiagonal(dim=8, cells=((0, 0, "a"), (1, 1, "a")))
+    p = Pipeline(stages=[qd, Butterfly(half=1, starts=(0,), dim=8), qd],
+                 recipes={"a": ("input", 0, 1)},
+                 entry_forms={"a": LinForm.var(0)})
+    for compose in (compose_symbolic, reference_compose):
+        with pytest.raises(DegreeError):
+            compose(p)
+
+
+def test_certify_goes_through_the_entry_points_the_trace_wraps(monkeypatch):
+    # perfbench/layers.py times certify by wrapping verify.compose_symbolic
+    # and SymMatrix.__matmul__, and calls solve_corrections(p); CI's traced
+    # smoke run reads those spans and fails obscurely without them
+    calls = {"compose": 0, "matmul": 0}
+    compose, matmul = verify.compose_symbolic, SymMatrix.__matmul__
+
+    def counted_compose(p):
+        calls["compose"] += 1
+        return compose(p)
+
+    def counted_matmul(a, b):
+        calls["matmul"] += 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(verify, "compose_symbolic", counted_compose)
+    monkeypatch.setattr(SymMatrix, "__matmul__", counted_matmul)
+    p = build_pipeline()
+    assert certify(p).ok
+    assert calls["compose"] == 1, \
+        "certify must call compose_symbolic through the module attribute"
+    assert calls["matmul"] >= 1, \
+        "certify of a one-core pipeline must make at least one SymMatrix @"
+    sol = solve_corrections(p)
     assert sol.free == () and sol.assignment == CORRECTION_FORMS
