@@ -15,7 +15,8 @@ the corrections cost no extra additions.
 
 ``octofast.verify.certify`` proves the stages and recipes below as they run,
 precompute included.  The entry forms only document, in closed form, what the
-precompute yields, and are the targets of ``verify.solve_corrections``.
+precompute yields, and are the targets of ``verify.solve_corrections``, which
+runs the known ones through the core's own ``apply``.
 
 :func:`mul_fast` does not interpret the stages.  A pipeline lowers its own
 ``precompute``/``apply`` walk into a straight-line program once, on first
@@ -46,7 +47,7 @@ from .algebra import Octo
 from .linform import LinForm
 from .program import Program, _lower
 from .stages import (Butterfly, FanOut, QuasiDiagonal, SignScale, Sum,
-                     apply_stage, canonical_pow2)
+                     canonical_pow2, run)
 from .verify import certify
 
 EIGHTH = Fraction(1, 8)
@@ -206,15 +207,9 @@ class PrecomputeSet:
     m: dict
 
     def __getitem__(self, name: str):
-        if self.is_lane(name):
+        if name in LANES:
             return self.s[int(name[1])]
         return self.m[name]
-
-    @staticmethod
-    def is_lane(name: str) -> bool:
-        """Whether ``name`` reads a precompute lane (one of :data:`LANES`),
-        which no recipe of that name can override."""
-        return name in LANES
 
 
 class Pipeline:
@@ -230,6 +225,9 @@ class Pipeline:
     product matrix: it vouches for that claim alone.
     ``entry_forms`` name those values; only ``solve_corrections`` reads them.
 
+    ``precompute`` and ``apply`` check their operand's 8 lanes once and run
+    their chains through the one chain walk, :func:`octofast.stages.run`;
+    the widths inside a chain were checked when the pipeline was built.
     The walk of ``pre_stages``, ``recipes``, ``tap_index`` and ``stages``
     is lowered once, on first use, into the one program that ``certify``
     gates, ``flatten`` emits and :func:`mul_fast` runs, and ``certified``
@@ -263,7 +261,7 @@ class Pipeline:
         if 0 <= tap_index < len(self.pre_stages):
             widths["tap"] = self.pre_stages[tap_index].out_dim
         for name, (src, lane, _) in self.recipes.items():
-            if PrecomputeSet.is_lane(name):
+            if name in LANES:
                 raise ValueError(f"recipe {name}: the name of a precompute "
                                  f"lane, which the core reads instead")
             if not 0 <= lane < widths.get(src, 0):
@@ -292,12 +290,13 @@ class Pipeline:
 
     def precompute(self, b) -> PrecomputeSet:
         coeffs = b.c if isinstance(b, Octo) else tuple(b)
-        vec = list(coeffs)
-        tap = vec
-        for idx, st in enumerate(self.pre_stages):
-            vec = apply_stage(st, vec, None)
-            if idx == self.tap_index:
-                tap = vec
+        if len(coeffs) != 8:
+            raise ValueError(f"b: expected 8 lanes, got {len(coeffs)}")
+        # the tap is the output of pre-stage tap_index; with no such stage
+        # no recipe reads it (the constructor refuses a "tap" recipe)
+        cut = max(self.tap_index + 1, 0)
+        tap = run(self.pre_stages[:cut], coeffs)
+        vec = run(self.pre_stages[cut:], tap)
         m = {name: (coeffs[lane] if src == "input" else tap[lane]) * factor
              for name, (src, lane, factor) in self.recipes.items()}
         return PrecomputeSet(s=tuple(vec), m=m)
@@ -305,10 +304,9 @@ class Pipeline:
     # -- left-operand pass --
 
     def apply(self, xvec: Sequence, pre: PrecomputeSet) -> list:
-        vec = list(xvec)
-        for st in self.stages:
-            vec = apply_stage(st, vec, pre)
-        return vec
+        if len(xvec) != 8:
+            raise ValueError(f"x: expected 8 lanes, got {len(xvec)}")
+        return run(self.stages, xvec, pre)
 
 
 def _check_chain(stages, in_dim, out_dim, what):

@@ -323,6 +323,7 @@ class SymMatrix:
                                           [t * v for v in n]), d, b
                     elif d == den:
                         acc = (list(map(add, acc, n)) if t == 1 else
+                               list(map(sub, acc, n)) if t == -1 else
                                [u + t * v for u, v in zip(acc, n)])
                     else:
                         k = gcd(den, d)

@@ -78,8 +78,7 @@ class Instr:
 
 @dataclass(frozen=True)
 class Program:
-    """Straight-line code: ``instrs`` over ``inputs``, then ``outputs``."""
-    inputs: tuple
+    """Straight-line code: ``instrs`` over :data:`INPUTS`, then ``outputs``."""
     instrs: tuple
     outputs: tuple
 
@@ -102,7 +101,7 @@ class Program:
 
     def validate(self) -> None:
         """Single forward pass: every use after its one definition."""
-        defined = set(self.inputs)
+        defined = set(INPUTS)
         for ins in self.instrs:
             if ins.a not in defined:
                 raise ValueError(f"{ins.dest}: source {ins.a} not yet defined")
@@ -183,8 +182,7 @@ def _lower(p) -> Program:
     b = [_Slot(f"b{i}", em) for i in range(8)]
     x = [_Slot(f"x{i}", em) for i in range(8)]
     outputs = [slot.name for slot in p.apply(x, p.precompute(b))]
-    prog = Program(inputs=INPUTS, instrs=tuple(em.instrs),
-                   outputs=tuple(outputs))
+    prog = Program(instrs=tuple(em.instrs), outputs=tuple(outputs))
     prog.validate()
     deps = prog.dependencies()
     for ins in prog.instrs:
@@ -416,7 +414,7 @@ def emit_text(prog: Program) -> str:
     """Deterministic text form; same program, byte-identical output."""
     oc = prog.opcount()
     lines = ["# straight-line hyperbolic-octonion product: y = x * b",
-             "# inputs: " + " ".join(prog.inputs)]
+             "# inputs: " + " ".join(INPUTS)]
     lines.extend(ins.to_text() for ins in prog.instrs)
     lines.append("# outputs: " + " ".join(prog.outputs))
     lines.append(f"# {oc}")

@@ -4,11 +4,11 @@ A pipeline is a list of stages applied left to right to a vector of scalars.
 Every stage is linear in its input; the only data-dependent entries live in
 :class:`QuasiDiagonal`, whose cells reference named precomputed values.
 
-A stage has one meaning, its ``apply``: it runs on concrete vectors (exact,
-float, or instrumented scalars) and on the slot scalars the lowering uses.
-The proof runs that same ``apply`` too, on unit vectors and symbolic core
-values (:func:`octofast.verify.compose_symbolic`), so the matrix certified
-is that of the code that runs.
+A stage has one meaning, its ``apply``, and a chain of stages one walk,
+:func:`run`.  The pipeline runs it on concrete vectors (exact, float, or
+instrumented scalars) and on the slot scalars the lowering uses; the proof
+and the correction solver run it on unit vectors (:func:`columns`), so the
+matrix certified is that of the code that runs.
 
 Every constant a stage or recipe multiplies by is ``±2^k``, a free shift
 under the counting rules.  That rule lives here alone: :func:`pow2_exponent`
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .linform import SymMatrix
 
@@ -53,15 +53,22 @@ def zero_like(v):
     return type(v)(0)
 
 
-def matrix_of(apply: Callable[[list], Sequence], n: int) -> SymMatrix:
-    """The matrix of ``apply`` on ``n`` lanes: column ``j`` is ``apply`` of
-    the ``j``-th unit vector.
+def run(chain: Sequence, vec: Sequence,
+        values: Optional[Mapping] = None) -> list:
+    """Each stage of ``chain`` applied in turn to ``vec``, with ``values``
+    in any core; widths are checked once, when a pipeline is built."""
+    vec = list(vec)
+    for st in chain:
+        vec = st.apply(vec, values)
+    return vec
 
-    This is the map's matrix only because ``apply`` is linear; a nonlinear
-    ``apply`` is not detected.
-    """
-    cols = [apply([int(i == j) for i in range(n)]) for j in range(n)]
-    return SymMatrix(list(zip(*cols)))
+
+def columns(chain: Sequence, n: int, values: Optional[Mapping] = None) -> list:
+    """Column ``j`` of ``chain`` on ``n`` lanes: :func:`run` on the ``j``-th
+    unit vector (the chain's matrix only because every ``apply`` is linear;
+    a nonlinear one is not detected)."""
+    return [run(chain, [int(i == j) for i in range(n)], values)
+            for j in range(n)]
 
 
 class Stage:
@@ -69,13 +76,13 @@ class Stage:
     ``out_dim`` lanes."""
 
     def matrix(self, forms: Optional[Mapping] = None) -> SymMatrix:
-        """The stage's matrix, read off its ``apply`` by :func:`matrix_of`,
+        """The stage's matrix, read off its ``apply`` by :func:`columns`,
         with quasi-diagonal values read from ``forms``.
 
         Kept because the frozen benchmark (``perfbench/harness.py``) and the
         tests call it; the proof runs whole chains on unit vectors instead.
         """
-        return matrix_of(lambda vec: self.apply(vec, forms), self.in_dim)
+        return SymMatrix(list(zip(*columns((self,), self.in_dim, forms))))
 
 
 @dataclass(frozen=True)
@@ -242,7 +249,8 @@ class QuasiDiagonal(Stage):
 
 
 def apply_stage(stage, vec: Sequence, pre: Optional[Mapping] = None) -> list:
-    """Apply one stage to a concrete vector, checking the dimension."""
+    """Apply one stage to a concrete vector, checking the dimension.  Kept
+    because the frozen benchmark (``perfbench/layers.py``) imports it."""
     if len(vec) != stage.in_dim:
         raise ValueError(
             f"stage {stage.label or type(stage).__name__}: "

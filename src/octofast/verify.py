@@ -4,19 +4,20 @@ The one claim a certificate makes is "this pipeline computes the product of
 hyperbolic octonions", and it is discharged by algebra, not sampling.  The
 pipeline's own ``precompute`` runs on the symbolic operand
 ``b_i = LinForm.var(i)``.  The main chain is read as a head, which ends with
-its quasi-diagonal core, and a constant tail; each runs once through its
-stages' own ``apply`` on unit vectors, the head with those values in the
-core.  Their product ``tail @ head`` is compared entry by entry with the 8x8
-left-multiplication matrix.  A clean certificate is a theorem about all
-inputs at once, about the code that runs.
+its quasi-diagonal core, and a constant tail; each runs once on unit vectors
+through the one chain walk, :func:`octofast.stages.columns`, the head with
+those values in the core.  Their product ``tail @ head`` (:func:`_compose`)
+is compared entry by entry with the 8x8 left-multiplication matrix.  A clean
+certificate is a theorem about all inputs at once, about the code that runs.
 
 The entry forms take no part in the proof.  They are the targets of
 :func:`solve_corrections`, which runs the residual machinery in reverse:
 chosen quasi-diagonal entries become unknowns.  The main chain is
-``post · core · pre``, two constant halves around its one core, each read
-once off its stages' ``apply``; the chain is then linear in each core
-entry, and matching it against the product gives the linear system that
-reconstructs damaged or unknown entry forms.
+``post · core · pre``, two constant halves around its one core.  Its known
+part is composed as the proof composes, with the known entry forms in the
+core's own ``apply``; the chain is linear in each unknown, and matching it
+against the product gives the linear system that reconstructs damaged or
+unknown entry forms.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Iterable, Optional
 
 from .algebra import schoolbook_matrix
 from .linform import LinForm, SymMatrix
-from .stages import QuasiDiagonal
+from .stages import QuasiDiagonal, columns
 
 
 @dataclass(frozen=True)
@@ -80,15 +81,14 @@ def compose_symbolic(p) -> SymMatrix:
     in plain ints (``Fraction`` after a ``2^-k`` scale), on the unit vectors
     of the head's output width.  Column ``j`` of each is its image of the
     ``j``-th unit vector, so for linear stages the result is
-    ``tail @ head``: one product of two matrices.
+    ``tail @ head`` (:func:`_compose`): one product of two matrices.
 
     Raises :class:`~octofast.linform.DegreeError` if two data-dependent
     stages would multiply — a structural violation of the bilinear shape.
     """
     pre = p.precompute([LinForm.var(i) for i in range(8)])
     _, head, tail = _split(p.stages)
-    head = _unit_columns(head, 8, pre)
-    return SymMatrix(list(zip(*tail))) @ SymMatrix(list(zip(*head)))
+    return _compose(head, tail, pre)
 
 
 def certify(p) -> ResidualReport:
@@ -133,12 +133,13 @@ def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionS
     Entries named in ``unknown`` (default: every core entry with a
     correction recipe) are treated as unknown linear forms.  The main chain
     is ``post · core · pre`` with constant halves around its one
-    quasi-diagonal core, each read once off its stages' own ``apply`` on
-    unit vectors (ints, or ``Fraction`` where a ``SignScale`` carries
-    ``2^-k``), split as :func:`compose_symbolic` splits it (:func:`_split`).
-    The known part of the chain is ``post @ (K @ pre)``, with
-    ``K`` the core holding the known entry forms (unknowns at 0); the
-    coefficient of an unknown ``u`` in entry ``(i, j)`` is
+    quasi-diagonal core, split as :func:`compose_symbolic` splits it
+    (:func:`_split`).  Its known part is :func:`_compose` of the two, with
+    the known entry forms in the core and each unknown at 0, so it runs
+    through the core's own ``apply``.  ``pre``, the stages before the core
+    on the 8 unit vectors (ints, or ``Fraction`` where a ``SignScale``
+    carries ``2^-k``), and ``post``, the tail's columns, give the
+    coefficient of an unknown ``u`` in entry ``(i, j)``:
     ``sum(post[i][r] * pre[c][j])`` over the cells ``(r, c, u)`` that read
     it.  Matched against the schoolbook matrix, these give one linear
     equation per entry.
@@ -167,23 +168,20 @@ def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionS
     if formless:
         raise ValueError(f"knowns with no entry form: {', '.join(formless)}")
 
-    pre = list(zip(*_unit_columns(head[:-1], 8)))  # core.dim rows of 8
-
     col = {n: u for u, n in enumerate(names)}
-    core_known = [[0] * core.dim for _ in range(core.dim)]
+    known = _compose(head, post_cols, {
+        name: 0 if name in col else p.entry_forms[name] for name in read})
+
+    pre = list(zip(*columns(head[:-1], 8)))  # core.dim rows of 8
     coeffs = [[0] * len(names) for _ in range(64)]  # row 8*i + j: entry (i, j)
     for r, c, name in core.cells:
-        if name not in col:
-            core_known[r][c] = p.entry_forms[name]
-            continue
-        u = col[name]
-        for i, a in enumerate(post_cols[r]):
-            if a:
-                for j, b in enumerate(pre[c]):
-                    if b:
-                        coeffs[8 * i + j][u] += a * b
-    known = SymMatrix(list(zip(*post_cols))) @ (
-        SymMatrix(core_known) @ SymMatrix(pre))
+        if name in col:
+            u = col[name]
+            for i, a in enumerate(post_cols[r]):
+                if a:
+                    for j, b in enumerate(pre[c]):
+                        if b:
+                            coeffs[8 * i + j][u] += a * b
 
     # One equation per output entry: sum(coeff * unknown) = target - known.
     target = schoolbook_matrix()
@@ -204,19 +202,15 @@ def _split(stages) -> tuple:
     cores = [k for k, st in enumerate(stages) if isinstance(st, QuasiDiagonal)]
     k = cores[-1] + 1 if cores else 0
     width = stages[k - 1].out_dim if k else 8
-    return cores, stages[:k], _unit_columns(stages[k:], width)
+    return cores, stages[:k], columns(stages[k:], width)
 
 
-def _unit_columns(stages, n: int, values=None) -> list:
-    """Column ``j`` of the chain ``stages``: each stage's ``apply`` in turn
-    on the ``j``-th of ``n`` unit vectors, with ``values`` in any core."""
-    cols = []
-    for j in range(n):
-        vec = [int(i == j) for i in range(n)]
-        for st in stages:
-            vec = st.apply(vec, values)
-        cols.append(vec)
-    return cols
+def _compose(head, tail: list, values) -> SymMatrix:
+    """``tail @ head``: the matrix of the chain ``head`` on 8 lanes, with
+    ``values`` in its core, under the constant ``tail`` given by its columns
+    (as :func:`_split` gives them)."""
+    return (SymMatrix(list(zip(*tail)))
+            @ SymMatrix(list(zip(*columns(head, 8, values)))))
 
 
 def _solve_linear(names, coeffs, rhs):

@@ -5,7 +5,7 @@ from octofast.algebra import schoolbook_matrix
 from octofast.kernel import Pipeline
 from octofast.linform import LinForm, SymMatrix
 from octofast.program import INPUTS, Instr, Program, emit_text
-from octofast.stages import FanOut, QuasiDiagonal, SignScale, Sum, matrix_of
+from octofast.stages import FanOut, QuasiDiagonal, SignScale, Sum
 from octofast.verify import CorrectionSolve, InconsistentSystemError
 
 
@@ -110,7 +110,9 @@ def reference_solve(p, unknown=None):
     names = sorted(set(unknown))
 
     def walk(values):
-        return matrix_of(lambda x: p.apply(x, values), 8)
+        cols = [p.apply([int(i == j) for i in range(8)], values)
+                for j in range(8)]
+        return SymMatrix(list(zip(*cols)))
 
     known = walk({n: 0 if n in names else p.entry_forms[n] for n in read})
     coeffs = [walk({n: int(n == u) for n in read}) for u in names]
@@ -171,7 +173,7 @@ def read_program(text):
             raise ValueError(f"not an instruction: {line!r}")
         instrs.append(Instr(dest, op, args[0], k=int(args[1])) if op == "shift"
                       else Instr(dest, op, *args))
-    prog = Program(INPUTS, tuple(instrs), tuple(outputs.split()[2:]))
+    prog = Program(tuple(instrs), tuple(outputs.split()[2:]))
     prog.validate()
     if emit_text(prog) != text:
         raise ValueError("text differs from the emission of what it encodes")

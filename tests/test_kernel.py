@@ -7,8 +7,7 @@ from conftest import clone_pipeline, identity, sign_mutation_sites
 
 from octofast.algebra import Octo, basis_mul, mul_naive
 from octofast.kernel import (CORRECTION_FORMS, ENTRY_FORMS, LANES, Pipeline,
-                             PrecomputeSet, build_pipeline, default_pipeline,
-                             mul_fast)
+                             build_pipeline, default_pipeline, mul_fast)
 from octofast.linform import LinForm
 from octofast.program import emit_text, flatten
 from octofast.stages import QuasiDiagonal, SignScale, Sum
@@ -299,6 +298,38 @@ def test_pipeline_rejects_a_tap_recipe_without_its_pre_stage(tap_index):
     _with_recipe(("input", 0, 1), tap_index)  # no tap read, nothing to check
 
 
+@pytest.mark.parametrize("tap_index", [0, 4])
+def test_a_tap_recipe_reads_the_output_of_pre_stage_tap_index(tap_index):
+    # the first and the last of the shipped pre-stages; each stage changes
+    # the vector, so reading one stage early or late gives other values
+    pre_stages = build_pipeline().pre_stages
+    assert tap_index in (0, len(pre_stages) - 1)
+    recipes = ({f"t{k}": ("tap", k, 1) for k in range(8)}
+               | {f"i{k}": ("input", k, 1) for k in range(8)})
+    p = Pipeline(stages=[identity()], pre_stages=pre_stages, recipes=recipes,
+                 tap_index=tap_index)
+    b = Octo((1, 2, 3, 5, 7, 11, 13, 17))
+    outs = [list(b.c)]
+    for st in pre_stages:
+        outs.append(st.apply(outs[-1]))
+    assert all(u != v for u, v in zip(outs, outs[1:]))
+    pre = p.precompute(b)
+    assert [pre[f"t{k}"] for k in range(8)] == outs[tap_index + 1]
+    assert tuple(pre[f"i{k}"] for k in range(8)) == b.c
+    assert list(pre.s) == outs[-1]
+
+
+@pytest.mark.parametrize("make", [build_pipeline, lambda: Pipeline(stages=[])],
+                         ids=["shipped", "no-stages"])
+@pytest.mark.parametrize("n", [7, 9])
+def test_operands_of_other_than_eight_lanes_are_refused(make, n):
+    p = make()
+    with pytest.raises(ValueError, match="b: expected 8 lanes, got"):
+        p.precompute([1] * n)
+    with pytest.raises(ValueError, match="x: expected 8 lanes, got"):
+        p.apply([1] * n, p.precompute([1] * 8))
+
+
 @pytest.mark.parametrize("factor", [2.0, Fraction(2)])
 def test_recipe_factor_is_stored_canonical(factor):
     core = QuasiDiagonal(dim=8, cells=((0, 0, "a"),))
@@ -321,7 +352,7 @@ def test_pipeline_rejects_a_recipe_a_lane_shadows():
 def test_only_the_eight_lane_names_are_reserved():
     # s8 names no precompute lane, so a recipe may take it; s7 does
     assert LANES == tuple(f"s{k}" for k in range(8))
-    assert not PrecomputeSet.is_lane("s8") and PrecomputeSet.is_lane("s7")
+    assert "s8" not in LANES and "s7" in LANES
     core = QuasiDiagonal(dim=8, cells=((0, 0, "s8"),))
     p = Pipeline(stages=[core], recipes={"s8": ("input", 5, 1)})
     x, b = Octo((3,) + (0,) * 7), Octo((0,) * 5 + (7, 0, 0))

@@ -201,16 +201,14 @@ def test_second_cell_less_core_lowers():
 
 
 def test_validate_rejects_double_assignment():
-    prog = Program(inputs=("x0",),
-                   instrs=(Instr("t1", "neg", "x0"), Instr("t1", "neg", "x0")),
+    prog = Program(instrs=(Instr("t1", "neg", "x0"), Instr("t1", "neg", "x0")),
                    outputs=("t1",))
     with pytest.raises(ValueError):
         prog.validate()
 
 
 def test_validate_rejects_use_before_definition():
-    prog = Program(inputs=("x0",),
-                   instrs=(Instr("t1", "add", "x0", "t2"),
+    prog = Program(instrs=(Instr("t1", "add", "x0", "t2"),
                            Instr("t2", "neg", "x0")),
                    outputs=("t2",))
     with pytest.raises(ValueError):
@@ -235,8 +233,7 @@ def test_dead_lane_counts_agree():
 
 
 def test_shift_evaluation():
-    prog = Program(inputs=("x0", "b0"),
-                   instrs=(Instr("t1", "shift", "b0", k=-3),
+    prog = Program(instrs=(Instr("t1", "shift", "b0", k=-3),
                            Instr("t2", "shift", "t1", k=1)),
                    outputs=("t2",) * 8)
     y = eval_program(prog, Octo.zero(), Octo((6,) + (0,) * 7))
@@ -346,8 +343,7 @@ def test_every_flipped_addition_in_the_generated_bodies_is_caught():
 def test_int_twin_counts_an_aliases_readers_toward_its_source():
     # t2 only raises t1's exponent, so the int twin reads t1's numerator
     # wherever t2 is read: t1, read once, must not be inlined twice
-    prog = Program(inputs=INPUTS,
-                   instrs=(Instr("t1", "add", "x0", "x1"),
+    prog = Program(instrs=(Instr("t1", "add", "x0", "x1"),
                            Instr("t2", "shift", "t1", k=-1),
                            Instr("t3", "add", "t2", "x2"),
                            Instr("t4", "sub", "t2", "x3")),

@@ -1,5 +1,9 @@
+import ast
+import importlib
+import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -7,12 +11,14 @@ from conftest import (clone_pipeline, identity, reference_compose,
                       reference_solve, sign_mutation_sites)
 
 from octofast.algebra import Octo, mul_naive, schoolbook_matrix
-from octofast.kernel import CORRECTION_FORMS, Pipeline, build_pipeline, mul_fast
+from octofast.kernel import (CORRECTION_FORMS, Pipeline, PrecomputeSet,
+                             build_pipeline, mul_fast)
 from octofast.linform import DegreeError, LinForm, SymMatrix
 from octofast.stages import (Butterfly, FanOut, QuasiDiagonal, SignScale, Sum,
-                             zero_like)
+                             apply_stage, columns, zero_like)
 from octofast import verify
-from octofast.verify import (InconsistentSystemError, _split, _unit_columns,
+from octofast.program import eval_program, flatten
+from octofast.verify import (InconsistentSystemError, _split,
                              certify, compose_symbolic, solve_corrections)
 
 
@@ -419,8 +425,8 @@ def test_solver_reads_fraction_halves():
               + p.stages[at + 1:])
     q = clone_pipeline(p, stages=stages)
     assert certify(q).ok
-    pre = _unit_columns(q.stages[:at + 1], 8)
-    post = _unit_columns(q.stages[at + 2:], core.dim)
+    pre = columns(q.stages[:at + 1], 8)
+    post = columns(q.stages[at + 2:], core.dim)
     for half in (pre, post):
         assert any(type(v) is Fraction for column in half for v in column)
     sol = solve_corrections(q)
@@ -487,7 +493,7 @@ def test_composition_agrees_on_chains_split_anywhere(make, certifies):
         # both halves carry Fractions: the ints before the core and the tail
         _, head, tail = _split(p.stages)
         assert any(type(v) is Fraction
-                   for col in _unit_columns(head[:-1], 8) for v in col)
+                   for col in columns(head[:-1], 8) for v in col)
         assert any(type(v) is Fraction for col in tail for v in col)
 
 
@@ -526,3 +532,83 @@ def test_certify_goes_through_the_entry_points_the_trace_wraps(monkeypatch):
         "certify of a one-core pipeline must make at least one SymMatrix @"
     sol = solve_corrections(p)
     assert sol.free == () and sol.assignment == CORRECTION_FORMS
+
+
+def _resolve(dotted):
+    """The object a dotted name under ``octofast`` names (the package
+    imports each of its modules, so attribute lookups reach them all)."""
+    head, *rest = dotted.split(".")
+    return reduce(getattr, rest, importlib.import_module(head))
+
+
+def _benchmark_octofast_names():
+    """Each octofast name ``perfbench/*.py`` imports, and each attribute it
+    reads off such a name (``verify.certify``, ``SymMatrix.identity``)."""
+    names = set()
+    for path in sorted((Path(__file__).parents[1] / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {}  # local name -> dotted octofast name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                    and node.module.split(".")[0] == "octofast":
+                for a in node.names:
+                    bound[a.asname or a.name] = f"{node.module}.{a.name}"
+            elif isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name.split(".")[0] == "octofast":
+                        bound[a.asname or a.name] = a.name
+        names |= set(bound.values())
+        names |= {f"{bound[node.value.id]}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in bound}
+    return names
+
+
+def test_every_octofast_name_the_benchmark_uses_resolves():
+    # perfbench/ is changed only with the benchmark; a src/ change that
+    # drops a name it imports must fail here first
+    names = _benchmark_octofast_names()
+    assert {"octofast.stages.apply_stage", "octofast.kernel.PrecomputeSet",
+            "octofast.program.eval_program", "octofast.verify.certify",
+            "octofast.linform.SymMatrix.identity"} <= names
+    for name in sorted(names):
+        _resolve(name)
+
+
+def test_the_benchmark_shims_still_compute_the_product():
+    # the calls perfbench/harness.py and perfbench/layers.py make: stage
+    # matrices multiplied in one at a time, and the product replayed one
+    # apply_stage per stage through a hand-built PrecomputeSet
+    p = build_pipeline()
+    assert certify(p).ok
+    assert SymMatrix.identity(3) == SymMatrix(
+        [[int(i == j) for j in range(3)] for i in range(3)])
+    acc = SymMatrix.identity(8)
+    for st in p.stages:
+        acc = st.matrix(p.entry_forms) @ acc
+    assert acc == schoolbook_matrix()
+    acc = SymMatrix.identity(8)
+    for st in p.pre_stages:
+        acc = st.matrix(None) @ acc
+    lanes = p.precompute([LinForm.var(i) for i in range(8)]).s
+    assert acc == SymMatrix([lane.q for lane in lanes])
+
+    rng = random.Random(20)
+    for _ in range(20):
+        x, b = (Octo(tuple(rng.randint(-50, 50) for _ in range(8)))
+                for _ in range(2))
+        vec = tap = list(b.c)
+        for k, st in enumerate(p.pre_stages):
+            vec = apply_stage(st, vec, None)
+            if k == p.tap_index:
+                tap = vec
+        m = {name: (b.c[lane] if src == "input" else tap[lane]) * factor
+             for name, (src, lane, factor) in p.recipes.items()}
+        pre = PrecomputeSet(s=tuple(vec), m=m)
+        vec = list(x.c)
+        for st in p.stages:
+            vec = apply_stage(st, vec, pre)
+        assert Octo(vec) == mul_fast(x, b) == mul_naive(x, b)
+        assert eval_program(flatten(p), x, b) == mul_fast(x, b)
