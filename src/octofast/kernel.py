@@ -13,15 +13,14 @@ lane swap get wrong.  Every correction value is a ±1 or ±2 multiple of either
 a ``b`` coefficient or an intermediate the precompute pass already built, so
 the corrections cost no extra additions.
 
-``octofast.verify.certify`` proves the stages and recipes below as they run,
-precompute included.  The entry forms only document, in closed form, what the
-precompute yields, and are the targets of ``verify.solve_corrections``, which
-runs the known ones through the core's own ``apply``.
-
 :func:`mul_fast` does not interpret the stages.  A pipeline lowers its own
 ``precompute``/``apply`` walk into a straight-line program once, on first
-use, and keeps it: ``certify`` gates that program, ``flatten`` hands it out
-and :func:`mul_fast` runs it, compiled once into one Python function.
+use, and keeps it: ``octofast.verify.certify`` proves that program,
+precompute and recipes included, ``flatten`` hands it out and
+:func:`mul_fast` runs it, compiled once into one Python function.  The
+entry forms only document, in closed form, what the precompute yields, and
+are the targets of ``verify.solve_corrections``, which reads the same
+program with the known ones in place of the products' b-side values.
 
 When all sixteen coefficients are of type ``int``, that function hands
 them to a generated twin that runs in exact dyadic ints: each value is held
@@ -220,17 +219,17 @@ class Pipeline:
     pre-stage ``tap_index``'s output (``"tap"``) times a ``+-2^k`` factor;
     ``stages`` transform the left operand, consuming the precomputed values
     in quasi-diagonal stages.  ``certified`` is flipped by
-    ``octofast.verify.certify`` once the composition of ``stages``, with the
-    values ``precompute`` yields on a symbolic ``b``, equals the schoolbook
-    product matrix: it vouches for that claim alone.
-    ``entry_forms`` name those values; only ``solve_corrections`` reads them.
+    ``octofast.verify.certify`` once the matrix of the lowered program, the
+    walk of ``precompute`` then ``apply``, equals the schoolbook product
+    matrix: it vouches for that claim alone.  ``entry_forms`` name the
+    values ``precompute`` yields; only ``solve_corrections`` reads them.
 
     ``precompute`` and ``apply`` check their operand's 8 lanes once and run
     their chains through the one chain walk, :func:`octofast.stages.run`;
     the widths inside a chain were checked when the pipeline was built.
     The walk of ``pre_stages``, ``recipes``, ``tap_index`` and ``stages``
     is lowered once, on first use, into the one program that ``certify``
-    gates, ``flatten`` emits and :func:`mul_fast` runs, and ``certified``
+    proves, ``flatten`` emits and :func:`mul_fast` runs, and ``certified``
     vouches for it, so the structure stays as built: the chains are tuples,
     ``recipes`` is read-only with canonical factors (``canonical_pow2``
     refuses one that is not ``+-2^k``), and assigning any of the five

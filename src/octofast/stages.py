@@ -6,9 +6,10 @@ Every stage is linear in its input; the only data-dependent entries live in
 
 A stage has one meaning, its ``apply``, and a chain of stages one walk,
 :func:`run`.  The pipeline runs it on concrete vectors (exact, float, or
-instrumented scalars) and on the slot scalars the lowering uses; the proof
-and the correction solver run it on unit vectors (:func:`columns`), so the
-matrix certified is that of the code that runs.
+instrumented scalars) and on the slot scalars the lowering uses.  The proof
+and the correction solver read the lowered program that walk records
+(:mod:`octofast.verify`), so the matrix certified is that of the code that
+runs.
 
 Every constant a stage or recipe multiplies by is ``±2^k``, a free shift
 under the counting rules.  That rule lives here alone: :func:`pow2_exponent`
@@ -63,26 +64,23 @@ def run(chain: Sequence, vec: Sequence,
     return vec
 
 
-def columns(chain: Sequence, n: int, values: Optional[Mapping] = None) -> list:
-    """Column ``j`` of ``chain`` on ``n`` lanes: :func:`run` on the ``j``-th
-    unit vector (the chain's matrix only because every ``apply`` is linear;
-    a nonlinear one is not detected)."""
-    return [run(chain, [int(i == j) for i in range(n)], values)
-            for j in range(n)]
-
-
 class Stage:
     """Base of every stage: a linear ``apply`` from ``in_dim`` lanes to
     ``out_dim`` lanes."""
 
     def matrix(self, forms: Optional[Mapping] = None) -> SymMatrix:
-        """The stage's matrix, read off its ``apply`` by :func:`columns`,
-        with quasi-diagonal values read from ``forms``.
+        """The stage's matrix: column ``j`` is its ``apply`` on the ``j``-th
+        unit vector, with quasi-diagonal values read from ``forms`` (the
+        matrix only because ``apply`` is linear; a nonlinear one is not
+        detected).
 
         Kept because the frozen benchmark (``perfbench/harness.py``) and the
-        tests call it; the proof runs whole chains on unit vectors instead.
+        tests call it; the proof reads the lowered program instead.
         """
-        return SymMatrix(list(zip(*columns((self,), self.in_dim, forms))))
+        n = self.in_dim
+        return SymMatrix(list(zip(*(
+            self.apply([int(i == j) for i in range(n)], forms)
+            for j in range(n)))))
 
 
 @dataclass(frozen=True)

@@ -1,34 +1,31 @@
 """Symbolic certification of pipelines against the schoolbook matrix.
 
 The one claim a certificate makes is "this pipeline computes the product of
-hyperbolic octonions", and it is discharged by algebra, not sampling.  The
-pipeline's own ``precompute`` runs on the symbolic operand
-``b_i = LinForm.var(i)``.  The main chain is read as a head, which ends with
-its quasi-diagonal core, and a constant tail; each runs once on unit vectors
-through the one chain walk, :func:`octofast.stages.columns`, the head with
-those values in the core.  Their product ``tail @ head`` (:func:`_compose`)
-is compared entry by entry with the 8x8 left-multiplication matrix.  A clean
-certificate is a theorem about all inputs at once, about the code that runs.
+hyperbolic octonions", and it is discharged by algebra, not sampling, on the
+lowered program ``p._program`` that ``mul_fast`` compiles, ``flatten`` emits
+and ``count`` measures.  One walk over its instructions (:func:`_terms`)
+reads it in the encode/multiply/decode form of a bilinear algorithm: the
+constant output rows ``V``, and for each ``mul`` the x-row ``X[k]`` and
+b-form ``B[k]`` it multiplies.  Their product (:func:`compose_symbolic`) is
+compared entry by entry with the 8x8 left-multiplication matrix: a theorem
+about all inputs at once, about the code that runs.
 
 The entry forms take no part in the proof.  They are the targets of
-:func:`solve_corrections`, which runs the residual machinery in reverse:
-chosen quasi-diagonal entries become unknowns.  The main chain is
-``post · core · pre``, two constant halves around its one core.  Its known
-part is composed as the proof composes, with the known entry forms in the
-core's own ``apply``; the chain is linear in each unknown, and matching it
-against the product gives the linear system that reconstructs damaged or
-unknown entry forms.
+:func:`solve_corrections`, which reads the same terms in reverse: chosen
+core entries become unknowns of a linear system that reconstructs them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from operator import add, mul, neg, sub
 from typing import Iterable, Optional
 
 from .algebra import schoolbook_matrix
-from .linform import LinForm, SymMatrix
-from .stages import QuasiDiagonal, columns
+from .linform import DegreeError, LinForm, SymMatrix
+from .stages import QuasiDiagonal, pow2
 
 
 @dataclass(frozen=True)
@@ -71,42 +68,27 @@ class InconsistentSystemError(ValueError):
 
 
 def compose_symbolic(p) -> SymMatrix:
-    """The 8x8 matrix of the main chain of ``p``, with the values
-    ``p.precompute`` yields on a symbolic ``b`` in the core.
-
-    The chain is split just after its last quasi-diagonal stage, or before
-    its first stage if it has none (:func:`_split`).  The head runs once on
-    the 8 unit vectors through its stages' own ``apply``: plain ints up to
-    the core, linear forms from it on.  The tail is constant and runs once,
-    in plain ints (``Fraction`` after a ``2^-k`` scale), on the unit vectors
-    of the head's output width.  Column ``j`` of each is its image of the
-    ``j``-th unit vector, so for linear stages the result is
-    ``tail @ head`` (:func:`_compose`): one product of two matrices.
-
-    Raises :class:`~octofast.linform.DegreeError` if two data-dependent
-    stages would multiply — a structural violation of the bilinear shape.
+    """The 8x8 matrix of forms in ``b`` that the lowered program of ``p``
+    computes: ``SymMatrix(V) @ W``, with ``V``, ``X`` and ``B`` read off
+    ``p._program`` by :func:`_terms` and ``W`` the 8 unit rows of
+    ``x0..x7``, then ``B[k] * X[k]`` for each ``mul`` ``k``.  Lowering
+    raises what it refuses: a ``mul`` of core values, as from two cores
+    (:class:`~octofast.linform.DegreeError`), or a constant not ``+-2^k``.
     """
-    pre = p.precompute([LinForm.var(i) for i in range(8)])
-    _, head, tail = _split(p.stages)
-    return _compose(head, tail, pre)
+    return _decode(*_terms(p._program))
 
 
 def certify(p) -> ResidualReport:
     """Prove that ``p`` computes the hyperbolic-octonion product for every
     input.
 
-    :func:`compose_symbolic`, the main chain's head and constant tail each
-    read once off their stages' ``apply`` and multiplied, must equal the
-    schoolbook matrix, and no other target can be given; each differing
-    entry is a :class:`Residual`.  The lowering of ``p`` is built first and
-    raises if it is not bilinear (see :mod:`octofast.program`), which
-    catches a nonlinear ``apply`` that unit vectors cannot reveal; the
-    lowering it gates is the one ``mul_fast`` runs and ``flatten`` emits.
-    On success ``p.certified`` is set: it vouches for this one claim and no
-    other.
+    :func:`compose_symbolic`, read off the lowered program that
+    ``mul_fast`` runs and ``flatten`` emits, must equal the schoolbook
+    matrix, and no other target can be given; each differing entry is a
+    :class:`Residual`.  Once the program is built no stage runs.  On
+    success ``p.certified`` is set: it vouches for this one claim alone.
     """
     target = schoolbook_matrix()
-    p._program  # lowered first: it refuses what composition cannot see
     got = compose_symbolic(p)
     residuals = []
     for i in range(8):
@@ -128,20 +110,16 @@ class CorrectionSolve:
 
 
 def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionSolve:
-    """Solve for quasi-diagonal entry forms from the main chain that runs.
+    """Solve for quasi-diagonal entry forms from the lowered program.
 
     Entries named in ``unknown`` (default: every core entry with a
-    correction recipe) are treated as unknown linear forms.  The main chain
-    is ``post · core · pre`` with constant halves around its one
-    quasi-diagonal core, split as :func:`compose_symbolic` splits it
-    (:func:`_split`).  Its known part is :func:`_compose` of the two, with
-    the known entry forms in the core and each unknown at 0, so it runs
-    through the core's own ``apply``.  ``pre``, the stages before the core
-    on the 8 unit vectors (ints, or ``Fraction`` where a ``SignScale``
-    carries ``2^-k``), and ``post``, the tail's columns, give the
-    coefficient of an unknown ``u`` in entry ``(i, j)``:
-    ``sum(post[i][r] * pre[c][j])`` over the cells ``(r, c, u)`` that read
-    it.  Matched against the schoolbook matrix, these give one linear
+    correction recipe) are unknown linear forms.  The one core of the main
+    chain makes one ``mul`` per cell, in ``cells`` order, so ``mul`` ``k``
+    is cell ``k``; another ``mul`` count raises ``ValueError``.  The known
+    part is :func:`compose_symbolic`'s product with each cell's entry form,
+    or 0 for an unknown, as ``B[k]``; an unknown's coefficient in entry
+    ``(i, j)`` is ``sum(V[i][8 + k] * X[k][j])`` over the cells ``k`` that
+    read it.  Matched against the schoolbook matrix, these give one linear
     equation per entry.
 
     Inconsistency raises :class:`InconsistentSystemError`; under-determined
@@ -150,13 +128,13 @@ def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionS
     sorted-name order, so the result is deterministic.  An unknown the core
     does not read, and a known with no entry form, raise ``ValueError``.
     """
-    cores, head, post_cols = _split(p.stages)  # core.dim cols of 8
+    cores = [st for st in p.stages if isinstance(st, QuasiDiagonal)]
     if len(cores) != 1:
         # with two cores the chain multiplies core values: not linear
         raise ValueError(
             f"expected exactly one quasi-diagonal stage, found {len(cores)}")
-    core = head[-1]
-    read = {name for _, _, name in core.cells}
+    cells = cores[0].cells
+    read = {name for _, _, name in cells}
 
     if unknown is None:
         unknown = [name for name in read if name in p.recipes]
@@ -168,20 +146,19 @@ def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionS
     if formless:
         raise ValueError(f"knowns with no entry form: {', '.join(formless)}")
 
+    V, X, _ = _terms(p._program)
+    if len(X) != len(cells):
+        raise ValueError(f"the program makes {len(X)} multiplications, "
+                         f"the core has {len(cells)} cells")
     col = {n: u for u, n in enumerate(names)}
-    known = _compose(head, post_cols, {
-        name: 0 if name in col else p.entry_forms[name] for name in read})
-
-    pre = list(zip(*columns(head[:-1], 8)))  # core.dim rows of 8
+    known = _decode(V, X, [0 if name in col else p.entry_forms[name]
+                           for _, _, name in cells])
     coeffs = [[0] * len(names) for _ in range(64)]  # row 8*i + j: entry (i, j)
-    for r, c, name in core.cells:
-        if name in col:
-            u = col[name]
-            for i, a in enumerate(post_cols[r]):
-                if a:
-                    for j, b in enumerate(pre[c]):
-                        if b:
-                            coeffs[8 * i + j][u] += a * b
+    for k, (_, _, name) in enumerate(cells):
+        for i, row in enumerate(V):
+            if name in col and row[8 + k]:
+                for j, c in enumerate(X[k]):
+                    coeffs[8 * i + j][col[name]] += row[8 + k] * c
 
     # One equation per output entry: sum(coeff * unknown) = target - known.
     target = schoolbook_matrix()
@@ -191,26 +168,51 @@ def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionS
     return CorrectionSolve(assignment=assignment, free=tuple(free))
 
 
-def _split(stages) -> tuple:
-    """Split the main chain ``stages`` just after its last quasi-diagonal
-    stage, or before its first stage if it has none.
+# "zero" is its operand times 0, on its operand's side
+_OPS = {"add": add, "sub": sub, "neg": neg, "zero": partial(mul, 0)}
 
-    Returns ``(cores, head, tail)``: the indices of the quasi-diagonal
-    stages, the stages up to the split, and the columns of the constant
-    stages after it on the unit vectors of the split's width.
+
+def _terms(prog) -> tuple:
+    """``(V, X, B)``: the lowered program ``prog``, read in one pass.
+
+    A slot derived from ``b0..b7`` alone is a :class:`LinForm` of them; any
+    other is a row of ints and ``Fraction`` over ``x0..x7, m0..m{K-1}``,
+    ``m_k`` the ``k``-th ``mul`` (an x-side value times a b-side one, as
+    the lowering checks).  ``V`` holds the 8 output rows, ``X[k]`` the 8
+    x-coefficients of ``mul`` ``k``'s left operand and ``B[k]`` the form of
+    its right one.  A value that mixes the sides, or a b-side output, is
+    not bilinear: :class:`~octofast.linform.DegreeError`.
     """
-    cores = [k for k, st in enumerate(stages) if isinstance(st, QuasiDiagonal)]
-    k = cores[-1] + 1 if cores else 0
-    width = stages[k - 1].out_dim if k else 8
-    return cores, stages[:k], columns(stages[k:], width)
+    n = 8 + sum(1 for ins in prog.instrs if ins.op == "mul")
+    unit = [(0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n)]
+    val = {f"b{i}": LinForm.var(i) for i in range(8)} | {
+        f"x{j}": unit[j] for j in range(8)}
+    X, B = [], []
+    for ins in prog.instrs:
+        a = val[ins.a]
+        args = (a,) if ins.b is None else (a, val[ins.b])
+        if ins.op == "mul":
+            val[ins.dest] = unit[8 + len(X)]
+            X.append(a[:8])
+            B.append(args[1])
+            continue
+        bside = type(a) is LinForm
+        if bside is not (type(args[-1]) is LinForm):
+            raise DegreeError(f"{ins.to_text()}: mixes the x and b sides")
+        f = partial(mul, pow2(ins.k)) if ins.op == "shift" else _OPS[ins.op]
+        val[ins.dest] = f(*args) if bside else tuple(map(f, *args))
+    V = [val[o] for o in prog.outputs]
+    if any(type(v) is LinForm for v in V):
+        raise DegreeError("an output derives from b0..b7 alone")
+    return V, X, B
 
 
-def _compose(head, tail: list, values) -> SymMatrix:
-    """``tail @ head``: the matrix of the chain ``head`` on 8 lanes, with
-    ``values`` in its core, under the constant ``tail`` given by its columns
-    (as :func:`_split` gives them)."""
-    return (SymMatrix(list(zip(*tail)))
-            @ SymMatrix(list(zip(*columns(head, 8, values)))))
+def _decode(V, X, forms) -> SymMatrix:
+    """``SymMatrix(V) @ W``, ``W`` the 8 unit rows of ``x0..x7`` and then
+    ``forms[k] * X[k]`` for each ``mul`` ``k``."""
+    units = [[int(i == j) for j in range(8)] for i in range(8)]
+    return SymMatrix(V) @ SymMatrix(
+        units + [[f * c for c in x] for x, f in zip(X, forms)])
 
 
 def _solve_linear(names, coeffs, rhs):

@@ -15,11 +15,11 @@ from octofast.kernel import (CORRECTION_FORMS, Pipeline, PrecomputeSet,
                              build_pipeline, mul_fast)
 from octofast.linform import DegreeError, LinForm, SymMatrix
 from octofast.stages import (Butterfly, FanOut, QuasiDiagonal, SignScale, Sum,
-                             apply_stage, columns, zero_like)
+                             apply_stage, zero_like)
 from octofast import verify
-from octofast.program import eval_program, flatten
-from octofast.verify import (InconsistentSystemError, _split,
-                             certify, compose_symbolic, solve_corrections)
+from octofast.program import _Slot, eval_program, flatten
+from octofast.verify import (InconsistentSystemError, certify,
+                             compose_symbolic, solve_corrections)
 
 
 def test_pipeline_certifies():
@@ -233,7 +233,7 @@ def test_constant_that_is_not_a_power_of_two_is_refused():
     with pytest.raises(ValueError, match="power of two"):
         Pipeline(stages=[core], pre_stages=[identity()],
                  recipes={"a": ("input", 0, 3)})
-    # the walk multiplies b0 by 3 in a stage; composition alone would prove
+    # the walk multiplies b0 by 3 in a stage; a walk alone would prove
     # 3*b0*I, so only the lowering refuses it
     p = Pipeline(stages=[core],
                  pre_stages=[_TriplingFanOut(tuple(range(8)), 8)],
@@ -247,7 +247,111 @@ def test_constant_that_is_not_a_power_of_two_is_refused():
     with pytest.raises(ValueError) as run:
         mul_fast(Octo((1,) * 8), Octo((5,) + (0,) * 7), p)
     assert str(run.value) == str(proof.value)
-    assert compose_symbolic(p) == tripled
+    with pytest.raises(ValueError) as composed:
+        compose_symbolic(p)
+    assert str(composed.value) == str(proof.value)
+    assert reference_compose(p) == tripled
+
+
+class _NegatedWhenLowered(SignScale):
+    """A SignScale whose apply also negates lane 0, but only on the slots
+    of the lowering: every other walk sees the plain stage."""
+
+    def apply(self, vec, pre=None):
+        out = super().apply(vec, pre)
+        if isinstance(out[0], _Slot):
+            out[0] = -out[0]
+        return out
+
+
+def test_stage_that_lowers_otherwise_than_it_walks_breaks_certification():
+    # mul_fast runs the lowered program, so the proof must read that program
+    p = build_pipeline()
+    si = next(i for i, st in enumerate(p.stages) if st.label == "flip-tail")
+    st = p.stages[si]
+    bad = clone_pipeline(p, stages=p.stages[:si] + (
+        _NegatedWhenLowered(st.factors, st.label),) + p.stages[si + 1:])
+    x, b = Octo((1, 2, 3, 4, 5, 6, 7, 8)), Octo((8, 7, 6, 5, 4, 3, 2, 1))
+    assert Octo(bad.apply(x.c, bad.precompute(b))) == mul_naive(x, b)
+    assert reference_compose(bad) == schoolbook_matrix()
+    report = _rejected_and_wrong(bad)
+    assert report.rows() == {0}
+
+
+def test_certify_and_the_solver_read_only_the_lowered_program(monkeypatch):
+    p = build_pipeline()
+    p._program  # lowered: from here on no stage may run
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stage ran after the lowering")
+
+    monkeypatch.setattr("octofast.stages.run", refuse)
+    monkeypatch.setattr("octofast.kernel.run", refuse)
+    for cls in (SignScale, Butterfly, FanOut, Sum, QuasiDiagonal):
+        monkeypatch.setattr(cls, "apply", refuse)
+    assert certify(p).ok
+    sol = solve_corrections(p)
+    assert sol.free == () and sol.assignment == CORRECTION_FORMS
+
+
+class _AddingS0(SignScale):
+    """A SignScale that also adds the core value ``s0`` to lane 0."""
+
+    def apply(self, vec, pre=None):
+        out = super().apply(vec, pre)
+        return [out[0] + pre["s0"]] + out[1:]
+
+
+class _PuttingS0(SignScale):
+    """A SignScale that puts the core value ``s0`` in place of lane 0."""
+
+    def apply(self, vec, pre=None):
+        return [pre["s0"]] + super().apply(vec, pre)[1:]
+
+
+@pytest.mark.parametrize("leak, message", [
+    (_AddingS0, r"^t\d+ = add t\d+ t\d+: mixes the x and b sides"),
+    (_PuttingS0, "an output derives from b0..b7 alone"),
+])
+def test_a_b_side_value_in_the_output_is_not_bilinear(leak, message):
+    # as the last stage no mul reads it, so the lowering lets it through
+    p = build_pipeline()
+    last = p.stages[-1]
+    bad = clone_pipeline(p, stages=p.stages[:-1] + (
+        leak(last.factors, last.label),))
+    x, b = Octo((1, 2, 3, 4, 5, 6, 7, 8)), Octo((8, 7, 6, 5, 4, 3, 2, 1))
+    assert mul_fast(x, b, bad) != mul_naive(x, b)
+    for proof in (certify, solve_corrections):
+        with pytest.raises(DegreeError, match=message):
+            proof(bad)
+    assert not bad.certified
+
+
+class _HalvedCore(QuasiDiagonal):
+    """The product core with each cell's product made twice, as two halves
+    that add up to it: two ``mul`` per cell."""
+
+    def apply(self, vec, pre):
+        rows = [None] * self.dim
+        for r, c, name in self.cells:
+            term = (vec[c] * pre[name] * Fraction(1, 2)
+                    + vec[c] * pre[name] * Fraction(1, 2))
+            rows[r] = term if rows[r] is None else rows[r] + term
+        return [zero_like(vec[0]) if v is None else v for v in rows]
+
+
+def test_solver_refuses_a_core_with_other_than_one_mul_per_cell():
+    # mul k is read as cell k only when the core makes one mul per cell
+    p = build_pipeline()
+    si = next(i for i, st in enumerate(p.stages)
+              if isinstance(st, QuasiDiagonal))
+    core = p.stages[si]
+    halved = clone_pipeline(p, stages=p.stages[:si] + (
+        _HalvedCore(core.dim, core.cells, core.label),) + p.stages[si + 1:])
+    assert halved._program.opcount().mults == 2 * len(core.cells) == 52
+    assert certify(halved).ok
+    with pytest.raises(ValueError, match="52 multiplications.* 26 cells"):
+        solve_corrections(halved)
 
 
 def test_two_quasidiagonal_stages_is_structural_violation():
@@ -425,10 +529,10 @@ def test_solver_reads_fraction_halves():
               + p.stages[at + 1:])
     q = clone_pipeline(p, stages=stages)
     assert certify(q).ok
-    pre = columns(q.stages[:at + 1], 8)
-    post = columns(q.stages[at + 2:], core.dim)
-    for half in (pre, post):
-        assert any(type(v) is Fraction for column in half for v in column)
+    # the x-rows the products read, and the output rows over the products
+    V, X, _ = verify._terms(q._program)
+    for half in (X, V):
+        assert any(type(v) is Fraction for row in half for v in row)
     sol = solve_corrections(q)
     assert sol.free == () and sol.assignment == CORRECTION_FORMS
 
@@ -490,11 +594,11 @@ def test_composition_agrees_on_chains_split_anywhere(make, certifies):
     assert compose_symbolic(p) == reference_compose(p)
     assert certify(p).ok is certifies
     if make is _fraction_halves:
-        # both halves carry Fractions: the ints before the core and the tail
-        _, head, tail = _split(p.stages)
-        assert any(type(v) is Fraction
-                   for col in columns(head[:-1], 8) for v in col)
-        assert any(type(v) is Fraction for col in tail for v in col)
+        # both sides of the core carry Fractions: the x-rows the products
+        # read, and the output rows over the products
+        V, X, _ = verify._terms(p._program)
+        assert any(type(v) is Fraction for row in X for v in row)
+        assert any(type(v) is Fraction for row in V for v in row)
 
 
 def test_two_cores_raise_in_both_compositions():
