@@ -352,8 +352,9 @@ def mul_fast(x: Octo, b: Octo, pipeline: Optional[Pipeline] = None) -> Octo:
     compiled from the one lowered program of ``pipeline`` (default: the
     certified :func:`default_pipeline`), which ``flatten`` hands out.  Its
     results equal ``p.apply(x.c, p.precompute(b))`` in value; in type too,
-    except that when every coefficient of ``x`` and ``b`` is an ``int``
-    each integral result is an ``int`` and any other a ``Fraction``.
+    except that when every coefficient of ``x`` and ``b`` is an ``int`` each
+    integral result is an ``int`` and any other a ``Fraction``.  A
+    non-bilinear pipeline raises ``certify``'s ``DegreeError`` on first use.
     """
     p = pipeline if pipeline is not None else default_pipeline()
     return Octo(p._program._compiled(x.c, b.c))

@@ -30,8 +30,8 @@ _ZEROQ = (0,) * NVARS
 
 
 class DegreeError(ArithmeticError):
-    """A non-bilinear product: of two non-constant linear forms, or a lowered
-    ``mul`` that is not an x-side value times a b-side value."""
+    """A non-bilinear product: of two non-constant linear forms, or in a
+    program that ``program.Program.validate`` refuses."""
 
 
 def _exact(v):

@@ -7,9 +7,9 @@ The program is three-address code over the sixteen input slots
 ``x0..x7``/``b0..b7``.  Ops are ``add``, ``sub``, ``neg``, ``shift``
 (multiply by 2^k), ``mul`` and ``zero`` (a zero of its operand's scalar
 kind, for a structurally empty lane); every slot is assigned exactly once.
-The lowering is refused unless every ``mul`` is an x-side value times a
-b-side value, in the schoolbook product's order, and every constant is
-``+-2^k`` (:func:`~octofast.stages.pow2_exponent` gives the shift's ``k``).
+The lowering is refused unless :meth:`Program.validate` finds the shape of
+a bilinear algorithm and every constant is ``+-2^k``
+(:func:`~octofast.stages.pow2_exponent` gives the shift's ``k``).
 
 A pipeline is lowered once and keeps that program (``Pipeline._program``);
 :func:`flatten` hands it out once the pipeline is certified, the form that is
@@ -100,19 +100,34 @@ class Program:
         return OpCount(mults, adds)
 
     def validate(self) -> None:
-        """Single forward pass: every use after its one definition."""
-        defined = set(INPUTS)
+        """Single forward pass: every use after its one definition, and the
+        shape of a bilinear algorithm.  Each slot is on a side: ``x`` (from
+        ``x0..x7`` alone), ``b`` (from ``b0..b7`` alone) or ``m`` (reads a
+        product).  A ``mul`` not x-side times b-side, in that order, an
+        ``add``/``sub`` mixing the b side with another, and a b-side output
+        raise :class:`~octofast.linform.DegreeError`; the rest ``ValueError``.
+        """
+        side = dict.fromkeys(INPUTS[:8], "x") | dict.fromkeys(INPUTS[8:], "b")
         for ins in self.instrs:
-            if ins.a not in defined:
-                raise ValueError(f"{ins.dest}: source {ins.a} not yet defined")
-            if ins.b is not None and ins.b not in defined:
-                raise ValueError(f"{ins.dest}: source {ins.b} not yet defined")
-            if ins.dest in defined:
+            for src in (ins.a, ins.b):
+                if src is not None and src not in side:
+                    raise ValueError(f"{ins.dest}: source {src} not yet defined")
+            if ins.dest in side:
                 raise ValueError(f"slot {ins.dest} assigned twice")
-            defined.add(ins.dest)
+            sa, sb = side[ins.a], side.get(ins.b, side[ins.a])
+            if ins.op == "mul":
+                if (sa, sb) != ("x", "b"):
+                    raise DegreeError(f"{ins.to_text()}: not an x-side value "
+                                      f"times a b-side value")
+                sa = "m"
+            elif (sa == "b") is not (sb == "b"):
+                raise DegreeError(f"{ins.to_text()}: mixes the x and b sides")
+            side[ins.dest] = "m" if sb == "m" else sa
         for o in self.outputs:
-            if o not in defined:
+            if o not in side:
                 raise ValueError(f"output {o} undefined")
+            if side[o] == "b":
+                raise DegreeError("an output derives from b0..b7 alone")
 
 
 class _Emitter:
@@ -167,16 +182,11 @@ class _Slot:
         return -out if other < 0 else out
 
 
-_X_SIDE, _B_SIDE = frozenset(INPUTS[:8]), frozenset(INPUTS[8:])
-
-
 def _lower(p) -> Program:
     """Unroll pipeline ``p`` (precompute and main chain) into a Program.
 
-    No certification check: this is what ``p`` computes, proved or not.
-    A ``mul`` whose left operand does not derive only from ``x0..x7``, or
-    whose right operand does not derive only from ``b0..b7``, raises
-    :class:`~octofast.linform.DegreeError`.
+    No certification check: this is what ``p`` computes, proved or not,
+    once :meth:`Program.validate` finds the shape of a bilinear algorithm.
     """
     em = _Emitter()
     b = [_Slot(f"b{i}", em) for i in range(8)]
@@ -184,12 +194,6 @@ def _lower(p) -> Program:
     outputs = [slot.name for slot in p.apply(x, p.precompute(b))]
     prog = Program(instrs=tuple(em.instrs), outputs=tuple(outputs))
     prog.validate()
-    deps = prog.dependencies()
-    for ins in prog.instrs:
-        if ins.op == "mul" and not (deps[ins.a] <= _X_SIDE
-                                    and deps[ins.b] <= _B_SIDE):
-            raise DegreeError(f"{ins.to_text()}: not an x-side value times "
-                              f"a b-side value")
     return prog
 
 

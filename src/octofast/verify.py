@@ -4,11 +4,12 @@ The one claim a certificate makes is "this pipeline computes the product of
 hyperbolic octonions", and it is discharged by algebra, not sampling, on the
 lowered program ``p._program`` that ``mul_fast`` compiles, ``flatten`` emits
 and ``count`` measures.  One walk over its instructions (:func:`_terms`)
-reads it in the encode/multiply/decode form of a bilinear algorithm: the
-constant output rows ``V``, and for each ``mul`` the x-row ``X[k]`` and
-b-form ``B[k]`` it multiplies.  Their product (:func:`compose_symbolic`) is
-compared entry by entry with the 8x8 left-multiplication matrix: a theorem
-about all inputs at once, about the code that runs.
+reads it in the encode/multiply/decode form of a bilinear algorithm (the
+lowering's ``Program.validate`` checks that shape): the output rows ``V``,
+and for each ``mul`` the x-row ``X[k]`` and b-form ``B[k]`` it multiplies.
+Their product (:func:`compose_symbolic`) is compared entry by entry with
+the 8x8 left-multiplication matrix: a theorem about all inputs at once,
+about the code that runs.
 
 The entry forms take no part in the proof.  They are the targets of
 :func:`solve_corrections`, which reads the same terms in reverse: chosen
@@ -24,7 +25,7 @@ from operator import add, mul, neg, sub
 from typing import Iterable, Optional
 
 from .algebra import schoolbook_matrix
-from .linform import DegreeError, LinForm, SymMatrix
+from .linform import LinForm, SymMatrix
 from .stages import QuasiDiagonal, pow2
 
 
@@ -72,7 +73,7 @@ def compose_symbolic(p) -> SymMatrix:
     computes: ``SymMatrix(V) @ W``, with ``V``, ``X`` and ``B`` read off
     ``p._program`` by :func:`_terms` and ``W`` the 8 unit rows of
     ``x0..x7``, then ``B[k] * X[k]`` for each ``mul`` ``k``.  Lowering
-    raises what it refuses: a ``mul`` of core values, as from two cores
+    raises what it refuses: a non-bilinear program, as from two cores
     (:class:`~octofast.linform.DegreeError`), or a constant not ``+-2^k``.
     """
     return _decode(*_terms(p._program))
@@ -177,11 +178,9 @@ def _terms(prog) -> tuple:
 
     A slot derived from ``b0..b7`` alone is a :class:`LinForm` of them; any
     other is a row of ints and ``Fraction`` over ``x0..x7, m0..m{K-1}``,
-    ``m_k`` the ``k``-th ``mul`` (an x-side value times a b-side one, as
-    the lowering checks).  ``V`` holds the 8 output rows, ``X[k]`` the 8
-    x-coefficients of ``mul`` ``k``'s left operand and ``B[k]`` the form of
-    its right one.  A value that mixes the sides, or a b-side output, is
-    not bilinear: :class:`~octofast.linform.DegreeError`.
+    ``m_k`` the ``k``-th ``mul``.  ``V`` holds the 8 output rows, ``X[k]``
+    the 8 x-coefficients of ``mul`` ``k``'s left operand and ``B[k]`` the
+    form of its right one, in the shape ``Program.validate`` checked.
     """
     n = 8 + sum(1 for ins in prog.instrs if ins.op == "mul")
     unit = [(0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n)]
@@ -196,15 +195,9 @@ def _terms(prog) -> tuple:
             X.append(a[:8])
             B.append(args[1])
             continue
-        bside = type(a) is LinForm
-        if bside is not (type(args[-1]) is LinForm):
-            raise DegreeError(f"{ins.to_text()}: mixes the x and b sides")
         f = partial(mul, pow2(ins.k)) if ins.op == "shift" else _OPS[ins.op]
-        val[ins.dest] = f(*args) if bside else tuple(map(f, *args))
-    V = [val[o] for o in prog.outputs]
-    if any(type(v) is LinForm for v in V):
-        raise DegreeError("an output derives from b0..b7 alone")
-    return V, X, B
+        val[ins.dest] = f(*args) if type(a) is LinForm else tuple(map(f, *args))
+    return [val[o] for o in prog.outputs], X, B
 
 
 def _decode(V, X, forms) -> SymMatrix:

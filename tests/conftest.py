@@ -161,7 +161,9 @@ def read_program(text):
     known with its operand count, every slot a Python identifier assigned
     once and used after it, and ``text`` byte-identical to ``emit_text`` of
     the result (so the header and the ``# mults=.. adds=..`` line agree with
-    the instructions).  Anything else raises ``ValueError``.
+    the instructions).  A program not in the shape of a bilinear algorithm
+    raises :class:`~octofast.linform.DegreeError` (from
+    ``Program.validate``), anything else ``ValueError``.
     """
     _, inputs, *body, outputs, _ = text.splitlines()
     if inputs.split()[2:] != list(INPUTS):

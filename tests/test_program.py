@@ -10,7 +10,7 @@ from conftest import identity, read_program
 from octofast import kernel, program
 from octofast.algebra import Octo, mul_naive
 from octofast.kernel import Pipeline, build_pipeline, default_pipeline, mul_fast
-from octofast.linform import LinForm, SymMatrix
+from octofast.linform import DegreeError, LinForm, SymMatrix
 from octofast.opcount import OpCount, Tally, count_algorithm
 from octofast.program import (INPUTS, Instr, Program, compile_program,
                               emit_csv, emit_text, eval_program, flatten,
@@ -213,6 +213,43 @@ def test_validate_rejects_use_before_definition():
                    outputs=("t2",))
     with pytest.raises(ValueError):
         prog.validate()
+
+
+_NOT_X_TIMES_B = "not an x-side value times a b-side value"
+
+
+@pytest.mark.parametrize("instrs, outputs, refusal", [
+    ((("mul", "b0", "x0"),), ("t1",), _NOT_X_TIMES_B),
+    ((("mul", "x0", "x1"),), ("t1",), _NOT_X_TIMES_B),
+    ((("mul", "x0", "b0"), ("mul", "t1", "b0")), ("t2",), _NOT_X_TIMES_B),
+    ((("mul", "x0", "b0"), ("add", "x1", "t1"), ("mul", "t2", "b0")),
+     ("t3",), _NOT_X_TIMES_B),
+    ((("add", "x0", "b0"),), ("t1",), "mixes the x and b sides"),
+    ((("neg", "b0"), ("add", "x0", "x1")), ("t2", "t1"),
+     "an output derives from b0..b7 alone"),
+    ((("add", "x0", "x1"),), ("t1", "x2"), None),
+    ((("mul", "x0", "b0"), ("add", "t1", "x1")), ("t2",), None),
+], ids=["b-times-x", "x-times-x", "product-times-b",
+        "x-plus-product-times-b", "x-plus-b",
+        "b-only-output", "x-only-output", "product-plus-x"])
+def test_validate_checks_the_shape_of_a_bilinear_algorithm(instrs, outputs,
+                                                           refusal):
+    # x-side values, b-side values and products, each in its place
+    prog = Program(tuple(Instr(f"t{n}", *ins)
+                         for n, ins in enumerate(instrs, 1)), outputs)
+    if refusal is None:
+        prog.validate()
+        return
+    with pytest.raises(DegreeError, match=re.escape(refusal)):
+        prog.validate()
+
+
+def test_reader_refuses_a_product_written_b_side_first():
+    text = emit_text(flatten(default_pipeline()))
+    assert "\nt71 = mul t63 t26\n" in text
+    with pytest.raises(DegreeError,
+                       match=re.escape(f"t71 = mul t26 t63: {_NOT_X_TIMES_B}")):
+        read_program(text.replace("t71 = mul t63 t26", "t71 = mul t26 t63"))
 
 
 def test_dead_lane_counts_agree():

@@ -3,7 +3,7 @@ import importlib
 import random
 from dataclasses import replace
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from pathlib import Path
 
 import pytest
@@ -14,6 +14,7 @@ from octofast.algebra import Octo, mul_naive, schoolbook_matrix
 from octofast.kernel import (CORRECTION_FORMS, Pipeline, PrecomputeSet,
                              build_pipeline, mul_fast)
 from octofast.linform import DegreeError, LinForm, SymMatrix
+from octofast.opcount import count_algorithm
 from octofast.stages import (Butterfly, FanOut, QuasiDiagonal, SignScale, Sum,
                              apply_stage, zero_like)
 from octofast import verify
@@ -314,17 +315,22 @@ class _PuttingS0(SignScale):
     (_PuttingS0, "an output derives from b0..b7 alone"),
 ])
 def test_a_b_side_value_in_the_output_is_not_bilinear(leak, message):
-    # as the last stage no mul reads it, so the lowering lets it through
+    # no mul reads it, yet the lowering refuses it: running, counting and
+    # both proofs stop on first use with the one message
     p = build_pipeline()
     last = p.stages[-1]
-    bad = clone_pipeline(p, stages=p.stages[:-1] + (
-        leak(last.factors, last.label),))
     x, b = Octo((1, 2, 3, 4, 5, 6, 7, 8)), Octo((8, 7, 6, 5, 4, 3, 2, 1))
-    assert mul_fast(x, b, bad) != mul_naive(x, b)
-    for proof in (certify, solve_corrections):
-        with pytest.raises(DegreeError, match=message):
-            proof(bad)
-    assert not bad.certified
+    uses = (certify, solve_corrections, partial(mul_fast, x, b),
+            partial(count_algorithm, "fast"))
+    texts = set()
+    for use in uses:
+        bad = clone_pipeline(p, stages=p.stages[:-1] + (
+            leak(last.factors, last.label),))
+        with pytest.raises(DegreeError, match=message) as err:
+            use(bad)
+        texts.add(str(err.value))
+        assert not bad.certified
+    assert len(texts) == 1
 
 
 class _HalvedCore(QuasiDiagonal):
@@ -448,8 +454,9 @@ def _solve_outcome(solve, p, unknown):
 
 @pytest.mark.parametrize("unknowns", ["default", "all"])
 def test_solver_agrees_with_the_walk_per_unknown(unknowns):
-    # the shipped pipeline and every main-chain sign mutant, solved from the
-    # chain's two constant halves and by walking the whole chain per unknown
+    # the shipped pipeline and every main-chain sign mutant, solved from
+    # verify._terms' read of p._program and by walking the whole chain per
+    # unknown
     p = build_pipeline()
     core, = (st for st in p.stages if isinstance(st, QuasiDiagonal))
     every = sorted({name for _, _, name in core.cells})
@@ -538,8 +545,9 @@ def test_solver_reads_fraction_halves():
 
 
 def test_composition_agrees_with_the_stage_by_stage_product():
-    # the head and the tail walked once each against every stage's matrix
-    # multiplied in, on the shipped pipeline and every sign mutant
+    # verify._terms' read of p._program against every stage's matrix,
+    # read off the walk and multiplied in, on the shipped pipeline and every
+    # sign mutant
     p = build_pipeline()
     cases = [("shipped", p)] + sign_mutation_sites(p)
     assert {site.split(":")[0] for site, _ in cases} >= {"main", "pre"}
