@@ -93,9 +93,9 @@ class Octo:
         if len(c) != 8:
             raise ValueError(f"expected 8 coefficients, got {len(c)}")
         for v in c:
-            if isinstance(v, float) and not math.isfinite(v):
+            if isinstance(v, float) and not _isfinite(v):
                 raise ValueError(f"non-finite coefficient: {v!r}")
-        object.__setattr__(self, "c", c)
+        _set_c(self, c)
 
     def __setattr__(self, name, value):
         raise AttributeError("Octo is immutable")
@@ -164,6 +164,21 @@ class Octo:
 
     def __repr__(self):
         return f"Octo({self.to_text()})"
+
+
+# bound once: ``Octo.__init__`` runs on every product
+_isfinite = math.isfinite
+_set_c = Octo.c.__set__
+_new = object.__new__
+
+
+def _unchecked_octo(c: tuple) -> Octo:
+    """The ``Octo`` of the 8-tuple ``c``, without ``Octo``'s length and
+    finiteness checks: for a caller whose ``c`` passes them by construction
+    (8 ``int``/``Fraction`` values)."""
+    o = _new(Octo)
+    _set_c(o, c)
+    return o
 
 
 def mul_naive(x: Octo, b: Octo) -> Octo:

@@ -22,16 +22,19 @@ entry forms only document, in closed form, what the precompute yields, and
 are the targets of ``verify.solve_corrections``, which reads the same
 program with the known ones in place of the products' b-side values.
 
-When all sixteen coefficients are of type ``int``, that function hands
-them to a generated twin that runs in exact dyadic ints: each value is held
-as an int numerator over a power of two fixed at codegen time, so the 1/8
-above costs no ``Fraction`` arithmetic, only a ``<< 3`` where a scaled sum
-meets a correction and a ``>> 3`` per output.  A certified pipeline then
-returns ``int`` coefficients; a value that is not integral (an uncertified
-pipeline's) comes back as a ``Fraction``.  Every other kind of operand
-(float, ``Fraction``, mixed, ``bool``, instrumented scalars, linear forms)
-runs the generic code, which computes exactly what the interpreter walk
-computes; see :func:`octofast.program.program_source`.
+That function builds the product's ``Octo`` itself.  When all sixteen
+coefficients are of type ``int``, it hands them to a generated twin that
+runs in exact dyadic ints: each value is held as an int numerator over a
+power of two fixed at codegen time, so the 1/8 above costs no ``Fraction``
+arithmetic, only a ``* 8`` where a scaled sum meets a correction and a
+``>> 3`` per output.  A certified pipeline then returns ``int``
+coefficients; a value that is not integral (an uncertified pipeline's)
+comes back as a ``Fraction``; neither can be a non-finite float, so the
+twin skips ``Octo``'s checks.  Every other kind of operand (float,
+``Fraction``, mixed, ``bool``, instrumented scalars, linear forms) runs the
+generic code, which computes exactly what the interpreter walk computes
+and ends in the checking ``Octo``; see
+:func:`octofast.program.program_source`.
 """
 
 from __future__ import annotations
@@ -350,11 +353,13 @@ def mul_fast(x: Octo, b: Octo, pipeline: Optional[Pipeline] = None) -> Octo:
     Numerically identical to :func:`octofast.algebra.mul_naive` in exact
     arithmetic; uses 26 multiplications instead of 64.  Runs the function
     compiled from the one lowered program of ``pipeline`` (default: the
-    certified :func:`default_pipeline`), which ``flatten`` hands out.  Its
-    results equal ``p.apply(x.c, p.precompute(b))`` in value; in type too,
-    except that when every coefficient of ``x`` and ``b`` is an ``int`` each
-    integral result is an ``int`` and any other a ``Fraction``.  A
-    non-bilinear pipeline raises ``certify``'s ``DegreeError`` on first use.
+    certified :func:`default_pipeline`), which ``flatten`` hands out, and
+    returns the ``Octo`` that function builds.  Its coefficients equal
+    ``p.apply(x.c, p.precompute(b))`` in value; in type too, except that
+    when every coefficient of ``x`` and ``b`` is an ``int`` each integral
+    result is an ``int`` and any other a ``Fraction``.  A float product
+    that overflows raises ``Octo``'s ``ValueError``.  A non-bilinear
+    pipeline raises ``certify``'s ``DegreeError`` on first use.
     """
     p = pipeline if pipeline is not None else default_pipeline()
-    return Octo(p._program._compiled(x.c, b.c))
+    return p._program._compiled(x.c, b.c)

@@ -13,15 +13,17 @@ a bilinear algorithm and every constant is ``+-2^k``
 
 A pipeline is lowered once and keeps that program (``Pipeline._program``);
 :func:`flatten` hands it out once the pipeline is certified, the form that is
-emitted as text or CSV.  :func:`compile_program` turns a program into one
-Python function, built once per program, that evaluates the program's
-operation tree: each instruction is one operation in the source; a slot
-that one instruction reads, and that is not an output, is written into that
-reader as a parenthesised sub-expression, up to a fixed nesting depth; every
-other slot is assigned to its name (see :func:`program_source`, which also
-describes the twin in exact dyadic ints that all-int operands run).
-:func:`octofast.kernel.mul_fast` and :func:`eval_program` run that
-function, so execution, counting, emission and proof share it.
+emitted as text or CSV.  :func:`compile_program` turns a program with 8
+outputs into one Python function, built once per program, that evaluates
+the program's operation tree and returns the product as an
+:class:`~octofast.algebra.Octo`: each instruction is one operation in the
+source; a slot that one instruction reads, and that is not an output, is
+written into that reader as a parenthesised sub-expression, up to a fixed
+nesting depth; every other slot is assigned to its name (see
+:func:`program_source`, which also describes the twin in exact dyadic ints
+that all-int operands run).  :func:`octofast.kernel.mul_fast` and
+:func:`eval_program` return what that function returns, so execution,
+counting, emission and proof share it.
 
 Emission is deterministic: same pipeline, byte-identical text.  Free ops
 (``neg``/``shift``/``zero``) are memoized so a value the walk negates or
@@ -37,7 +39,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Octo
+from .algebra import Octo, _unchecked_octo
 from .linform import DegreeError
 from .stages import pow2, pow2_exponent, zero_like
 
@@ -287,14 +289,14 @@ def _int_kernel_source(prog: Program, unpack: list) -> list:
 
     def at(slot, to):  # the numerator of ``slot`` over 2**to, to >= e[slot]
         (text, depth), d = ref(slot), to - e[slot]
-        return (f"({text} << {d})", depth + 1) if d else (text, depth)
+        return (f"({text} * {1 << d})", depth + 1) if d else (text, depth)
 
     for ins in prog.instrs:
         if root[ins.dest] != ins.dest:
             continue
         (a, da), to = ref(ins.a), e[ins.dest]
         if ins.op == "shift":
-            rhs, depth = f"{a} << {ins.k - e[ins.a]}", da
+            rhs, depth = f"{a} * {1 << (ins.k - e[ins.a])}", da
         elif ins.op in ("add", "sub"):
             (a, da), (b, db) = at(ins.a, to), at(ins.b, to)
             rhs, depth = _OPS[ins.op].format(a=a, b=b), max(da, db)
@@ -308,17 +310,26 @@ def _int_kernel_source(prog: Program, unpack: list) -> list:
         outs.append(f"{n} >> {d} if not {n} & {(1 << d) - 1} "
                     f"else _Fraction({n}, {1 << d})" if d else n)
     return (["def _int_kernel(x, b):"] + unpack + body.lines
-            + ["    return (" + ", ".join(outs) + ",)"])
+            + ["    return _unchecked_octo((" + ", ".join(outs) + ",))"])
+
+
+def _scale(k: int) -> str:
+    """The generic body's local that holds the factor ``2**k`` (``n`` marks
+    a negative ``k``); upper-cased, the ``Fraction`` it takes from the
+    kernel's globals when ``k < 0`` and the operands are not floats."""
+    return f"_q{k}" if k >= 0 else f"_qn{-k}"
 
 
 def program_source(prog: Program) -> str:
     """Python source of ``kernel(x, b)``: the program's operation tree, with
     each slot that is read exactly once written into its reader.
 
-    ``prog`` is a lowered program (inputs :data:`INPUTS`); ``x`` and ``b``
-    are 8-sequences of coefficients and the result is the tuple of output
-    slots, equal in value and type to what the walk it was lowered from,
-    ``p.apply(x, p.precompute(b))``, computes.  Each instruction becomes
+    ``prog`` is a lowered program (inputs :data:`INPUTS`) with exactly 8
+    outputs, else ``ValueError``; ``x`` and ``b`` are 8-sequences of
+    coefficients and the result is the ``Octo`` of the output slots, equal
+    in value and type to what the walk it was lowered from,
+    ``p.apply(x, p.precompute(b))``, computes; ``Octo`` checks them, so a
+    non-finite float output raises ``ValueError``.  Each instruction becomes
     one operation in the source.  A slot read by exactly one instruction
     and not an output is written into that reader as a parenthesised
     sub-expression (up to a fixed nesting depth, see :class:`_Body`);
@@ -328,11 +339,13 @@ def program_source(prog: Program) -> str:
     single-use temporaries are saved.
 
     A ``shift`` by ``k`` multiplies by ``pow2(k)`` (an int for k >= 0, a
-    ``Fraction`` for k < 0), as the walk's stages do, except that when
-    every input a shifted value derives from is a ``float`` it multiplies
-    by the equal float: a float times a Fraction is that float product, so
-    the results are the same and only the cost differs.  A ``zero`` is
-    ``zero_like`` of its operand, as in a quasi-diagonal stage.
+    ``Fraction`` for k < 0), as the walk's stages do, except where the
+    guard below finds every input the shifted value derives from a
+    ``float``: there it multiplies by the equal float, held in a local
+    that the guarded branch sets (``_qn3 = 0.125``, ``_q1 = 2.0``).  A
+    float times a Fraction or an int is that float product, so the results
+    are the same and only the cost differs.  A ``zero`` is ``zero_like`` of
+    its operand, as in a quasi-diagonal stage.
 
     The one exception to equal types: when the program shifts by some
     ``k < 0`` and all sixteen coefficients are of type ``int`` (not
@@ -340,31 +353,40 @@ def program_source(prog: Program) -> str:
     computes in exact dyadic ints.  There every slot holds an int numerator
     ``N`` of the value ``N / 2**e``, with ``e >= 0`` fixed per slot at
     codegen time: a shift by ``k < 0`` only raises ``e``; one by ``k > 0``
-    lowers ``e`` or becomes ``<<``; a ``mul`` adds the exponents; an
-    ``add``/``sub`` first shifts the operand with the smaller ``e`` left; a
-    ``zero`` is the literal ``0`` with ``e = 0``.  A shift that only moves
-    ``e`` is no operation, so its readers read its source's numerator and
-    count as readers of that source when single-use slots are inlined.
+    lowers ``e`` or multiplies by ``2**d``; a ``mul`` adds the exponents;
+    an ``add``/``sub`` first multiplies the operand with the smaller ``e``
+    by ``2**d`` (the value of ``<< d``, and an int product that CPython
+    specialises); a ``zero`` is the literal ``0`` with ``e = 0``.  A shift
+    that only moves ``e`` is no operation, so its readers read its source's
+    numerator and count as readers of that source when single-use slots are
+    inlined.
     An output is ``N >> e`` when its low ``e`` bits are zero, else
     ``Fraction(N, 2**e)``.  So each value equals the walk's, and an integral
-    one is an ``int`` where the walk has a ``Fraction``.  Without a
+    one is an ``int`` where the walk has a ``Fraction``; being 8 ints and
+    ``Fraction``s, they make their ``Octo`` without its checks.  Without a
     ``k < 0`` every ``e`` is 0 and ``kernel`` keeps ints exact by itself.
     The call to the twin sits in the branch that float operands do not
     reach, so they pay nothing for it.
     """
+    if len(prog.outputs) != 8:
+        raise ValueError(f"a program has 8 outputs, the coefficients of the "
+                         f"product; this one has {len(prog.outputs)}")
     deps = prog.dependencies()
     unpack = ["    " + ", ".join(INPUTS[:8]) + ", = x",
               "    " + ", ".join(INPUTS[8:]) + ", = b"]
     head = ["def kernel(x, b):"] + unpack
     uses = Counter(src for ins in prog.instrs for src in (ins.a, ins.b)
                    if src is not None)
-    body, guarded, scales = _Body(uses, set(prog.outputs)), set(), set()
+    # the inputs a shift by k < 0 reads, whose types the float branch
+    # checks; every shift of a value derived from them alone reads a local
+    guarded = set().union(*(deps[ins.a] for ins in prog.instrs
+                            if ins.op == "shift" and ins.k < 0))
+    body, scales = _Body(uses, set(prog.outputs)), set()
     for ins in prog.instrs:
         a, depth = body.text[ins.a], body.depth[ins.a]
-        if ins.op == "shift" and ins.k < 0:
-            rhs = f"{a} * _q{-ins.k}"
-            guarded |= deps[ins.a]
-            scales.add(-ins.k)
+        if ins.op == "shift" and deps[ins.a] <= guarded:
+            rhs = f"{a} * {_scale(ins.k)}"
+            scales.add(ins.k)
         elif ins.op == "shift":
             rhs = f"{a} * {pow2(ins.k)}"
         elif ins.op == "zero":
@@ -376,29 +398,33 @@ def program_source(prog: Program) -> str:
         else:
             raise ValueError(f"unknown op {ins.op!r}")
         body.define(ins.dest, rhs, depth)
-    if scales:
+    if guarded:
         head.append("    if " + " and ".join(
             f"_type({name}) is _float"
             for name in sorted(guarded, key=INPUTS.index)) + ":")
-        head.extend(f"        _q{k} = {float(pow2(-k))!r}"
+        head.extend(f"        {_scale(k)} = {float(pow2(k))!r}"
                     for k in sorted(scales))
         head.append("    elif " + " and ".join(
             f"_type({name}) is _int" for name in INPUTS) + ":")
         head.append("        return _int_kernel(x, b)")
         head.append("    else:")
-        head.extend(f"        _q{k} = _Q{k}" for k in sorted(scales))
+        head.extend(f"        {_scale(k)} = "
+                    f"{_scale(k).upper() if k < 0 else pow2(k)}"
+                    for k in sorted(scales))
         head = _int_kernel_source(prog, unpack) + ["", ""] + head
-    tail = ["    return (" + ", ".join(prog.outputs) + ",)"]
+    tail = ["    return _Octo((" + ", ".join(prog.outputs) + ",))"]
     return "\n".join(head + body.lines + tail) + "\n"
 
 
 def compile_program(prog: Program):
-    """``prog`` as a Python function ``kernel(x, b) -> tuple``, compiled
+    """``prog`` as a Python function ``kernel(x, b) -> Octo``, compiled
     from :func:`program_source`: the program's operations, with single-use
-    slots inlined, and the int twin for all-int operands."""
+    slots inlined, and the int twin for all-int operands.  A program
+    without exactly 8 outputs raises ``ValueError``."""
     scope = {"_zero_like": zero_like, "_type": type, "_float": float,
-             "_int": int, "_Fraction": Fraction}
-    scope.update({f"_Q{-ins.k}": pow2(ins.k)
+             "_int": int, "_Fraction": Fraction, "_Octo": Octo,
+             "_unchecked_octo": _unchecked_octo}
+    scope.update({_scale(ins.k).upper(): pow2(ins.k)
                   for ins in prog.instrs if ins.op == "shift" and ins.k < 0})
     exec(compile(program_source(prog), "<octofast kernel>", "exec"), scope)
     return scope["kernel"]
@@ -406,12 +432,13 @@ def compile_program(prog: Program):
 
 def eval_program(prog: Program, x: Octo, b: Octo) -> Octo:
     """Run ``prog`` on concrete operands through :func:`compile_program`,
-    compiled on the first call and kept on ``prog``: the same function, and
-    so the same values and types, as :func:`octofast.kernel.mul_fast`.
+    compiled on the first call and kept on ``prog``, and return the
+    ``Octo`` it builds: the same function, and so the same values and
+    types, as :func:`octofast.kernel.mul_fast`.
 
     Kept because the frozen benchmark (``perfbench/layers.py``) imports it.
     """
-    return Octo(prog._compiled(x.c, b.c))
+    return prog._compiled(x.c, b.c)
 
 
 def emit_text(prog: Program) -> str:

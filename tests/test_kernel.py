@@ -220,6 +220,20 @@ def test_int_twin_equals_every_sign_mutant_walk():
     assert fractions > 0
 
 
+def test_int_twin_builds_the_octo_the_checking_constructor_would():
+    # the twin's outputs skip Octo's checks: they are 8 ints or Fractions
+    rng = random.Random(89)
+    pairs = [(rnd_octo(rng, 1000), rnd_octo(rng, 1000)) for _ in range(2)]
+    p = default_pipeline()
+    for site, m in [("shipped", p)] + sign_mutation_sites(p):
+        for x, b in pairs:
+            got = mul_fast(x, b, m)
+            checked = Octo(tuple(got.c))
+            assert type(got) is Octo and type(got.c) is tuple, site
+            assert got == checked and got.c == checked.c, site
+            assert {type(v) for v in got.c} <= {int, Fraction}, site
+
+
 def test_int_twin_adds_exponents_across_a_mul():
     # an eighth on the x side too: both factors of every mul carry one
     p = default_pipeline()

@@ -67,6 +67,32 @@ def test_mul_fast_runs_the_flattened_programs_function():
     assert seen == [(x.c, b.c)]
 
 
+@pytest.mark.parametrize("n", [7, 9])
+def test_a_program_without_8_outputs_is_refused_before_it_runs(n):
+    # the kernels build the product's Octo, so the 8 outputs are checked
+    # when the source is generated, not after the kernel has run
+    prog = Program(instrs=(Instr("t1", "add", "x0", "x1"),),
+                   outputs=("t1",) + INPUTS[1:n])
+    assert len(prog.outputs) == n
+    p = Pipeline(stages=[identity()])
+    p.__dict__["_program"] = prog  # where the cached lowering is kept
+    x, b = Octo((1, 2, 3, 4, 5, 6, 7, 8)), Octo((8, 7, 6, 5, 4, 3, 2, 1))
+    for make in (program_source, compile_program,
+                 lambda prog: eval_program(prog, x, b),
+                 lambda prog: mul_fast(x, b, p)):
+        with pytest.raises(ValueError, match=f"this one has {n}"):
+            make(prog)
+
+
+def test_an_overflowing_float_product_is_refused_by_every_entry_point():
+    x = b = Octo((1e308, 1e308, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+    prog = flatten(default_pipeline())
+    for product in (mul_fast, lambda x, b: eval_program(prog, x, b),
+                    mul_naive):
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            product(x, b)
+
+
 def test_program_counts_match_instrumented_counts():
     prog = flatten(default_pipeline())
     assert prog.opcount() == OpCount(26, 92)
@@ -327,8 +353,9 @@ def test_generated_bodies_keep_every_operation():
 
 def _structural_zero(node, zero):
     """The generic body's zero slot, or the int twin's literal 0, which it
-    may shift left to meet the other operand's exponent."""
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift):
+    may multiply by ``2**d`` to meet the other operand's exponent."""
+    if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and isinstance(node.right, ast.Constant)):
         node = node.left
     return (isinstance(node, ast.Name) and node.id == zero
             or isinstance(node, ast.Constant) and node.value == 0)
@@ -357,7 +384,7 @@ def test_every_flipped_addition_in_the_generated_bodies_is_caught():
     def survives(ok, pairs):
         mutant = dict(scope)
         exec(compile(tree, "<mutant kernel>", "exec"), mutant)
-        return all(ok(mutant["kernel"](x, b), mul_naive(Octo(x), Octo(b)).c)
+        return all(ok(mutant["kernel"](x, b).c, mul_naive(Octo(x), Octo(b)).c)
                    for x, b in pairs)
 
     for name, ok, pairs in (("kernel", float_ok, floats),
