@@ -175,7 +175,7 @@ _new = object.__new__
 def _unchecked_octo(c: tuple) -> Octo:
     """The ``Octo`` of the 8-tuple ``c``, without ``Octo``'s length and
     finiteness checks: for a caller whose ``c`` passes them by construction
-    (8 ``int``/``Fraction`` values)."""
+    (8 ``int``/``Fraction`` values, or 8 floats already found finite)."""
     o = _new(Octo)
     _set_c(o, c)
     return o

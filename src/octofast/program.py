@@ -37,6 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import isfinite
 from typing import Optional
 
 from .algebra import Octo, _unchecked_octo
@@ -257,9 +258,17 @@ def _int_kernel_source(prog: Program, unpack: list) -> list:
     are counted per root, and a root is kept named when it is (the source
     of) an output, whose rule reads ``N`` three times.  A ``zero`` is the
     literal ``0``, which reads nothing: its root is ``"0"``.
+
+    Every other slot is a node ``[op, a, b]`` over roots, with ``neg`` and
+    a shift written ``["scale", a, c]``: ``a``'s numerator times the int
+    ``c``.  An ``add``/``sub`` reads each operand through ``scaled`` at
+    its own exponent, which moves the factor ``2**d`` that aligns a product,
+    or a sum of products, onto the b operands of its ``mul``s.  The nodes
+    are then written in program order, each scaled copy right after its
+    source, and those no output reads are dropped.
     """
     e, root = dict.fromkeys(INPUTS, 0), {name: name for name in INPUTS}
-    uses = Counter()
+    uses, b_side, products = Counter(), set(INPUTS[8:]), set()
     for ins in prog.instrs:
         if ins.op == "zero":
             e[ins.dest], root[ins.dest] = 0, "0"
@@ -278,35 +287,90 @@ def _int_kernel_source(prog: Program, unpack: list) -> list:
         else:
             raise ValueError(f"unknown op {ins.op!r}")
         root[ins.dest] = ins.dest
-        for src in (ins.a, ins.b):
-            if src is not None:
-                uses[root[src]] += 1
-    body = _Body(uses, {root[o] for o in prog.outputs})
-    body.text["0"], body.depth["0"] = "0", 0
+        srcs = [root[s] for s in (ins.a, ins.b) if s is not None]
+        for src in srcs:
+            uses[src] += 1
+        if b_side.issuperset(srcs):
+            b_side.add(ins.dest)
+        if ins.op == "mul" or not products.isdisjoint(srcs):
+            products.add(ins.dest)
+    keep = {root[o] for o in prog.outputs}
+    node, copies = {}, {}  # copies[r]: the scaled copies made of root r
 
-    def ref(slot):  # text and nesting of ``slot``'s numerator
-        return body.text[root[slot]], body.depth[root[slot]]
+    def alone(r):  # read by one reader (a scaled copy counts none)
+        return uses[r] < 2 and r not in keep
 
-    def at(slot, to):  # the numerator of ``slot`` over 2**to, to >= e[slot]
-        (text, depth), d = ref(slot), to - e[slot]
-        return (f"({text} * {1 << d})", depth + 1) if d else (text, depth)
+    def scaled(r, c):
+        """A root whose numerator is ``r``'s times the int ``c``.  A scale
+        that is b-side or read only here folds into ``c`` (``(-t6) * 8`` is
+        ``t6 * -8``); a product or sum of products read only here takes
+        ``c`` onto the b operand of each ``mul``; any other root gets a
+        scaled copy, into which a later scaling folds.
+        """
+        out = [r]
+        todo = [(out, 0, c)]
+        while todo:
+            into, i, c = todo.pop()
+            r = into[i]
+            while (c != 1 and r in node and node[r][0] == "scale"
+                   and (r in b_side or alone(r))):
+                r, c = node[r][1], node[r][2] * c
+            if c == 1 or r == "0":
+                into[i] = r
+            elif (r in products and alone(r)
+                  and node[r][0] in ("mul", "add", "sub")):
+                into[i] = r
+                todo.extend((node[r], j, c)
+                            for j in ((2,) if node[r][0] == "mul" else (1, 2)))
+            else:
+                into[i] = f"{r}_{c}".replace("-", "n")
+                if into[i] not in node:
+                    node[into[i]] = ["scale", r, c]
+                    copies.setdefault(r, []).append(into[i])
+        return out[0]
 
     for ins in prog.instrs:
-        if root[ins.dest] != ins.dest:
+        dest = ins.dest
+        if root[dest] != dest:
             continue
-        (a, da), to = ref(ins.a), e[ins.dest]
+        a = root[ins.a]
         if ins.op == "shift":
-            rhs, depth = f"{a} * {1 << (ins.k - e[ins.a])}", da
-        elif ins.op in ("add", "sub"):
-            (a, da), (b, db) = at(ins.a, to), at(ins.b, to)
-            rhs, depth = _OPS[ins.op].format(a=a, b=b), max(da, db)
+            node[dest] = ["scale", a, 1 << (ins.k - e[ins.a])]
+        elif ins.op == "neg":
+            node[dest] = ["scale", a, -1]
+        elif ins.op == "mul":
+            node[dest] = ["mul", a, root[ins.b]]
         else:
-            b, db = ref(ins.b) if ins.b is not None else ("", 0)
-            rhs, depth = _OPS[ins.op].format(a=a, b=b), max(da, db)
-        body.define(ins.dest, rhs, depth)
+            node[dest] = [ins.op, scaled(a, 1 << (e[dest] - e[ins.a])),
+                          scaled(root[ins.b], 1 << (e[dest] - e[ins.b]))]
+    # program order, each scaled copy right after its source
+    order = [name for r in INPUTS for name in copies.get(r, [])]
+    for ins in prog.instrs:
+        if root[ins.dest] == ins.dest:
+            order += [ins.dest] + copies.get(ins.dest, [])
+    live, reads = set(keep), Counter()
+    for r in reversed(order):
+        if r in live:
+            op, a, b = node[r]
+            for src in (a,) if op == "scale" else (a, b):
+                reads[src] += 1
+                live.add(src)
+    body = _Body(reads, keep)
+    body.text["0"], body.depth["0"] = "0", 0
+    for r in order:
+        if r not in live:
+            continue
+        op, a, b = node[r]
+        ta, da = body.text[a], body.depth[a]
+        if op == "scale":
+            rhs, depth = (f"-{ta}" if b == -1 else f"{ta} * {b}"), da
+        else:
+            rhs = _OPS[op].format(a=ta, b=body.text[b])
+            depth = max(da, body.depth[b])
+        body.define(r, rhs, depth)
     outs = []
     for o in prog.outputs:
-        (n, _), d = ref(o), e[o]
+        n, d = body.text[root[o]], e[o]
         outs.append(f"{n} >> {d} if not {n} & {(1 << d) - 1} "
                     f"else _Fraction({n}, {1 << d})" if d else n)
     return (["def _int_kernel(x, b):"] + unpack + body.lines
@@ -329,7 +393,8 @@ def program_source(prog: Program) -> str:
     coefficients and the result is the ``Octo`` of the output slots, equal
     in value and type to what the walk it was lowered from,
     ``p.apply(x, p.precompute(b))``, computes; ``Octo`` checks them, so a
-    non-finite float output raises ``ValueError``.  Each instruction becomes
+    non-finite float output raises ``ValueError`` (see ``_f`` below for the
+    one test that stands in for those checks).  Each instruction becomes
     one operation in the source.  A slot read by exactly one instruction
     and not an output is written into that reader as a parenthesised
     sub-expression (up to a fixed nesting depth, see :class:`_Body`);
@@ -347,6 +412,17 @@ def program_source(prog: Program) -> str:
     are the same and only the cost differs.  A ``zero`` is ``zero_like`` of
     its operand, as in a quasi-diagonal stage.
 
+    The guarded branch also sets ``_f``: whether all sixteen coefficients
+    are of type ``float`` (it tests those the guard has not).  Then every
+    slot is a float, so a ``zero`` is the literal ``0.0``, which is what
+    ``zero_like`` gives a float, and the body ends in one test,
+    ``_isfinite`` of the outputs' sum, before the checking ``Octo``.  A sum
+    of floats with an infinite or NaN term is infinite or NaN, so a finite
+    sum proves every output finite, and those outputs make their ``Octo``
+    without its checks.  A sum that overflows, though its terms are
+    finite, falls through to ``Octo``, which checks the outputs one by one
+    as every other branch does; so nothing ``Octo`` refuses gets through.
+
     The one exception to equal types: when the program shifts by some
     ``k < 0`` and all sixteen coefficients are of type ``int`` (not
     ``bool``, no subclass), ``kernel`` returns ``_int_kernel(x, b)``, which
@@ -356,7 +432,14 @@ def program_source(prog: Program) -> str:
     lowers ``e`` or multiplies by ``2**d``; a ``mul`` adds the exponents;
     an ``add``/``sub`` first multiplies the operand with the smaller ``e``
     by ``2**d`` (the value of ``<< d``, and an int product that CPython
-    specialises); a ``zero`` is the literal ``0`` with ``e = 0``.  A shift
+    specialises); a ``zero`` is the literal ``0`` with ``e = 0``.  Where
+    that operand is a product, or a sum of products, that no other
+    instruction reads, the ``2**d`` moves onto the b operand of each of its
+    ``mul``s, and folds into a ``neg`` or a shift already there:
+    ``(t53 * (-t6)) * 8`` is written ``t53 * (t6 * -8)``, ``x1 * (b0 * 2)``
+    aligned by 8 is ``x1 * (b0 * 16)``, and a b-side value that the
+    program also reads unscaled gets a scaled copy (``t52 * (t9 * 8)``).
+    Int products are exact, so the numerators are the same.  A shift
     that only moves ``e`` is no operation, so its readers read its source's
     numerator and count as readers of that source when single-use slots are
     inlined.
@@ -382,6 +465,7 @@ def program_source(prog: Program) -> str:
     guarded = set().union(*(deps[ins.a] for ins in prog.instrs
                             if ins.op == "shift" and ins.k < 0))
     body, scales = _Body(uses, set(prog.outputs)), set()
+    zero = "0.0 if _f else _zero_like({a})" if guarded else "_zero_like({a})"
     for ins in prog.instrs:
         a, depth = body.text[ins.a], body.depth[ins.a]
         if ins.op == "shift" and deps[ins.a] <= guarded:
@@ -390,7 +474,7 @@ def program_source(prog: Program) -> str:
         elif ins.op == "shift":
             rhs = f"{a} * {pow2(ins.k)}"
         elif ins.op == "zero":
-            rhs, depth = f"_zero_like({a})", depth + 1
+            rhs, depth = zero.format(a=a), depth + 1
         elif ins.op in _OPS:
             b = body.text.get(ins.b, "")
             rhs = _OPS[ins.op].format(a=a, b=b)
@@ -402,17 +486,24 @@ def program_source(prog: Program) -> str:
         head.append("    if " + " and ".join(
             f"_type({name}) is _float"
             for name in sorted(guarded, key=INPUTS.index)) + ":")
+        head.append("        _f = " + (" and ".join(
+            f"_type({name}) is _float" for name in INPUTS
+            if name not in guarded) or "True"))
         head.extend(f"        {_scale(k)} = {float(pow2(k))!r}"
                     for k in sorted(scales))
         head.append("    elif " + " and ".join(
             f"_type({name}) is _int" for name in INPUTS) + ":")
         head.append("        return _int_kernel(x, b)")
         head.append("    else:")
+        head.append("        _f = False")
         head.extend(f"        {_scale(k)} = "
                     f"{_scale(k).upper() if k < 0 else pow2(k)}"
                     for k in sorted(scales))
         head = _int_kernel_source(prog, unpack) + ["", ""] + head
-    tail = ["    return _Octo((" + ", ".join(prog.outputs) + ",))"]
+    outs = ", ".join(prog.outputs) + ","
+    tail = [f"    if _f and _isfinite({' + '.join(prog.outputs)}):",
+            f"        return _unchecked_octo(({outs}))"] if guarded else []
+    tail.append(f"    return _Octo(({outs}))")
     return "\n".join(head + body.lines + tail) + "\n"
 
 
@@ -421,7 +512,8 @@ def compile_program(prog: Program):
     from :func:`program_source`: the program's operations, with single-use
     slots inlined, and the int twin for all-int operands.  A program
     without exactly 8 outputs raises ``ValueError``."""
-    scope = {"_zero_like": zero_like, "_type": type, "_float": float,
+    scope = {"_zero_like": zero_like, "_isfinite": isfinite,
+             "_type": type, "_float": float,
              "_int": int, "_Fraction": Fraction, "_Octo": Octo,
              "_unchecked_octo": _unchecked_octo}
     scope.update({_scale(ins.k).upper(): pow2(ins.k)

@@ -158,6 +158,18 @@ def test_mul_fast_equals_the_interpreter_walk(x_kind, b_kind):
             want = _int_rule(want)
         assert _exactly(mul_fast(x, b, p)) == _exactly(want)
 
+    # b/8 in one core cell: the float branch opens on float b, and the seven
+    # empty rows are outputs, zeros of x0's kind (0.0 only when x is float)
+    zeros = Pipeline(stages=[QuasiDiagonal(dim=8, cells=((0, 0, "s0"),))],
+                     pre_stages=[SignScale((EIGHTH,) * 8)])
+    for _ in range(20):
+        x = Octo(tuple(_DRAW[x_kind](rng) for _ in range(8)))
+        b = Octo(tuple(_DRAW[b_kind](rng) for _ in range(8)))
+        want = _walk(zeros, x, b)
+        if {x_kind, b_kind} <= {"int", "wide"}:
+            want = _int_rule(want)
+        assert _exactly(mul_fast(x, b, zeros)) == _exactly(want)
+
 
 @pytest.mark.parametrize("kind", ["int", "fraction", "float"])
 def test_signscale_walk_and_mul_fast_agree_in_type(kind):

@@ -3,6 +3,7 @@ import hashlib
 import random
 import re
 from fractions import Fraction
+from math import isfinite
 
 import pytest
 from conftest import identity, read_program
@@ -84,13 +85,49 @@ def test_a_program_without_8_outputs_is_refused_before_it_runs(n):
             make(prog)
 
 
+# x / 2**1022 and b of pairs whose walk is non-finite in lane k alone, for
+# k = 1..7: the float branch's finiteness test must see every output
+_ONE_LANE_OVERFLOWS = (
+    ((0, 1, 0, 0, -1, 1, -1, -1), (-1, 0, 1, -1, 0, 0, -1, 2)),
+    ((0, 0, -1, 0, -1, 0, 0, -1), (2, 1, -1, 1, -1, -1, 0, 0)),
+    ((0, 1, 0, 1, -1, 0, 1, 1), (0, 1, 0, 0, 1, 2, -1, 1)),
+    ((1, 0, 1, 1, -1, 0, 0, 1), (0, 0, 0, 2, -1, 0, -1, 0)),
+    ((0, 0, 0, -1, 0, -1, -1, 0), (-1, -1, -1, 2, 0, 1, -1, 1)),
+    ((1, 0, 0, -1, -1, 1, 0, -1), (0, 0, -1, -1, 2, 0, 2, 0)),
+    ((0, 0, 1, -1, 0, 0, -1, 0), (0, 1, 0, -1, 2, -1, 0, -1)),
+)
+
+
 def test_an_overflowing_float_product_is_refused_by_every_entry_point():
-    x = b = Octo((1e308, 1e308, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-    prog = flatten(default_pipeline())
-    for product in (mul_fast, lambda x, b: eval_program(prog, x, b),
-                    mul_naive):
-        with pytest.raises(ValueError, match="non-finite coefficient"):
-            product(x, b)
+    p = default_pipeline()
+    big = Octo((1e308, 1e308, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+    pairs = [(big, big)] + [(Octo(tuple(2.0 ** 1022 * v for v in xs)),
+                             Octo(tuple(float(v) for v in bs)))
+                            for xs, bs in _ONE_LANE_OVERFLOWS]
+    for k, (x, b) in enumerate(pairs):
+        want = p.apply(x.c, p.precompute(b))
+        bad = [v for v in want if not isfinite(v)]
+        assert k == 0 or len(bad) == 1 and not isfinite(want[k])
+        for product in (mul_fast, lambda x, b: eval_program(flatten(p), x, b)):
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    f"non-finite coefficient: {bad[0]!r}") + "$"):
+                product(x, b)
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        mul_naive(big, big)
+
+
+def test_finite_outputs_whose_sum_overflows_are_the_walks():
+    # the float branch tests one sum of the outputs for finiteness; when
+    # that sum overflows, the product takes Octo's own checks, which these
+    # finite outputs pass
+    p = default_pipeline()
+    x = Octo(tuple(2.0 ** 1021 * v for v in (0, 1, 2, -1, 1, 2, 1, 0)))
+    b = Octo((0.0, -1.0, -1.0, 1.0, 0.0, 0.0, 0.0, 0.0))
+    want = p.apply(x.c, p.precompute(b))
+    assert all(isfinite(v) for v in want) and sum(want) == float("inf")
+    for got in (mul_fast(x, b), eval_program(flatten(p), x, b)):
+        assert [type(v) for v in got.c] == [float] * 8
+        assert [v.hex() for v in got.c] == [v.hex() for v in want]
 
 
 def test_program_counts_match_instrumented_counts():
@@ -325,10 +362,35 @@ def _binops(fn, *ops):
             if isinstance(n, ast.BinOp) and isinstance(n.op, ops)]
 
 
+def _additions(fn):
+    """``fn``'s additions and subtractions, less the sum of the outputs
+    that its finiteness test ``_isfinite(...)`` reads."""
+    test = {id(n) for call in ast.walk(fn) if isinstance(call, ast.Call)
+            and getattr(call.func, "id", None) == "_isfinite"
+            for n in ast.walk(call)}
+    return [n for n in _binops(fn, ast.Add, ast.Sub) if id(n) not in test]
+
+
 def _is_scale(node):
-    """A constant factor: a literal or one of the kernel's ``_qK``."""
+    """A constant factor: a literal (negated or not) or one of the
+    kernel's ``_qK``."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
     return (isinstance(node, ast.Constant)
             or isinstance(node, ast.Name) and node.id.startswith("_q"))
+
+
+def _reads_a_product(node, value):
+    """Whether ``node`` computes with a product of two non-constants,
+    directly or through a name assigned in ``value``."""
+    for n in ast.walk(node):
+        if (isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+                and not _is_scale(n.left) and not _is_scale(n.right)):
+            return True
+        if isinstance(n, ast.Name) and n.id in value \
+                and _reads_a_product(value[n.id], value):
+            return True
+    return False
 
 
 def test_generated_bodies_keep_every_operation():
@@ -338,7 +400,9 @@ def test_generated_bodies_keep_every_operation():
     fns = _functions(prog)
     for name in ("kernel", "_int_kernel"):
         fn = fns[name]
-        assert len(_binops(fn, ast.Add, ast.Sub)) == 92
+        assert len(_additions(fn)) == 92
+        assert len(_binops(fn, ast.Add, ast.Sub)) \
+            == 92 + (7 if name == "kernel" else 0)
         products = _binops(fn, ast.Mult)
         assert sum(not _is_scale(n.left) and not _is_scale(n.right)
                    for n in products) == 26
@@ -349,14 +413,17 @@ def test_generated_bodies_keep_every_operation():
     # the eight 1/8 scalings and the four doublings of b0, b5, b6, b7
     assert sum(_is_scale(n.right) for n in _binops(fns["kernel"], ast.Mult)) \
         == 12
+    # the int twin aligns a product by scaling its b operand, never the
+    # product itself
+    twin = fns["_int_kernel"]
+    value = {n.targets[0].id: n.value for n in ast.walk(twin)
+             if isinstance(n, ast.Assign) and isinstance(n.targets[0], ast.Name)}
+    scaled = [n.left for n in _binops(twin, ast.Mult) if _is_scale(n.right)]
+    assert scaled and not any(_reads_a_product(n, value) for n in scaled)
 
 
 def _structural_zero(node, zero):
-    """The generic body's zero slot, or the int twin's literal 0, which it
-    may multiply by ``2**d`` to meet the other operand's exponent."""
-    if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
-            and isinstance(node.right, ast.Constant)):
-        node = node.left
+    """The generic body's zero slot, or the int twin's literal 0."""
     return (isinstance(node, ast.Name) and node.id == zero
             or isinstance(node, ast.Constant) and node.value == 0)
 
@@ -374,29 +441,34 @@ def test_every_flipped_addition_in_the_generated_bodies_is_caught():
     floats = [(tuple(rng.uniform(-1, 1) for _ in range(8)),
                tuple(rng.uniform(-1, 1) for _ in range(8))) for _ in range(4)]
     ints = [(rnd_octo(rng, 1000).c, rnd_octo(rng, 1000).c) for _ in range(4)]
+    # Fractions take the shared body's generic path, floats its _f path
+    fractions = [tuple(tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 20))
+                             for _ in range(8)) for _ in range(2))
+                 for _ in range(4)]
 
     def float_ok(got, want):
         return all(abs(g - w) <= 1e-12 * (1 + abs(w)) for g, w in zip(got, want))
 
-    def int_ok(got, want):
+    def exact_ok(got, want):
         return got == want
 
-    def survives(ok, pairs):
+    def survives(checks):
         mutant = dict(scope)
         exec(compile(tree, "<mutant kernel>", "exec"), mutant)
         return all(ok(mutant["kernel"](x, b).c, mul_naive(Octo(x), Octo(b)).c)
-                   for x, b in pairs)
+                   for ok, pairs in checks for x, b in pairs)
 
-    for name, ok, pairs in (("kernel", float_ok, floats),
-                            ("_int_kernel", int_ok, ints)):
-        assert survives(ok, pairs)  # the unmutated source passes
-        flips = _binops(fns[name], ast.Add, ast.Sub)
+    for name, checks in (("kernel", ((float_ok, floats),
+                                     (exact_ok, fractions))),
+                         ("_int_kernel", ((exact_ok, ints),))):
+        assert survives(checks)  # the unmutated source passes
+        flips = _additions(fns[name])
         assert len(flips) == 92
         survivors = []
         for node in flips:
             op = node.op
             node.op = ast.Sub() if isinstance(op, ast.Add) else ast.Add()
-            if survives(ok, pairs):
+            if survives(checks):
                 survivors.append(node)
             node.op = op
         assert len(survivors) == 2, name

@@ -368,6 +368,18 @@ def test_two_quasidiagonal_stages_is_structural_violation():
         compose_symbolic(p)
 
 
+def test_each_mul_multiplies_by_its_core_cells_entry_form():
+    # the solver's premise: mul k of the lowered program has, as its b
+    # operand, the value of core cell k, so a lowering that moves a sign or
+    # a scale out of a b operand must fail here, not only in the solver
+    p = build_pipeline()
+    [core] = [st for st in p.stages if isinstance(st, QuasiDiagonal)]
+    _, _, B = verify._terms(p._program)
+    assert len(B) == len(core.cells) == 26
+    for k, (_, _, name) in enumerate(core.cells):
+        assert B[k] == p.entry_forms[name], (k, name)
+
+
 def test_solver_recovers_all_frozen_corrections():
     p = build_pipeline()
     sol = solve_corrections(p)
