@@ -31,7 +31,7 @@ def is_trivial_factor(v) -> bool:
         return True
     try:
         pow2_exponent(v)
-    except (ValueError, OverflowError):  # not +-2^k, or a float inf or nan
+    except ValueError:  # not +-2^k, a float inf or nan among them
         return False
     return True
 

@@ -79,6 +79,12 @@ class Instr:
         return self.b if self.b is not None else ""
 
 
+# per op: whether it reads a second slot ``b``, and the type of its ``k``
+_OPERANDS = {"add": (True, type(None)), "sub": (True, type(None)),
+             "mul": (True, type(None)), "neg": (False, type(None)),
+             "zero": (False, type(None)), "shift": (False, int)}
+
+
 @dataclass(frozen=True)
 class Program:
     """Straight-line code: ``instrs`` over :data:`INPUTS`, then ``outputs``."""
@@ -90,20 +96,14 @@ class Program:
         """:func:`compile_program` of this program, built on first use."""
         return compile_program(self)
 
-    def dependencies(self) -> dict:
-        """deps[slot]: the input slots the value of ``slot`` derives from."""
-        deps = {name: {name} for name in INPUTS}
-        for ins in self.instrs:
-            deps[ins.dest] = deps[ins.a] | deps.get(ins.b, set())
-        return deps
-
     def opcount(self) -> OpCount:
         mults = sum(1 for i in self.instrs if i.op == "mul")
         adds = sum(1 for i in self.instrs if i.op in ("add", "sub"))
         return OpCount(mults, adds)
 
     def validate(self) -> None:
-        """Single forward pass: every use after its one definition, and the
+        """Single forward pass: every op known with its operands (see
+        :data:`_OPERANDS`), every use after its one definition, and the
         shape of a bilinear algorithm.  Each slot is on a side: ``x`` (from
         ``x0..x7`` alone), ``b`` (from ``b0..b7`` alone) or ``m`` (reads a
         product).  A ``mul`` not x-side times b-side, in that order, an
@@ -112,6 +112,9 @@ class Program:
         """
         side = dict.fromkeys(INPUTS[:8], "x") | dict.fromkeys(INPUTS[8:], "b")
         for ins in self.instrs:
+            if _OPERANDS.get(ins.op) != (ins.b is not None, type(ins.k)):
+                raise ValueError(f"{ins.dest}: not an instruction: op "
+                                 f"{ins.op!r}, b {ins.b!r}, k {ins.k!r}")
             for src in (ins.a, ins.b):
                 if src is not None and src not in side:
                     raise ValueError(f"{ins.dest}: source {src} not yet defined")
@@ -253,81 +256,59 @@ def _int_kernel_source(prog: Program, unpack: list) -> list:
     """Lines of ``_int_kernel(x, b)``, see :func:`program_source`.
 
     Slot ``s`` holds an int numerator of the value ``N / 2**e[s]``, with
-    ``e[s] >= 0`` fixed here.  A shift that only moves ``e`` emits nothing:
-    its slot is an alias whose readers read its source ``root[s]``, so uses
-    are counted per root, and a root is kept named when it is (the source
-    of) an output, whose rule reads ``N`` three times.  A ``zero`` is the
-    literal ``0``, which reads nothing: its root is ``"0"``.
+    ``e[s] >= 0`` fixed here, and every product at one exponent ``top``:
+    the largest ``e_x + e_b`` of a ``mul``.  A shift that only moves ``e``
+    emits nothing: its slot is an alias whose readers read its source
+    ``root[s]``, and a root is kept named when it is (the source of) an
+    output, whose rule reads ``N`` three times.  A ``zero`` is the literal
+    ``0``, which reads nothing: its root is ``"0"``.
 
     Every other slot is a node ``[op, a, b]`` over roots, with ``neg`` and
     a shift written ``["scale", a, c]``: ``a``'s numerator times the int
-    ``c``.  An ``add``/``sub`` reads each operand through ``scaled`` at
-    its own exponent, which moves the factor ``2**d`` that aligns a product,
-    or a sum of products, onto the b operands of its ``mul``s.  The nodes
-    are then written in program order, each scaled copy right after its
-    source, and those no output reads are dropped.
+    ``c``.  A ``mul`` lifts its product to ``top`` by scaling its b operand,
+    folded through the b-side scales that operand reads; an ``add``/``sub``
+    whose operands still differ in ``e`` reads the lower one through a
+    scaled copy.  The nodes are then written in program order, each scaled
+    copy right after its source, and those no output reads are dropped.
     """
-    e, root = dict.fromkeys(INPUTS, 0), {name: name for name in INPUTS}
-    uses, b_side, products = Counter(), set(INPUTS[8:]), set()
-    for ins in prog.instrs:
-        if ins.op == "zero":
-            e[ins.dest], root[ins.dest] = 0, "0"
-            continue
-        if ins.op == "shift" and e[ins.a] - ins.k >= 0:
-            e[ins.dest], root[ins.dest] = e[ins.a] - ins.k, root[ins.a]
-            continue
-        if ins.op == "shift":
-            e[ins.dest] = 0
-        elif ins.op == "mul":
-            e[ins.dest] = e[ins.a] + e[ins.b]
-        elif ins.op == "neg":
-            e[ins.dest] = e[ins.a]
-        elif ins.op in ("add", "sub"):
-            e[ins.dest] = max(e[ins.a], e[ins.b])
-        else:
-            raise ValueError(f"unknown op {ins.op!r}")
-        root[ins.dest] = ins.dest
-        srcs = [root[s] for s in (ins.a, ins.b) if s is not None]
-        for src in srcs:
-            uses[src] += 1
-        if b_side.issuperset(srcs):
-            b_side.add(ins.dest)
-        if ins.op == "mul" or not products.isdisjoint(srcs):
-            products.add(ins.dest)
+    def exponents(top):
+        e, root = dict.fromkeys(INPUTS, 0), {name: name for name in INPUTS}
+        for ins in prog.instrs:
+            a, dest = ins.a, ins.dest
+            if ins.op == "zero":
+                e[dest], root[dest] = 0, "0"
+                continue
+            if ins.op == "shift" and e[a] >= ins.k:
+                e[dest], root[dest] = e[a] - ins.k, root[a]
+                continue
+            if ins.op == "mul":
+                e[dest] = top
+            elif ins.op in ("add", "sub"):
+                e[dest] = max(e[a], e[ins.b])
+            else:  # a neg, or a shift that multiplies
+                e[dest] = e[a] if ins.op == "neg" else 0
+            root[dest] = dest
+        return e, root
+
+    # the x and b sides read no product, so their exponents do not depend
+    # on ``top``
+    e, _ = exponents(0)
+    top = max((e[ins.a] + e[ins.b] for ins in prog.instrs if ins.op == "mul"),
+              default=0)
+    e, root = exponents(top)
     keep = {root[o] for o in prog.outputs}
     node, copies = {}, {}  # copies[r]: the scaled copies made of root r
 
-    def alone(r):  # read by one reader (a scaled copy counts none)
-        return uses[r] < 2 and r not in keep
-
     def scaled(r, c):
-        """A root whose numerator is ``r``'s times the int ``c``.  A scale
-        that is b-side or read only here folds into ``c`` (``(-t6) * 8`` is
-        ``t6 * -8``); a product or sum of products read only here takes
-        ``c`` onto the b operand of each ``mul``; any other root gets a
-        scaled copy, into which a later scaling folds.
-        """
-        out = [r]
-        todo = [(out, 0, c)]
-        while todo:
-            into, i, c = todo.pop()
-            r = into[i]
-            while (c != 1 and r in node and node[r][0] == "scale"
-                   and (r in b_side or alone(r))):
-                r, c = node[r][1], node[r][2] * c
-            if c == 1 or r == "0":
-                into[i] = r
-            elif (r in products and alone(r)
-                  and node[r][0] in ("mul", "add", "sub")):
-                into[i] = r
-                todo.extend((node[r], j, c)
-                            for j in ((2,) if node[r][0] == "mul" else (1, 2)))
-            else:
-                into[i] = f"{r}_{c}".replace("-", "n")
-                if into[i] not in node:
-                    node[into[i]] = ["scale", r, c]
-                    copies.setdefault(r, []).append(into[i])
-        return out[0]
+        """``r``, or its copy ``r_c`` whose numerator is ``r``'s times the
+        int ``c`` (none for ``c == 1`` or the literal ``0``)."""
+        if c == 1 or r == "0":
+            return r
+        name = f"{r}_{c}".replace("-", "n")
+        if name not in node:
+            node[name] = ["scale", r, c]
+            copies.setdefault(r, []).append(name)
+        return name
 
     for ins in prog.instrs:
         dest = ins.dest
@@ -339,7 +320,10 @@ def _int_kernel_source(prog: Program, unpack: list) -> list:
         elif ins.op == "neg":
             node[dest] = ["scale", a, -1]
         elif ins.op == "mul":
-            node[dest] = ["mul", a, root[ins.b]]
+            b, c = root[ins.b], 1 << (top - e[ins.a] - e[ins.b])
+            while c != 1 and b in node and node[b][0] == "scale":
+                b, c = node[b][1], node[b][2] * c  # -b5 times 8 is b5 * -8
+            node[dest] = ["mul", a, scaled(b, c)]
         else:
             node[dest] = [ins.op, scaled(a, 1 << (e[dest] - e[ins.a])),
                           scaled(root[ins.b], 1 << (e[dest] - e[ins.b]))]
@@ -403,25 +387,25 @@ def program_source(prog: Program) -> str:
     as from one statement per instruction; only the stores and loads of
     single-use temporaries are saved.
 
-    A ``shift`` by ``k`` multiplies by ``pow2(k)`` (an int for k >= 0, a
-    ``Fraction`` for k < 0), as the walk's stages do, except where the
-    guard below finds every input the shifted value derives from a
-    ``float``: there it multiplies by the equal float, held in a local
-    that the guarded branch sets (``_qn3 = 0.125``, ``_q1 = 2.0``).  A
-    float times a Fraction or an int is that float product, so the results
-    are the same and only the cost differs.  A ``zero`` is ``zero_like`` of
-    its operand, as in a quasi-diagonal stage.
-
-    The guarded branch also sets ``_f``: whether all sixteen coefficients
-    are of type ``float`` (it tests those the guard has not).  Then every
-    slot is a float, so a ``zero`` is the literal ``0.0``, which is what
-    ``zero_like`` gives a float, and the body ends in one test,
-    ``_isfinite`` of the outputs' sum, before the checking ``Octo``.  A sum
-    of floats with an infinite or NaN term is infinite or NaN, so a finite
-    sum proves every output finite, and those outputs make their ``Octo``
-    without its checks.  A sum that overflows, though its terms are
-    finite, falls through to ``Octo``, which checks the outputs one by one
-    as every other branch does; so nothing ``Octo`` refuses gets through.
+    When the program shifts by some ``k < 0``, ``kernel`` opens with one
+    test of the coefficients' types, and a shift by ``k`` multiplies by a
+    local that the branch taken sets.  When all sixteen are of type
+    ``float``, the branch sets ``_f = True`` and the local to the float
+    ``pow2(k)`` (``_qn3 = 0.125``, ``_q1 = 2.0``); otherwise ``_f = False``
+    and the local is ``pow2(k)`` itself (an int for k >= 0, a ``Fraction``
+    for k < 0), as the walk's stages multiply by.  A float times a
+    ``Fraction`` or an int is that float product, so the results are the
+    same and only the cost differs.  A ``zero`` is ``zero_like`` of its
+    operand, as in a quasi-diagonal stage, or when ``_f`` the literal
+    ``0.0``, which is what ``zero_like`` gives a float.  When ``_f`` the
+    body also ends in one test, ``_isfinite`` of the outputs' sum, before
+    the checking ``Octo``.  A sum of floats with an infinite or NaN term is
+    infinite or NaN, so a finite sum proves every output finite, and those
+    outputs make their ``Octo`` without its checks.  A sum that overflows,
+    though its terms are finite, falls through to ``Octo``, which checks
+    the outputs one by one as every other branch does; so nothing ``Octo``
+    refuses gets through.  Without a ``k < 0`` there is no test: a shift
+    multiplies by the literal ``pow2(k)``.
 
     The one exception to equal types: when the program shifts by some
     ``k < 0`` and all sixteen coefficients are of type ``int`` (not
@@ -429,20 +413,18 @@ def program_source(prog: Program) -> str:
     computes in exact dyadic ints.  There every slot holds an int numerator
     ``N`` of the value ``N / 2**e``, with ``e >= 0`` fixed per slot at
     codegen time: a shift by ``k < 0`` only raises ``e``; one by ``k > 0``
-    lowers ``e`` or multiplies by ``2**d``; a ``mul`` adds the exponents;
-    an ``add``/``sub`` first multiplies the operand with the smaller ``e``
-    by ``2**d`` (the value of ``<< d``, and an int product that CPython
-    specialises); a ``zero`` is the literal ``0`` with ``e = 0``.  Where
-    that operand is a product, or a sum of products, that no other
-    instruction reads, the ``2**d`` moves onto the b operand of each of its
-    ``mul``s, and folds into a ``neg`` or a shift already there:
-    ``(t53 * (-t6)) * 8`` is written ``t53 * (t6 * -8)``, ``x1 * (b0 * 2)``
-    aligned by 8 is ``x1 * (b0 * 16)``, and a b-side value that the
-    program also reads unscaled gets a scaled copy (``t52 * (t9 * 8)``).
-    Int products are exact, so the numerators are the same.  A shift
-    that only moves ``e`` is no operation, so its readers read its source's
-    numerator and count as readers of that source when single-use slots are
-    inlined.
+    lowers ``e`` or multiplies by ``2**d``; a ``zero`` is the literal ``0``
+    with ``e = 0``.  Every product sits at one exponent ``E``, the largest
+    ``e_x + e_b`` of a ``mul``: each ``mul`` multiplies its b operand by
+    ``2**(E - e_x - e_b)`` (the value of ``<< d``, and an int product that
+    CPython specialises), folded into the ``neg``s and shifts of the b side
+    it reads: ``t53 * (-t6)`` at 8 is written ``t53 * (t6 * -8)``, and
+    ``x1 * (b0 * 2)`` is ``x1 * (b0 * 16)``.  So sums of products need no
+    alignment; an ``add``/``sub`` whose operands still differ in ``e``
+    multiplies the lower one by ``2**d`` in a copy of its own.  Int products
+    are exact, so the numerators are the same.  A shift that only moves
+    ``e`` is no operation, so its readers read its source's numerator and
+    count as readers of that source when single-use slots are inlined.
     An output is ``N >> e`` when its low ``e`` bits are zero, else
     ``Fraction(N, 2**e)``.  So each value equals the walk's, and an integral
     one is an ``int`` where the walk has a ``Fraction``; being 8 ints and
@@ -454,21 +436,18 @@ def program_source(prog: Program) -> str:
     if len(prog.outputs) != 8:
         raise ValueError(f"a program has 8 outputs, the coefficients of the "
                          f"product; this one has {len(prog.outputs)}")
-    deps = prog.dependencies()
     unpack = ["    " + ", ".join(INPUTS[:8]) + ", = x",
               "    " + ", ".join(INPUTS[8:]) + ", = b"]
     head = ["def kernel(x, b):"] + unpack
     uses = Counter(src for ins in prog.instrs for src in (ins.a, ins.b)
                    if src is not None)
-    # the inputs a shift by k < 0 reads, whose types the float branch
-    # checks; every shift of a value derived from them alone reads a local
-    guarded = set().union(*(deps[ins.a] for ins in prog.instrs
-                            if ins.op == "shift" and ins.k < 0))
+    # a shift by k < 0 opens the float branch and the int twin
+    branches = any(ins.op == "shift" and ins.k < 0 for ins in prog.instrs)
     body, scales = _Body(uses, set(prog.outputs)), set()
-    zero = "0.0 if _f else _zero_like({a})" if guarded else "_zero_like({a})"
+    zero = "0.0 if _f else _zero_like({a})" if branches else "_zero_like({a})"
     for ins in prog.instrs:
         a, depth = body.text[ins.a], body.depth[ins.a]
-        if ins.op == "shift" and deps[ins.a] <= guarded:
+        if ins.op == "shift" and branches:
             rhs = f"{a} * {_scale(ins.k)}"
             scales.add(ins.k)
         elif ins.op == "shift":
@@ -482,13 +461,10 @@ def program_source(prog: Program) -> str:
         else:
             raise ValueError(f"unknown op {ins.op!r}")
         body.define(ins.dest, rhs, depth)
-    if guarded:
+    if branches:
         head.append("    if " + " and ".join(
-            f"_type({name}) is _float"
-            for name in sorted(guarded, key=INPUTS.index)) + ":")
-        head.append("        _f = " + (" and ".join(
-            f"_type({name}) is _float" for name in INPUTS
-            if name not in guarded) or "True"))
+            f"_type({name}) is _float" for name in INPUTS) + ":")
+        head.append("        _f = True")
         head.extend(f"        {_scale(k)} = {float(pow2(k))!r}"
                     for k in sorted(scales))
         head.append("    elif " + " and ".join(
@@ -502,7 +478,7 @@ def program_source(prog: Program) -> str:
         head = _int_kernel_source(prog, unpack) + ["", ""] + head
     outs = ", ".join(prog.outputs) + ","
     tail = [f"    if _f and _isfinite({' + '.join(prog.outputs)}):",
-            f"        return _unchecked_octo(({outs}))"] if guarded else []
+            f"        return _unchecked_octo(({outs}))"] if branches else []
     tail.append(f"    return _Octo(({outs}))")
     return "\n".join(head + body.lines + tail) + "\n"
 

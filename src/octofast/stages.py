@@ -28,7 +28,10 @@ from .linform import SymMatrix
 
 def pow2_exponent(f) -> int:
     """``k`` for a constant ``f = ±2^k``; ``ValueError`` for any other."""
-    q = Fraction(f)
+    try:
+        q = Fraction(f)  # ValueError for a nan
+    except OverflowError:  # an infinity, no power of two either
+        q = Fraction(0)
     n, d = abs(q.numerator), q.denominator
     if n == 0 or n & (n - 1) or d & (d - 1):
         raise ValueError(f"constant factor {f} is not a signed power of two")

@@ -9,7 +9,8 @@ from octofast.algebra import Octo, basis_mul, mul_naive
 from octofast.kernel import (CORRECTION_FORMS, ENTRY_FORMS, LANES, Pipeline,
                              build_pipeline, default_pipeline, mul_fast)
 from octofast.linform import LinForm
-from octofast.program import emit_text, flatten
+from octofast.program import (INPUTS, Instr, Program, emit_text, eval_program,
+                              flatten)
 from octofast.stages import QuasiDiagonal, SignScale, Sum
 from octofast.verify import certify
 
@@ -255,6 +256,78 @@ def test_int_twin_adds_exponents_across_a_mul():
         x, b = rnd_octo(rng, 1000), rnd_octo(rng, 1000)
         want = _int_rule(mul_naive(x, b).scale(EIGHTH))
         assert _exactly(mul_fast(x, b, scaled)) == _exactly(want)
+
+
+_APPLY = {"add": lambda a, b, k: a + b, "sub": lambda a, b, k: a - b,
+          "mul": lambda a, b, k: a * b, "neg": lambda a, b, k: -a,
+          "zero": lambda a, b, k: 0 * a,
+          "shift": lambda a, b, k: a * Fraction(2) ** k}
+
+
+def _interpret(prog, x, b):
+    """``prog`` run one instruction at a time on ``Fraction``s."""
+    value = dict(zip(INPUTS, map(Fraction, x.c + b.c)))
+    for ins in prog.instrs:
+        value[ins.dest] = _APPLY[ins.op](value[ins.a], value.get(ins.b), ins.k)
+    return Octo(tuple(value[o] for o in prog.outputs))
+
+
+def _random_program(rng):
+    """A validated bilinear program: x-side and b-side values, one b-side
+    shift by k < 0 (so all-int operands run the twin), products, and values
+    read from the products and the x side; every side has adds, subs, negs,
+    zeros and shifts by +-1..3."""
+    instrs = []
+
+    def emit(op, a, b=None, k=None):
+        instrs.append(Instr(f"t{len(instrs) + 1}", op, a, b, k))
+        return instrs[-1].dest
+
+    def grow(pool, n, more):
+        # n values read from pool; a sum's second operand also from more
+        for _ in range(n):
+            op, a = rng.choice(("add", "sub", "neg", "shift", "shift",
+                                "zero")), rng.choice(pool)
+            if op in ("add", "sub"):
+                pool.append(emit(op, a, rng.choice(pool + more)))
+            elif op == "shift":
+                pool.append(emit(op, a, k=rng.choice((-3, -2, -1, 1, 2, 3))))
+            else:
+                pool.append(emit(op, a))
+
+    xs, bs = list(INPUTS[:8]), list(INPUTS[8:])
+    grow(xs, rng.randint(0, 6), [])
+    grow(bs, rng.randint(0, 6), [])
+    bs.append(emit("shift", rng.choice(bs), k=-rng.randint(1, 3)))
+    products = [emit("mul", rng.choice(xs), rng.choice(bs))
+                for _ in range(rng.randint(1, 6))]
+    grow(products, rng.randint(2, 12), xs)
+    prog = Program(tuple(instrs),
+                   tuple(rng.choice(products + xs) for _ in range(8)))
+    prog.validate()
+    return prog
+
+
+def test_int_twin_equals_an_exact_interpreter_on_random_programs():
+    rng = random.Random(97)
+    types, met = set(), 0
+    for _ in range(200):
+        prog = _random_program(rng)
+        for _ in range(3):
+            x, b = rnd_octo(rng, 1000), rnd_octo(rng, 1000)
+            got = eval_program(prog, x, b)
+            assert _exactly(got) == _exactly(_int_rule(_interpret(prog, x, b))), \
+                emit_text(prog)
+            types.update(map(type, got.c))
+        # a product-side shift by k < 0 that meets a sum
+        side_m, halved = set(), set()
+        for ins in prog.instrs:
+            if ins.op == "mul" or {ins.a, ins.b} & side_m:
+                side_m.add(ins.dest)
+            if ins.op == "shift" and ins.k < 0 and ins.a in side_m:
+                halved.add(ins.dest)
+            met += ins.op in ("add", "sub") and bool({ins.a, ins.b} & halved)
+    assert types == {int, Fraction} and met > 20
 
 
 class _Int(int):

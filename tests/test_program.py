@@ -279,9 +279,19 @@ def test_validate_rejects_use_before_definition():
 
 
 _NOT_X_TIMES_B = "not an x-side value times a b-side value"
+_NOT_AN_INSTRUCTION = "t1: not an instruction"
 
 
 @pytest.mark.parametrize("instrs, outputs, refusal", [
+    ((("add", "x0"),), ("t1",) + INPUTS[1:8], _NOT_AN_INSTRUCTION),
+    ((("sub", "x0", None, 1),), ("t1",), _NOT_AN_INSTRUCTION),
+    ((("mul", "x0", "b0", 0),), ("t1",), _NOT_AN_INSTRUCTION),
+    ((("neg", "x0", "x1"),), ("t1",), _NOT_AN_INSTRUCTION),
+    ((("zero", "x0", None, 0),), ("t1",), _NOT_AN_INSTRUCTION),
+    ((("shift", "x0"),), ("t1",), _NOT_AN_INSTRUCTION),
+    ((("shift", "x0", "x1", 1),), ("t1",), _NOT_AN_INSTRUCTION),
+    ((("shift", "x0", None, 1.0),), ("t1",), _NOT_AN_INSTRUCTION),
+    ((("pow", "x0", "x1"),), ("t1",), _NOT_AN_INSTRUCTION),
     ((("mul", "b0", "x0"),), ("t1",), _NOT_X_TIMES_B),
     ((("mul", "x0", "x1"),), ("t1",), _NOT_X_TIMES_B),
     ((("mul", "x0", "b0"), ("mul", "t1", "b0")), ("t2",), _NOT_X_TIMES_B),
@@ -292,18 +302,22 @@ _NOT_X_TIMES_B = "not an x-side value times a b-side value"
      "an output derives from b0..b7 alone"),
     ((("add", "x0", "x1"),), ("t1", "x2"), None),
     ((("mul", "x0", "b0"), ("add", "t1", "x1")), ("t2",), None),
-], ids=["b-times-x", "x-times-x", "product-times-b",
+], ids=["add-without-b", "sub-with-k", "mul-with-k", "neg-with-b",
+        "zero-with-k", "shift-without-k", "shift-with-b", "shift-by-float",
+        "unknown-op", "b-times-x", "x-times-x", "product-times-b",
         "x-plus-product-times-b", "x-plus-b",
         "b-only-output", "x-only-output", "product-plus-x"])
 def test_validate_checks_the_shape_of_a_bilinear_algorithm(instrs, outputs,
                                                            refusal):
-    # x-side values, b-side values and products, each in its place
+    # each op with its operands; x-side values, b-side values and products,
+    # each in its place
     prog = Program(tuple(Instr(f"t{n}", *ins)
                          for n, ins in enumerate(instrs, 1)), outputs)
     if refusal is None:
         prog.validate()
         return
-    with pytest.raises(DegreeError, match=re.escape(refusal)):
+    error = ValueError if refusal == _NOT_AN_INSTRUCTION else DegreeError
+    with pytest.raises(error, match=re.escape(refusal)):
         prog.validate()
 
 

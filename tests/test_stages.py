@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import identity
 
-from octofast.kernel import build_pipeline
+from octofast.kernel import Pipeline, build_pipeline
 from octofast.linform import LinForm
+from octofast.opcount import is_trivial_factor
 from octofast.stages import (Butterfly, FanOut, QuasiDiagonal, SignScale, Sum,
                              apply_stage, pow2, pow2_exponent, zero_like)
 
@@ -44,6 +46,19 @@ def test_pow2_rule():
     factors = SignScale((2.0, Fraction(-4), 0.5, -1.0)).factors
     assert factors == (2, -4, Fraction(1, 2), -1)
     assert [type(f) for f in factors] == [int, int, Fraction, int]
+
+
+@pytest.mark.parametrize("f", [float("inf"), float("-inf"), float("nan")])
+def test_a_non_finite_constant_is_refused_with_valueerror(f):
+    # no +-2^k: refused like any other constant, never an OverflowError
+    with pytest.raises(ValueError):
+        pow2_exponent(f)
+    with pytest.raises(ValueError):
+        SignScale((f,) + (1,) * 7)
+    with pytest.raises(ValueError):
+        Pipeline(stages=[QuasiDiagonal(dim=8, cells=((0, 0, "a"),))],
+                 pre_stages=[identity()], recipes={"a": ("input", 0, f)})
+    assert not is_trivial_factor(f)
 
 
 def test_fanout():
