@@ -235,7 +235,7 @@ def _reduced(n: tuple, d: int) -> LinForm:
     if d != 1:
         g = gcd(d, *n)
         if g != 1:
-            n, d = tuple(v // g for v in n), d // g
+            n, d = tuple([v // g for v in n]), d // g
     return _form(n, d)
 
 

@@ -115,8 +115,8 @@ class Program:
             if _OPERANDS.get(ins.op) != (ins.b is not None, type(ins.k)):
                 raise ValueError(f"{ins.dest}: not an instruction: op "
                                  f"{ins.op!r}, b {ins.b!r}, k {ins.k!r}")
-            for src in (ins.a, ins.b):
-                if src is not None and src not in side:
+            for src in (ins.a,) if ins.b is None else (ins.a, ins.b):
+                if src not in side:
                     raise ValueError(f"{ins.dest}: source {src} not yet defined")
             if ins.dest in side:
                 raise ValueError(f"slot {ins.dest} assigned twice")

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from operator import add, mul, neg, sub
 from typing import Iterable, Optional
 
 from .algebra import schoolbook_matrix
-from .linform import LinForm, SymMatrix
+from .linform import (_LF_ZERO, _SMALL, LinForm, SymMatrix, _coerce, _entry,
+                      _matrix)
 from .stages import QuasiDiagonal, pow2
 
 
@@ -85,18 +86,19 @@ def certify(p) -> ResidualReport:
 
     :func:`compose_symbolic`, read off the lowered program that
     ``mul_fast`` runs and ``flatten`` emits, must equal the schoolbook
-    matrix, and no other target can be given; each differing entry is a
-    :class:`Residual`.  Once the program is built no stage runs.  On
-    success ``p.certified`` is set: it vouches for this one claim alone.
+    matrix, and no other target can be given.  The eight rows are compared
+    as tuples; in a row that differs, each differing entry is a
+    :class:`Residual`, in row-major order.  Once the program is built no
+    stage runs.  On success ``p.certified`` is set: it vouches for this one
+    claim alone.
     """
     target = schoolbook_matrix()
     got = compose_symbolic(p)
     residuals = []
-    for i in range(8):
-        for j in range(8):
-            e, g = target.entry(i, j), got.entry(i, j)
-            if e != g:
-                residuals.append(Residual(i, j, e, g))
+    for i, (want, row) in enumerate(zip(target.entries, got.entries)):
+        if want != row:
+            residuals += [Residual(i, j, e, g)
+                          for j, (e, g) in enumerate(zip(want, row)) if e != g]
     report = ResidualReport(tuple(residuals))
     if report.ok:
         p.certified = True
@@ -156,21 +158,36 @@ def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionS
                            for _, _, name in cells])
     coeffs = [[0] * len(names) for _ in range(64)]  # row 8*i + j: entry (i, j)
     for k, (_, _, name) in enumerate(cells):
+        if name not in col:
+            continue
+        u, x = col[name], X[k]
         for i, row in enumerate(V):
-            if name in col and row[8 + k]:
-                for j, c in enumerate(X[k]):
-                    coeffs[8 * i + j][col[name]] += row[8 + k] * c
+            v = row[8 + k]
+            if v:
+                for j, c in enumerate(x):
+                    coeffs[8 * i + j][u] += v * c
 
     # One equation per output entry: sum(coeff * unknown) = target - known.
     target = schoolbook_matrix()
-    rhs = [target.entry(i, j) - known.entry(i, j)
-           for i in range(8) for j in range(8)]
+    rhs = [e - g for want, row in zip(target.entries, known.entries)
+           for e, g in zip(want, row)]
     assignment, free = _solve_linear(names, coeffs, rhs)
     return CorrectionSolve(assignment=assignment, free=tuple(free))
 
 
 # "zero" is its operand times 0, on its operand's side
 _OPS = {"add": add, "sub": sub, "neg": neg, "zero": partial(mul, 0)}
+
+
+@lru_cache(maxsize=8)
+def _inputs(n: int) -> tuple:
+    """The ``n`` unit rows of width ``n``, and each input slot's value for
+    :func:`_terms`: ``b_i`` the form of ``b_i``, ``x_j`` unit row ``j``.
+    Built once per width (the last 8 widths are kept); callers copy the
+    dict and only read the rows."""
+    unit = tuple((0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n))
+    return unit, {f"b{i}": LinForm.var(i) for i in range(8)} | {
+        f"x{j}": unit[j] for j in range(8)}
 
 
 def _terms(prog) -> tuple:
@@ -180,12 +197,12 @@ def _terms(prog) -> tuple:
     other is a row of ints and ``Fraction`` over ``x0..x7, m0..m{K-1}``,
     ``m_k`` the ``k``-th ``mul``.  ``V`` holds the 8 output rows, ``X[k]``
     the 8 x-coefficients of ``mul`` ``k``'s left operand and ``B[k]`` the
-    form of its right one, in the shape ``Program.validate`` checked.
+    form of its right one, in the shape ``Program.validate`` checked.  The
+    unit rows and the input slots' values come from a table built once per
+    width ``8 + K`` (:func:`_inputs`).
     """
-    n = 8 + sum(1 for ins in prog.instrs if ins.op == "mul")
-    unit = [(0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n)]
-    val = {f"b{i}": LinForm.var(i) for i in range(8)} | {
-        f"x{j}": unit[j] for j in range(8)}
+    unit, inputs = _inputs(8 + sum(1 for i in prog.instrs if i.op == "mul"))
+    val = dict(inputs)
     X, B = [], []
     for ins in prog.instrs:
         a = val[ins.a]
@@ -200,12 +217,32 @@ def _terms(prog) -> tuple:
     return [val[o] for o in prog.outputs], X, B
 
 
+# the unit rows of x0..x7 as forms, shared by every decode
+_IDENTITY = tuple(tuple(_SMALL[int(i == j)] for j in range(8))
+                  for i in range(8))
+_ZERO_ROW = (_LF_ZERO,) * 8
+
+
 def _decode(V, X, forms) -> SymMatrix:
     """``SymMatrix(V) @ W``, ``W`` the 8 unit rows of ``x0..x7`` and then
-    ``forms[k] * X[k]`` for each ``mul`` ``k``."""
-    units = [[int(i == j) for j in range(8)] for i in range(8)]
-    return SymMatrix(V) @ SymMatrix(
-        units + [[f * c for c in x] for x, f in zip(X, forms)])
+    ``forms[k] * X[k]`` for each ``mul`` ``k``.
+
+    ``W`` is built as forms and taken as is.  Its first 8 rows are one
+    shared identity block.  In row ``k`` a coefficient 0, 1 or -1 picks the
+    shared zero, ``forms[k]`` or its negation (made once per row), any other
+    ``c`` gives ``forms[k] * c``, and a zero form gives a row of zeros.
+    ``V``, ints and ``Fraction`` from :func:`_terms`, is coerced once.
+    """
+    rows = list(_IDENTITY)
+    for x, f in zip(X, forms):
+        f = _entry(f)
+        if f.is_zero:
+            rows.append(_ZERO_ROW)
+            continue
+        pick = {0: _LF_ZERO, 1: f, -1: -f}
+        rows.append(tuple([pick[c] if c in pick else f * c for c in x]))
+    v = _matrix(tuple(tuple(map(_coerce, row)) for row in V))
+    return v @ _matrix(tuple(rows))
 
 
 def _solve_linear(names, coeffs, rhs):

@@ -16,6 +16,7 @@ from octofast.cli import main
 from octofast.kernel import default_pipeline, mul_fast
 from octofast.linform import LinForm
 from octofast.program import emit_csv, emit_text, flatten
+from octofast.verify import certify
 
 
 def run(capsys, *argv):
@@ -245,6 +246,18 @@ def test_bench_csv_shape(capsys):
         algo, trials, total_ns, ns_per = line.split(",")
         assert algo == name and trials == "100"
         assert int(total_ns) > 0 and float(ns_per) > 0
+
+
+def test_bench_does_not_time_the_kernel_compilation(capsys, monkeypatch):
+    # a certified pipeline compiles its kernel on its first product, which
+    # takes milliseconds; one product takes microseconds
+    p = kernel.build_pipeline()
+    assert certify(p).ok and "_compiled" not in vars(p._program)
+    monkeypatch.setattr(kernel, "default_pipeline", lambda: p)
+    rc, out, _ = run(capsys, "bench", "--trials", "1", "--seed", "2")
+    assert rc == 0 and "_compiled" in vars(p._program)
+    fast = out.splitlines()[2].split(",")
+    assert fast[0] == "fast" and int(fast[2]) < 1_000_000
 
 
 def test_emit_text(capsys):

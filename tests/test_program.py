@@ -280,6 +280,7 @@ def test_validate_rejects_use_before_definition():
 
 _NOT_X_TIMES_B = "not an x-side value times a b-side value"
 _NOT_AN_INSTRUCTION = "t1: not an instruction"
+_NO_FIRST_SOURCE = "t1: source None not yet defined"
 
 
 @pytest.mark.parametrize("instrs, outputs, refusal", [
@@ -292,6 +293,10 @@ _NOT_AN_INSTRUCTION = "t1: not an instruction"
     ((("shift", "x0", "x1", 1),), ("t1",), _NOT_AN_INSTRUCTION),
     ((("shift", "x0", None, 1.0),), ("t1",), _NOT_AN_INSTRUCTION),
     ((("pow", "x0", "x1"),), ("t1",), _NOT_AN_INSTRUCTION),
+    ((("neg", None),), ("t1",) + INPUTS[1:8], _NO_FIRST_SOURCE),
+    ((("add", None, "x0"),), ("t1",) + INPUTS[1:8], _NO_FIRST_SOURCE),
+    ((("shift", None, None, 1),), ("t1",) + INPUTS[1:8], _NO_FIRST_SOURCE),
+    ((("zero", None),), ("t1",) + INPUTS[1:8], _NO_FIRST_SOURCE),
     ((("mul", "b0", "x0"),), ("t1",), _NOT_X_TIMES_B),
     ((("mul", "x0", "x1"),), ("t1",), _NOT_X_TIMES_B),
     ((("mul", "x0", "b0"), ("mul", "t1", "b0")), ("t2",), _NOT_X_TIMES_B),
@@ -304,7 +309,8 @@ _NOT_AN_INSTRUCTION = "t1: not an instruction"
     ((("mul", "x0", "b0"), ("add", "t1", "x1")), ("t2",), None),
 ], ids=["add-without-b", "sub-with-k", "mul-with-k", "neg-with-b",
         "zero-with-k", "shift-without-k", "shift-with-b", "shift-by-float",
-        "unknown-op", "b-times-x", "x-times-x", "product-times-b",
+        "unknown-op", "neg-of-none", "add-of-none", "shift-of-none",
+        "zero-of-none", "b-times-x", "x-times-x", "product-times-b",
         "x-plus-product-times-b", "x-plus-b",
         "b-only-output", "x-only-output", "product-plus-x"])
 def test_validate_checks_the_shape_of_a_bilinear_algorithm(instrs, outputs,
@@ -316,7 +322,8 @@ def test_validate_checks_the_shape_of_a_bilinear_algorithm(instrs, outputs,
     if refusal is None:
         prog.validate()
         return
-    error = ValueError if refusal == _NOT_AN_INSTRUCTION else DegreeError
+    error = (ValueError if refusal in (_NOT_AN_INSTRUCTION, _NO_FIRST_SOURCE)
+             else DegreeError)
     with pytest.raises(error, match=re.escape(refusal)):
         prog.validate()
 

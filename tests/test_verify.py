@@ -536,17 +536,7 @@ def test_solver_adds_up_the_cells_that_read_one_name():
 def test_solver_reads_fraction_halves():
     # 2^k before the core on some lanes and 2^-k after it on the same lanes
     # leave the product alone, but put Fractions into both constant halves
-    p = build_pipeline()
-    at = next(k for k, st in enumerate(p.stages)
-              if isinstance(st, QuasiDiagonal))
-    core = p.stages[at]
-    before = [Fraction(1, 2)] * 4 + [1] * 4 + [4] * 4 + [1] * 12
-    after = [1 / Fraction(f) for f in before]
-    stages = (p.stages[:at] + (SignScale(tuple(before), label="pre-scale"),
-                               core,
-                               SignScale(tuple(after), label="post-scale"))
-              + p.stages[at + 1:])
-    q = clone_pipeline(p, stages=stages)
+    q = _fraction_halves()
     assert certify(q).ok
     # the x-rows the products read, and the output rows over the products
     V, X, _ = verify._terms(q._program)
@@ -554,6 +544,39 @@ def test_solver_reads_fraction_halves():
         assert any(type(v) is Fraction for row in half for v in row)
     sol = solve_corrections(q)
     assert sol.free == () and sol.assignment == CORRECTION_FORMS
+
+
+def _scaled_core(before):
+    """The shipped pipeline with the core's input lanes scaled by
+    ``before`` and its output lanes by the inverses: the same product."""
+    p = build_pipeline()
+    at = next(k for k, st in enumerate(p.stages)
+              if isinstance(st, QuasiDiagonal))
+    after = tuple(1 / Fraction(f) for f in before)
+    return clone_pipeline(p, stages=(
+        p.stages[:at] + (SignScale(tuple(before), label="pre-scale"),
+                         p.stages[at],
+                         SignScale(after, label="post-scale"))
+        + p.stages[at + 1:]))
+
+
+def test_decode_reads_coefficients_other_than_zero_and_one():
+    # x2 and x1/2 on alternate blocks of 4 core lanes (a core cell stays in
+    # its block): the products' x-rows hold 2 and 1/2, which the decode
+    # multiplies in, and each unknown's row, whose form the solver sets to
+    # zero, holds them too
+    q = _scaled_core(((2,) * 4 + (Fraction(1, 2),) * 4) * 3)
+    _, X, _ = verify._terms(q._program)
+    coefficients = {c for row in X for c in row}
+    assert {2, Fraction(1, 2)} <= coefficients
+    core, = (st for st in q.stages if isinstance(st, QuasiDiagonal))
+    unknown_rows = [X[k] for k, (_, _, name) in enumerate(core.cells)
+                    if name in q.recipes]
+    assert unknown_rows and all(set(row) - {0, 1, -1} for row in unknown_rows)
+    assert compose_symbolic(q) == reference_compose(q)
+    assert certify(q).ok
+    assert solve_corrections(q) == reference_solve(q)
+    assert solve_corrections(q).assignment == CORRECTION_FORMS
 
 
 def test_composition_agrees_with_the_stage_by_stage_product():
@@ -590,16 +613,7 @@ def _core_last():
 
 def _fraction_halves():
     # 2^-1 and 2^2 before the core, their inverses after it
-    p = build_pipeline()
-    at = next(k for k, st in enumerate(p.stages)
-              if isinstance(st, QuasiDiagonal))
-    before = [Fraction(1, 2)] * 4 + [1] * 4 + [4] * 4 + [1] * 12
-    after = [1 / Fraction(f) for f in before]
-    return clone_pipeline(p, stages=(
-        p.stages[:at] + (SignScale(tuple(before), label="pre-scale"),
-                         p.stages[at],
-                         SignScale(tuple(after), label="post-scale"))
-        + p.stages[at + 1:]))
+    return _scaled_core([Fraction(1, 2)] * 4 + [1] * 4 + [4] * 4 + [1] * 12)
 
 
 @pytest.mark.parametrize("make, certifies", [
