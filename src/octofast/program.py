@@ -215,8 +215,8 @@ def flatten(p) -> Program:
     return p._program
 
 
-_OPS = {"add": "{a} + {b}", "sub": "{a} - {b}", "neg": "-{a}",
-        "mul": "{a} * {b}"}
+_OPS = {"add": "{a} + {b}", "sub": "{a} - {b}", "mul": "{a} * {b}",
+        "zero": "0.0 if _f else _zero_like({a})"}
 
 # Deepest parenthesis nesting a slot's expression may reach before it is
 # assigned to its name instead: CPython's parser refuses more than 200
@@ -225,31 +225,43 @@ _OPS = {"add": "{a} + {b}", "sub": "{a} - {b}", "neg": "-{a}",
 _MAX_NESTING = 64
 
 
-class _Body:
-    """The statements of one generated function, with single-use slots
-    inlined.
+def _sources(node: list) -> list:
+    """The slots that ``node = [op, a, b]`` reads: a ``scale``'s ``b`` is
+    its constant factor, a ``zero``'s is ``None``."""
+    return node[1:] if node[0] in ("add", "sub", "mul") else node[1:2]
 
-    A slot read exactly once (``uses[slot] == 1``) and not in ``keep`` is
-    written into its one reader as a parenthesised sub-expression, unless
-    its expression is already :data:`_MAX_NESTING` parentheses deep; any
-    other slot is assigned to its name.  ``text[slot]``/``depth[slot]``:
-    what a reader writes for ``slot`` and how deeply it nests parentheses
-    (input slots are their own names).
+
+def _render(node: dict, order: list, keep: set) -> tuple:
+    """The statements that compute the slots ``order`` names, in that order,
+    and ``text``: what a reader writes for each slot.
+
+    ``node[slot]`` is ``[op, a, b]`` over slots, :data:`INPUTS` and the
+    literal ``"0"``: an op of :data:`_OPS`, or ``["scale", a, c]``, ``a``
+    times the constant ``c`` (written ``-a`` for ``c == -1``).  A slot read
+    exactly once by the nodes of ``order``, and not in ``keep``, is written
+    into its one reader as a parenthesised sub-expression, unless its
+    expression is already :data:`_MAX_NESTING` parentheses deep; every
+    other slot is assigned to its name.
     """
-
-    def __init__(self, uses: Counter, keep: set):
-        self.uses, self.keep = uses, keep
-        self.text = {name: name for name in INPUTS}
-        self.depth = dict.fromkeys(INPUTS, 0)
-        self.lines = []
-
-    def define(self, dest: str, rhs: str, depth: int) -> None:
-        if (self.uses[dest] == 1 and dest not in self.keep
-                and depth < _MAX_NESTING):
-            self.text[dest], self.depth[dest] = f"({rhs})", depth + 1
+    reads = Counter(src for r in order for src in _sources(node[r]))
+    text = {name: name for name in INPUTS + ("0",)}
+    depth = dict.fromkeys(text, 0)
+    lines = []
+    for r in order:
+        op, a, b = node[r]
+        if op == "scale":
+            rhs = f"-{text[a]}" if b == -1 else f"{text[a]} * {b}"
         else:
-            self.lines.append(f"    {dest} = {rhs}")
-            self.text[dest], self.depth[dest] = dest, 0
+            rhs = _OPS[op].format(a=text[a], b=text.get(b))
+        d = max(depth[src] for src in _sources(node[r]))
+        if op == "zero":
+            d += 1  # the call's parentheses
+        if reads[r] == 1 and r not in keep and d < _MAX_NESTING:
+            text[r], depth[r] = f"({rhs})", d + 1
+        else:
+            lines.append(f"    {r} = {rhs}")
+            text[r], depth[r] = r, 0
+    return lines, text
 
 
 def _int_kernel_source(prog: Program, unpack: list) -> list:
@@ -332,32 +344,17 @@ def _int_kernel_source(prog: Program, unpack: list) -> list:
     for ins in prog.instrs:
         if root[ins.dest] == ins.dest:
             order += [ins.dest] + copies.get(ins.dest, [])
-    live, reads = set(keep), Counter()
+    live = set(keep)
     for r in reversed(order):
         if r in live:
-            op, a, b = node[r]
-            for src in (a,) if op == "scale" else (a, b):
-                reads[src] += 1
-                live.add(src)
-    body = _Body(reads, keep)
-    body.text["0"], body.depth["0"] = "0", 0
-    for r in order:
-        if r not in live:
-            continue
-        op, a, b = node[r]
-        ta, da = body.text[a], body.depth[a]
-        if op == "scale":
-            rhs, depth = (f"-{ta}" if b == -1 else f"{ta} * {b}"), da
-        else:
-            rhs = _OPS[op].format(a=ta, b=body.text[b])
-            depth = max(da, body.depth[b])
-        body.define(r, rhs, depth)
+            live.update(_sources(node[r]))
+    lines, text = _render(node, [r for r in order if r in live], keep)
     outs = []
     for o in prog.outputs:
-        n, d = body.text[root[o]], e[o]
+        n, d = text[root[o]], e[o]
         outs.append(f"{n} >> {d} if not {n} & {(1 << d) - 1} "
                     f"else _Fraction({n}, {1 << d})" if d else n)
-    return (["def _int_kernel(x, b):"] + unpack + body.lines
+    return (["def _int_kernel(x, b):"] + unpack + lines
             + ["    return _unchecked_octo((" + ", ".join(outs) + ",))"])
 
 
@@ -381,40 +378,38 @@ def program_source(prog: Program) -> str:
     one test that stands in for those checks).  Each instruction becomes
     one operation in the source.  A slot read by exactly one instruction
     and not an output is written into that reader as a parenthesised
-    sub-expression (up to a fixed nesting depth, see :class:`_Body`);
+    sub-expression (up to a fixed nesting depth, see :func:`_render`);
     every other slot is assigned to its name.  Python so evaluates the
     same operations on the same operands, and floats come out bit for bit
     as from one statement per instruction; only the stores and loads of
-    single-use temporaries are saved.
+    single-use temporaries are saved.  An op that is not one of
+    :class:`Instr`'s raises ``ValueError`` before any source is made.
 
-    When the program shifts by some ``k < 0``, ``kernel`` opens with one
-    test of the coefficients' types, and a shift by ``k`` multiplies by a
-    local that the branch taken sets.  When all sixteen are of type
-    ``float``, the branch sets ``_f = True`` and the local to the float
-    ``pow2(k)`` (``_qn3 = 0.125``, ``_q1 = 2.0``); otherwise ``_f = False``
-    and the local is ``pow2(k)`` itself (an int for k >= 0, a ``Fraction``
-    for k < 0), as the walk's stages multiply by.  A float times a
-    ``Fraction`` or an int is that float product, so the results are the
-    same and only the cost differs.  A ``zero`` is ``zero_like`` of its
-    operand, as in a quasi-diagonal stage, or when ``_f`` the literal
-    ``0.0``, which is what ``zero_like`` gives a float.  When ``_f`` the
-    body also ends in one test, ``_isfinite`` of the outputs' sum, before
-    the checking ``Octo``.  A sum of floats with an infinite or NaN term is
-    infinite or NaN, so a finite sum proves every output finite, and those
-    outputs make their ``Octo`` without its checks.  A sum that overflows,
-    though its terms are finite, falls through to ``Octo``, which checks
-    the outputs one by one as every other branch does; so nothing ``Octo``
-    refuses gets through.  Without a ``k < 0`` there is no test: a shift
-    multiplies by the literal ``pow2(k)``.
+    Every program's ``kernel`` opens with one test of the coefficients'
+    types, and a shift by ``k`` multiplies by a local that the branch
+    taken sets.  When all sixteen are of type ``float``, the branch sets
+    ``_f = True`` and the local to the float ``pow2(k)`` (``_qn3 = 0.125``,
+    ``_q1 = 2.0``); otherwise ``_f = False`` and the local is ``pow2(k)``
+    itself (an int for k >= 0, a ``Fraction`` for k < 0), as the walk's
+    stages multiply by.  A float times a ``Fraction`` or an int is that
+    float product, so the results are the same and only the cost differs.
+    A ``zero`` is ``zero_like`` of its operand, as in a quasi-diagonal
+    stage, or when ``_f`` the literal ``0.0``, which is what ``zero_like``
+    gives a float.  When ``_f`` the body also ends in one test,
+    ``_isfinite`` of the outputs' sum, before the checking ``Octo``.  A sum
+    of floats with an infinite or NaN term is infinite or NaN, so a finite
+    sum proves every output finite, and those outputs make their ``Octo``
+    without its checks.  A sum that overflows, though its terms are finite,
+    falls through to ``Octo``, which checks the outputs one by one as every
+    other branch does; so nothing ``Octo`` refuses gets through.
 
-    The one exception to equal types: when the program shifts by some
-    ``k < 0`` and all sixteen coefficients are of type ``int`` (not
-    ``bool``, no subclass), ``kernel`` returns ``_int_kernel(x, b)``, which
-    computes in exact dyadic ints.  There every slot holds an int numerator
-    ``N`` of the value ``N / 2**e``, with ``e >= 0`` fixed per slot at
-    codegen time: a shift by ``k < 0`` only raises ``e``; one by ``k > 0``
-    lowers ``e`` or multiplies by ``2**d``; a ``zero`` is the literal ``0``
-    with ``e = 0``.  Every product sits at one exponent ``E``, the largest
+    The one exception to equal types: when all sixteen coefficients are
+    of type ``int`` (not ``bool``, no subclass), ``kernel`` returns
+    ``_int_kernel(x, b)``, which computes in exact dyadic ints.  There
+    every slot holds an int numerator ``N`` of the value ``N / 2**e``,
+    with ``e >= 0`` fixed per slot at codegen time: a shift by ``k < 0``
+    only raises ``e``; one by ``k > 0`` lowers ``e`` or multiplies by
+    ``2**d``; a ``zero`` is the literal ``0`` with ``e = 0``.  Every product sits at one exponent ``E``, the largest
     ``e_x + e_b`` of a ``mul``: each ``mul`` multiplies its b operand by
     ``2**(E - e_x - e_b)`` (the value of ``<< d``, and an int product that
     CPython specialises), folded into the ``neg``s and shifts of the b side
@@ -428,59 +423,41 @@ def program_source(prog: Program) -> str:
     An output is ``N >> e`` when its low ``e`` bits are zero, else
     ``Fraction(N, 2**e)``.  So each value equals the walk's, and an integral
     one is an ``int`` where the walk has a ``Fraction``; being 8 ints and
-    ``Fraction``s, they make their ``Octo`` without its checks.  Without a
-    ``k < 0`` every ``e`` is 0 and ``kernel`` keeps ints exact by itself.
-    The call to the twin sits in the branch that float operands do not
-    reach, so they pay nothing for it.
+    ``Fraction``s, they make their ``Octo`` without its checks.  Only the
+    twin drops the operations no output reads; ``kernel`` performs every
+    one, as the walk does.  The call to the twin sits in the branch that
+    float operands do not reach, so they pay nothing for it.
     """
     if len(prog.outputs) != 8:
         raise ValueError(f"a program has 8 outputs, the coefficients of the "
                          f"product; this one has {len(prog.outputs)}")
+    for ins in prog.instrs:
+        if ins.op not in _OPERANDS:
+            raise ValueError(f"unknown op {ins.op!r}")
     unpack = ["    " + ", ".join(INPUTS[:8]) + ", = x",
               "    " + ", ".join(INPUTS[8:]) + ", = b"]
-    head = ["def kernel(x, b):"] + unpack
-    uses = Counter(src for ins in prog.instrs for src in (ins.a, ins.b)
-                   if src is not None)
-    # a shift by k < 0 opens the float branch and the int twin
-    branches = any(ins.op == "shift" and ins.k < 0 for ins in prog.instrs)
-    body, scales = _Body(uses, set(prog.outputs)), set()
-    zero = "0.0 if _f else _zero_like({a})" if branches else "_zero_like({a})"
-    for ins in prog.instrs:
-        a, depth = body.text[ins.a], body.depth[ins.a]
-        if ins.op == "shift" and branches:
-            rhs = f"{a} * {_scale(ins.k)}"
-            scales.add(ins.k)
-        elif ins.op == "shift":
-            rhs = f"{a} * {pow2(ins.k)}"
-        elif ins.op == "zero":
-            rhs, depth = zero.format(a=a), depth + 1
-        elif ins.op in _OPS:
-            b = body.text.get(ins.b, "")
-            rhs = _OPS[ins.op].format(a=a, b=b)
-            depth = max(depth, body.depth.get(ins.b, 0))
-        else:
-            raise ValueError(f"unknown op {ins.op!r}")
-        body.define(ins.dest, rhs, depth)
-    if branches:
-        head.append("    if " + " and ".join(
-            f"_type({name}) is _float" for name in INPUTS) + ":")
-        head.append("        _f = True")
-        head.extend(f"        {_scale(k)} = {float(pow2(k))!r}"
-                    for k in sorted(scales))
-        head.append("    elif " + " and ".join(
-            f"_type({name}) is _int" for name in INPUTS) + ":")
-        head.append("        return _int_kernel(x, b)")
-        head.append("    else:")
-        head.append("        _f = False")
-        head.extend(f"        {_scale(k)} = "
-                    f"{_scale(k).upper() if k < 0 else pow2(k)}"
-                    for k in sorted(scales))
-        head = _int_kernel_source(prog, unpack) + ["", ""] + head
+    # every instruction, dead ones included, as the walk runs them all
+    node = {ins.dest: ["scale", ins.a, _scale(ins.k)] if ins.op == "shift"
+            else ["scale", ins.a, -1] if ins.op == "neg"
+            else [ins.op, ins.a, ins.b] for ins in prog.instrs}
+    lines, _ = _render(node, list(node), set(prog.outputs))
+    scales = sorted({ins.k for ins in prog.instrs if ins.op == "shift"})
+
+    def all_of(kind):
+        return " and ".join(f"_type({name}) is {kind}" for name in INPUTS)
+
+    head = _int_kernel_source(prog, unpack) + ["", "", "def kernel(x, b):"]
+    head += unpack + [f"    if {all_of('_float')}:", "        _f = True"]
+    head += [f"        {_scale(k)} = {float(pow2(k))!r}" for k in scales]
+    head += [f"    elif {all_of('_int')}:", "        return _int_kernel(x, b)",
+             "    else:", "        _f = False"]
+    head += [f"        {_scale(k)} = {_scale(k).upper() if k < 0 else pow2(k)}"
+             for k in scales]
     outs = ", ".join(prog.outputs) + ","
     tail = [f"    if _f and _isfinite({' + '.join(prog.outputs)}):",
-            f"        return _unchecked_octo(({outs}))"] if branches else []
-    tail.append(f"    return _Octo(({outs}))")
-    return "\n".join(head + body.lines + tail) + "\n"
+            f"        return _unchecked_octo(({outs}))",
+            f"    return _Octo(({outs}))"]
+    return "\n".join(head + lines + tail) + "\n"
 
 
 def compile_program(prog: Program):

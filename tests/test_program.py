@@ -9,7 +9,7 @@ import pytest
 from conftest import identity, read_program
 
 from octofast import kernel, program
-from octofast.algebra import Octo, mul_naive
+from octofast.algebra import Octo, basis_mul, mul_naive
 from octofast.kernel import Pipeline, build_pipeline, default_pipeline, mul_fast
 from octofast.linform import DegreeError, LinForm, SymMatrix
 from octofast.opcount import OpCount, Tally, count_algorithm
@@ -185,6 +185,20 @@ def test_emission_is_pinned():
         == "2679ba3cf996055467215013a4637b155c0724a818c7929f0fbd5706d3159a57"
     assert hashlib.sha256(emit_csv(prog).encode()).hexdigest() \
         == "0ce63bd34e696d911093935db3cd749c4163c1415785e66427e81208a835b273"
+
+
+def test_kernel_source_is_pinned():
+    # the Python source that every fast product runs; a change here changes
+    # what execution, counting and the proof's artifact share
+    source = program_source(flatten(default_pipeline()))
+    assert hashlib.sha256(source.encode()).hexdigest() \
+        == "2bb92f12e1260e413107290d062b2857c76b482f83344430d938647245c24498"
+
+
+def test_program_source_refuses_an_unknown_op():
+    prog = Program((Instr("t1", "pow", "x0", "b0"),), ("t1",) + INPUTS[1:8])
+    with pytest.raises(ValueError, match=re.escape("unknown op 'pow'")):
+        program_source(prog)
 
 
 def test_text_layout():
@@ -370,6 +384,48 @@ def test_eval_program_keeps_ints_exact():
         y = eval_program(prog, x, b)
         assert y == mul_naive(x, b)
         assert [type(v) for v in y.c] == [int] * 8
+
+
+def _schoolbook_pipeline():
+    # each x_i b_j on a lane of its own, signed by its recipe, then summed
+    # into the lane of e_i e_j: the product with 64 multiplications and no
+    # shift
+    terms = [(i, j, basis_mul(i, j)) for i in range(8) for j in range(8)]
+    rows = tuple(tuple((t, 1) for t, (_, _, u) in enumerate(terms)
+                       if u.index == k) for k in range(8))
+    return Pipeline(
+        stages=[FanOut(src=tuple(i for i, _, _ in terms), in_dim=8),
+                QuasiDiagonal(dim=64, cells=tuple((t, t, f"m{t}")
+                                                  for t in range(64))),
+                Sum(rows=rows, in_dim=64)],
+        pre_stages=[identity()],
+        recipes={f"m{t}": ("input", j, u.sign)
+                 for t, (_, j, u) in enumerate(terms)})
+
+
+def test_a_program_without_a_negative_shift_gets_the_one_kernel_shape():
+    p = _schoolbook_pipeline()
+    assert certify(p).ok
+    prog = flatten(p)
+    assert not any(i.op == "shift" and i.k < 0 for i in prog.instrs)
+    fn = compile_program(prog)
+    twin, seen = fn.__globals__["_int_kernel"], []
+    fn.__globals__["_int_kernel"] = lambda x, b: seen.append(x) or twin(x, b)
+    rng = random.Random(79)
+    for _ in range(20):
+        x, b = rnd_octo(rng, 1000), rnd_octo(rng, 1000)
+        y = fn(x.c, b.c)
+        assert seen.pop() == x.c
+        assert y == mul_naive(x, b)
+        assert [type(v) for v in y.c] == [int] * 8
+        x = Octo(tuple(rng.uniform(-1, 1) for _ in range(8)))
+        b = Octo(tuple(rng.uniform(-1, 1) for _ in range(8)))
+        want = p.apply(x.c, p.precompute(b))
+        assert [v.hex() for v in fn(x.c, b.c).c] == [v.hex() for v in want]
+        assert not seen
+    big = Octo((1e308, 1e308, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        fn(big.c, big.c)
 
 
 def _functions(prog):
