@@ -23,23 +23,16 @@ are the targets of ``verify.solve_corrections``, which reads the same
 program with the known ones in place of the products' b-side values.
 
 That function builds the product's ``Octo`` itself.  When all sixteen
-coefficients are of type ``int``, it hands them to a generated twin that
-runs in exact dyadic ints: each value is held as an int numerator over a
-power of two fixed at codegen time, so the 1/8 above costs no ``Fraction``
-arithmetic.  Every product sits at one exponent, the 2^3 of the scaled
-sums' products: a correction's product is lifted to it by scaling its b
-operand by 8, folded into a sign or doubling the precompute already
-applies (``-b5`` becomes ``b5 * -8``), so only three b-side values take
-a new ``* 8``, no sum needs aligning, and each output takes a ``>> 3``.
-A certified pipeline then returns ``int`` coefficients; a value that is
-not integral (an uncertified pipeline's) comes back as a ``Fraction``;
-neither can be a non-finite float, so the twin skips ``Octo``'s checks.
-Every other kind of operand (float, ``Fraction``, mixed, ``bool``,
-instrumented scalars, linear forms) runs the generic code, which computes
-exactly what the interpreter walk computes and ends in the checking
-``Octo``; when all sixteen are floats, one finiteness test of the
-outputs' sum stands in for those checks, and a sum that overflows falls
-through to them.  See :func:`octofast.program.program_source`.
+coefficients are of type ``int``, it hands them to a generated twin in
+exact dyadic ints (:func:`octofast.program._int_kernel_source` states its
+rule), so the 1/8 above costs no ``Fraction`` arithmetic and a certified
+pipeline returns ``int`` coefficients.  Every other kind of operand
+(float, ``Fraction``, mixed, ``bool``, instrumented scalars, linear forms)
+runs the generic code, which computes exactly what the interpreter walk
+computes and ends in the checking ``Octo``; when all sixteen are floats,
+one finiteness test of the outputs' sum stands in for those checks, and a
+sum that overflows falls through to them.  See
+:func:`octofast.program.program_source`.
 """
 
 from __future__ import annotations

@@ -20,10 +20,10 @@ the program's operation tree and returns the product as an
 source; a slot that one instruction reads, and that is not an output, is
 written into that reader as a parenthesised sub-expression, up to a fixed
 nesting depth; every other slot is assigned to its name (see
-:func:`program_source`, which also describes the twin in exact dyadic ints
-that all-int operands run).  :func:`octofast.kernel.mul_fast` and
-:func:`eval_program` return what that function returns, so execution,
-counting, emission and proof share it.
+:func:`program_source`, and :func:`_int_kernel_source` for the twin in
+exact dyadic ints that all-int operands run).
+:func:`octofast.kernel.mul_fast` and :func:`eval_program` return what that
+function returns, so execution, counting, emission and proof share it.
 
 Emission is deterministic: same pipeline, byte-identical text.  Free ops
 (``neg``/``shift``/``zero``) are memoized so a value the walk negates or
@@ -67,11 +67,7 @@ class Instr:
     k: Optional[int] = None
 
     def to_text(self) -> str:
-        if self.op == "shift":
-            return f"{self.dest} = shift {self.a} {self.k}"
-        if self.b is None:
-            return f"{self.dest} = {self.op} {self.a}"
-        return f"{self.dest} = {self.op} {self.a} {self.b}"
+        return f"{self.dest} = {self.op} {self.a} {self.second()}".rstrip()
 
     def second(self) -> str:
         if self.op == "shift":
@@ -101,25 +97,36 @@ class Program:
         adds = sum(1 for i in self.instrs if i.op in ("add", "sub"))
         return OpCount(mults, adds)
 
-    def validate(self) -> None:
-        """Single forward pass: every op known with its operands (see
-        :data:`_OPERANDS`), every use after its one definition, and the
-        shape of a bilinear algorithm.  Each slot is on a side: ``x`` (from
-        ``x0..x7`` alone), ``b`` (from ``b0..b7`` alone) or ``m`` (reads a
-        product).  A ``mul`` not x-side times b-side, in that order, an
-        ``add``/``sub`` mixing the b side with another, and a b-side output
-        raise :class:`~octofast.linform.DegreeError`; the rest ``ValueError``.
-        """
-        side = dict.fromkeys(INPUTS[:8], "x") | dict.fromkeys(INPUTS[8:], "b")
+    def _check_form(self) -> None:
+        """The form of straight-line code: every op known with its operands
+        (see :data:`_OPERANDS`), every slot assigned once and read only
+        after that, and every output defined; ``ValueError`` otherwise."""
+        defined = set(INPUTS)
         for ins in self.instrs:
             if _OPERANDS.get(ins.op) != (ins.b is not None, type(ins.k)):
                 raise ValueError(f"{ins.dest}: not an instruction: op "
                                  f"{ins.op!r}, b {ins.b!r}, k {ins.k!r}")
             for src in (ins.a,) if ins.b is None else (ins.a, ins.b):
-                if src not in side:
+                if src not in defined:
                     raise ValueError(f"{ins.dest}: source {src} not yet defined")
-            if ins.dest in side:
+            if ins.dest in defined:
                 raise ValueError(f"slot {ins.dest} assigned twice")
+            defined.add(ins.dest)
+        for o in self.outputs:
+            if o not in defined:
+                raise ValueError(f"output {o} undefined")
+
+    def validate(self) -> None:
+        """Two passes: the form, :meth:`_check_form`, then the shape of a
+        bilinear algorithm.  Each slot is on a side: ``x`` (from ``x0..x7``
+        alone), ``b`` (from ``b0..b7`` alone) or ``m`` (reads a product).  A
+        ``mul`` not x-side times b-side, in that order, an ``add``/``sub``
+        mixing the b side with another, and a b-side output raise
+        :class:`~octofast.linform.DegreeError`; a form fault ``ValueError``.
+        """
+        self._check_form()
+        side = dict.fromkeys(INPUTS[:8], "x") | dict.fromkeys(INPUTS[8:], "b")
+        for ins in self.instrs:
             sa, sb = side[ins.a], side.get(ins.b, side[ins.a])
             if ins.op == "mul":
                 if (sa, sb) != ("x", "b"):
@@ -129,11 +136,8 @@ class Program:
             elif (sa == "b") is not (sb == "b"):
                 raise DegreeError(f"{ins.to_text()}: mixes the x and b sides")
             side[ins.dest] = "m" if sb == "m" else sa
-        for o in self.outputs:
-            if o not in side:
-                raise ValueError(f"output {o} undefined")
-            if side[o] == "b":
-                raise DegreeError("an output derives from b0..b7 alone")
+        if any(side[o] == "b" for o in self.outputs):
+            raise DegreeError("an output derives from b0..b7 alone")
 
 
 class _Emitter:
@@ -195,10 +199,9 @@ def _lower(p) -> Program:
     once :meth:`Program.validate` finds the shape of a bilinear algorithm.
     """
     em = _Emitter()
-    b = [_Slot(f"b{i}", em) for i in range(8)]
-    x = [_Slot(f"x{i}", em) for i in range(8)]
-    outputs = [slot.name for slot in p.apply(x, p.precompute(b))]
-    prog = Program(instrs=tuple(em.instrs), outputs=tuple(outputs))
+    slots = [_Slot(name, em) for name in INPUTS]
+    outs = p.apply(slots[:8], p.precompute(slots[8:]))
+    prog = Program(tuple(em.instrs), tuple(s.name for s in outs))
     prog.validate()
     return prog
 
@@ -265,23 +268,39 @@ def _render(node: dict, order: list, keep: set) -> tuple:
 
 
 def _int_kernel_source(prog: Program, unpack: list) -> list:
-    """Lines of ``_int_kernel(x, b)``, see :func:`program_source`.
+    """Lines of ``_int_kernel(x, b)``, the twin in exact dyadic ints that
+    :func:`program_source`'s ``kernel`` returns when all sixteen
+    coefficients are of type ``int`` (not ``bool``, no subclass).
 
-    Slot ``s`` holds an int numerator of the value ``N / 2**e[s]``, with
-    ``e[s] >= 0`` fixed here, and every product at one exponent ``top``:
-    the largest ``e_x + e_b`` of a ``mul``.  A shift that only moves ``e``
-    emits nothing: its slot is an alias whose readers read its source
-    ``root[s]``, and a root is kept named when it is (the source of) an
-    output, whose rule reads ``N`` three times.  A ``zero`` is the literal
-    ``0``, which reads nothing: its root is ``"0"``.
+    Slot ``s`` holds an int numerator ``N`` of the value ``N / 2**e[s]``,
+    with ``e[s] >= 0`` fixed here.  A shift by ``k < 0`` only raises ``e``;
+    one by ``k > 0`` lowers ``e`` or multiplies by ``2**d``.  A shift that
+    only moves ``e`` emits nothing: its slot is an alias whose readers read
+    its source ``root[s]``, and count as that source's readers when
+    :func:`_render` inlines single-use slots.  A ``zero`` is the literal
+    ``0``, which reads nothing: its root is ``"0"`` and its ``e`` is 0.
 
     Every other slot is a node ``[op, a, b]`` over roots, with ``neg`` and
     a shift written ``["scale", a, c]``: ``a``'s numerator times the int
-    ``c``.  A ``mul`` lifts its product to ``top`` by scaling its b operand,
-    folded through the b-side scales that operand reads; an ``add``/``sub``
-    whose operands still differ in ``e`` reads the lower one through a
-    scaled copy.  The nodes are then written in program order, each scaled
-    copy right after its source, and those no output reads are dropped.
+    ``c``.  Every product sits at one exponent ``top``, the largest
+    ``e_x + e_b`` of a ``mul``: a ``mul`` multiplies its b operand by
+    ``2**(top - e_x - e_b)`` (the value of ``<< d``, and an int product
+    that CPython specialises), folded through the ``neg``s and shifts of
+    the b side it reads: ``t53 * (-t6)`` at 8 is written
+    ``t53 * (t6 * -8)``, and ``x1 * (b0 * 2)`` is ``x1 * (b0 * 16)``.  So
+    sums of products need no alignment; an ``add``/``sub`` whose operands
+    still differ in ``e`` reads the lower one through a scaled copy.  The
+    nodes are written in the order they are built, so each scaled copy
+    lands just before its first reader, and those no output reads are
+    dropped: only the twin drops them, ``kernel`` performs every operation,
+    as the walk does.  A root is kept named when it is (the source of) an
+    output, whose rule reads ``N`` three times.
+
+    Int products are exact, so each numerator is the walk's value times
+    ``2**e``.  An output is ``N >> e`` when its low ``e`` bits are zero,
+    else ``Fraction(N, 2**e)``: each value equals the walk's, and an
+    integral one is an ``int`` where the walk has a ``Fraction``.  Being 8
+    ints and ``Fraction``s, they make their ``Octo`` without its checks.
     """
     def exponents(top):
         e, root = dict.fromkeys(INPUTS, 0), {name: name for name in INPUTS}
@@ -309,7 +328,7 @@ def _int_kernel_source(prog: Program, unpack: list) -> list:
               default=0)
     e, root = exponents(top)
     keep = {root[o] for o in prog.outputs}
-    node, copies = {}, {}  # copies[r]: the scaled copies made of root r
+    node = {}
 
     def scaled(r, c):
         """``r``, or its copy ``r_c`` whose numerator is ``r``'s times the
@@ -319,7 +338,6 @@ def _int_kernel_source(prog: Program, unpack: list) -> list:
         name = f"{r}_{c}".replace("-", "n")
         if name not in node:
             node[name] = ["scale", r, c]
-            copies.setdefault(r, []).append(name)
         return name
 
     for ins in prog.instrs:
@@ -339,16 +357,11 @@ def _int_kernel_source(prog: Program, unpack: list) -> list:
         else:
             node[dest] = [ins.op, scaled(a, 1 << (e[dest] - e[ins.a])),
                           scaled(root[ins.b], 1 << (e[dest] - e[ins.b]))]
-    # program order, each scaled copy right after its source
-    order = [name for r in INPUTS for name in copies.get(r, [])]
-    for ins in prog.instrs:
-        if root[ins.dest] == ins.dest:
-            order += [ins.dest] + copies.get(ins.dest, [])
     live = set(keep)
-    for r in reversed(order):
+    for r in reversed(node):
         if r in live:
             live.update(_sources(node[r]))
-    lines, text = _render(node, [r for r in order if r in live], keep)
+    lines, text = _render(node, [r for r in node if r in live], keep)
     outs = []
     for o in prog.outputs:
         n, d = text[root[o]], e[o]
@@ -382,8 +395,9 @@ def program_source(prog: Program) -> str:
     every other slot is assigned to its name.  Python so evaluates the
     same operations on the same operands, and floats come out bit for bit
     as from one statement per instruction; only the stores and loads of
-    single-use temporaries are saved.  An op that is not one of
-    :class:`Instr`'s raises ``ValueError`` before any source is made.
+    single-use temporaries are saved.  A program whose form
+    :meth:`Program._check_form` refuses raises ``ValueError`` before any
+    source is made; a well-formed one need not be bilinear.
 
     Every program's ``kernel`` opens with one test of the coefficients'
     types, and a shift by ``k`` multiplies by a local that the branch
@@ -404,36 +418,16 @@ def program_source(prog: Program) -> str:
     other branch does; so nothing ``Octo`` refuses gets through.
 
     The one exception to equal types: when all sixteen coefficients are
-    of type ``int`` (not ``bool``, no subclass), ``kernel`` returns
-    ``_int_kernel(x, b)``, which computes in exact dyadic ints.  There
-    every slot holds an int numerator ``N`` of the value ``N / 2**e``,
-    with ``e >= 0`` fixed per slot at codegen time: a shift by ``k < 0``
-    only raises ``e``; one by ``k > 0`` lowers ``e`` or multiplies by
-    ``2**d``; a ``zero`` is the literal ``0`` with ``e = 0``.  Every product sits at one exponent ``E``, the largest
-    ``e_x + e_b`` of a ``mul``: each ``mul`` multiplies its b operand by
-    ``2**(E - e_x - e_b)`` (the value of ``<< d``, and an int product that
-    CPython specialises), folded into the ``neg``s and shifts of the b side
-    it reads: ``t53 * (-t6)`` at 8 is written ``t53 * (t6 * -8)``, and
-    ``x1 * (b0 * 2)`` is ``x1 * (b0 * 16)``.  So sums of products need no
-    alignment; an ``add``/``sub`` whose operands still differ in ``e``
-    multiplies the lower one by ``2**d`` in a copy of its own.  Int products
-    are exact, so the numerators are the same.  A shift that only moves
-    ``e`` is no operation, so its readers read its source's numerator and
-    count as readers of that source when single-use slots are inlined.
-    An output is ``N >> e`` when its low ``e`` bits are zero, else
-    ``Fraction(N, 2**e)``.  So each value equals the walk's, and an integral
-    one is an ``int`` where the walk has a ``Fraction``; being 8 ints and
-    ``Fraction``s, they make their ``Octo`` without its checks.  Only the
-    twin drops the operations no output reads; ``kernel`` performs every
-    one, as the walk does.  The call to the twin sits in the branch that
-    float operands do not reach, so they pay nothing for it.
+    of type ``int``, ``kernel`` returns ``_int_kernel(x, b)``, the twin in
+    exact dyadic ints that :func:`_int_kernel_source` describes, whose
+    integral values are ``int``s where the walk has ``Fraction``s.  The
+    call to the twin sits in the branch that float operands do not reach,
+    so they pay nothing for it.
     """
     if len(prog.outputs) != 8:
         raise ValueError(f"a program has 8 outputs, the coefficients of the "
                          f"product; this one has {len(prog.outputs)}")
-    for ins in prog.instrs:
-        if ins.op not in _OPERANDS:
-            raise ValueError(f"unknown op {ins.op!r}")
+    prog._check_form()
     unpack = ["    " + ", ".join(INPUTS[:8]) + ", = x",
               "    " + ", ".join(INPUTS[8:]) + ", = b"]
     # every instruction, dead ones included, as the walk runs them all

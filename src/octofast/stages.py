@@ -69,7 +69,11 @@ def run(chain: Sequence, vec: Sequence,
 
 class Stage:
     """Base of every stage: a linear ``apply`` from ``in_dim`` lanes to
-    ``out_dim`` lanes."""
+    ``out_dim`` lanes, as many unless a stage says otherwise."""
+
+    @property
+    def out_dim(self):
+        return self.in_dim
 
     def matrix(self, forms: Optional[Mapping] = None) -> SymMatrix:
         """The stage's matrix: column ``j`` is its ``apply`` on the ``j``-th
@@ -101,10 +105,6 @@ class SignScale(Stage):
     def in_dim(self):
         return len(self.factors)
 
-    @property
-    def out_dim(self):
-        return len(self.factors)
-
     def apply(self, vec, pre=None):
         return [v * f for v, f in zip(vec, self.factors)]
 
@@ -128,10 +128,6 @@ class Butterfly(Stage):
 
     @property
     def in_dim(self):
-        return self.dim
-
-    @property
-    def out_dim(self):
         return self.dim
 
     def apply(self, vec, pre=None):
@@ -229,10 +225,6 @@ class QuasiDiagonal(Stage):
 
     @property
     def in_dim(self):
-        return self.dim
-
-    @property
-    def out_dim(self):
         return self.dim
 
     def apply(self, vec, pre: Mapping):

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import isfinite
 
 import pytest
-from conftest import identity, read_program
+from conftest import identity, read_program, sign_mutation_sites
 
 from octofast import kernel, program
 from octofast.algebra import Octo, basis_mul, mul_naive
@@ -192,13 +192,55 @@ def test_kernel_source_is_pinned():
     # what execution, counting and the proof's artifact share
     source = program_source(flatten(default_pipeline()))
     assert hashlib.sha256(source.encode()).hexdigest() \
-        == "2bb92f12e1260e413107290d062b2857c76b482f83344430d938647245c24498"
+        == "4508c862c09a24b74f8f7ae78c037d412ed8802c30666731d1dac229e547b0e2"
+
+
+def test_kernel_source_of_every_sign_mutant_is_pinned():
+    # the shipped pipeline's source, then each sign mutant's, in
+    # sign_mutation_sites order: a codegen refactor that moves any line of
+    # any of these 125 sources changes this digest
+    p = default_pipeline()
+    pipelines = [p] + [q for _, q in sign_mutation_sites(p)]
+    assert len(pipelines) == 125
+    source = "".join(program_source(q._program) for q in pipelines)
+    assert hashlib.sha256(source.encode()).hexdigest() \
+        == "bfe0bc0d5a28599a4b3a70070b81f6840dad39675708b910043262fe11d83ab3"
 
 
 def test_program_source_refuses_an_unknown_op():
     prog = Program((Instr("t1", "pow", "x0", "b0"),), ("t1",) + INPUTS[1:8])
-    with pytest.raises(ValueError, match=re.escape("unknown op 'pow'")):
+    with pytest.raises(ValueError,
+                       match=re.escape("t1: not an instruction: op 'pow'")):
         program_source(prog)
+
+
+# a compiler that checks only the ops runs the first (lane 0 = 105, not
+# the 15 its instructions give) and raises KeyError on the other two
+@pytest.mark.parametrize("instrs, head, why", [
+    ((("t1", "add", "x0", "x1"), ("t2", "mul", "t1", "b0"),
+      ("t1", "mul", "x2", "b2")), ("t2", "t1"), "slot t1 assigned twice"),
+    ((("t1", "mul", "x0", "t2"), ("t2", "add", "b0", "b1")), ("t1", "x1"),
+     "t1: source t2 not yet defined"),
+    ((("t1", "mul", "x0", "b0"),), ("t1", "t9"), "output t9 undefined"),
+], ids=["assigned-twice", "used-before-defined", "undefined-output"])
+def test_the_compiler_refuses_what_validate_refuses(instrs, head, why):
+    prog = Program(tuple(Instr(*ins) for ins in instrs),
+                   head + INPUTS[len(head):8])
+    x, b = Octo(tuple(range(1, 9))), Octo(tuple(range(5, 13)))
+    for make in (Program.validate, program_source, compile_program,
+                 lambda prog: eval_program(prog, x, b)):
+        with pytest.raises(ValueError, match="^" + re.escape(why) + "$"):
+            make(prog)
+
+
+def test_the_compiler_runs_a_well_formed_program_that_is_not_bilinear():
+    # x0 * x0 is no x-side value times a b-side one, but straight-line code
+    prog = Program((Instr("t1", "mul", "x0", "x0"),), ("t1",) + INPUTS[1:8])
+    with pytest.raises(DegreeError):
+        prog.validate()
+    x, b = Octo(tuple(range(3, 11))), Octo(tuple(range(5, 13)))
+    want = Octo((9,) + x.c[1:])
+    assert eval_program(prog, x, b) == compile_program(prog)(x.c, b.c) == want
 
 
 def test_text_layout():
