@@ -6,7 +6,8 @@ instructions, so the program is exactly the walk the interpreter performs.
 The program is three-address code over the sixteen input slots
 ``x0..x7``/``b0..b7``.  Ops are ``add``, ``sub``, ``neg``, ``shift``
 (multiply by 2^k), ``mul`` and ``zero`` (a zero of its operand's scalar
-kind, for a structurally empty lane); every slot is assigned exactly once.
+kind, for a structurally empty lane); every slot is named ``t`` and
+digits and assigned exactly once.
 The lowering is refused unless :meth:`Program.validate` finds the shape of
 a bilinear algorithm and every constant is ``+-2^k``
 (:func:`~octofast.stages.pow2_exponent` gives the shift's ``k``).
@@ -33,6 +34,7 @@ program's instruction tallies match the instrumented interpreter's.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,6 +47,11 @@ from .linform import DegreeError
 from .stages import pow2, pow2_exponent, zero_like
 
 INPUTS = tuple(f"x{i}" for i in range(8)) + tuple(f"b{i}" for i in range(8))
+
+# what a slot the program assigns may be named: the compiled kernel writes
+# slot names into Python source, where they must not meet a keyword, a name
+# of its own or a scaled copy ``r_c``
+_SLOT_NAME = re.compile("t[0-9]+").fullmatch
 
 
 @dataclass(frozen=True)
@@ -99,10 +106,13 @@ class Program:
 
     def _check_form(self) -> None:
         """The form of straight-line code: every op known with its operands
-        (see :data:`_OPERANDS`), every slot assigned once and read only
-        after that, and every output defined; ``ValueError`` otherwise."""
+        (see :data:`_OPERANDS`), every slot named ``t`` and digits, assigned
+        once and read only after that, and every output defined;
+        ``ValueError`` otherwise."""
         defined = set(INPUTS)
         for ins in self.instrs:
+            if not _SLOT_NAME(ins.dest):
+                raise ValueError(f"slot {ins.dest!r}: not t followed by digits")
             if _OPERANDS.get(ins.op) != (ins.b is not None, type(ins.k)):
                 raise ValueError(f"{ins.dest}: not an instruction: op "
                                  f"{ins.op!r}, b {ins.b!r}, k {ins.k!r}")
@@ -272,29 +282,24 @@ def _int_kernel_source(prog: Program, unpack: list) -> list:
     :func:`program_source`'s ``kernel`` returns when all sixteen
     coefficients are of type ``int`` (not ``bool``, no subclass).
 
-    Slot ``s`` holds an int numerator ``N`` of the value ``N / 2**e[s]``,
-    with ``e[s] >= 0`` fixed here.  A shift by ``k < 0`` only raises ``e``;
-    one by ``k > 0`` lowers ``e`` or multiplies by ``2**d``.  A shift that
-    only moves ``e`` emits nothing: its slot is an alias whose readers read
-    its source ``root[s]``, and count as that source's readers when
-    :func:`_render` inlines single-use slots.  A ``zero`` is the literal
-    ``0``, which reads nothing: its root is ``"0"`` and its ``e`` is 0.
-
-    Every other slot is a node ``[op, a, b]`` over roots, with ``neg`` and
-    a shift written ``["scale", a, c]``: ``a``'s numerator times the int
-    ``c``.  Every product sits at one exponent ``top``, the largest
-    ``e_x + e_b`` of a ``mul``: a ``mul`` multiplies its b operand by
-    ``2**(top - e_x - e_b)`` (the value of ``<< d``, and an int product
-    that CPython specialises), folded through the ``neg``s and shifts of
-    the b side it reads: ``t53 * (-t6)`` at 8 is written
-    ``t53 * (t6 * -8)``, and ``x1 * (b0 * 2)`` is ``x1 * (b0 * 16)``.  So
-    sums of products need no alignment; an ``add``/``sub`` whose operands
-    still differ in ``e`` reads the lower one through a scaled copy.  The
-    nodes are written in the order they are built, so each scaled copy
-    lands just before its first reader, and those no output reads are
-    dropped: only the twin drops them, ``kernel`` performs every operation,
-    as the walk does.  A root is kept named when it is (the source of) an
-    output, whose rule reads ``N`` three times.
+    One forward walk gives each slot a triple ``(root, c, e)``: its
+    numerator ``N`` is the int ``c`` times ``root``'s numerator, and its
+    value is ``N / 2**e``, with ``e >= 0``.  An input is ``(name, 1, 0)``.
+    The free ops emit nothing: a ``zero`` is ``("0", 1, 0)``, the literal
+    ``0``; a ``neg`` flips ``c``; a shift by ``k`` gives ``(root, c, e - k)``
+    when ``e >= k``, else ``(root, c * 2**(k - e), 0)``.  Only ``add``,
+    ``sub`` and ``mul`` make nodes ``[op, a, b]``, each with the triple
+    ``(dest, 1, e)``, and factors are applied where read: a reader reads
+    ``(r, c)`` as ``r`` when ``c`` is 1 or ``r`` is ``0``, else as ``r``'s
+    copy ``r_c``, one node ``["scale", r, c]`` made just before its first
+    reader.  An ``add``/``sub`` reads both operands at the larger of their
+    ``e``.  Every product sits at one exponent ``top``: a first walk puts
+    each ``mul`` at its own ``e_x + e_b``, and ``top`` is the largest.  A
+    ``mul`` reads its b operand times a further ``2**(top - e_x - e_b)``
+    (the value of ``<< d``, and an int product that CPython specialises),
+    so sums of products need no alignment: ``t53 * (-t6)`` at 8 is
+    ``t53 * (t6 * -8)``.  An output reads its triple as a node does, and
+    what it reads is kept named, as the output rule reads it three times.
 
     Int products are exact, so each numerator is the walk's value times
     ``2**e``.  An output is ``N >> e`` when its low ``e`` bits are zero,
@@ -302,32 +307,6 @@ def _int_kernel_source(prog: Program, unpack: list) -> list:
     integral one is an ``int`` where the walk has a ``Fraction``.  Being 8
     ints and ``Fraction``s, they make their ``Octo`` without its checks.
     """
-    def exponents(top):
-        e, root = dict.fromkeys(INPUTS, 0), {name: name for name in INPUTS}
-        for ins in prog.instrs:
-            a, dest = ins.a, ins.dest
-            if ins.op == "zero":
-                e[dest], root[dest] = 0, "0"
-                continue
-            if ins.op == "shift" and e[a] >= ins.k:
-                e[dest], root[dest] = e[a] - ins.k, root[a]
-                continue
-            if ins.op == "mul":
-                e[dest] = top
-            elif ins.op in ("add", "sub"):
-                e[dest] = max(e[a], e[ins.b])
-            else:  # a neg, or a shift that multiplies
-                e[dest] = e[a] if ins.op == "neg" else 0
-            root[dest] = dest
-        return e, root
-
-    # the x and b sides read no product, so their exponents do not depend
-    # on ``top``
-    e, _ = exponents(0)
-    top = max((e[ins.a] + e[ins.b] for ins in prog.instrs if ins.op == "mul"),
-              default=0)
-    e, root = exponents(top)
-    keep = {root[o] for o in prog.outputs}
     node = {}
 
     def scaled(r, c):
@@ -336,37 +315,43 @@ def _int_kernel_source(prog: Program, unpack: list) -> list:
         if c == 1 or r == "0":
             return r
         name = f"{r}_{c}".replace("-", "n")
-        if name not in node:
-            node[name] = ["scale", r, c]
+        node.setdefault(name, ["scale", r, c])
         return name
 
-    for ins in prog.instrs:
-        dest = ins.dest
-        if root[dest] != dest:
-            continue
-        a = root[ins.a]
-        if ins.op == "shift":
-            node[dest] = ["scale", a, 1 << (ins.k - e[ins.a])]
-        elif ins.op == "neg":
-            node[dest] = ["scale", a, -1]
-        elif ins.op == "mul":
-            b, c = root[ins.b], 1 << (top - e[ins.a] - e[ins.b])
-            while c != 1 and b in node and node[b][0] == "scale":
-                b, c = node[b][1], node[b][2] * c  # -b5 times 8 is b5 * -8
-            node[dest] = ["mul", a, scaled(b, c)]
-        else:
-            node[dest] = [ins.op, scaled(a, 1 << (e[dest] - e[ins.a])),
-                          scaled(root[ins.b], 1 << (e[dest] - e[ins.b]))]
-    live = set(keep)
-    for r in reversed(node):
-        if r in live:
-            live.update(_sources(node[r]))
-    lines, text = _render(node, [r for r in node if r in live], keep)
-    outs = []
-    for o in prog.outputs:
-        n, d = text[root[o]], e[o]
-        outs.append(f"{n} >> {d} if not {n} & {(1 << d) - 1} "
-                    f"else _Fraction({n}, {1 << d})" if d else n)
+    def walk(top):
+        """Each slot's triple, and ``node`` built anew; ``top=None`` puts
+        each product at its own ``e_x + e_b``."""
+        node.clear()
+        val = {name: (name, 1, 0) for name in INPUTS}
+        for ins in prog.instrs:
+            r, c, e = val[ins.a]
+            if ins.op == "zero":
+                val[ins.dest] = ("0", 1, 0)
+            elif ins.op == "neg":
+                val[ins.dest] = (r, -c, e)
+            elif ins.op == "shift":
+                val[ins.dest] = ((r, c, e - ins.k) if e >= ins.k
+                                 else (r, c << (ins.k - e), 0))
+            else:
+                rb, cb, eb = val[ins.b]
+                if ins.op == "mul":
+                    d = e + eb if top is None else top
+                    cb <<= d - e - eb
+                else:
+                    d = max(e, eb)
+                    c, cb = c << (d - e), cb << (d - eb)
+                node[ins.dest] = [ins.op, scaled(r, c), scaled(rb, cb)]
+                val[ins.dest] = (ins.dest, 1, d)
+        return val
+
+    val = walk(None)
+    val = walk(max((val[ins.dest][2] for ins in prog.instrs
+                    if ins.op == "mul"), default=0))
+    reads = [(scaled(r, c), e) for r, c, e in map(val.get, prog.outputs)]
+    lines, text = _render(node, list(node), {r for r, _ in reads})
+    outs = [f"{text[r]} >> {e} if not {text[r]} & {(1 << e) - 1} "
+            f"else _Fraction({text[r]}, {1 << e})" if e else text[r]
+            for r, e in reads]
     return (["def _int_kernel(x, b):"] + unpack + lines
             + ["    return _unchecked_octo((" + ", ".join(outs) + ",))"])
 

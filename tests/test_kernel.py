@@ -1,3 +1,4 @@
+import ast
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -10,7 +11,7 @@ from octofast.kernel import (CORRECTION_FORMS, ENTRY_FORMS, LANES, Pipeline,
                              build_pipeline, default_pipeline, mul_fast)
 from octofast.linform import LinForm
 from octofast.program import (INPUTS, Instr, Program, emit_text, eval_program,
-                              flatten)
+                              flatten, program_source)
 from octofast.stages import QuasiDiagonal, SignScale, Sum
 from octofast.verify import certify
 
@@ -328,6 +329,38 @@ def test_int_twin_equals_an_exact_interpreter_on_random_programs():
                 halved.add(ins.dest)
             met += ins.op in ("add", "sub") and bool({ins.a, ins.b} & halved)
     assert types == {int, Fraction} and met > 20
+
+
+def _factor_operand(node):
+    """What ``node`` multiplies by a constant factor, a nonzero literal
+    (``* 8``, ``* -8``) or a unary minus; ``None`` when it is no factor."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return node.operand
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        right = node.right
+        if isinstance(right, ast.UnaryOp) and isinstance(right.op, ast.USub):
+            right = right.operand
+        if isinstance(right, ast.Constant) and right.value != 0:
+            return node.left
+    return None
+
+
+def test_int_twin_applies_no_factor_to_a_factors_result():
+    # negations and shifts are free: the factors a slot's value carries
+    # become one constant where it is read, not a chain of scalings
+    rng = random.Random(97)
+    for _ in range(200):
+        prog = _random_program(rng)
+        [twin] = [f for f in ast.parse(program_source(prog)).body
+                  if isinstance(f, ast.FunctionDef) and f.name == "_int_kernel"]
+        value = {n.targets[0].id: n.value for n in ast.walk(twin)
+                 if isinstance(n, ast.Assign)
+                 and isinstance(n.targets[0], ast.Name)}
+        for n in ast.walk(twin):
+            operand = _factor_operand(n)
+            if isinstance(operand, ast.Name):
+                operand = value.get(operand.id)
+            assert _factor_operand(operand) is None, emit_text(prog)
 
 
 class _Int(int):

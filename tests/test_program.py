@@ -192,7 +192,7 @@ def test_kernel_source_is_pinned():
     # what execution, counting and the proof's artifact share
     source = program_source(flatten(default_pipeline()))
     assert hashlib.sha256(source.encode()).hexdigest() \
-        == "4508c862c09a24b74f8f7ae78c037d412ed8802c30666731d1dac229e547b0e2"
+        == "767e5b3553b3c63746a257b296ba98c40c4120347ea35d9b5e86d9f34d3e7abe"
 
 
 def test_kernel_source_of_every_sign_mutant_is_pinned():
@@ -204,7 +204,7 @@ def test_kernel_source_of_every_sign_mutant_is_pinned():
     assert len(pipelines) == 125
     source = "".join(program_source(q._program) for q in pipelines)
     assert hashlib.sha256(source.encode()).hexdigest() \
-        == "bfe0bc0d5a28599a4b3a70070b81f6840dad39675708b910043262fe11d83ab3"
+        == "3cbbf06bb7bc3d7a3be1ae6a7e98bfcef5cecb90b66da468073db7c354ce9b10"
 
 
 def test_program_source_refuses_an_unknown_op():
@@ -227,6 +227,21 @@ def test_the_compiler_refuses_what_validate_refuses(instrs, head, why):
     prog = Program(tuple(Instr(*ins) for ins in instrs),
                    head + INPUTS[len(head):8])
     x, b = Octo(tuple(range(1, 9))), Octo(tuple(range(5, 13)))
+    for make in (Program.validate, program_source, compile_program,
+                 lambda prog: eval_program(prog, x, b)):
+        with pytest.raises(ValueError, match="^" + re.escape(why) + "$"):
+            make(prog)
+
+
+# unchecked, the int twin reads slot x1_2 as x1's copy (lane 0 = -5, where
+# the value is 12.5), and a slot named if is a SyntaxError
+@pytest.mark.parametrize("dest", ["x1_2", "if"])
+def test_every_entry_point_refuses_a_slot_not_named_t_and_digits(dest):
+    prog = Program((Instr(dest, "neg", "x2"), Instr("t1", "shift", "x0", k=-1),
+                    Instr("t2", "add", "t1", "x1"),
+                    Instr("t3", "mul", "t2", "b0")), ("t3", dest) + INPUTS[2:8])
+    x, b = Octo(tuple(range(1, 9))), Octo(tuple(range(5, 13)))
+    why = f"slot {dest!r}: not t followed by digits"
     for make in (Program.validate, program_source, compile_program,
                  lambda prog: eval_program(prog, x, b)):
         with pytest.raises(ValueError, match="^" + re.escape(why) + "$"):
