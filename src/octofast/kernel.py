@@ -13,6 +13,12 @@ lane swap get wrong.  Every correction value is a ±1 or ±2 multiple of either
 a ``b`` coefficient or an intermediate the precompute pass already built, so
 the corrections cost no extra additions.
 
+Each correction entry is stated once, as one row of one table that gives
+its recipe (how the precompute computes it) and its closed form;
+``CORRECTION_RECIPES`` and ``CORRECTION_FORMS`` are read off that table.
+Its core cell is read off its name: ``<block>_<r><c>`` sits at
+``(start + r, start + c)``, where ``start`` is the block's first lane.
+
 :func:`mul_fast` does not interpret the stages.  A pipeline lowers its own
 ``precompute``/``apply`` walk into a straight-line program once, on first
 use, and keeps it: ``octofast.verify.certify`` proves that program,
@@ -52,6 +58,9 @@ from .verify import certify
 
 EIGHTH = Fraction(1, 8)
 
+# The names of the eight precompute lanes, which a core cell reads by name.
+LANES = tuple(f"s{k}" for k in range(8))
+
 # ---------------------------------------------------------------------------
 # Frozen entry forms for the quasi-diagonal stage.
 # ---------------------------------------------------------------------------
@@ -73,56 +82,52 @@ S_FORMS = tuple(
     LinForm.combo([(i, Fraction(sign, 8)) for i, sign in enumerate(signs)])
     for signs in _S_SIGNS)
 
-# Correction entries, named <block>_<row><col> by their position inside the
-# owning 4x4 / 8x8 block.  sumcorr/diffcorr repair the two Toeplitz halves,
-# swapcorr repairs the scalar lane swap (its natural entries carry a factor 2,
-# folded in here so the precompute only shifts).
-CORRECTION_FORMS = {
-    "sumcorr_01": LinForm.var(5, -1),
-    "sumcorr_02": LinForm.var(6, -1),
-    "sumcorr_03": LinForm.var(7, -1),
-    "sumcorr_13": LinForm.combo([(2, -1), (6, -1)]),
-    "sumcorr_21": LinForm.combo([(3, -1), (7, -1)]),
-    "sumcorr_32": LinForm.combo([(1, -1), (5, -1)]),
-    "diffcorr_01": LinForm.var(5, -1),
-    "diffcorr_02": LinForm.var(6, -1),
-    "diffcorr_03": LinForm.var(7, -1),
-    "diffcorr_12": LinForm.combo([(3, 1), (7, -1)]),
-    "diffcorr_23": LinForm.combo([(1, 1), (5, -1)]),
-    "diffcorr_31": LinForm.combo([(2, 1), (6, -1)]),
-    "swapcorr_11": LinForm.var(0, 2),
-    "swapcorr_22": LinForm.var(0, 2),
-    "swapcorr_33": LinForm.var(0, 2),
-    "swapcorr_54": LinForm.var(5, -2),
-    "swapcorr_64": LinForm.var(6, -2),
-    "swapcorr_74": LinForm.var(7, -2),
+# The correction entries, one row each, name -> (recipe, closed form), in
+# the order the precompute computes them and the core multiplies by them;
+# a name <block>_<r><c> gives the entry's core cell (_cell).  A recipe reads
+# b ("input", lane, factor) or the shared butterfly intermediate ("tap",
+# lane, factor); the factor is +-1 or +-2, so no additions are spent.  The
+# closed form is stated apart from the recipe: it is the reference the
+# precompute is checked against.  sumcorr/diffcorr repair the two Toeplitz
+# halves, swapcorr repairs the scalar lane swap (its natural entries carry
+# a factor 2, folded in here so the precompute only shifts).
+_CORRECTIONS = {
+    "sumcorr_01": (("input", 5, -1), LinForm.var(5, -1)),
+    "sumcorr_02": (("input", 6, -1), LinForm.var(6, -1)),
+    "sumcorr_03": (("input", 7, -1), LinForm.var(7, -1)),
+    "sumcorr_13": (("tap", 2, -1), LinForm.combo([(2, -1), (6, -1)])),
+    "sumcorr_21": (("tap", 3, -1), LinForm.combo([(3, -1), (7, -1)])),
+    "sumcorr_32": (("tap", 1, -1), LinForm.combo([(1, -1), (5, -1)])),
+    "diffcorr_01": (("input", 5, -1), LinForm.var(5, -1)),
+    "diffcorr_02": (("input", 6, -1), LinForm.var(6, -1)),
+    "diffcorr_03": (("input", 7, -1), LinForm.var(7, -1)),
+    "diffcorr_12": (("tap", 7, 1), LinForm.combo([(3, 1), (7, -1)])),
+    "diffcorr_23": (("tap", 5, 1), LinForm.combo([(1, 1), (5, -1)])),
+    "diffcorr_31": (("tap", 6, 1), LinForm.combo([(2, 1), (6, -1)])),
+    "swapcorr_11": (("input", 0, 2), LinForm.var(0, 2)),
+    "swapcorr_22": (("input", 0, 2), LinForm.var(0, 2)),
+    "swapcorr_33": (("input", 0, 2), LinForm.var(0, 2)),
+    "swapcorr_54": (("input", 5, -2), LinForm.var(5, -2)),
+    "swapcorr_64": (("input", 6, -2), LinForm.var(6, -2)),
+    "swapcorr_74": (("input", 7, -2), LinForm.var(7, -2)),
 }
 
-ENTRY_FORMS = {f"s{k}": S_FORMS[k] for k in range(8)} | CORRECTION_FORMS
+# The first core lane of each correction block: the two 4x4 Toeplitz
+# repairs at lanes 4..7 and 12..15, the 8x8 swap repair at lanes 16..23
+# (its rows 0 and 4 are structurally zero).
+_BLOCK_START = {"sumcorr": 4, "diffcorr": 12, "swapcorr": 16}
 
-# How each correction value is actually computed: ("input", lane) reads b,
-# ("tap", lane) reads the shared butterfly intermediate; the factor is +-1 or
-# +-2, so no additions are spent.
-CORRECTION_RECIPES = {
-    "sumcorr_01": ("input", 5, -1),
-    "sumcorr_02": ("input", 6, -1),
-    "sumcorr_03": ("input", 7, -1),
-    "sumcorr_13": ("tap", 2, -1),
-    "sumcorr_21": ("tap", 3, -1),
-    "sumcorr_32": ("tap", 1, -1),
-    "diffcorr_01": ("input", 5, -1),
-    "diffcorr_02": ("input", 6, -1),
-    "diffcorr_03": ("input", 7, -1),
-    "diffcorr_12": ("tap", 7, 1),
-    "diffcorr_23": ("tap", 5, 1),
-    "diffcorr_31": ("tap", 6, 1),
-    "swapcorr_11": ("input", 0, 2),
-    "swapcorr_22": ("input", 0, 2),
-    "swapcorr_33": ("input", 0, 2),
-    "swapcorr_54": ("input", 5, -2),
-    "swapcorr_64": ("input", 6, -2),
-    "swapcorr_74": ("input", 7, -2),
-}
+CORRECTION_RECIPES = {name: rec for name, (rec, _) in _CORRECTIONS.items()}
+CORRECTION_FORMS = {name: form for name, (_, form) in _CORRECTIONS.items()}
+ENTRY_FORMS = dict(zip(LANES, S_FORMS)) | CORRECTION_FORMS
+
+
+def _cell(name: str) -> tuple:
+    """The core cell of correction ``<block>_<r><c>``: ``(start + r,
+    start + c, name)``, ``start`` the block's first lane."""
+    block, (r, c) = name.split("_")
+    start = _BLOCK_START[block]
+    return start + int(r), start + int(c), name
 
 
 def _precompute_stages() -> tuple:
@@ -154,19 +159,7 @@ def _main_stages() -> tuple:
         # scaled sums against the swapped/mixed head lanes
         (0, 0, "s0"), (1, 1, "s1"), (2, 2, "s2"), (3, 3, "s3"),
         (8, 8, "s4"), (9, 9, "s5"), (10, 10, "s6"), (11, 11, "s7"),
-        # sum-half Toeplitz correction (4x4 block at lanes 4..7)
-        (4, 5, "sumcorr_01"), (4, 6, "sumcorr_02"), (4, 7, "sumcorr_03"),
-        (5, 7, "sumcorr_13"), (6, 5, "sumcorr_21"), (7, 6, "sumcorr_32"),
-        # difference-half Toeplitz correction (4x4 block at lanes 12..15)
-        (12, 13, "diffcorr_01"), (12, 14, "diffcorr_02"),
-        (12, 15, "diffcorr_03"), (13, 14, "diffcorr_12"),
-        (14, 15, "diffcorr_23"), (15, 13, "diffcorr_31"),
-        # scalar-swap correction (8x8 block at lanes 16..23; rows 16 and 20
-        # are structurally zero)
-        (17, 17, "swapcorr_11"), (18, 18, "swapcorr_22"),
-        (19, 19, "swapcorr_33"), (21, 20, "swapcorr_54"),
-        (22, 20, "swapcorr_64"), (23, 20, "swapcorr_74"),
-    )
+    ) + tuple(map(_cell, _CORRECTIONS))
     return (
         FanOut(src=(4, 1, 2, 3, 0, 5, 6, 7), in_dim=8, label="swap04"),
         FanOut(src=tuple(range(8)) + tuple(range(8)), in_dim=8, label="dup"),
@@ -195,10 +188,6 @@ def _main_stages() -> tuple:
 # ---------------------------------------------------------------------------
 # Precomputed-value container and pipeline.
 # ---------------------------------------------------------------------------
-
-# The names of the eight precompute lanes, which a core cell reads by name.
-LANES = tuple(f"s{k}" for k in range(8))
-
 
 @dataclass
 class PrecomputeSet:

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import isfinite
+from sys import float_info
 from typing import Optional
 
 from .algebra import Octo, _unchecked_octo
@@ -388,7 +389,9 @@ def program_source(prog: Program) -> str:
     types, and a shift by ``k`` multiplies by a local that the branch
     taken sets.  When all sixteen are of type ``float``, the branch sets
     ``_f = True`` and the local to the float ``pow2(k)`` (``_qn3 = 0.125``,
-    ``_q1 = 2.0``); otherwise ``_f = False`` and the local is ``pow2(k)``
+    ``_q1 = 2.0``), or to ``pow2(k)`` itself when no float is that large
+    (``k >= 1024``), so that a float times it raises the walk's
+    ``OverflowError``; otherwise ``_f = False`` and the local is ``pow2(k)``
     itself (an int for k >= 0, a ``Fraction`` for k < 0), as the walk's
     stages multiply by.  A float times a ``Fraction`` or an int is that
     float product, so the results are the same and only the cost differs.
@@ -427,7 +430,9 @@ def program_source(prog: Program) -> str:
 
     head = _int_kernel_source(prog, unpack) + ["", "", "def kernel(x, b):"]
     head += unpack + [f"    if {all_of('_float')}:", "        _f = True"]
-    head += [f"        {_scale(k)} = {float(pow2(k))!r}" for k in scales]
+    head += [f"        {_scale(k)} = "
+             f"{float(pow2(k)) if k < float_info.max_exp else pow2(k)!r}"
+             for k in scales]
     head += [f"    elif {all_of('_int')}:", "        return _int_kernel(x, b)",
              "    else:", "        _f = False"]
     head += [f"        {_scale(k)} = {_scale(k).upper() if k < 0 else pow2(k)}"

@@ -27,6 +27,7 @@ from typing import Iterable, Optional
 from .algebra import schoolbook_matrix
 from .linform import (_LF_ZERO, _SMALL, LinForm, SymMatrix, _coerce, _entry,
                       _matrix)
+from .program import INPUTS
 from .stages import QuasiDiagonal, pow2
 
 
@@ -182,12 +183,13 @@ _OPS = {"add": add, "sub": sub, "neg": neg, "zero": partial(mul, 0)}
 @lru_cache(maxsize=8)
 def _inputs(n: int) -> tuple:
     """The ``n`` unit rows of width ``n``, and each input slot's value for
-    :func:`_terms`: ``b_i`` the form of ``b_i``, ``x_j`` unit row ``j``.
-    Built once per width (the last 8 widths are kept); callers copy the
-    dict and only read the rows."""
+    :func:`_terms`, keyed by :data:`~octofast.program.INPUTS`: ``x_j``
+    unit row ``j``, ``b_i`` the form of ``b_i``.  Built once per width
+    (the last 8 widths are kept); callers copy the dict and only read the
+    rows."""
     unit = tuple((0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n))
-    return unit, {f"b{i}": LinForm.var(i) for i in range(8)} | {
-        f"x{j}": unit[j] for j in range(8)}
+    forms = tuple(map(LinForm.var, range(8)))
+    return unit, dict(zip(INPUTS, unit[:8] + forms))
 
 
 def _terms(prog) -> tuple:

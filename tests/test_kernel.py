@@ -1,7 +1,9 @@
 import ast
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import clone_pipeline, identity, sign_mutation_sites
@@ -522,3 +524,10 @@ def test_frozen_correction_forms_shape():
     for name, form in CORRECTION_FORMS.items():
         assert 1 <= form.nonzero_count() <= 2, name
     assert CORRECTION_FORMS["diffcorr_23"] == LinForm.combo([(1, 1), (5, -1)])
+
+
+def test_the_readme_library_example_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

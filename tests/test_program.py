@@ -6,7 +6,8 @@ from fractions import Fraction
 from math import isfinite
 
 import pytest
-from conftest import identity, read_program, sign_mutation_sites
+from conftest import (clone_pipeline, identity, read_program,
+                      sign_mutation_sites)
 
 from octofast import kernel, program
 from octofast.algebra import Octo, basis_mul, mul_naive
@@ -128,6 +129,26 @@ def test_finite_outputs_whose_sum_overflows_are_the_walks():
     for got in (mul_fast(x, b), eval_program(flatten(p), x, b)):
         assert [type(v) for v in got.c] == [float] * 8
         assert [v.hex() for v in got.c] == [v.hex() for v in want]
+
+
+def test_a_shift_past_the_float_range_runs_on_ints_and_fractions():
+    # 2**1024 is no float: the float branch multiplies by the exact int, so
+    # float operands raise the walk's OverflowError and the others run
+    p0 = default_pipeline()
+    p = clone_pipeline(p0, stages=p0.stages + (
+        SignScale((2 ** 1024,) * 8), SignScale((Fraction(1, 2 ** 1024),) * 8)))
+    assert certify(p).ok
+    rng = random.Random(29)
+    for _ in range(20):
+        x, b = rnd_octo(rng, 1000), rnd_octo(rng, 1000)
+        assert mul_fast(x, b, p) == mul_naive(x, b)
+        xq, bq = (Octo(tuple(Fraction(v, 3) for v in o.c)) for o in (x, b))
+        assert mul_fast(xq, bq, p) == mul_naive(xq, bq)
+        xf, bf = (Octo(tuple(float(v) for v in o.c)) for o in (x, b))
+        with pytest.raises(OverflowError) as walk:
+            p.apply(xf.c, p.precompute(bf.c))
+        with pytest.raises(OverflowError, match=re.escape(str(walk.value))):
+            mul_fast(xf, bf, p)
 
 
 def test_program_counts_match_instrumented_counts():
