@@ -51,7 +51,7 @@ INPUTS = tuple(f"x{i}" for i in range(8)) + tuple(f"b{i}" for i in range(8))
 
 # what a slot the program assigns may be named: the compiled kernel writes
 # slot names into Python source, where they must not meet a keyword, a name
-# of its own or a scaled copy ``r_c``
+# of its own or a scaled copy such as ``b0_p4``
 _SLOT_NAME = re.compile("t[0-9]+").fullmatch
 
 
@@ -230,6 +230,7 @@ def flatten(p) -> Program:
 
 
 _OPS = {"add": "{a} + {b}", "sub": "{a} - {b}", "mul": "{a} * {b}",
+        "neg": "-{a}", "scale": "{a} * {b}",
         "zero": "0.0 if _f else _zero_like({a})"}
 
 # Deepest parenthesis nesting a slot's expression may reach before it is
@@ -241,7 +242,7 @@ _MAX_NESTING = 64
 
 def _sources(node: list) -> list:
     """The slots that ``node = [op, a, b]`` reads: a ``scale``'s ``b`` is
-    its constant factor, a ``zero``'s is ``None``."""
+    the text of its constant factor, a ``neg``'s or ``zero``'s is ``None``."""
     return node[1:] if node[0] in ("add", "sub", "mul") else node[1:2]
 
 
@@ -250,8 +251,8 @@ def _render(node: dict, order: list, keep: set) -> tuple:
     and ``text``: what a reader writes for each slot.
 
     ``node[slot]`` is ``[op, a, b]`` over slots, :data:`INPUTS` and the
-    literal ``"0"``: an op of :data:`_OPS`, or ``["scale", a, c]``, ``a``
-    times the constant ``c`` (written ``-a`` for ``c == -1``).  A slot read
+    literal ``"0"``, with ``op`` one of :data:`_OPS`; ``["scale", a, c]``
+    is ``a`` times the constant whose source text is ``c``.  A slot read
     exactly once by the nodes of ``order``, and not in ``keep``, is written
     into its one reader as a parenthesised sub-expression, unless its
     expression is already :data:`_MAX_NESTING` parentheses deep; every
@@ -263,10 +264,7 @@ def _render(node: dict, order: list, keep: set) -> tuple:
     lines = []
     for r in order:
         op, a, b = node[r]
-        if op == "scale":
-            rhs = f"-{text[a]}" if b == -1 else f"{text[a]} * {b}"
-        else:
-            rhs = _OPS[op].format(a=text[a], b=text.get(b))
+        rhs = _OPS[op].format(a=text[a], b=text.get(b, b))
         d = max(depth[src] for src in _sources(node[r]))
         if op == "zero":
             d += 1  # the call's parentheses
@@ -292,14 +290,17 @@ def _int_kernel_source(prog: Program, unpack: list) -> list:
     ``sub`` and ``mul`` make nodes ``[op, a, b]``, each with the triple
     ``(dest, 1, e)``, and factors are applied where read: a reader reads
     ``(r, c)`` as ``r`` when ``c`` is 1 or ``r`` is ``0``, else as ``r``'s
-    copy ``r_c``, one node ``["scale", r, c]`` made just before its first
-    reader.  An ``add``/``sub`` reads both operands at the larger of their
+    one copy, made just before its first reader.  ``c`` is always
+    ``+-2**j``, and the copy is named by root, sign and ``j``: ``r_pj``
+    for ``2**j``, ``r_nj`` for ``-2**j`` (``b0_p4``, ``b5_n3``, ``t1_n0``),
+    and is ``-r`` for ``c == -1``, else ``r`` times ``c`` written in hex.
+    An ``add``/``sub`` reads both operands at the larger of their
     ``e``.  Every product sits at one exponent ``top``: a first walk puts
     each ``mul`` at its own ``e_x + e_b``, and ``top`` is the largest.  A
     ``mul`` reads its b operand times a further ``2**(top - e_x - e_b)``
     (the value of ``<< d``, and an int product that CPython specialises),
     so sums of products need no alignment: ``t53 * (-t6)`` at 8 is
-    ``t53 * (t6 * -8)``.  An output reads its triple as a node does, and
+    ``t53 * (t6 * -0x8)``.  An output reads its triple as a node does, and
     what it reads is kept named, as the output rule reads it three times.
 
     Int products are exact, so each numerator is the walk's value times
@@ -307,16 +308,23 @@ def _int_kernel_source(prog: Program, unpack: list) -> list:
     else ``Fraction(N, 2**e)``: each value equals the walk's, and an
     integral one is an ``int`` where the walk has a ``Fraction``.  Being 8
     ints and ``Fraction``s, they make their ``Octo`` without its checks.
+
+    Every int literal of the twin, a copy's factor and an output's mask
+    ``2**e - 1`` and denominator ``2**e``, is written in hex, which
+    CPython's limit on the digits of an int does not cover, so no constant
+    is too large to write; only the exponent of a ``>>`` and the literal
+    ``0`` are decimal.
     """
     node = {}
 
     def scaled(r, c):
-        """``r``, or its copy ``r_c`` whose numerator is ``r``'s times the
-        int ``c`` (none for ``c == 1`` or the literal ``0``)."""
+        """``r``, or its copy whose numerator is ``r``'s times the int
+        ``c = +-2**j`` (none for ``c == 1`` or the literal ``0``)."""
         if c == 1 or r == "0":
             return r
-        name = f"{r}_{c}".replace("-", "n")
-        node.setdefault(name, ["scale", r, c])
+        name = f"{r}_{'n' if c < 0 else 'p'}{abs(c).bit_length() - 1}"
+        node.setdefault(name, ["neg", r, None] if c == -1
+                        else ["scale", r, hex(c)])
         return name
 
     def walk(top):
@@ -350,8 +358,8 @@ def _int_kernel_source(prog: Program, unpack: list) -> list:
                     if ins.op == "mul"), default=0))
     reads = [(scaled(r, c), e) for r, c, e in map(val.get, prog.outputs)]
     lines, text = _render(node, list(node), {r for r, _ in reads})
-    outs = [f"{text[r]} >> {e} if not {text[r]} & {(1 << e) - 1} "
-            f"else _Fraction({text[r]}, {1 << e})" if e else text[r]
+    outs = [f"{text[r]} >> {e} if not {text[r]} & {(1 << e) - 1:#x} "
+            f"else _Fraction({text[r]}, {1 << e:#x})" if e else text[r]
             for r, e in reads]
     return (["def _int_kernel(x, b):"] + unpack + lines
             + ["    return _unchecked_octo((" + ", ".join(outs) + ",))"])
@@ -359,8 +367,8 @@ def _int_kernel_source(prog: Program, unpack: list) -> list:
 
 def _scale(k: int) -> str:
     """The generic body's local that holds the factor ``2**k`` (``n`` marks
-    a negative ``k``); upper-cased, the ``Fraction`` it takes from the
-    kernel's globals when ``k < 0`` and the operands are not floats."""
+    a negative ``k``); upper-cased, the kernel's global that holds the
+    exact ``pow2(k)``, for every ``k``."""
     return f"_q{k}" if k >= 0 else f"_qn{-k}"
 
 
@@ -386,15 +394,21 @@ def program_source(prog: Program) -> str:
     source is made; a well-formed one need not be bilinear.
 
     Every program's ``kernel`` opens with one test of the coefficients'
-    types, and a shift by ``k`` multiplies by a local that the branch
-    taken sets.  When all sixteen are of type ``float``, the branch sets
-    ``_f = True`` and the local to the float ``pow2(k)`` (``_qn3 = 0.125``,
-    ``_q1 = 2.0``), or to ``pow2(k)`` itself when no float is that large
-    (``k >= 1024``), so that a float times it raises the walk's
-    ``OverflowError``; otherwise ``_f = False`` and the local is ``pow2(k)``
-    itself (an int for k >= 0, a ``Fraction`` for k < 0), as the walk's
-    stages multiply by.  A float times a ``Fraction`` or an int is that
-    float product, so the results are the same and only the cost differs.
+    types, and a shift by ``k`` multiplies by the local ``_scale(k)``
+    (``_q1``, ``_qn3``) that the branch taken sets.  The exact factor
+    ``pow2(k)`` (an int for ``k >= 0``, a ``Fraction`` for ``k < 0``, as
+    the walk's stages multiply by) is never written into the source: it is
+    the kernel's global ``_scale(k).upper()`` (``_Q1``, ``_QN3``), which
+    :func:`compile_program` binds, so no constant is too large to write.
+    When all sixteen are of type ``float``, the branch sets ``_f = True``
+    and the local to the float literal of ``pow2(k)`` (``_qn3 = 0.125``,
+    ``_q1 = 2.0``) when ``2**k`` is a finite float (``k < 1024``), else to
+    that global, so that a float times it raises the walk's
+    ``OverflowError``; otherwise ``_f = False`` and the local is that
+    global (``_q1 = _Q1``).  A float times a ``Fraction`` or an int is
+    that float product, so the results are the same and only the cost
+    differs.
+
     A ``zero`` is ``zero_like`` of its operand, as in a quasi-diagonal
     stage, or when ``_f`` the literal ``0.0``, which is what ``zero_like``
     gives a float.  When ``_f`` the body also ends in one test,
@@ -408,9 +422,9 @@ def program_source(prog: Program) -> str:
     The one exception to equal types: when all sixteen coefficients are
     of type ``int``, ``kernel`` returns ``_int_kernel(x, b)``, the twin in
     exact dyadic ints that :func:`_int_kernel_source` describes, whose
-    integral values are ``int``s where the walk has ``Fraction``s.  The
-    call to the twin sits in the branch that float operands do not reach,
-    so they pay nothing for it.
+    int literals are all hex and whose integral values are ``int``s where
+    the walk has ``Fraction``s.  The call to the twin sits in the branch
+    that float operands do not reach, so they pay nothing for it.
     """
     if len(prog.outputs) != 8:
         raise ValueError(f"a program has 8 outputs, the coefficients of the "
@@ -420,7 +434,6 @@ def program_source(prog: Program) -> str:
               "    " + ", ".join(INPUTS[8:]) + ", = b"]
     # every instruction, dead ones included, as the walk runs them all
     node = {ins.dest: ["scale", ins.a, _scale(ins.k)] if ins.op == "shift"
-            else ["scale", ins.a, -1] if ins.op == "neg"
             else [ins.op, ins.a, ins.b] for ins in prog.instrs}
     lines, _ = _render(node, list(node), set(prog.outputs))
     scales = sorted({ins.k for ins in prog.instrs if ins.op == "shift"})
@@ -431,12 +444,11 @@ def program_source(prog: Program) -> str:
     head = _int_kernel_source(prog, unpack) + ["", "", "def kernel(x, b):"]
     head += unpack + [f"    if {all_of('_float')}:", "        _f = True"]
     head += [f"        {_scale(k)} = "
-             f"{float(pow2(k)) if k < float_info.max_exp else pow2(k)!r}"
+             f"{float(pow2(k)) if k < float_info.max_exp else _scale(k).upper()}"
              for k in scales]
     head += [f"    elif {all_of('_int')}:", "        return _int_kernel(x, b)",
              "    else:", "        _f = False"]
-    head += [f"        {_scale(k)} = {_scale(k).upper() if k < 0 else pow2(k)}"
-             for k in scales]
+    head += [f"        {_scale(k)} = {_scale(k).upper()}" for k in scales]
     outs = ", ".join(prog.outputs) + ","
     tail = [f"    if _f and _isfinite({' + '.join(prog.outputs)}):",
             f"        return _unchecked_octo(({outs}))",
@@ -447,14 +459,16 @@ def program_source(prog: Program) -> str:
 def compile_program(prog: Program):
     """``prog`` as a Python function ``kernel(x, b) -> Octo``, compiled
     from :func:`program_source`: the program's operations, with single-use
-    slots inlined, and the int twin for all-int operands.  A program
-    without exactly 8 outputs raises ``ValueError``."""
+    slots inlined, and the int twin for all-int operands.  Each shift's
+    exact factor ``pow2(k)`` is bound in the function's globals as
+    ``_scale(k).upper()``, which the source reads instead of a literal.  A
+    program without exactly 8 outputs raises ``ValueError``."""
     scope = {"_zero_like": zero_like, "_isfinite": isfinite,
              "_type": type, "_float": float,
              "_int": int, "_Fraction": Fraction, "_Octo": Octo,
              "_unchecked_octo": _unchecked_octo}
     scope.update({_scale(ins.k).upper(): pow2(ins.k)
-                  for ins in prog.instrs if ins.op == "shift" and ins.k < 0})
+                  for ins in prog.instrs if ins.op == "shift"})
     exec(compile(program_source(prog), "<octofast kernel>", "exec"), scope)
     return scope["kernel"]
 

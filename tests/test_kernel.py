@@ -275,11 +275,11 @@ def _interpret(prog, x, b):
     return Octo(tuple(value[o] for o in prog.outputs))
 
 
-def _random_program(rng):
+def _random_program(rng, step=1):
     """A validated bilinear program: x-side and b-side values, one b-side
     shift by k < 0 (so all-int operands run the twin), products, and values
     read from the products and the x side; every side has adds, subs, negs,
-    zeros and shifts by +-1..3."""
+    zeros and shifts by ``step`` times +-1..3."""
     instrs = []
 
     def emit(op, a, b=None, k=None):
@@ -294,14 +294,15 @@ def _random_program(rng):
             if op in ("add", "sub"):
                 pool.append(emit(op, a, rng.choice(pool + more)))
             elif op == "shift":
-                pool.append(emit(op, a, k=rng.choice((-3, -2, -1, 1, 2, 3))))
+                k = step * rng.choice((-3, -2, -1, 1, 2, 3))
+                pool.append(emit(op, a, k=k))
             else:
                 pool.append(emit(op, a))
 
     xs, bs = list(INPUTS[:8]), list(INPUTS[8:])
     grow(xs, rng.randint(0, 6), [])
     grow(bs, rng.randint(0, 6), [])
-    bs.append(emit("shift", rng.choice(bs), k=-rng.randint(1, 3)))
+    bs.append(emit("shift", rng.choice(bs), k=-step * rng.randint(1, 3)))
     products = [emit("mul", rng.choice(xs), rng.choice(bs))
                 for _ in range(rng.randint(1, 6))]
     grow(products, rng.randint(2, 12), xs)
@@ -331,6 +332,18 @@ def test_int_twin_equals_an_exact_interpreter_on_random_programs():
                 halved.add(ins.dest)
             met += ins.op in ("add", "sub") and bool({ins.a, ins.b} & halved)
     assert types == {int, Fraction} and met > 20
+    # shifts by 2**k with |k| up to 15,000, whose constants have more decimal
+    # digits than CPython writes or reads: int operands check the twin,
+    # Fractions the generic body, which reads each 2**k from its globals
+    rng = random.Random(101)
+    for _ in range(20):
+        prog = _random_program(rng, step=5000)
+        x, b = rnd_octo(rng, 1000), rnd_octo(rng, 1000)
+        xq, bq = (Octo(tuple(Fraction(v, 3) for v in o.c)) for o in (x, b))
+        assert _exactly(eval_program(prog, x, b)) \
+            == _exactly(_int_rule(_interpret(prog, x, b))), emit_text(prog)
+        assert _exactly(eval_program(prog, xq, bq)) \
+            == _exactly(_interpret(prog, xq, bq)), emit_text(prog)
 
 
 def _factor_operand(node):

@@ -131,24 +131,43 @@ def test_finite_outputs_whose_sum_overflows_are_the_walks():
         assert [v.hex() for v in got.c] == [v.hex() for v in want]
 
 
-def test_a_shift_past_the_float_range_runs_on_ints_and_fractions():
-    # 2**1024 is no float: the float branch multiplies by the exact int, so
-    # float operands raise the walk's OverflowError and the others run
+_WIDE = 2 ** 20000
+
+
+@pytest.mark.parametrize("head,tail", [
+    ((), (2 ** 1024, Fraction(1, 2 ** 1024))),
+    ((), (_WIDE, Fraction(1, _WIDE))),
+    ((_WIDE,), (Fraction(1, _WIDE),)),
+], ids=["k1024", "k20000", "lone-negative-shift"])
+def test_a_shift_past_the_float_range_runs_on_ints_and_fractions(head, tail):
+    # the shipped chain between shifts by 2**k and its inverse: 2**1024 is
+    # no float, so the float branch multiplies by the exact int and float
+    # operands raise the walk's OverflowError, while the others run; 2**20000
+    # has more decimal digits than CPython writes or reads, so its constants
+    # come from the kernel's globals and the twin's are hex.  The last case
+    # ends the chain with one shift by 2**-20000, its inverse opening the
+    # chain on x, so the twin's mask and denominator are 2**20003 - 1 and
+    # 2**20003.  The program read back from its emitted text compiles too.
     p0 = default_pipeline()
-    p = clone_pipeline(p0, stages=p0.stages + (
-        SignScale((2 ** 1024,) * 8), SignScale((Fraction(1, 2 ** 1024),) * 8)))
+    p = clone_pipeline(p0, stages=tuple(SignScale((f,) * 8) for f in head)
+                       + p0.stages + tuple(SignScale((f,) * 8) for f in tail))
     assert certify(p).ok
+    read = read_program(emit_text(flatten(p)))
     rng = random.Random(29)
     for _ in range(20):
         x, b = rnd_octo(rng, 1000), rnd_octo(rng, 1000)
-        assert mul_fast(x, b, p) == mul_naive(x, b)
         xq, bq = (Octo(tuple(Fraction(v, 3) for v in o.c)) for o in (x, b))
-        assert mul_fast(xq, bq, p) == mul_naive(xq, bq)
         xf, bf = (Octo(tuple(float(v) for v in o.c)) for o in (x, b))
+        for u, v in ((x, b), (xq, bq)):
+            assert mul_fast(u, v, p) == eval_program(read, u, v) \
+                == mul_naive(u, v)
         with pytest.raises(OverflowError) as walk:
             p.apply(xf.c, p.precompute(bf.c))
-        with pytest.raises(OverflowError, match=re.escape(str(walk.value))):
-            mul_fast(xf, bf, p)
+        for product in (lambda: mul_fast(xf, bf, p),
+                        lambda: eval_program(read, xf, bf)):
+            with pytest.raises(OverflowError,
+                               match=re.escape(str(walk.value))):
+                product()
 
 
 def test_program_counts_match_instrumented_counts():
@@ -213,7 +232,7 @@ def test_kernel_source_is_pinned():
     # what execution, counting and the proof's artifact share
     source = program_source(flatten(default_pipeline()))
     assert hashlib.sha256(source.encode()).hexdigest() \
-        == "767e5b3553b3c63746a257b296ba98c40c4120347ea35d9b5e86d9f34d3e7abe"
+        == "631275bec3339ab5847efd4e1a360824a346f7675adb0ea118e90bc66c76edd8"
 
 
 def test_kernel_source_of_every_sign_mutant_is_pinned():
@@ -225,7 +244,7 @@ def test_kernel_source_of_every_sign_mutant_is_pinned():
     assert len(pipelines) == 125
     source = "".join(program_source(q._program) for q in pipelines)
     assert hashlib.sha256(source.encode()).hexdigest() \
-        == "3cbbf06bb7bc3d7a3be1ae6a7e98bfcef5cecb90b66da468073db7c354ce9b10"
+        == "674ed0719cbfa4565d52fa1b57590778565adbc171cb74103939861746ebd5b2"
 
 
 def test_program_source_refuses_an_unknown_op():

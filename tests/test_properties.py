@@ -1,6 +1,10 @@
 """Property tests: the fast kernel against the schoolbook product and
 against the interpreter walk it is compiled from."""
 
+import re
+from decimal import Decimal
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,3 +118,17 @@ def test_fast_equals_naive_on_matrix_coefficients(pair):
     # commute with the coefficients
     x, b = pair
     assert mul_fast(x, b) == mul_naive(x, b)
+
+
+def test_decimal_coefficients_raise_the_walks_type_error():
+    # a ring must also take a product with Fraction(+-1, 2**k): Decimal
+    # refuses the 1/8 scaling's, in the kernel as in the walk it runs,
+    # while mul_naive, which multiplies by no constant, works
+    p = default_pipeline()
+    x = Octo(tuple(Decimal(i) / 4 for i in range(1, 9)))
+    b = Octo(tuple(Decimal(-i) for i in range(1, 9)))
+    with pytest.raises(TypeError, match="Decimal.*Fraction") as walk:
+        p.apply(x.c, p.precompute(b.c))
+    with pytest.raises(TypeError, match=re.escape(str(walk.value))):
+        mul_fast(x, b)
+    assert mul_naive(x, b).c[0] == Decimal("-36.5")
