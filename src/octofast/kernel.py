@@ -43,7 +43,6 @@ sum that overflows falls through to them.  See
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -53,7 +52,7 @@ from .algebra import Octo
 from .linform import LinForm
 from .program import Program, _lower
 from .stages import (Butterfly, FanOut, QuasiDiagonal, SignScale, Sum,
-                     canonical_pow2, run)
+                     _Record, canonical_pow2, run)
 from .verify import certify
 
 EIGHTH = Fraction(1, 8)
@@ -189,11 +188,12 @@ def _main_stages() -> tuple:
 # Precomputed-value container and pipeline.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PrecomputeSet:
+class PrecomputeSet(_Record, frozen=False):
     """The 26 named right-operand values the quasi-diagonal stage consumes."""
-    s: tuple
-    m: dict
+
+    def __init__(self, s: tuple, m: dict):
+        self.s = s
+        self.m = m
 
     def __getitem__(self, name: str):
         if name in LANES:
@@ -222,8 +222,9 @@ class Pipeline:
     proves, ``flatten`` emits and :func:`mul_fast` runs, and ``certified``
     vouches for it, so the structure stays as built: the chains are tuples,
     ``recipes`` is read-only with canonical factors (``canonical_pow2``
-    refuses one that is not ``+-2^k``), and assigning any of the five
-    structural fields, or the program, raises ``AttributeError``.
+    refuses one that is not ``+-2^k``), ``entry_forms`` is read-only, and
+    assigning any of the five structural fields, or the program, raises
+    ``AttributeError``.
     """
 
     _FROZEN = frozenset({"stages", "pre_stages", "recipes", "entry_forms",
@@ -239,7 +240,7 @@ class Pipeline:
         fix(self, "recipes", MappingProxyType(
             {name: (src, lane, canonical_pow2(factor))
              for name, (src, lane, factor) in (recipes or {}).items()}))
-        fix(self, "entry_forms", dict(entry_forms or {}))
+        fix(self, "entry_forms", MappingProxyType(dict(entry_forms or {})))
         fix(self, "tap_index", tap_index)
         self.certified = False
         _check_chain(self.stages, 8, 8, "main")

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import isfinite
@@ -45,7 +44,7 @@ from typing import Optional
 
 from .algebra import Octo, _unchecked_octo
 from .linform import DegreeError
-from .stages import pow2, pow2_exponent, zero_like
+from .stages import _Record, pow2, pow2_exponent, zero_like
 
 INPUTS = tuple(f"x{i}" for i in range(8)) + tuple(f"b{i}" for i in range(8))
 
@@ -55,24 +54,31 @@ INPUTS = tuple(f"x{i}" for i in range(8)) + tuple(f"b{i}" for i in range(8))
 _SLOT_NAME = re.compile("t[0-9]+").fullmatch
 
 
-@dataclass(frozen=True)
-class OpCount:
-    mults: int
-    adds: int
+class OpCount(_Record):
+    """The counted operations of a kernel: multiplications and
+    additions (subtractions included)."""
+
+    def __init__(self, mults: int, adds: int):
+        _set = object.__setattr__
+        _set(self, "mults", mults)
+        _set(self, "adds", adds)
 
     def __str__(self):
         return f"mults={self.mults} adds={self.adds}"
 
 
-@dataclass(frozen=True)
-class Instr:
+class Instr(_Record):
     """``dest = op a [b]`` or ``dest = shift a k``; ``neg``, ``shift`` and
     ``zero`` (a zero of ``a``'s scalar kind) are free, the rest counted."""
-    dest: str
-    op: str            # add | sub | neg | shift | mul | zero
-    a: str
-    b: Optional[str] = None
-    k: Optional[int] = None
+
+    def __init__(self, dest: str, op: str, a: str, b: Optional[str] = None,
+                 k: Optional[int] = None):
+        _set = object.__setattr__
+        _set(self, "dest", dest)
+        _set(self, "op", op)  # add | sub | neg | shift | mul | zero
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "k", k)
 
     def to_text(self) -> str:
         return f"{self.dest} = {self.op} {self.a} {self.second()}".rstrip()
@@ -89,11 +95,13 @@ _OPERANDS = {"add": (True, type(None)), "sub": (True, type(None)),
              "zero": (False, type(None)), "shift": (False, int)}
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(_Record):
     """Straight-line code: ``instrs`` over :data:`INPUTS`, then ``outputs``."""
-    instrs: tuple
-    outputs: tuple
+
+    def __init__(self, instrs: tuple, outputs: tuple):
+        _set = object.__setattr__
+        _set(self, "instrs", instrs)
+        _set(self, "outputs", outputs)
 
     @cached_property
     def _compiled(self):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Mapping, Optional, Sequence
 
 from .linform import SymMatrix
@@ -57,6 +58,51 @@ def zero_like(v):
     return type(v)(0)
 
 
+class _Record:
+    """Base of the package's plain record classes, which a frozen
+    ``@dataclass`` would generate code for at import.
+
+    A subclass's ``__init__`` names its fields: its parameters after
+    ``self``, in order (a subclass without one keeps its parent's).  It
+    checks them and sets each with ``object.__setattr__``, as a frozen
+    dataclass's does, so Python refuses a bad call with its own
+    ``TypeError``.  The base gives the dataclass ``repr``, equality with a
+    record of the same class and equal fields, and a hash of the fields.
+    A record is frozen, unless its class is made with ``frozen=False``:
+    then it is mutable and unhashable.  Fields live in the instance
+    ``__dict__``, so a ``cached_property`` works on a frozen record.
+    """
+
+    def __init_subclass__(cls, frozen=True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+        # the field values; not a method, so called as self._get(self)
+        cls._get = attrgetter(*cls._fields)
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._get(self) == other._get(other)
+
+    def __hash__(self):
+        return hash(self._get(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self._fields) + ")"
+
+
 def run(chain: Sequence, vec: Sequence,
         values: Optional[Mapping] = None) -> list:
     """Each stage of ``chain`` applied in turn to ``vec``, with ``values``
@@ -90,6 +136,8 @@ class Stage:
             for j in range(n)))))
 
 
+# SignScale and Sum stay dataclasses: the benchmark makes its sign mutants
+# of them with dataclasses.replace (perfbench/harness.py::_sign_flips)
 @dataclass(frozen=True)
 class SignScale(Stage):
     """Diagonal stage; every factor is ±2^k, so no multiplications count.
@@ -109,22 +157,22 @@ class SignScale(Stage):
         return [v * f for v, f in zip(vec, self.factors)]
 
 
-@dataclass(frozen=True)
-class Butterfly(Stage):
+class Butterfly(Stage, _Record):
     """Sum/difference pairs: lanes (s+i, s+half+i) become (a+b, a-b).
 
     Covers blocks starting at each index in ``starts``; lanes outside any
     block pass through unchanged.
     """
-    half: int
-    starts: tuple
-    dim: int
-    label: str = ""
 
-    def __post_init__(self):
-        for s in self.starts:
-            if s < 0 or s + 2 * self.half > self.dim:
-                raise ValueError(f"block at {s} exceeds dimension {self.dim}")
+    def __init__(self, half: int, starts: tuple, dim: int, label: str = ""):
+        for s in starts:
+            if s < 0 or s + 2 * half > dim:
+                raise ValueError(f"block at {s} exceeds dimension {dim}")
+        _set = object.__setattr__
+        _set(self, "half", half)
+        _set(self, "starts", starts)
+        _set(self, "dim", dim)
+        _set(self, "label", label)
 
     @property
     def in_dim(self):
@@ -141,18 +189,18 @@ class Butterfly(Stage):
         return out
 
 
-@dataclass(frozen=True)
-class FanOut(Stage):
+class FanOut(Stage, _Record):
     """out[i] = in[src[i]] — pure reindexing, no arithmetic: a permutation,
     a duplication, or a widening of the vector."""
-    src: tuple
-    in_dim: int
-    label: str = ""
 
-    def __post_init__(self):
-        for j in self.src:
-            if not 0 <= j < self.in_dim:
+    def __init__(self, src: tuple, in_dim: int, label: str = ""):
+        for j in src:
+            if not 0 <= j < in_dim:
                 raise ValueError(f"source lane {j} out of range")
+        _set = object.__setattr__
+        _set(self, "src", src)
+        _set(self, "in_dim", in_dim)
+        _set(self, "label", label)
 
     @property
     def out_dim(self):
@@ -197,8 +245,7 @@ class Sum(Stage):
         return out
 
 
-@dataclass(frozen=True)
-class QuasiDiagonal(Stage):
+class QuasiDiagonal(Stage, _Record):
     """Square stage whose only nonzero entries are named precomputed values.
 
     This is the one place data-dependent multiplications happen: applying the
@@ -208,20 +255,19 @@ class QuasiDiagonal(Stage):
     matrices, say).  ``cells`` is a row-major tuple of ``(row, col, name)``;
     rows with no cells hold a structural zero of the input's scalar kind.
     """
-    dim: int
-    cells: tuple  # of (row, col, name), row-major
-    label: str = ""
 
-    def __post_init__(self):
+    def __init__(self, dim: int, cells: tuple, label: str = ""):
         seen = set()
-        for r, c, name in self.cells:
-            if not (0 <= r < self.dim and 0 <= c < self.dim):
+        for r, c, name in cells:
+            if not (0 <= r < dim and 0 <= c < dim):
                 raise ValueError(f"cell ({r},{c}) out of range")
             if (r, c) in seen:
                 raise ValueError(f"duplicate cell ({r},{c})")
             seen.add((r, c))
-        ordered = tuple(sorted(self.cells))
-        object.__setattr__(self, "cells", ordered)
+        _set = object.__setattr__
+        _set(self, "dim", dim)
+        _set(self, "cells", tuple(sorted(cells)))  # of (row, col, name)
+        _set(self, "label", label)
 
     @property
     def in_dim(self):

@@ -18,7 +18,6 @@ core entries become unknowns of a linear system that reconstructs them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from operator import add, mul, neg, sub
@@ -28,23 +27,26 @@ from .algebra import schoolbook_matrix
 from .linform import (_LF_ZERO, _SMALL, LinForm, SymMatrix, _coerce, _entry,
                       _matrix)
 from .program import INPUTS
-from .stages import QuasiDiagonal, pow2
+from .stages import QuasiDiagonal, _Record, pow2
 
 
-@dataclass(frozen=True)
-class Residual:
+class Residual(_Record):
     """One differing entry ``(row, col)`` of the 8x8 product matrix: the
     schoolbook form ``expected`` and the composed form ``got``."""
-    row: int
-    col: int
-    expected: LinForm
-    got: LinForm
+
+    def __init__(self, row: int, col: int, expected: LinForm, got: LinForm):
+        _set = object.__setattr__
+        _set(self, "row", row)
+        _set(self, "col", col)
+        _set(self, "expected", expected)
+        _set(self, "got", got)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(_Record):
     """Entrywise differences between a composed pipeline and the product."""
-    residuals: tuple
+
+    def __init__(self, residuals: tuple):
+        object.__setattr__(self, "residuals", residuals)
 
     @property
     def ok(self) -> bool:
@@ -106,11 +108,13 @@ def certify(p) -> ResidualReport:
     return report
 
 
-@dataclass(frozen=True)
-class CorrectionSolve:
+class CorrectionSolve(_Record):
     """Solved entry forms; ``free`` lists under-determined names (set to 0)."""
-    assignment: dict
-    free: tuple
+
+    def __init__(self, assignment: dict, free: tuple):
+        _set = object.__setattr__
+        _set(self, "assignment", assignment)
+        _set(self, "free", free)
 
 
 def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionSolve:
@@ -184,12 +188,12 @@ _OPS = {"add": add, "sub": sub, "neg": neg, "zero": partial(mul, 0)}
 def _inputs(n: int) -> tuple:
     """The ``n`` unit rows of width ``n``, and each input slot's value for
     :func:`_terms`, keyed by :data:`~octofast.program.INPUTS`: ``x_j``
-    unit row ``j``, ``b_i`` the form of ``b_i``.  Built once per width
-    (the last 8 widths are kept); callers copy the dict and only read the
-    rows."""
+    unit row ``j`` of width 8, ``b_i`` the form of ``b_i``.  Built once
+    per width (the last 8 widths are kept); callers copy the dict and only
+    read the rows."""
     unit = tuple((0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n))
     forms = tuple(map(LinForm.var, range(8)))
-    return unit, dict(zip(INPUTS, unit[:8] + forms))
+    return unit, dict(zip(INPUTS, tuple(u[:8] for u in unit[:8]) + forms))
 
 
 def _terms(prog) -> tuple:
@@ -197,13 +201,21 @@ def _terms(prog) -> tuple:
 
     A slot derived from ``b0..b7`` alone is a :class:`LinForm` of them; any
     other is a row of ints and ``Fraction`` over ``x0..x7, m0..m{K-1}``,
-    ``m_k`` the ``k``-th ``mul``.  ``V`` holds the 8 output rows, ``X[k]``
-    the 8 x-coefficients of ``mul`` ``k``'s left operand and ``B[k]`` the
-    form of its right one, in the shape ``Program.validate`` checked.  The
-    unit rows and the input slots' values come from a table built once per
-    width ``8 + K`` (:func:`_inputs`).
+    ``m_k`` the ``k``-th ``mul``.  A row that reads no product is kept 8
+    wide, over ``x0..x7`` alone, and padded with ``K`` zeros only where it
+    meets a row that reads one, and as an output.  ``V`` holds the 8
+    output rows, ``X[k]`` the 8 x-coefficients of ``mul`` ``k``'s left
+    operand and ``B[k]`` the form of its right one, in the shape
+    ``Program.validate`` checked.  The unit rows and the input slots'
+    values come from a table built once per width ``8 + K``
+    (:func:`_inputs`).
     """
-    unit, inputs = _inputs(8 + sum(1 for i in prog.instrs if i.op == "mul"))
+    K = sum(1 for i in prog.instrs if i.op == "mul")
+    unit, inputs = _inputs(8 + K)
+
+    def wide(row):
+        return row + (0,) * K if len(row) == 8 else row
+
     val = dict(inputs)
     X, B = [], []
     for ins in prog.instrs:
@@ -211,12 +223,18 @@ def _terms(prog) -> tuple:
         args = (a,) if ins.b is None else (a, val[ins.b])
         if ins.op == "mul":
             val[ins.dest] = unit[8 + len(X)]
-            X.append(a[:8])
+            X.append(a)
             B.append(args[1])
             continue
         f = partial(mul, pow2(ins.k)) if ins.op == "shift" else _OPS[ins.op]
-        val[ins.dest] = f(*args) if type(a) is LinForm else tuple(map(f, *args))
-    return [val[o] for o in prog.outputs], X, B
+        if type(a) is LinForm:
+            val[ins.dest] = f(*args)
+            continue
+        if len(args) == 2 and len(a) != len(args[1]):
+            args = map(wide, args)
+        val[ins.dest] = tuple(map(f, *args))
+    V = list(map(wide, map(val.get, prog.outputs)))
+    return V, X, B
 
 
 # the unit rows of x0..x7 as forms, shared by every decode

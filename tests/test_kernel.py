@@ -15,7 +15,7 @@ from octofast.linform import LinForm
 from octofast.program import (INPUTS, Instr, Program, emit_text, eval_program,
                               flatten, program_source)
 from octofast.stages import QuasiDiagonal, SignScale, Sum
-from octofast.verify import certify
+from octofast.verify import certify, solve_corrections
 
 HALF = Fraction(1, 2)
 EIGHTH = Fraction(1, 8)
@@ -529,6 +529,24 @@ def test_pipeline_structure_is_fixed_once_built(field):
         flatten(default_pipeline()))
     p.certified = False  # the verdict stays writable
     assert mul_fast(x, b, p) == mul_naive(x, b)
+
+
+def test_entry_forms_are_read_only():
+    # the shared pipeline's forms are the solver's targets: a write there
+    # would make every later solve in the process inconsistent
+    shared = default_pipeline()
+    with pytest.raises(TypeError):
+        shared.entry_forms["s0"] = LinForm.var(0) * 3
+    with pytest.raises(TypeError):
+        del shared.entry_forms["s0"]
+    assert not hasattr(shared.entry_forms, "update")
+    # a pipeline keeps a copy of the forms it is given
+    given = dict(ENTRY_FORMS)
+    p = clone_pipeline(shared, forms=given)
+    given["s0"] = LinForm.var(0) * 3
+    assert p.entry_forms == ENTRY_FORMS == shared.entry_forms
+    sol = solve_corrections(shared)
+    assert sol.free == () and sol.assignment == CORRECTION_FORMS
 
 
 def test_frozen_correction_forms_shape():
