@@ -19,7 +19,6 @@ the canonical constant, which lowering, compiled code and counting all use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 from typing import Mapping, Optional, Sequence
@@ -58,9 +57,22 @@ def zero_like(v):
     return type(v)(0)
 
 
+class _DataclassFields:
+    """A record class's ``__dataclass_fields__``, made on first read and
+    then kept on the class, so ``dataclasses.replace``, ``fields``,
+    ``asdict`` and ``is_dataclass`` work on it without octofast importing
+    ``dataclasses``.  Read through the class or an instance."""
+
+    def __get__(self, obj, cls):
+        from dataclasses import make_dataclass
+        fields = make_dataclass(cls.__name__, cls._fields).__dataclass_fields__
+        type.__setattr__(cls, "__dataclass_fields__", fields)
+        return fields
+
+
 class _Record:
-    """Base of the package's plain record classes, which a frozen
-    ``@dataclass`` would generate code for at import.
+    """Base of the package's record classes, which a frozen ``@dataclass``
+    would generate code for at import.
 
     A subclass's ``__init__`` names its fields: its parameters after
     ``self``, in order (a subclass without one keeps its parent's).  It
@@ -70,7 +82,9 @@ class _Record:
     record of the same class and equal fields, and a hash of the fields.
     A record is frozen, unless its class is made with ``frozen=False``:
     then it is mutable and unhashable.  Fields live in the instance
-    ``__dict__``, so a ``cached_property`` works on a frozen record.
+    ``__dict__``, so a ``cached_property`` works on a frozen record.  A
+    class that sets ``__dataclass_fields__ = _DataclassFields()`` passes
+    for a dataclass, and so does each subclass of it, with its own fields.
     """
 
     def __init_subclass__(cls, frozen=True, **kwargs):
@@ -79,6 +93,8 @@ class _Record:
         cls._fields = code.co_varnames[1:code.co_argcount]
         # the field values; not a method, so called as self._get(self)
         cls._get = attrgetter(*cls._fields)
+        if any("__dataclass_fields__" in vars(b) for b in cls.__mro__[1:]):
+            cls.__dataclass_fields__ = _DataclassFields()
         if not frozen:
             cls.__setattr__ = object.__setattr__
             cls.__delattr__ = object.__delattr__
@@ -136,18 +152,18 @@ class Stage:
             for j in range(n)))))
 
 
-# SignScale and Sum stay dataclasses: the benchmark makes its sign mutants
-# of them with dataclasses.replace (perfbench/harness.py::_sign_flips)
-@dataclass(frozen=True)
-class SignScale(Stage):
+# SignScale and Sum pass for dataclasses: the benchmark makes its sign
+# mutants of them with dataclasses.replace (perfbench/harness.py::_sign_flips)
+class SignScale(Stage, _Record):
     """Diagonal stage; every factor is ±2^k, so no multiplications count.
     Factors are stored canonical (:func:`pow2`): int lanes stay int."""
-    factors: tuple
-    label: str = ""
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors",
-                           tuple(map(canonical_pow2, self.factors)))
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init__(self, factors: tuple, label: str = ""):
+        _set = object.__setattr__
+        _set(self, "factors", tuple(map(canonical_pow2, factors)))
+        _set(self, "label", label)
 
     @property
     def in_dim(self):
@@ -210,22 +226,25 @@ class FanOut(Stage, _Record):
         return [vec[j] for j in self.src]
 
 
-@dataclass(frozen=True)
-class Sum(Stage):
+class Sum(Stage, _Record):
     """Signed lane sums: each output row is ``sum(sign * in[lane])``."""
-    rows: tuple  # of tuples of (lane, sign); every row non-empty
-    in_dim: int
-    label: str = ""
 
-    def __post_init__(self):
-        for row in self.rows:
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init__(self, rows: tuple, in_dim: int, label: str = ""):
+        # rows: of tuples of (lane, sign); every row non-empty
+        for row in rows:
             if not row:
                 raise ValueError("empty sum row")
             for lane, sign in row:
-                if not 0 <= lane < self.in_dim:
+                if not 0 <= lane < in_dim:
                     raise ValueError(f"lane {lane} out of range")
                 if sign not in (1, -1):
                     raise ValueError(f"sign must be +-1, got {sign}")
+        _set = object.__setattr__
+        _set(self, "rows", rows)
+        _set(self, "in_dim", in_dim)
+        _set(self, "label", label)
 
     @property
     def out_dim(self):

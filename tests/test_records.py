@@ -1,11 +1,15 @@
-"""The ten record classes on ``stages._Record``: construction, equality,
+"""The twelve record classes on ``stages._Record``: construction, equality,
 hashing, immutability and ``repr``, each pinned to what a frozen
 ``@dataclass`` gives (a mutable one for ``PrecomputeSet``)."""
 
 import dataclasses
 import importlib
 import pkgutil
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +83,18 @@ RECORDS = [
      "'dim' and 'cells'",
      "QuasiDiagonal.__init__() takes from 3 to 4 positional arguments but 5 "
      "were given"),
+    (SignScale, ((1, -1),), {"label": ""}, (2, 1),
+     "SignScale(factors=(1, -1), label='')",
+     "SignScale.__init__() missing 1 required positional argument: "
+     "'factors'",
+     "SignScale.__init__() takes from 2 to 3 positional arguments but 4 were "
+     "given"),
+    (Sum, ((((0, 1), (1, -1)),), 2), {"label": ""}, (((1, 1),),),
+     "Sum(rows=(((0, 1), (1, -1)),), in_dim=2, label='')",
+     "Sum.__init__() missing 2 required positional arguments: "
+     "'rows' and 'in_dim'",
+     "Sum.__init__() takes from 3 to 4 positional arguments but 5 were "
+     "given"),
 ]
 _IDS = [r[0].__name__ for r in RECORDS]
 # the two that hold a dict: unhashable, and PrecomputeSet also mutable
@@ -200,6 +216,24 @@ def test_post_init_checks_refuse_as_before():
     core = QuasiDiagonal(2, ((1, 1, "b"), (0, 0, "a")))
     assert core.cells == ((0, 0, "a"), (1, 1, "b"))
     assert core == QuasiDiagonal(2, ((0, 0, "a"), (1, 1, "b")), "")
+    with pytest.raises(ValueError,
+                       match="^constant factor 3 is not a signed power of two$"):
+        SignScale((1, 3))
+    with pytest.raises(ValueError,
+                       match="^constant factor 0 is not a signed power of two$"):
+        SignScale(factors=(0,), label="x")
+    with pytest.raises(ValueError, match="^empty sum row$"):
+        Sum((((0, 1),), ()), 2)
+    for lane in (2, -1):
+        with pytest.raises(ValueError, match=f"^lane {lane} out of range$"):
+            Sum(rows=(((lane, 1),),), in_dim=2)
+    with pytest.raises(ValueError, match="^sign must be \\+-1, got 2$"):
+        Sum((((0, 2),),), 2)
+    # a diagonal stores its factors canonical: int lanes stay int
+    scale = SignScale((1.0, -0.5, Fraction(4)))
+    assert scale.factors == (1, Fraction(-1, 2), 4)
+    assert [type(f) for f in scale.factors] == [int, Fraction, int]
+    assert scale == SignScale((1, Fraction(-1, 2), 4), "")
 
 
 def test_a_program_keeps_its_compiled_kernel_outside_its_fields():
@@ -229,8 +263,9 @@ def test_the_other_methods_of_the_records_still_answer():
 def test_the_only_dataclasses_are_the_two_the_benchmark_replaces():
     # perfbench/harness.py::_sign_flips makes its sign mutants with
     # dataclasses.replace on SignScale and Sum, and three test files do the
-    # same; they stay dataclasses until the benchmark stops doing that
-    # (ROADMAP item 1), and every other record is a plain class
+    # same; those two pass for dataclasses, with fields made on first read,
+    # until the benchmark stops doing that (ROADMAP item 1), and no other
+    # record does
     found = set()
     for mod in pkgutil.iter_modules(octofast.__path__, "octofast."):
         for obj in vars(importlib.import_module(mod.name)).values():
@@ -244,3 +279,85 @@ def test_the_only_dataclasses_are_the_two_the_benchmark_replaces():
     assert dataclasses.replace(total, rows=(((1, 1),),)).apply([3, 4]) == [4]
     with pytest.raises(ValueError, match="sign must be"):
         dataclasses.replace(total, rows=(((0, 2),),))
+
+
+def _fresh(code):
+    """Run ``code`` in a fresh isolated interpreter (``python -I``) that
+    imports the octofast under test, and return what it prints."""
+    src = str(Path(octofast.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c",
+         f"import sys; sys.path.insert(0, {src!r})\n" + textwrap.dedent(code)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_octofast_runs_without_importing_dataclasses():
+    # the CLI module, the first pipeline and a product of each kind load
+    # neither dataclasses nor the modules it imports; this counts modules,
+    # it does not time the import
+    out = _fresh("""
+        import octofast.cli
+        from octofast import Octo, default_pipeline, flatten, mul_fast, mul_naive
+        flatten(default_pipeline())
+        for coeffs in (range(1, 9), [0.5 * i - 1.25 for i in range(8)]):
+            x, b = Octo(coeffs), Octo(reversed(list(coeffs)))
+            assert mul_fast(x, b) == mul_naive(x, b)
+        print(sorted({"dataclasses", "inspect", "ast", "dis", "tokenize"}
+                     & set(sys.modules)))
+    """)
+    assert out == "[]\n"
+
+
+def test_dataclass_fields_are_made_on_first_read_whenever_dataclasses_comes():
+    # octofast first, dataclasses after it: replace, fields, asdict and
+    # is_dataclass answer on both classes, each class's fields are made once
+    # and kept on it, replace still runs the constructor's checks, and a
+    # subclass gets fields of its own
+    out = _fresh("""
+        import octofast
+        import dataclasses
+        from dataclasses import asdict, fields, is_dataclass, replace
+        from octofast.stages import SignScale, Sum
+
+        made = []
+        make = dataclasses.make_dataclass
+        dataclasses.make_dataclass = lambda name, *a, **k: (
+            made.append(name) or make(name, *a, **k))
+
+        scale = SignScale((1, -1), label="s")
+        total = Sum(rows=(((0, 1), (1, -1)),), in_dim=2)
+        assert is_dataclass(SignScale) and is_dataclass(total)
+        flipped = replace(scale, factors=(-1, 0.5))
+        assert flipped == SignScale((-1, 0.5), "s")
+        assert replace(total, rows=(((1, 1),),)).apply([3, 4]) == [4]
+        assert [f.name for f in fields(SignScale)] == ["factors", "label"]
+        assert [f.name for f in fields(total)] == ["rows", "in_dim", "label"]
+        assert asdict(scale) == {"factors": (1, -1), "label": "s"}
+        assert asdict(total) == {"rows": (((0, 1), (1, -1)),), "in_dim": 2,
+                                 "label": ""}
+        for cls in (SignScale, Sum):
+            kept = vars(cls)["__dataclass_fields__"]
+            assert type(kept) is dict and cls.__dataclass_fields__ is kept
+        assert made == ["SignScale", "Sum"], made
+        try:
+            replace(total, rows=(((0, 2),),))
+        except ValueError as e:
+            assert str(e) == "sign must be +-1, got 2", e
+        else:
+            raise AssertionError("replace skipped the sign check")
+
+        class Tagged(SignScale):
+            def __init__(self, factors, label="", note=""):
+                super().__init__(factors, label)
+                object.__setattr__(self, "note", note)
+
+        tagged = replace(Tagged((2,), note="a"), note="b")
+        assert type(tagged) is Tagged and tagged.note == "b"
+        assert [f.name for f in fields(Tagged)] == ["factors", "label", "note"]
+        assert [f.name for f in fields(SignScale)] == ["factors", "label"]
+        assert made == ["SignScale", "Sum", "Tagged"], made
+        print("ok")
+    """)
+    assert out == "ok\n"
