@@ -9,14 +9,12 @@ straight-line program.
 
 from .algebra import (BasisProduct, Octo, basis_mul, mul_naive,
                       quadratic_form, schoolbook_matrix)
-from .kernel import (PrecomputeSet, Pipeline, build_pipeline,
-                     default_pipeline, mul_fast)
+from .kernel import Pipeline, build_pipeline, default_pipeline, mul_fast
 from .linform import DegreeError, LinForm, SymMatrix
 from .opcount import Counted, OpCount, Tally, count_algorithm
 from .program import (Instr, Program, emit_csv, emit_text, eval_program,
                       flatten)
-from .stages import (Butterfly, FanOut, QuasiDiagonal, SignScale, Sum,
-                     apply_stage)
+from .stages import Butterfly, FanOut, QuasiDiagonal, SignScale, Sum
 from .verify import (CorrectionSolve, InconsistentSystemError, ResidualReport,
                      certify, compose_symbolic, solve_corrections)
 
@@ -25,10 +23,9 @@ __version__ = "1.0.0"
 __all__ = [
     "BasisProduct", "Butterfly", "Counted", "CorrectionSolve", "DegreeError",
     "FanOut", "InconsistentSystemError", "Instr", "LinForm", "Octo",
-    "OpCount", "Pipeline", "PrecomputeSet", "Program", "QuasiDiagonal",
-    "ResidualReport", "SignScale", "Sum", "SymMatrix", "Tally", "apply_stage",
-    "basis_mul", "build_pipeline", "certify", "compose_symbolic",
-    "count_algorithm", "default_pipeline", "emit_csv", "emit_text",
-    "eval_program", "flatten", "mul_fast", "mul_naive", "quadratic_form",
-    "schoolbook_matrix", "solve_corrections",
+    "OpCount", "Pipeline", "Program", "QuasiDiagonal", "ResidualReport",
+    "SignScale", "Sum", "SymMatrix", "Tally", "basis_mul", "build_pipeline",
+    "certify", "compose_symbolic", "count_algorithm", "default_pipeline",
+    "emit_csv", "emit_text", "eval_program", "flatten", "mul_fast",
+    "mul_naive", "quadratic_form", "schoolbook_matrix", "solve_corrections",
 ]

@@ -107,10 +107,6 @@ class Octo:
         return cls((0,) * 8)
 
     @classmethod
-    def one(cls) -> "Octo":
-        return cls.unit(0)
-
-    @classmethod
     def unit(cls, i: int) -> "Octo":
         c = [0] * 8
         c[i] = 1

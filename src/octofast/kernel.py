@@ -2,7 +2,8 @@
 
 The product ``y = x * b`` is computed as a bilinear pipeline: a short
 precompute pass over the right operand ``b`` yields 26 named scalars (eight
-scaled sums ``s0..s7`` plus eighteen correction entries); the main chain then
+scaled sums ``s0..s7`` plus eighteen correction entries), as a plain ``dict``
+with the keys of :data:`ENTRY_FORMS` in its order; the main chain then
 applies constant mixing stages to ``x`` with a single quasi-diagonal stage in
 the middle carrying all 26 data-dependent multiplications.
 
@@ -52,7 +53,7 @@ from .algebra import Octo
 from .linform import LinForm
 from .program import Program, _lower
 from .stages import (Butterfly, FanOut, QuasiDiagonal, SignScale, Sum,
-                     _Record, canonical_pow2, run)
+                     canonical_pow2, run)
 from .verify import certify
 
 EIGHTH = Fraction(1, 8)
@@ -185,20 +186,14 @@ def _main_stages() -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Precomputed-value container and pipeline.
+# The pipeline.
 # ---------------------------------------------------------------------------
 
-class PrecomputeSet(_Record, frozen=False):
-    """The 26 named right-operand values the quasi-diagonal stage consumes."""
-
-    def __init__(self, s: tuple, m: dict):
-        self.s = s
-        self.m = m
-
-    def __getitem__(self, name: str):
-        if name in LANES:
-            return self.s[int(name[1])]
-        return self.m[name]
+def PrecomputeSet(s: Sequence, m: Mapping) -> dict:
+    """The mapping ``precompute`` returns, of the lanes ``s`` and the recipe
+    values ``m``.  Kept because the frozen benchmark (``perfbench/layers.py``)
+    builds its replay's values with it."""
+    return dict(zip(LANES, s)) | m
 
 
 class Pipeline:
@@ -208,7 +203,9 @@ class Pipeline:
     ``(src, lane, factor)`` reads ``lane`` of the input (``"input"``) or of
     pre-stage ``tap_index``'s output (``"tap"``) times a ``+-2^k`` factor;
     ``stages`` transform the left operand, consuming the precomputed values
-    in quasi-diagonal stages.  ``certified`` is flipped by
+    in quasi-diagonal stages.  ``precompute`` returns those values as a
+    ``dict``: the lanes ``s0..s7``, then each recipe's value in ``recipes``
+    order.  ``certified`` is flipped by
     ``octofast.verify.certify`` once the matrix of the lowered program, the
     walk of ``precompute`` then ``apply``, equals the schoolbook product
     matrix: it vouches for that claim alone.  ``entry_forms`` name the
@@ -223,12 +220,10 @@ class Pipeline:
     vouches for it, so the structure stays as built: the chains are tuples,
     ``recipes`` is read-only with canonical factors (``canonical_pow2``
     refuses one that is not ``+-2^k``), ``entry_forms`` is read-only, and
-    assigning any of the five structural fields, or the program, raises
-    ``AttributeError``.
+    ``certified`` is the one attribute that may be assigned: assigning any
+    other, a field, a method or a new name, or deleting any attribute,
+    raises ``AttributeError``.
     """
-
-    _FROZEN = frozenset({"stages", "pre_stages", "recipes", "entry_forms",
-                         "tap_index", "_program"})
 
     def __init__(self, stages: Sequence, pre_stages: Sequence = (),
                  recipes: Optional[Mapping] = None,
@@ -267,9 +262,13 @@ class Pipeline:
                         f"a recipe")
 
     def __setattr__(self, name, value):
-        if name in self._FROZEN:
-            raise AttributeError(f"Pipeline.{name} is fixed when built")
+        if name != "certified":
+            raise AttributeError(f"Pipeline.{name} cannot be assigned; only "
+                                 f"Pipeline.certified can")
         object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Pipeline.{name} cannot be deleted")
 
     @cached_property
     def _program(self) -> Program:
@@ -278,7 +277,7 @@ class Pipeline:
 
     # -- right-operand pass --
 
-    def precompute(self, b) -> PrecomputeSet:
+    def precompute(self, b) -> dict:
         coeffs = b.c if isinstance(b, Octo) else tuple(b)
         if len(coeffs) != 8:
             raise ValueError(f"b: expected 8 lanes, got {len(coeffs)}")
@@ -287,13 +286,13 @@ class Pipeline:
         cut = max(self.tap_index + 1, 0)
         tap = run(self.pre_stages[:cut], coeffs)
         vec = run(self.pre_stages[cut:], tap)
-        m = {name: (coeffs[lane] if src == "input" else tap[lane]) * factor
-             for name, (src, lane, factor) in self.recipes.items()}
-        return PrecomputeSet(s=tuple(vec), m=m)
+        return dict(zip(LANES, vec)) | {
+            name: (coeffs[lane] if src == "input" else tap[lane]) * factor
+            for name, (src, lane, factor) in self.recipes.items()}
 
     # -- left-operand pass --
 
-    def apply(self, xvec: Sequence, pre: PrecomputeSet) -> list:
+    def apply(self, xvec: Sequence, pre: Mapping) -> list:
         if len(xvec) != 8:
             raise ValueError(f"x: expected 8 lanes, got {len(xvec)}")
         return run(self.stages, xvec, pre)

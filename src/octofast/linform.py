@@ -87,10 +87,6 @@ class LinForm:
         return _LF_ZERO
 
     @classmethod
-    def constant(cls, v) -> "LinForm":
-        return _coerce(_exact(v))
-
-    @classmethod
     def var(cls, i: int, scale=1) -> "LinForm":
         """The form ``scale * b_i``."""
         scale = _exact(scale)
@@ -115,9 +111,6 @@ class LinForm:
     @property
     def is_zero(self) -> bool:
         return not any(self._n)
-
-    def nonzero_count(self) -> int:
-        return sum(1 for c in self._n if c)
 
     # ---- arithmetic ----
 
@@ -168,9 +161,6 @@ class LinForm:
         return _reduced(tuple(p * n for n in self._n), self._d * r)
 
     __rmul__ = __mul__
-
-    def scale(self, k) -> "LinForm":
-        return self * _exact(k)
 
     # ---- evaluation / comparison ----
 

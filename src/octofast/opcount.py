@@ -48,13 +48,6 @@ class Tally:
     def snapshot(self) -> OpCount:
         return OpCount(self.mults, self.adds)
 
-    def reset(self) -> None:
-        self.mults = 0
-        self.adds = 0
-
-    def wrap(self, v) -> "Counted":
-        return Counted(v, self)
-
     def wrap_octo(self, o: Octo) -> Octo:
         return Octo(tuple(Counted(v, self) for v in o.c))
 

@@ -100,8 +100,8 @@ class Program(_Record):
 
     def __init__(self, instrs: tuple, outputs: tuple):
         _set = object.__setattr__
-        _set(self, "instrs", instrs)
-        _set(self, "outputs", outputs)
+        _set(self, "instrs", tuple(instrs))
+        _set(self, "outputs", tuple(outputs))
 
     @cached_property
     def _compiled(self):
@@ -220,7 +220,7 @@ def _lower(p) -> Program:
     em = _Emitter()
     slots = [_Slot(name, em) for name in INPUTS]
     outs = p.apply(slots[:8], p.precompute(slots[8:]))
-    prog = Program(tuple(em.instrs), tuple(s.name for s in outs))
+    prog = Program(em.instrs, [s.name for s in outs])
     prog.validate()
     return prog
 

@@ -80,14 +80,16 @@ class _Record:
     dataclass's does, so Python refuses a bad call with its own
     ``TypeError``.  The base gives the dataclass ``repr``, equality with a
     record of the same class and equal fields, and a hash of the fields.
-    A record is frozen, unless its class is made with ``frozen=False``:
-    then it is mutable and unhashable.  Fields live in the instance
-    ``__dict__``, so a ``cached_property`` works on a frozen record.  A
-    class that sets ``__dataclass_fields__ = _DataclassFields()`` passes
-    for a dataclass, and so does each subclass of it, with its own fields.
+    Every record is frozen, and a field given as a sequence is kept as a
+    tuple (``Sum`` rows and ``QuasiDiagonal`` cells as tuples of tuples), so
+    a record built from lists equals and hashes as one built from tuples.
+    Fields live in the instance ``__dict__``, so a ``cached_property`` works
+    on a frozen record.  A class that sets ``__dataclass_fields__ =
+    _DataclassFields()`` passes for a dataclass, and so does each subclass
+    of it, with its own fields.
     """
 
-    def __init_subclass__(cls, frozen=True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1:code.co_argcount]
@@ -95,10 +97,6 @@ class _Record:
         cls._get = attrgetter(*cls._fields)
         if any("__dataclass_fields__" in vars(b) for b in cls.__mro__[1:]):
             cls.__dataclass_fields__ = _DataclassFields()
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -181,6 +179,7 @@ class Butterfly(Stage, _Record):
     """
 
     def __init__(self, half: int, starts: tuple, dim: int, label: str = ""):
+        starts = tuple(starts)
         for s in starts:
             if s < 0 or s + 2 * half > dim:
                 raise ValueError(f"block at {s} exceeds dimension {dim}")
@@ -210,6 +209,7 @@ class FanOut(Stage, _Record):
     a duplication, or a widening of the vector."""
 
     def __init__(self, src: tuple, in_dim: int, label: str = ""):
+        src = tuple(src)
         for j in src:
             if not 0 <= j < in_dim:
                 raise ValueError(f"source lane {j} out of range")
@@ -233,6 +233,7 @@ class Sum(Stage, _Record):
 
     def __init__(self, rows: tuple, in_dim: int, label: str = ""):
         # rows: of tuples of (lane, sign); every row non-empty
+        rows = tuple(tuple(map(tuple, row)) for row in rows)
         for row in rows:
             if not row:
                 raise ValueError("empty sum row")
@@ -276,6 +277,7 @@ class QuasiDiagonal(Stage, _Record):
     """
 
     def __init__(self, dim: int, cells: tuple, label: str = ""):
+        cells = tuple(sorted(map(tuple, cells)))  # of (row, col, name)
         seen = set()
         for r, c, name in cells:
             if not (0 <= r < dim and 0 <= c < dim):
@@ -285,7 +287,7 @@ class QuasiDiagonal(Stage, _Record):
             seen.add((r, c))
         _set = object.__setattr__
         _set(self, "dim", dim)
-        _set(self, "cells", tuple(sorted(cells)))  # of (row, col, name)
+        _set(self, "cells", cells)
         _set(self, "label", label)
 
     @property

@@ -46,7 +46,7 @@ class ResidualReport(_Record):
     """Entrywise differences between a composed pipeline and the product."""
 
     def __init__(self, residuals: tuple):
-        object.__setattr__(self, "residuals", residuals)
+        object.__setattr__(self, "residuals", tuple(residuals))
 
     @property
     def ok(self) -> bool:
@@ -102,7 +102,7 @@ def certify(p) -> ResidualReport:
         if want != row:
             residuals += [Residual(i, j, e, g)
                           for j, (e, g) in enumerate(zip(want, row)) if e != g]
-    report = ResidualReport(tuple(residuals))
+    report = ResidualReport(residuals)
     if report.ok:
         p.certified = True
     return report
@@ -114,7 +114,7 @@ class CorrectionSolve(_Record):
     def __init__(self, assignment: dict, free: tuple):
         _set = object.__setattr__
         _set(self, "assignment", assignment)
-        _set(self, "free", free)
+        _set(self, "free", tuple(free))
 
 
 def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionSolve:
@@ -177,7 +177,7 @@ def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionS
     rhs = [e - g for want, row in zip(target.entries, known.entries)
            for e, g in zip(want, row)]
     assignment, free = _solve_linear(names, coeffs, rhs)
-    return CorrectionSolve(assignment=assignment, free=tuple(free))
+    return CorrectionSolve(assignment=assignment, free=free)
 
 
 # "zero" is its operand times 0, on its operand's side

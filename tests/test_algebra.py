@@ -43,7 +43,7 @@ def test_specific_products():
 
 def test_identity_element():
     rng = random.Random(3)
-    one = Octo.one()
+    one = Octo.unit(0)
     for _ in range(20):
         x = rnd_octo(rng)
         assert mul_naive(one, x) == x
@@ -96,7 +96,7 @@ def test_schoolbook_matrix_entries():
 
 
 def test_quadratic_form_values():
-    assert quadratic_form(Octo.one()) == 1
+    assert quadratic_form(Octo.unit(0)) == 1
     assert quadratic_form(Octo.unit(4)) == -1
     assert quadratic_form(Octo((1,) * 8)) == 0
 

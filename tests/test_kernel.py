@@ -10,11 +10,11 @@ from conftest import clone_pipeline, identity, sign_mutation_sites
 
 from octofast.algebra import Octo, basis_mul, mul_naive
 from octofast.kernel import (CORRECTION_FORMS, ENTRY_FORMS, LANES, Pipeline,
-                             build_pipeline, default_pipeline, mul_fast)
+                             PrecomputeSet, build_pipeline, default_pipeline, mul_fast)
 from octofast.linform import LinForm
 from octofast.program import (INPUTS, Instr, Program, emit_text, eval_program,
                               flatten, program_source)
-from octofast.stages import QuasiDiagonal, SignScale, Sum
+from octofast.stages import QuasiDiagonal, SignScale, Sum, apply_stage
 from octofast.verify import certify, solve_corrections
 
 HALF = Fraction(1, 2)
@@ -25,11 +25,22 @@ def rnd_octo(rng, r=100):
     return Octo(tuple(rng.randint(-r, r) for _ in range(8)))
 
 
+def lanes(pre):
+    """The eight precompute lanes ``s0..s7`` of ``pre``, read by name."""
+    return tuple(pre[name] for name in LANES)
+
+
+def corrections(pre):
+    """The values of ``pre`` that are not precompute lanes, in its order."""
+    return {name: v for name, v in pre.items() if name not in LANES}
+
+
 def test_scaled_sums_spot_values():
     p = default_pipeline()
-    assert p.precompute(Octo((1,) * 8)).s == (HALF, -HALF, -HALF, -HALF, 0, 0, 0, 0)
-    assert p.precompute(Octo.unit(0)).s == (-EIGHTH,) * 8
-    assert p.precompute(Octo.zero()).s == (0,) * 8
+    assert lanes(p.precompute(Octo((1,) * 8))) == (HALF, -HALF, -HALF, -HALF,
+                                                   0, 0, 0, 0)
+    assert lanes(p.precompute(Octo.unit(0))) == (-EIGHTH,) * 8
+    assert lanes(p.precompute(Octo.zero())) == (0,) * 8
 
 
 def test_scaled_sums_match_their_forms():
@@ -37,7 +48,7 @@ def test_scaled_sums_match_their_forms():
     p = default_pipeline()
     for _ in range(20):
         b = rnd_octo(rng)
-        s = p.precompute(b).s
+        s = lanes(p.precompute(b))
         for k in range(8):
             assert s[k] == ENTRY_FORMS[f"s{k}"].evaluate(b.c)
 
@@ -47,15 +58,15 @@ def test_scaled_sums_are_linear():
     p = default_pipeline()
     for _ in range(10):
         a, b = rnd_octo(rng), rnd_octo(rng)
-        sa, sb = p.precompute(a).s, p.precompute(b).s
-        s_sum = p.precompute(a + b).s
-        s_scaled = p.precompute(a.scale(5)).s
+        sa, sb = lanes(p.precompute(a)), lanes(p.precompute(b))
+        s_sum = lanes(p.precompute(a + b))
+        s_scaled = lanes(p.precompute(a.scale(5)))
         assert s_sum == tuple(x + y for x, y in zip(sa, sb))
         assert s_scaled == tuple(5 * x for x in sa)
 
 
 def test_corrections_at_all_ones():
-    m = default_pipeline().precompute(Octo((1,) * 8)).m
+    m = corrections(default_pipeline().precompute(Octo((1,) * 8)))
     assert len(m) == 18
     assert [m[f"sumcorr_{k}"] for k in ("01", "02", "03", "13", "21", "32")] \
         == [-1, -1, -1, -2, -2, -2]
@@ -68,7 +79,7 @@ def test_corrections_match_their_forms():
     p = default_pipeline()
     for _ in range(20):
         b = rnd_octo(rng)
-        m = p.precompute(b).m
+        m = corrections(p.precompute(b))
         for name, value in m.items():
             assert value == CORRECTION_FORMS[name].evaluate(b.c), name
 
@@ -79,6 +90,34 @@ def test_precompute_set_lookup():
     pre = p.precompute(b)
     assert pre["s0"] == ENTRY_FORMS["s0"].evaluate(b.c)
     assert pre["sumcorr_01"] == 13
+
+
+def test_precompute_of_the_variables_is_the_entry_forms_in_order():
+    pre = build_pipeline().precompute([LinForm.var(i) for i in range(8)])
+    assert type(pre) is dict and pre == ENTRY_FORMS
+    assert list(pre) == list(ENTRY_FORMS)
+
+
+def test_the_benchmark_replay_builds_what_precompute_returns():
+    # as perfbench/layers.py::replay_fast builds its values: one apply_stage
+    # per pre-stage, the recipes read off the input and the tap, and the
+    # lanes and recipe values handed to PrecomputeSet by keyword
+    rng = random.Random(43)
+    p = build_pipeline()
+    for _ in range(20):
+        b = rnd_octo(rng)
+        vec = tap = list(b.c)
+        for idx, st in enumerate(p.pre_stages):
+            vec = apply_stage(st, vec, None)
+            if idx == p.tap_index:
+                tap = vec
+        m = {}
+        for name, (src, lane, factor) in p.recipes.items():
+            base = b.c[lane] if src == "input" else tap[lane]
+            m[name] = (base if factor == 1 else -base if factor == -1
+                       else base * factor)
+        pre = PrecomputeSet(s=tuple(vec), m=m)
+        assert pre == p.precompute(b) and list(pre) == list(p.precompute(b))
 
 
 def test_fast_equals_naive_on_basis_pairs():
@@ -463,7 +502,7 @@ def test_a_tap_recipe_reads_the_output_of_pre_stage_tap_index(tap_index):
     pre = p.precompute(b)
     assert [pre[f"t{k}"] for k in range(8)] == outs[tap_index + 1]
     assert tuple(pre[f"i{k}"] for k in range(8)) == b.c
-    assert list(pre.s) == outs[-1]
+    assert list(lanes(pre)) == outs[-1]
 
 
 @pytest.mark.parametrize("make", [build_pipeline, lambda: Pipeline(stages=[])],
@@ -531,6 +570,23 @@ def test_pipeline_structure_is_fixed_once_built(field):
     assert mul_fast(x, b, p) == mul_naive(x, b)
 
 
+@pytest.mark.parametrize("name", ["precompute", "apply", "stages", "zz"])
+def test_only_certified_may_be_assigned_on_a_pipeline(name):
+    # a replaced method would change the lowered program while the stages
+    # still describe the old one
+    p, replacement = build_pipeline(), (lambda *args: None)
+    with pytest.raises(AttributeError, match=f"Pipeline.{name} cannot be"):
+        setattr(p, name, replacement)
+    assert getattr(p, name, None) is not replacement
+    for attr in ("stages", "certified"):
+        with pytest.raises(AttributeError, match=f"Pipeline.{attr} cannot be"):
+            delattr(p, attr)
+    assert certify(p).ok and p.certified
+    p.certified = False
+    assert not p.certified and emit_text(p._program) == emit_text(
+        flatten(default_pipeline()))
+
+
 def test_entry_forms_are_read_only():
     # the shared pipeline's forms are the solver's targets: a write there
     # would make every later solve in the process inconsistent
@@ -553,7 +609,7 @@ def test_frozen_correction_forms_shape():
     # 18 slots across the three blocks; each form touches at most two b's
     assert len(CORRECTION_FORMS) == 18
     for name, form in CORRECTION_FORMS.items():
-        assert 1 <= form.nonzero_count() <= 2, name
+        assert 1 <= sum(1 for c in form.numerators if c) <= 2, name
     assert CORRECTION_FORMS["diffcorr_23"] == LinForm.combo([(1, 1), (5, -1)])
 
 

@@ -27,15 +27,15 @@ def test_scaling():
     f = LinForm.var(3)
     assert f * 2 == LinForm.var(3, 2)
     assert -f == LinForm.var(3, -1)
-    assert f.scale(Fraction(1, 2)) == LinForm.var(3, Fraction(1, 2))
+    assert f * Fraction(1, 2) == LinForm.var(3, Fraction(1, 2))
     assert Fraction(1, 8) * f == LinForm.var(3, Fraction(1, 8))
 
 
 def test_unit_factors_reuse_the_form():
     f = LinForm.combo([(0, 1), (5, -2)], const=Fraction(1, 2))
-    for one in (1, Fraction(1), LinForm.constant(1)):
+    for one in (1, Fraction(1), LinForm(1)):
         assert f * one is f and one * f is f
-    for minus_one in (-1, Fraction(-1), LinForm.constant(-1)):
+    for minus_one in (-1, Fraction(-1), LinForm(-1)):
         assert f * minus_one == -f == minus_one * f
 
 
@@ -43,8 +43,8 @@ def test_variable_times_variable_rejected():
     with pytest.raises(DegreeError):
         LinForm.var(0) * LinForm.var(1)
     # constant * form is fine either way around
-    assert LinForm.constant(3) * LinForm.var(1) == LinForm.var(1, 3)
-    assert LinForm.var(1) * LinForm.constant(3) == LinForm.var(1, 3)
+    assert LinForm(3) * LinForm.var(1) == LinForm.var(1, 3)
+    assert LinForm.var(1) * LinForm(3) == LinForm.var(1, 3)
 
 
 def test_evaluate():
@@ -90,7 +90,7 @@ def test_matrix_product_associates():
 
 
 def test_matrix_evaluate():
-    m = SymMatrix([[LinForm.var(0), LinForm.constant(2)],
+    m = SymMatrix([[LinForm.var(0), LinForm(2)],
                    [LinForm.zero(), LinForm.var(1, -1)]])
     b = [Fraction(3), Fraction(5)] + [Fraction(0)] * 6
     assert m.evaluate(b) == [[3, 2], [0, -5]]
@@ -175,7 +175,7 @@ def test_scaling_matches_the_reference(fr, k):
     f, rf = form_of(fr), ref_of(fr)
     want = ref_scale(rf, Fraction(k))
     for got in (f * k, k * f, f * Fraction(k), Fraction(k) * f,
-                f * LinForm.constant(k), LinForm.constant(k) * f, f.scale(k)):
+                f * LinForm(k), LinForm(k) * f):
         check(got, want)
 
 
@@ -244,7 +244,7 @@ def _product_by_entries(a, b):
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
 def test_matrix_product_matches_entrywise_sums(r, k, c, data):
     # one side constant, as in every stage matrix, the other side forms
-    consts = [[LinForm.constant(data.draw(COEFFS)) for _ in range(k)]
+    consts = [[LinForm(data.draw(COEFFS)) for _ in range(k)]
               for _ in range(r)]
     forms = [[form_of(data.draw(RAW)) for _ in range(c)] for _ in range(k)]
     got = SymMatrix(consts) @ SymMatrix(forms)

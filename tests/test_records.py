@@ -1,6 +1,6 @@
-"""The twelve record classes on ``stages._Record``: construction, equality,
+"""The eleven record classes on ``stages._Record``: construction, equality,
 hashing, immutability and ``repr``, each pinned to what a frozen
-``@dataclass`` gives (a mutable one for ``PrecomputeSet``)."""
+``@dataclass`` gives."""
 
 import dataclasses
 import importlib
@@ -17,7 +17,8 @@ import octofast
 from octofast.kernel import PrecomputeSet, default_pipeline
 from octofast.linform import LinForm
 from octofast.program import Instr, OpCount, Program
-from octofast.stages import Butterfly, FanOut, QuasiDiagonal, SignScale, Sum
+from octofast.stages import (Butterfly, FanOut, QuasiDiagonal, SignScale, Sum,
+                             _Record)
 from octofast.verify import CorrectionSolve, Residual, ResidualReport
 
 _T1 = Instr("t1", "add", "x0", "x1")
@@ -59,12 +60,6 @@ RECORDS = [
      "'assignment' and 'free'",
      "CorrectionSolve.__init__() takes 3 positional arguments but 4 were "
      "given"),
-    (PrecomputeSet, ((1, 2), {"a": 3}), {}, (2, 1),
-     "PrecomputeSet(s=(1, 2), m={'a': 3})",
-     "PrecomputeSet.__init__() missing 2 required positional arguments: "
-     "'s' and 'm'",
-     "PrecomputeSet.__init__() takes 3 positional arguments but 4 were "
-     "given"),
     (Butterfly, (2, (0, 4), 8), {"label": ""}, 1,
      "Butterfly(half=2, starts=(0, 4), dim=8, label='')",
      "Butterfly.__init__() missing 3 required positional arguments: "
@@ -97,8 +92,8 @@ RECORDS = [
      "given"),
 ]
 _IDS = [r[0].__name__ for r in RECORDS]
-# the two that hold a dict: unhashable, and PrecomputeSet also mutable
-_UNHASHABLE = {CorrectionSolve: "dict", PrecomputeSet: "PrecomputeSet"}
+# the one that holds a dict, and so is unhashable
+_UNHASHABLE = {CorrectionSolve: "dict"}
 
 
 def _names(cls, args):
@@ -185,12 +180,6 @@ def test_assignment_and_deletion(cls, args, defaults, first, text, none,
                                  extra):
     rec = cls(*args)
     name = _names(cls, args)[0]
-    if cls is PrecomputeSet:
-        rec.s = (3, 4)
-        assert rec.s == (3, 4) and rec != cls(*args)
-        del rec.m
-        assert not hasattr(rec, "m")
-        return
     for attr in (name, "zz"):
         with pytest.raises(AttributeError,
                            match=f"^cannot assign to field '{attr}'$"):
@@ -199,6 +188,49 @@ def test_assignment_and_deletion(cls, args, defaults, first, text, none,
                        match=f"^cannot delete field '{name}'$"):
         delattr(rec, name)
     assert rec == cls(*args) and not hasattr(rec, "zz")
+
+
+def test_the_record_table_covers_every_record():
+    # every _Record subclass the package defines has its row in RECORDS
+    found = set()
+    for mod in pkgutil.iter_modules(octofast.__path__, "octofast."):
+        for obj in vars(importlib.import_module(mod.name)).values():
+            if isinstance(obj, type) and issubclass(obj, _Record) \
+                    and obj is not _Record:
+                found.add(obj)
+    assert found == {row[0] for row in RECORDS}
+    assert len(found) == len(RECORDS) == 11
+
+
+# a record built with lists where its fields hold sequences, and the same
+# record built with tuples
+_LIST_BUILT = [
+    (lambda: Butterfly(1, [0], 2), lambda: Butterfly(1, (0,), 2)),
+    (lambda: FanOut([1, 0], 2), lambda: FanOut((1, 0), 2)),
+    (lambda: Sum([[[0, 1], [1, -1]], [(1, 1)]], 2),
+     lambda: Sum((((0, 1), (1, -1)), ((1, 1),)), 2)),
+    (lambda: QuasiDiagonal(2, [[1, 1, "b"], [0, 0, "a"]]),
+     lambda: QuasiDiagonal(2, ((0, 0, "a"), (1, 1, "b")))),
+    (lambda: Program([_T1], ["t1"]), lambda: Program((_T1,), ("t1",))),
+    (lambda: ResidualReport([Residual(0, 1, LinForm.var(2), LinForm.zero())]),
+     lambda: ResidualReport((Residual(0, 1, LinForm.var(2),
+                                      LinForm.zero()),))),
+]
+
+
+@pytest.mark.parametrize("listed,tupled", _LIST_BUILT,
+                         ids=["Butterfly", "FanOut", "Sum", "QuasiDiagonal",
+                              "Program", "ResidualReport"])
+def test_a_record_built_from_lists_holds_tuples(listed, tupled):
+    rec, want = listed(), tupled()
+    assert rec == want and hash(rec) == hash(want)
+    assert repr(rec) == repr(want)
+    assert "[" not in repr(rec)
+
+
+def test_a_correction_solve_keeps_its_free_names_as_a_tuple():
+    solve = CorrectionSolve({}, ["a", "b"])
+    assert solve.free == ("a", "b") and solve == CorrectionSolve({}, ("a", "b"))
 
 
 def test_post_init_checks_refuse_as_before():

@@ -11,8 +11,8 @@ from conftest import (clone_pipeline, identity, reference_compose,
                       reference_solve, sign_mutation_sites)
 
 from octofast.algebra import Octo, mul_naive, schoolbook_matrix
-from octofast.kernel import (CORRECTION_FORMS, Pipeline, PrecomputeSet,
-                             build_pipeline, mul_fast)
+from octofast.kernel import (CORRECTION_FORMS, LANES, Pipeline,
+                             PrecomputeSet, build_pipeline, mul_fast)
 from octofast.linform import DegreeError, LinForm, SymMatrix
 from octofast.opcount import count_algorithm
 from octofast.stages import (Butterfly, FanOut, QuasiDiagonal, SignScale, Sum,
@@ -730,8 +730,8 @@ def test_the_benchmark_shims_still_compute_the_product():
     acc = SymMatrix.identity(8)
     for st in p.pre_stages:
         acc = st.matrix(None) @ acc
-    lanes = p.precompute([LinForm.var(i) for i in range(8)]).s
-    assert acc == SymMatrix([lane.q for lane in lanes])
+    pre = p.precompute([LinForm.var(i) for i in range(8)])
+    assert acc == SymMatrix([pre[name].q for name in LANES])
 
     rng = random.Random(20)
     for _ in range(20):
