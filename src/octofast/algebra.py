@@ -108,6 +108,8 @@ class Octo:
 
     @classmethod
     def unit(cls, i: int) -> "Octo":
+        if not 0 <= i < 8:
+            raise ValueError(f"unit index out of range: {i}")
         c = [0] * 8
         c[i] = 1
         return cls(c)

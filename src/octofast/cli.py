@@ -21,6 +21,7 @@ import os
 import random
 import sys
 import time
+from functools import partial
 
 from . import kernel, verify
 from .algebra import Octo, basis_mul, mul_naive
@@ -85,16 +86,9 @@ def _random_octo(rng: random.Random, mode: str, r: int) -> Octo:
     return Octo(tuple(rng.randint(-r, r) for _ in range(8)))
 
 
-def cmd_verify(args) -> int:
-    _at_least(args.trials, 1, "--trials")
-    _at_least(args.range, 0, "--range")
-    seed = _resolve_seed(args.seed)
-    p = kernel.build_pipeline()
-    counterexample = None
-    failed = False
-
-    # (a) all 64 basis products, both kernels against the unit table
-    bad = 0
+def _basis_failures(p):
+    """Counterexamples among the 64 basis products, both kernels against
+    the unit table."""
     for i in range(8):
         for j in range(8):
             sign, index = basis_mul(i, j)
@@ -103,17 +97,13 @@ def cmd_verify(args) -> int:
             for name, got in (("naive", mul_naive(xi, bj)),
                               ("fast", mul_fast(xi, bj, p))):
                 if got != want:
-                    bad += 1
-                    if counterexample is None:
-                        counterexample = (f"basis unit({i})*unit({j}) [{name}]: "
-                                          f"got {got.to_text()}, "
-                                          f"want {want.to_text()}")
-    print(f"basis-products: {'FAIL' if bad else 'PASS'} (64 pairs)")
-    failed |= bool(bad)
+                    yield (f"basis unit({i})*unit({j}) [{name}]: "
+                           f"got {got.to_text()}, want {want.to_text()}")
 
-    # (b) seeded random operands, fast against naive
+
+def _random_failures(p, args, seed):
+    """Counterexamples among seeded random operands, fast against naive."""
     rng = random.Random(seed)
-    bad = 0
     for _ in range(args.trials):
         x = _random_octo(rng, args.mode, args.range)
         b = _random_octo(rng, args.mode, args.range)
@@ -125,29 +115,40 @@ def cmd_verify(args) -> int:
         else:
             ok = got == ref
         if not ok:
-            bad += 1
-            if counterexample is None:
-                counterexample = (f"x={x.to_text()} b={b.to_text()}: "
-                                  f"fast {got.to_text()} != naive {ref.to_text()}")
-    print(f"random-products: {'FAIL' if bad else 'PASS'} "
-          f"({args.trials} trials, seed {seed}, {args.mode})")
-    failed |= bool(bad)
+            yield (f"x={x.to_text()} b={b.to_text()}: "
+                   f"fast {got.to_text()} != naive {ref.to_text()}")
 
-    # (c) symbolic certification of the stage composition
-    report = verify.certify(p)
-    print(f"symbolic-certification: {'PASS' if report.ok else 'FAIL'} "
-          f"(64 entries)")
-    if not report.ok:
-        failed = True
-        if counterexample is None:
-            r = report.residuals[0]
-            counterexample = (f"matrix entry ({r.row},{r.col}): "
-                              f"composed {r.got}, want {r.expected}")
 
-    if failed:
-        print(f"first counterexample: {counterexample}")
-        return 1
-    return 0
+def _certification_failures(p):
+    """Counterexamples among the 64 entries of the symbolic certification:
+    its residuals."""
+    for r in verify.certify(p).residuals:
+        yield (f"matrix entry ({r.row},{r.col}): "
+               f"composed {r.got}, want {r.expected}")
+
+
+def cmd_verify(args) -> int:
+    _at_least(args.trials, 1, "--trials")
+    _at_least(args.range, 0, "--range")
+    seed = _resolve_seed(args.seed)
+    p = kernel.build_pipeline()
+    # each suite runs to its first counterexample, which decides its line
+    suites = (
+        ("basis-products", "64 pairs", _basis_failures(p)),
+        ("random-products", f"{args.trials} trials, seed {seed}, {args.mode}",
+         _random_failures(p, args, seed)),
+        ("symbolic-certification", "64 entries", _certification_failures(p)),
+    )
+    first = None
+    for name, detail, failures in suites:
+        counterexample = next(failures, None)
+        print(f"{name}: {'PASS' if counterexample is None else 'FAIL'} "
+              f"({detail})")
+        first = first or counterexample
+    if first is None:
+        return 0
+    print(f"first counterexample: {first}")
+    return 1
 
 
 def cmd_count(args) -> int:
@@ -163,8 +164,8 @@ def cmd_bench(args) -> int:
              for _ in range(args.trials)]
     p = kernel.default_pipeline()
     print("algo,trials,total_ns,ns_per_mul")
-    for name, fn in (("naive", lambda x, b: mul_naive(x, b)),
-                     ("fast", lambda x, b: mul_fast(x, b, p))):
+    for name, fn in (("naive", mul_naive),
+                     ("fast", partial(mul_fast, pipeline=p))):
         fn(*pairs[0])  # untimed: the first fast product compiles the kernel
         t0 = time.perf_counter_ns()
         for x, b in pairs:

@@ -130,59 +130,61 @@ def _cell(name: str) -> tuple:
     return start + int(r), start + int(c), name
 
 
-def _precompute_stages() -> tuple:
-    """The b-side chain: 24 additions from b to the eight scaled sums."""
-    return (
-        SignScale((-1, 1, 1, 1, 1, 1, 1, 1), label="flip-scalar"),
-        Butterfly(half=4, starts=(0,), dim=8, label="mix"),
-        Sum(rows=(((2, 1), (4, 1)), ((1, 1), (3, 1)),
-                  ((4, 1), (2, -1)), ((1, 1), (3, -1)),
-                  ((0, 1), (6, -1)), ((5, 1), (7, 1)),
-                  ((0, 1), (6, 1)), ((5, 1), (7, -1))),
-            in_dim=8, label="pair-sums"),
-        Sum(rows=(((0, 1), (1, 1)), ((0, 1), (1, -1)),
-                  ((2, 1), (3, 1)), ((2, 1), (3, -1)),
-                  ((4, 1), (5, -1)), ((4, 1), (5, 1)),
-                  ((6, 1), (7, -1)), ((6, 1), (7, 1))),
-            in_dim=8, label="pair-combines"),
-        SignScale((EIGHTH,) * 8, label="scale-eighth"),
-    )
+# The chains and the core's cells are constant data, built once at import
+# and shared by every pipeline build_pipeline() makes: the stages are
+# frozen records, so no pipeline can change what another reads.
 
+# The b-side chain: 24 additions from b to the eight scaled sums.
+_PRE_STAGES = (
+    SignScale((-1, 1, 1, 1, 1, 1, 1, 1), label="flip-scalar"),
+    Butterfly(half=4, starts=(0,), dim=8, label="mix"),
+    Sum(rows=(((2, 1), (4, 1)), ((1, 1), (3, 1)),
+              ((4, 1), (2, -1)), ((1, 1), (3, -1)),
+              ((0, 1), (6, -1)), ((5, 1), (7, 1)),
+              ((0, 1), (6, 1)), ((5, 1), (7, -1))),
+        in_dim=8, label="pair-sums"),
+    Sum(rows=(((0, 1), (1, 1)), ((0, 1), (1, -1)),
+              ((2, 1), (3, 1)), ((2, 1), (3, -1)),
+              ((4, 1), (5, -1)), ((4, 1), (5, 1)),
+              ((6, 1), (7, -1)), ((6, 1), (7, 1))),
+        in_dim=8, label="pair-combines"),
+    SignScale((EIGHTH,) * 8, label="scale-eighth"),
+)
 
 # Index of the precompute stage whose output the correction recipes tap.
 _TAP_INDEX = 1
 
+# The core's cells: the scaled sums against the swapped/mixed head lanes,
+# then each correction entry at the cell its name gives.
+_CORE_CELLS = (
+    (0, 0, "s0"), (1, 1, "s1"), (2, 2, "s2"), (3, 3, "s3"),
+    (8, 8, "s4"), (9, 9, "s5"), (10, 10, "s6"), (11, 11, "s7"),
+) + tuple(map(_cell, _CORRECTIONS))
 
-def _main_stages() -> tuple:
-    """The x-side chain, 8 -> 24 -> 8 lanes, one quasi-diagonal core."""
-    core_cells = (
-        # scaled sums against the swapped/mixed head lanes
-        (0, 0, "s0"), (1, 1, "s1"), (2, 2, "s2"), (3, 3, "s3"),
-        (8, 8, "s4"), (9, 9, "s5"), (10, 10, "s6"), (11, 11, "s7"),
-    ) + tuple(map(_cell, _CORRECTIONS))
-    return (
-        FanOut(src=(4, 1, 2, 3, 0, 5, 6, 7), in_dim=8, label="swap04"),
-        FanOut(src=tuple(range(8)) + tuple(range(8)), in_dim=8, label="dup"),
-        Butterfly(half=4, starts=(0,), dim=16, label="mix-head"),
-        FanOut(src=(0, 1, 2, 3, 0, 1, 2, 3, 4, 5, 6, 7, 4, 5, 6, 7,
-                    8, 9, 10, 11, 12, 13, 14, 15),
-               in_dim=16, label="spread"),
-        Butterfly(half=2, starts=(0, 8), dim=24, label="outer-pairs"),
-        Butterfly(half=1, starts=(0, 2, 8, 10), dim=24, label="inner-pairs"),
-        QuasiDiagonal(dim=24, cells=core_cells, label="product-core"),
-        Butterfly(half=1, starts=(0, 2, 8, 10), dim=24,
-                  label="inner-pairs-undo"),
-        Butterfly(half=2, starts=(0, 8), dim=24, label="outer-pairs-undo"),
-        Sum(rows=tuple(((k, 1), (k + 4, 1)) for k in range(4))
-            + tuple(((8 + k, 1), (12 + k, 1)) for k in range(4))
-            + tuple(((16 + k, 1),) for k in range(8)),
-            in_dim=24, label="collapse"),
-        SignScale((-1,) + (1,) * 15, label="flip-head"),
-        Butterfly(half=4, starts=(0,), dim=16, label="mix-head-undo"),
-        Sum(rows=tuple(((j, 1), (j + 8, 1)) for j in range(8)),
-            in_dim=16, label="fold"),
-        SignScale((1, 1, 1, 1, 1, -1, -1, -1), label="flip-tail"),
-    )
+# The x-side chain, 8 -> 24 -> 8 lanes, one quasi-diagonal core.
+_MAIN_STAGES = (
+    FanOut(src=(4, 1, 2, 3, 0, 5, 6, 7), in_dim=8, label="swap04"),
+    FanOut(src=tuple(range(8)) + tuple(range(8)), in_dim=8, label="dup"),
+    Butterfly(half=4, starts=(0,), dim=16, label="mix-head"),
+    FanOut(src=(0, 1, 2, 3, 0, 1, 2, 3, 4, 5, 6, 7, 4, 5, 6, 7,
+                8, 9, 10, 11, 12, 13, 14, 15),
+           in_dim=16, label="spread"),
+    Butterfly(half=2, starts=(0, 8), dim=24, label="outer-pairs"),
+    Butterfly(half=1, starts=(0, 2, 8, 10), dim=24, label="inner-pairs"),
+    QuasiDiagonal(dim=24, cells=_CORE_CELLS, label="product-core"),
+    Butterfly(half=1, starts=(0, 2, 8, 10), dim=24,
+              label="inner-pairs-undo"),
+    Butterfly(half=2, starts=(0, 8), dim=24, label="outer-pairs-undo"),
+    Sum(rows=tuple(((k, 1), (k + 4, 1)) for k in range(4))
+        + tuple(((8 + k, 1), (12 + k, 1)) for k in range(4))
+        + tuple(((16 + k, 1),) for k in range(8)),
+        in_dim=24, label="collapse"),
+    SignScale((-1,) + (1,) * 15, label="flip-head"),
+    Butterfly(half=4, starts=(0,), dim=16, label="mix-head-undo"),
+    Sum(rows=tuple(((j, 1), (j + 8, 1)) for j in range(8)),
+        in_dim=16, label="fold"),
+    SignScale((1, 1, 1, 1, 1, -1, -1, -1), label="flip-tail"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +313,10 @@ def _check_chain(stages, in_dim, out_dim, what):
 
 
 def build_pipeline() -> Pipeline:
-    """Construct the fast-kernel pipeline (uncertified)."""
-    return Pipeline(stages=_main_stages(),
-                    pre_stages=_precompute_stages(),
+    """A new, uncertified fast-kernel pipeline over the chains and recipes
+    built at import; each pipeline is certified and lowered on its own."""
+    return Pipeline(stages=_MAIN_STAGES,
+                    pre_stages=_PRE_STAGES,
                     recipes=CORRECTION_RECIPES,
                     entry_forms=ENTRY_FORMS,
                     tap_index=_TAP_INDEX)

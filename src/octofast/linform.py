@@ -88,17 +88,18 @@ class LinForm:
 
     @classmethod
     def var(cls, i: int, scale=1) -> "LinForm":
-        """The form ``scale * b_i``."""
-        scale = _exact(scale)
-        q = list(_ZEROQ)
-        q[i] = scale.numerator
-        return _form((0, *q), scale.denominator)
+        """The form ``scale * b_i``: ``combo([(i, scale)])``, which refuses
+        an ``i`` outside 0..7 with ``ValueError``."""
+        return cls.combo([(i, scale)])
 
     @classmethod
     def combo(cls, terms: Iterable[tuple[int, object]], const=0) -> "LinForm":
-        """Build from (index, coefficient) pairs; repeated indices accumulate."""
+        """Build from (index, coefficient) pairs; repeated indices accumulate.
+        An index outside 0..7 raises ``ValueError``."""
         q = list(_ZEROQ)
         for i, c in terms:
+            if not 0 <= i < NVARS:
+                raise ValueError(f"lane index out of range: {i}")
             q[i] += _exact(c)
         return cls(const, q)
 
@@ -165,7 +166,10 @@ class LinForm:
     # ---- evaluation / comparison ----
 
     def evaluate(self, b: Sequence):
-        """Value of the form at concrete coefficients ``b`` (length 8)."""
+        """Value of the form at concrete coefficients ``b``; a ``b`` of
+        other than 8 values raises ``ValueError``."""
+        if len(b) != NVARS:
+            raise ValueError(f"b: expected {NVARS} lanes, got {len(b)}")
         const = self.const
         acc = const if const else 0
         for c, v in zip(self.q, b):
@@ -330,7 +334,8 @@ class SymMatrix:
         return _matrix(tuple(out))
 
     def evaluate(self, b: Sequence) -> list:
-        """Concrete rational matrix at right-operand coefficients ``b``."""
+        """Concrete rational matrix at right-operand coefficients ``b``,
+        checked as :meth:`LinForm.evaluate` checks it."""
         return [[e.evaluate(b) for e in row] for row in self.entries]
 
     def __eq__(self, other):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import Octo, mul_naive
-from .kernel import Pipeline, default_pipeline, mul_fast
+from .kernel import Pipeline, mul_fast
 from .program import OpCount
 from .stages import pow2_exponent
 
@@ -109,8 +109,10 @@ def _raw(v):
 def count_algorithm(algo: str, pipeline: Optional[Pipeline] = None) -> OpCount:
     """Run one full product on instrumented scalars and report the tallies.
 
-    ``algo`` is ``"naive"`` or ``"fast"``.  Counts are structural: any input
-    values give the same result.
+    ``algo`` is ``"naive"`` or ``"fast"``; ``"fast"`` runs ``pipeline``
+    through :func:`~octofast.kernel.mul_fast`, which stands in its own
+    default, the certified ``default_pipeline()``, for ``None``.  Counts are
+    structural: any input values give the same result.
     """
     tally = Tally()
     x = tally.wrap_octo(Octo((3, 5, 7, 9, 11, 13, 17, 19)))
@@ -118,7 +120,7 @@ def count_algorithm(algo: str, pipeline: Optional[Pipeline] = None) -> OpCount:
     if algo == "naive":
         mul_naive(x, b)
     elif algo == "fast":
-        mul_fast(x, b, pipeline if pipeline is not None else default_pipeline())
+        mul_fast(x, b, pipeline)
     else:
         raise ValueError(f"unknown algorithm: {algo!r}")
     return tally.snapshot()

@@ -52,9 +52,6 @@ class ResidualReport(_Record):
     def ok(self) -> bool:
         return not self.residuals
 
-    def rows(self) -> set:
-        return {r.row for r in self.residuals}
-
     def to_text(self) -> str:
         if self.ok:
             return "symbolic residuals: none (all 64 entries match)\n"
@@ -134,7 +131,9 @@ def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionS
     unknowns resolve to the zero form (the fewest-nonzero-coefficients
     choice) and are reported in ``free``.  Unknowns are processed in
     sorted-name order, so the result is deterministic.  An unknown the core
-    does not read, and a known with no entry form, raise ``ValueError``.
+    does not read, and a known with no entry form, raise ``ValueError``;
+    a bare string for ``unknown`` raises ``TypeError``: it takes a list of
+    names, ``["diffcorr_12"]`` for one.
     """
     cores = [st for st in p.stages if isinstance(st, QuasiDiagonal)]
     if len(cores) != 1:
@@ -144,6 +143,8 @@ def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionS
     cells = cores[0].cells
     read = {name for _, _, name in cells}
 
+    if isinstance(unknown, str):
+        raise TypeError(f"unknown takes a list of names: [{unknown!r}]")
     if unknown is None:
         unknown = [name for name in read if name in p.recipes]
     names = sorted(set(unknown))

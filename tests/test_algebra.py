@@ -139,3 +139,9 @@ def test_nonfinite_floats_rejected():
 def test_octo_shape_checked():
     with pytest.raises(ValueError):
         Octo((1, 2, 3))
+
+
+@pytest.mark.parametrize("i", [-1, 8])
+def test_unit_refuses_an_index_outside_0_to_7(i):
+    with pytest.raises(ValueError, match=f"unit index out of range: {i}"):
+        Octo.unit(i)

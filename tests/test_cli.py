@@ -10,7 +10,7 @@ from conftest import clone_pipeline
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octofast import kernel
+from octofast import cli, kernel, verify
 from octofast.algebra import Octo
 from octofast.cli import main
 from octofast.kernel import default_pipeline, mul_fast
@@ -273,3 +273,65 @@ def test_emit_csv(capsys):
     assert rc == 0
     assert out == emit_csv(flatten(default_pipeline()))
     assert len(out.splitlines()) == len(flatten(default_pipeline()).instrs)
+
+
+# The full output of `verify`, pinned: one line per suite, then the first
+# counterexample of the first failing suite, in suite order.
+
+def test_verify_output_is_pinned(capsys):
+    rc, out, _ = run(capsys, "verify", "--trials", "200", "--seed", "5")
+    assert (rc, out) == (0, "basis-products: PASS (64 pairs)\n"
+                            "random-products: PASS (200 trials, seed 5, exact)\n"
+                            "symbolic-certification: PASS (64 entries)\n")
+    rc, out, _ = run(capsys, "verify", "--mode", "float", "--trials", "100",
+                     "--seed", "3")
+    assert (rc, out) == (0, "basis-products: PASS (64 pairs)\n"
+                            "random-products: PASS (100 trials, seed 3, float)\n"
+                            "symbolic-certification: PASS (64 entries)\n")
+
+
+def test_verify_output_of_a_corrupted_kernel_is_pinned(capsys, monkeypatch):
+    good = kernel.build_pipeline()
+    recipes = dict(good.recipes)
+    src, lane, factor = recipes["diffcorr_23"]
+    recipes["diffcorr_23"] = (src, lane, -factor)
+    bad = clone_pipeline(good, recipes=recipes)
+    monkeypatch.setattr(kernel, "build_pipeline", lambda: bad)
+    rc, out, _ = run(capsys, "verify", "--trials", "50", "--seed", "1")
+    assert (rc, out) == (1, "basis-products: FAIL (64 pairs)\n"
+                            "random-products: FAIL (50 trials, seed 1, exact)\n"
+                            "symbolic-certification: FAIL (64 entries)\n"
+                            "first counterexample: basis unit(3)*unit(1) "
+                            "[fast]: got 0,0,-1,0,0,0,-2,0, "
+                            "want 0,0,1,0,0,0,0,0\n")
+
+
+def test_verify_reports_a_random_counterexample_after_passing_basis(
+        capsys, monkeypatch):
+    # a fast product that is wrong off the basis units only: the first
+    # counterexample comes from the second suite
+    def off_basis(x, b, p):
+        y = mul_fast(x, b, p)
+        return y if sum(map(abs, x.c + b.c)) <= 2 else y + Octo.unit(0)
+    monkeypatch.setattr(cli, "mul_fast", off_basis)
+    rc, out, _ = run(capsys, "verify", "--trials", "3", "--seed", "2",
+                     "--range", "1")
+    assert (rc, out) == (1, "basis-products: PASS (64 pairs)\n"
+                            "random-products: FAIL (3 trials, seed 2, exact)\n"
+                            "symbolic-certification: PASS (64 entries)\n"
+                            "first counterexample: x=-1,-1,-1,0,-1,1,1,0 "
+                            "b=0,1,-1,1,-1,1,1,-1: fast 4,-3,3,2,-1,-1,1,4 "
+                            "!= naive 3,-3,3,2,-1,-1,1,4\n")
+
+
+def test_verify_reports_a_residual_when_only_certification_fails(
+        capsys, monkeypatch):
+    report = verify.ResidualReport(
+        (verify.Residual(2, 5, LinForm.var(1), LinForm.var(1, -1)),))
+    monkeypatch.setattr(verify, "certify", lambda p: report)
+    rc, out, _ = run(capsys, "verify", "--trials", "5", "--seed", "1")
+    assert (rc, out) == (1, "basis-products: PASS (64 pairs)\n"
+                            "random-products: PASS (5 trials, seed 1, exact)\n"
+                            "symbolic-certification: FAIL (64 entries)\n"
+                            "first counterexample: matrix entry (2,5): "
+                            "composed -b1, want b1\n")

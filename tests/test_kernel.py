@@ -618,3 +618,13 @@ def test_the_readme_library_example_runs():
     blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_two_built_pipelines_are_equal_and_emit_the_same_program():
+    a, b = build_pipeline(), build_pipeline()
+    assert a is not b
+    assert a.stages == b.stages and a.pre_stages == b.pre_stages
+    assert dict(a.recipes) == dict(b.recipes)
+    assert dict(a.entry_forms) == dict(b.entry_forms)
+    assert certify(a).ok and certify(b).ok
+    assert emit_text(flatten(a)).encode() == emit_text(flatten(b)).encode()

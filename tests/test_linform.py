@@ -264,3 +264,24 @@ def test_matrix_product_of_two_forms_raises():
         a @ SymMatrix([[LinForm.var(1)], [1]])
     # a form times a zero entry is no product
     assert (a @ SymMatrix([[0], [LinForm.var(1)]])).entry(0, 0).is_zero
+
+
+@pytest.mark.parametrize("i", [-1, 8])
+def test_a_lane_index_outside_0_to_7_is_refused(i):
+    with pytest.raises(ValueError, match=f"lane index out of range: {i}"):
+        LinForm.var(i)
+    with pytest.raises(ValueError, match=f"lane index out of range: {i}"):
+        LinForm.var(i, 3)
+    with pytest.raises(ValueError, match=f"lane index out of range: {i}"):
+        LinForm.combo([(0, 1), (i, 1)])
+
+
+@pytest.mark.parametrize("n", [3, 9])
+def test_evaluate_refuses_an_operand_of_other_than_8_values(n):
+    b = list(range(1, n + 1))
+    with pytest.raises(ValueError, match=f"^b: expected 8 lanes, got {n}$"):
+        LinForm.var(7).evaluate(b)
+    with pytest.raises(ValueError, match=f"^b: expected 8 lanes, got {n}$"):
+        LinForm(5).evaluate(b)
+    with pytest.raises(ValueError, match=f"^b: expected 8 lanes, got {n}$"):
+        SymMatrix([[LinForm.var(0), 1]]).evaluate(b)

@@ -59,7 +59,7 @@ def test_flipping_final_scale_confines_residuals_to_one_row():
     stages[-1] = SignScale(tuple(facs), label=last.label)
     report = certify(clone_pipeline(p, stages=tuple(stages)))
     assert not report.ok
-    assert report.rows() == {5}
+    assert {r.row for r in report.residuals} == {5}
 
 
 def test_zeroed_entry_form_runs_and_certifies_unchanged():
@@ -276,7 +276,7 @@ def test_stage_that_lowers_otherwise_than_it_walks_breaks_certification():
     assert Octo(bad.apply(x.c, bad.precompute(b))) == mul_naive(x, b)
     assert reference_compose(bad) == schoolbook_matrix()
     report = _rejected_and_wrong(bad)
-    assert report.rows() == {0}
+    assert {r.row for r in report.residuals} == {0}
 
 
 def test_certify_and_the_solver_read_only_the_lowered_program(monkeypatch):
@@ -750,3 +750,10 @@ def test_the_benchmark_shims_still_compute_the_product():
             vec = apply_stage(st, vec, pre)
         assert Octo(vec) == mul_fast(x, b) == mul_naive(x, b)
         assert eval_program(flatten(p), x, b) == mul_fast(x, b)
+
+
+def test_solver_refuses_a_bare_string_of_unknowns():
+    with pytest.raises(TypeError, match=r"a list of names.*\['diffcorr_12'\]"):
+        solve_corrections(build_pipeline(), unknown="diffcorr_12")
+    sol = solve_corrections(build_pipeline(), unknown=["diffcorr_12"])
+    assert sol.assignment == {"diffcorr_12": CORRECTION_FORMS["diffcorr_12"]}
