@@ -29,23 +29,26 @@ entry forms only document, in closed form, what the precompute yields, and
 are the targets of ``verify.solve_corrections``, which reads the same
 program with the known ones in place of the products' b-side values.
 
-That function builds the product's ``Octo`` itself.  When all sixteen
-coefficients are of type ``int``, it hands them to a generated twin in
-exact dyadic ints (:func:`octofast.program._int_kernel_source` states its
-rule), so the 1/8 above costs no ``Fraction`` arithmetic and a certified
-pipeline returns ``int`` coefficients.  Every other kind of operand
-(float, ``Fraction``, mixed, ``bool``, instrumented scalars, linear forms)
-runs the generic code, which computes exactly what the interpreter walk
-computes and ends in the checking ``Octo``; when all sixteen are floats,
-one finiteness test of the outputs' sum stands in for those checks, and a
-sum that overflows falls through to them.  See
+That function builds the product's ``Octo`` itself, in one of three
+bodies.  When all sixteen coefficients are floats, it runs a body whose
+negations are folded into the additions that read them, and whose results
+are the interpreter walk's bit for bit; one finiteness test of the
+outputs' sum stands in for ``Octo``'s checks, and a sum that overflows
+falls through to them.  When all sixteen are of type ``int``, it hands
+them to a generated twin in exact dyadic ints
+(:func:`octofast.program._int_kernel_source` states its rule), so the 1/8
+above costs no ``Fraction`` arithmetic and a certified pipeline returns
+``int`` coefficients.  Every other kind of operand (``Fraction``, mixed,
+``bool``, instrumented scalars, linear forms) runs the generic body, which
+computes exactly what the interpreter walk computes, operation for
+operation, and ends in the checking ``Octo``.  See
 :func:`octofast.program.program_source`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -218,8 +221,10 @@ class Pipeline:
     the widths inside a chain were checked when the pipeline was built.
     The walk of ``pre_stages``, ``recipes``, ``tap_index`` and ``stages``
     is lowered once, on first use, into the one program that ``certify``
-    proves, ``flatten`` emits and :func:`mul_fast` runs, and ``certified``
-    vouches for it, so the structure stays as built: the chains are tuples,
+    proves, ``flatten`` emits and :func:`mul_fast` runs, through
+    ``_kernel``: a plain attribute whose first call compiles the program
+    and puts the compiled function in its place.  ``certified`` vouches
+    for that program, so the structure stays as built: the chains are tuples,
     ``recipes`` is read-only with canonical factors (``canonical_pow2``
     refuses one that is not ``+-2^k``), ``entry_forms`` is read-only, and
     ``certified`` is the one attribute that may be assigned: assigning any
@@ -239,6 +244,8 @@ class Pipeline:
              for name, (src, lane, factor) in (recipes or {}).items()}))
         fix(self, "entry_forms", MappingProxyType(dict(entry_forms or {})))
         fix(self, "tap_index", tap_index)
+        fix(self, "_lowered", None)
+        fix(self, "_kernel", self._first_product)
         self.certified = False
         _check_chain(self.stages, 8, 8, "main")
         _check_chain(self.pre_stages, 8, 8, "precompute")
@@ -272,10 +279,26 @@ class Pipeline:
     def __delattr__(self, name):
         raise AttributeError(f"Pipeline.{name} cannot be deleted")
 
-    @cached_property
+    # A property, not a cached_property: that one writes into the instance
+    # __dict__, and once CPython 3.11 has made that dict, every attribute
+    # read on the pipeline, _kernel on each product included, costs about
+    # three times as much.
+    @property
     def _program(self) -> Program:
-        """:func:`octofast.program._lower` of this pipeline, on first use."""
-        return _lower(self)
+        """:func:`octofast.program._lower` of this pipeline, lowered on
+        first use and kept in ``_lowered``."""
+        prog = self._lowered
+        if prog is None:
+            prog = _lower(self)
+            object.__setattr__(self, "_lowered", prog)
+        return prog
+
+    def _first_product(self, x, b):
+        """``_kernel`` until the first product: the lowered program's
+        compiled function replaces it, then runs."""
+        kernel = self._program._compiled
+        object.__setattr__(self, "_kernel", kernel)
+        return kernel(x, b)
 
     # -- right-operand pass --
 
@@ -344,12 +367,17 @@ def mul_fast(x: Octo, b: Octo, pipeline: Optional[Pipeline] = None) -> Octo:
     arithmetic; uses 26 multiplications instead of 64.  Runs the function
     compiled from the one lowered program of ``pipeline`` (default: the
     certified :func:`default_pipeline`), which ``flatten`` hands out, and
-    returns the ``Octo`` that function builds.  Its coefficients equal
-    ``p.apply(x.c, p.precompute(b))`` in value; in type too, except that
-    when every coefficient of ``x`` and ``b`` is an ``int`` each integral
+    returns the ``Octo`` that function builds; the pipeline keeps it in
+    the plain attribute ``_kernel``, compiled on the first product.  Its
+    coefficients equal ``p.apply(x.c, p.precompute(b))`` in value, bit for
+    bit on floats, signed zeros included; in type too, except that when
+    every coefficient of ``x`` and ``b`` is an ``int`` each integral
     result is an ``int`` and any other a ``Fraction``.  A float product
     that overflows raises ``Octo``'s ``ValueError``.  A non-bilinear
     pipeline raises ``certify``'s ``DegreeError`` on first use.
     """
     p = pipeline if pipeline is not None else default_pipeline()
-    return p._program._compiled(x.c, b.c)
+    # read, then called: CPython 3.11 specialises the read of an instance
+    # attribute, and not a method call through one
+    kernel = p._kernel
+    return kernel(x.c, b.c)

@@ -17,12 +17,15 @@ A pipeline is lowered once and keeps that program (``Pipeline._program``);
 emitted as text or CSV.  :func:`compile_program` turns a program with 8
 outputs into one Python function, built once per program, that evaluates
 the program's operation tree and returns the product as an
-:class:`~octofast.algebra.Octo`: each instruction is one operation in the
-source; a slot that one instruction reads, and that is not an output, is
-written into that reader as a parenthesised sub-expression, up to a fixed
-nesting depth; every other slot is assigned to its name (see
-:func:`program_source`, and :func:`_int_kernel_source` for the twin in
-exact dyadic ints that all-int operands run).
+:class:`~octofast.algebra.Octo`.  It has one body per kind of scalar, chosen
+by the coefficients' types: all-float operands run a body whose negations
+are folded into the additions and products that read them, with the walk's
+bits; all-int operands a twin in exact dyadic ints, folded the same way;
+every other kind the walk op for op.  In each body, a slot that one
+operation reads, and that is not an output, is written into that reader as
+a parenthesised sub-expression, up to a fixed nesting depth; every other
+slot is assigned to its name (see :func:`program_source`, :func:`_fold`
+and :func:`_int_kernel_source`).
 :func:`octofast.kernel.mul_fast` and :func:`eval_program` return what that
 function returns, so execution, counting, emission and proof share it.
 
@@ -238,8 +241,11 @@ def flatten(p) -> Program:
 
 
 _OPS = {"add": "{a} + {b}", "sub": "{a} - {b}", "mul": "{a} * {b}",
-        "neg": "-{a}", "scale": "{a} * {b}",
-        "zero": "0.0 if _f else _zero_like({a})"}
+        "neg": "-{a}", "scale": "{a} * {b}", "zero": "_zero_like({a})"}
+
+# the literals a folded body reads in place of a slot: the twin's zero, and
+# the float body's zero and its negation
+_LITERALS = ("0", "0.0", "-0.0")
 
 # Deepest parenthesis nesting a slot's expression may reach before it is
 # assigned to its name instead: CPython's parser refuses more than 200
@@ -254,24 +260,23 @@ def _sources(node: list) -> list:
     return node[1:] if node[0] in ("add", "sub", "mul") else node[1:2]
 
 
-def _render(node: dict, order: list, keep: set) -> tuple:
-    """The statements that compute the slots ``order`` names, in that order,
+def _render(node: dict, keep: set) -> tuple:
+    """The statements that compute the slots of ``node``, in its order,
     and ``text``: what a reader writes for each slot.
 
-    ``node[slot]`` is ``[op, a, b]`` over slots, :data:`INPUTS` and the
-    literal ``"0"``, with ``op`` one of :data:`_OPS`; ``["scale", a, c]``
+    ``node[slot]`` is ``[op, a, b]`` over slots, :data:`INPUTS` and
+    :data:`_LITERALS`, with ``op`` one of :data:`_OPS`; ``["scale", a, c]``
     is ``a`` times the constant whose source text is ``c``.  A slot read
-    exactly once by the nodes of ``order``, and not in ``keep``, is written
-    into its one reader as a parenthesised sub-expression, unless its
-    expression is already :data:`_MAX_NESTING` parentheses deep; every
-    other slot is assigned to its name.
+    exactly once by the nodes, and not in ``keep``, is written into its one
+    reader as a parenthesised sub-expression, unless its expression is
+    already :data:`_MAX_NESTING` parentheses deep; every other slot is
+    assigned to its name.
     """
-    reads = Counter(src for r in order for src in _sources(node[r]))
-    text = {name: name for name in INPUTS + ("0",)}
+    reads = Counter(src for n in node.values() for src in _sources(n))
+    text = {name: name for name in INPUTS + _LITERALS}
     depth = dict.fromkeys(text, 0)
     lines = []
-    for r in order:
-        op, a, b = node[r]
+    for r, (op, a, b) in node.items():
         rhs = _OPS[op].format(a=text[a], b=text.get(b, b))
         d = max(depth[src] for src in _sources(node[r]))
         if op == "zero":
@@ -284,52 +289,73 @@ def _render(node: dict, order: list, keep: set) -> tuple:
     return lines, text
 
 
-def _int_kernel_source(prog: Program, unpack: list) -> list:
-    """Lines of ``_int_kernel(x, b)``, the twin in exact dyadic ints that
-    :func:`program_source`'s ``kernel`` returns when all sixteen
-    coefficients are of type ``int`` (not ``bool``, no subclass).
+def _scale(k: int) -> str:
+    """The kernel's global that holds the exact factor ``pow2(k)``
+    (``_Q1``, ``_QN3``: ``N`` marks a negative ``k``)."""
+    return f"_Q{k}" if k >= 0 else f"_QN{-k}"
 
-    One forward walk gives each slot a triple ``(root, c, e)``: its
-    numerator ``N`` is the int ``c`` times ``root``'s numerator, and its
-    value is ``N / 2**e``, with ``e >= 0``.  An input is ``(name, 1, 0)``.
-    The free ops emit nothing: a ``zero`` is ``("0", 1, 0)``, the literal
-    ``0``; a ``neg`` flips ``c``; a shift by ``k`` gives ``(root, c, e - k)``
-    when ``e >= k``, else ``(root, c * 2**(k - e), 0)``.  Only ``add``,
-    ``sub`` and ``mul`` make nodes ``[op, a, b]``, each with the triple
-    ``(dest, 1, e)``, and factors are applied where read: a reader reads
-    ``(r, c)`` as ``r`` when ``c`` is 1 or ``r`` is ``0``, else as ``r``'s
-    one copy, made just before its first reader.  ``c`` is always
-    ``+-2**j``, and the copy is named by root, sign and ``j``: ``r_pj``
-    for ``2**j``, ``r_nj`` for ``-2**j`` (``b0_p4``, ``b5_n3``, ``t1_n0``),
-    and is ``-r`` for ``c == -1``, else ``r`` times ``c`` written in hex.
-    An ``add``/``sub`` reads both operands at the larger of their
-    ``e``.  Every product sits at one exponent ``top``: a first walk puts
-    each ``mul`` at its own ``e_x + e_b``, and ``top`` is the largest.  A
-    ``mul`` reads its b operand times a further ``2**(top - e_x - e_b)``
-    (the value of ``<< d``, and an int product that CPython specialises),
-    so sums of products need no alignment: ``t53 * (-t6)`` at 8 is
-    ``t53 * (t6 * -0x8)``.  An output reads its triple as a node does, and
-    what it reads is kept named, as the output rule reads it three times.
 
-    Int products are exact, so each numerator is the walk's value times
-    ``2**e``.  An output is ``N >> e`` when its low ``e`` bits are zero,
-    else ``Fraction(N, 2**e)``: each value equals the walk's, and an
-    integral one is an ``int`` where the walk has a ``Fraction``.  Being 8
-    ints and ``Fraction``s, they make their ``Octo`` without its checks.
+def _float_factor(k: int) -> str:
+    """The float body's text for ``2**k``: its float literal (``0.125``,
+    ``2.0``) when ``2**k`` is a finite float (``k < 1024``), else the
+    global :func:`_scale`, so that a float times it raises the walk's
+    ``OverflowError``."""
+    return repr(float(pow2(k))) if k < float_info.max_exp else _scale(k)
 
-    Every int literal of the twin, a copy's factor and an output's mask
-    ``2**e - 1`` and denominator ``2**e``, is written in hex, which
-    CPython's limit on the digits of an int does not cover, so no constant
-    is too large to write; only the exponent of a ``>>`` and the literal
-    ``0`` are decimal.
+
+def _fold(prog: Program, exact: bool) -> tuple:
+    """``(node, outs)``: the nodes of a body of ``prog`` with its negations
+    folded into their readers, as :func:`_render` takes them, and what each
+    output reads, ``(slot, e)`` for the value ``slot / 2**e``.
+
+    One forward walk gives each slot a triple ``(root, c, e)``: its value
+    is ``c`` times ``root``'s over ``2**e``, with ``c = +-2**j``.  An input
+    is ``(name, 1, 0)``.  A ``neg`` emits nothing and flips ``c``; a
+    ``zero`` is the literal zero with ``c = 1``.  A reader reads ``c``'s
+    magnitude as ``root``'s copy (below) and its sign by the form it takes:
+    a ``mul`` multiplies the signs, and an ``add``/``sub`` (a ``sub``
+    flipping its second operand's sign) writes ``a + b``, ``a - b`` or
+    ``b - a`` with a plus sign.  Every ``add``, ``sub`` and ``mul`` makes a
+    node ``[op, a, b]`` named by its slot, with the triple ``(dest, +-1,
+    e)``, and an output whose ``c`` is negative keeps its one negation.
+
+    ``exact`` gives the int twin's nodes (:func:`_int_kernel_source`),
+    whose slots hold int numerators, each over its ``2**e``, with ``e >=
+    0`` fixed at codegen.  Both operands carrying a minus
+    fold into one tracked sign, ``a + b`` with ``c = -1``, and the literal
+    ``0``, which has no sign, takes its partner's, so that ``... + 0``
+    stays ``... + 0``.  A shift by ``k`` gives ``(root, c, e - k)`` when
+    ``e >= k``, else ``(root, c * 2**(k - e), 0)``; an ``add``/``sub``
+    reads both operands at the larger of their ``e``.  Every product sits
+    at one exponent ``top``: a first walk puts each ``mul`` at its own
+    ``e_x + e_b``, and ``top`` is the largest.  A ``mul`` reads its b
+    operand times a further ``2**(top - e_x - e_b)`` (the value of ``<<
+    d``, and an int product that CPython specialises), so sums of products
+    need no alignment.  A reader reads ``(r, c)`` as ``r`` when ``|c|`` is
+    1 or ``r`` is ``0``, else as ``r``'s one copy, made just before its
+    first reader and named by root, sign and ``j``: ``r_pj`` for
+    ``2**j``, ``r_nj`` for ``-2**j`` (``b0_p4``, ``t1_n0``); it is ``-r``
+    for ``c == -1``, else ``r`` times ``c`` written in hex.
+
+    Otherwise, the float body's: ``e`` stays 0 and ``c`` is +-1, a shift
+    by ``k`` is a node ``["scale", root, _float_factor(k)]`` that keeps the
+    sign, and the zero is the literal ``0.0`` (``-0.0`` negated).
+    Negation is exact in IEEE 754 and round-to-nearest is symmetric, so a
+    product's or a sum's rounding commutes with a sign; ``x - y`` is ``x +
+    (-y)``; and a product's sign is its operands' product.  So each form
+    computes the walk's bits, signed zeros included.  The one exception is
+    both operands carrying a minus: ``-(a + b)`` is ``-0.0`` where ``a =
+    -b`` and the walk's ``(-a) + (-b)`` is ``+0.0``, so that case is
+    written ``(-a) - b``, through ``a``'s copy ``a_n0``, with a plus sign.
     """
     node = {}
+    zero = "0" if exact else "0.0"
 
     def scaled(r, c):
-        """``r``, or its copy whose numerator is ``r``'s times the int
-        ``c = +-2**j`` (none for ``c == 1`` or the literal ``0``)."""
         if c == 1 or r == "0":
             return r
+        if r == "0.0":
+            return "-0.0"  # a float's c is +-1
         name = f"{r}_{'n' if c < 0 else 'p'}{abs(c).bit_length() - 1}"
         node.setdefault(name, ["neg", r, None] if c == -1
                         else ["scale", r, hex(c)])
@@ -343,96 +369,142 @@ def _int_kernel_source(prog: Program, unpack: list) -> list:
         for ins in prog.instrs:
             r, c, e = val[ins.a]
             if ins.op == "zero":
-                val[ins.dest] = ("0", 1, 0)
+                val[ins.dest] = (zero, 1, 0)
             elif ins.op == "neg":
                 val[ins.dest] = (r, -c, e)
-            elif ins.op == "shift":
+            elif ins.op == "shift" and exact:
                 val[ins.dest] = ((r, c, e - ins.k) if e >= ins.k
                                  else (r, c << (ins.k - e), 0))
+            elif ins.op == "shift":
+                node[ins.dest] = ["scale", r, _float_factor(ins.k)]
+                val[ins.dest] = (ins.dest, c, 0)
+            elif ins.op == "mul":
+                rb, cb, eb = val[ins.b]
+                d = e + eb if top is None else top
+                node[ins.dest] = ["mul", scaled(r, abs(c)),
+                                  scaled(rb, abs(cb) << (d - e - eb))]
+                val[ins.dest] = (ins.dest, -1 if (c < 0) != (cb < 0) else 1, d)
             else:
                 rb, cb, eb = val[ins.b]
-                if ins.op == "mul":
-                    d = e + eb if top is None else top
-                    cb <<= d - e - eb
+                d = max(e, eb)
+                c = c << (d - e)
+                cb = (cb if ins.op == "add" else -cb) << (d - eb)
+                if rb == "0":
+                    cb = c
+                elif r == "0":
+                    c = cb
+                a, b, sign = scaled(r, abs(c)), scaled(rb, abs(cb)), 1
+                if c > 0:
+                    node[ins.dest] = ["add" if cb > 0 else "sub", a, b]
+                elif cb > 0:
+                    node[ins.dest] = ["sub", b, a]
+                elif exact:
+                    node[ins.dest], sign = ["add", a, b], -1
                 else:
-                    d = max(e, eb)
-                    c, cb = c << (d - e), cb << (d - eb)
-                node[ins.dest] = [ins.op, scaled(r, c), scaled(rb, cb)]
-                val[ins.dest] = (ins.dest, 1, d)
+                    node[ins.dest] = ["sub", scaled(r, -1), b]
+                val[ins.dest] = (ins.dest, sign, d)
         return val
 
     val = walk(None)
     val = walk(max((val[ins.dest][2] for ins in prog.instrs
                     if ins.op == "mul"), default=0))
-    reads = [(scaled(r, c), e) for r, c, e in map(val.get, prog.outputs)]
-    lines, text = _render(node, list(node), {r for r, _ in reads})
-    outs = [f"{text[r]} >> {e} if not {text[r]} & {(1 << e) - 1:#x} "
-            f"else _Fraction({text[r]}, {1 << e:#x})" if e else text[r]
-            for r, e in reads]
+    return node, [(scaled(r, c), e) for r, c, e in map(val.get, prog.outputs)]
+
+
+def _int_kernel_source(prog: Program, unpack: list) -> list:
+    """Lines of ``_int_kernel(x, b)``, the twin in exact dyadic ints that
+    :func:`program_source`'s ``kernel`` returns when all sixteen
+    coefficients are of type ``int`` (not ``bool``, no subclass).
+
+    Its nodes are :func:`_fold`'s with ``exact``: each slot's numerator
+    ``N`` is an int and its value ``N / 2**e``, with ``e >= 0`` fixed at
+    codegen.  Int products are exact, so each numerator is the walk's value
+    times ``2**e``.  An output is ``N >> e`` when its low ``e`` bits are
+    zero, else ``Fraction(N, 2**e)``: each value equals the walk's, and an
+    integral one is an ``int`` where the walk has a ``Fraction``.  One test
+    checks the low bits of all outputs at one ``e`` at once (``not (t1 |
+    t2) & 0x7``), and when every such test passes each output is its
+    ``N >> e``; otherwise each output takes its own test.  What an output
+    reads is kept named, as those tests read it.  Being 8 ints and
+    ``Fraction``s, the outputs make their ``Octo`` without its checks.
+
+    Every int literal of the twin, a copy's factor and an output's mask
+    ``2**e - 1`` and denominator ``2**e``, is written in hex, which
+    CPython's limit on the digits of an int does not cover, so no constant
+    is too large to write; only the exponent of a ``>>`` and the literal
+    ``0`` are decimal.
+    """
+    node, reads = _fold(prog, exact=True)
+    lines, text = _render(node, {r for r, _ in reads})
+    outs = [(text[r], e) for r, e in reads]
+    shared = {}
+    for t, e in outs:
+        if e:
+            shared.setdefault(e, {})[t] = None  # a set, in output order
+    tests = [f"not ({' | '.join(ts)}) & {(1 << e) - 1:#x}"
+             for e, ts in shared.items()]
+    whole = ", ".join(f"{t} >> {e}" if e else t for t, e in outs)
+    each = ", ".join(f"{t} >> {e} if not {t} & {(1 << e) - 1:#x} "
+                     f"else _Fraction({t}, {1 << e:#x})" if e else t
+                     for t, e in outs)
+    if tests:
+        lines += [f"    if {' and '.join(tests)}:",
+                  f"        return _unchecked_octo(({whole},))"]
     return (["def _int_kernel(x, b):"] + unpack + lines
-            + ["    return _unchecked_octo((" + ", ".join(outs) + ",))"])
-
-
-def _scale(k: int) -> str:
-    """The generic body's local that holds the factor ``2**k`` (``n`` marks
-    a negative ``k``); upper-cased, the kernel's global that holds the
-    exact ``pow2(k)``, for every ``k``."""
-    return f"_q{k}" if k >= 0 else f"_qn{-k}"
+            + [f"    return _unchecked_octo(({each},))"])
 
 
 def program_source(prog: Program) -> str:
-    """Python source of ``kernel(x, b)``: the program's operation tree, with
-    each slot that is read exactly once written into its reader.
+    """Python source of ``kernel(x, b)``: the program's operation tree in
+    three bodies, one per kind of scalar, with each slot that is read
+    exactly once written into its reader.
 
     ``prog`` is a lowered program (inputs :data:`INPUTS`) with exactly 8
     outputs, else ``ValueError``; ``x`` and ``b`` are 8-sequences of
     coefficients and the result is the ``Octo`` of the output slots, equal
     in value and type to what the walk it was lowered from,
-    ``p.apply(x, p.precompute(b))``, computes; ``Octo`` checks them, so a
-    non-finite float output raises ``ValueError`` (see ``_f`` below for the
-    one test that stands in for those checks).  Each instruction becomes
-    one operation in the source.  A slot read by exactly one instruction
-    and not an output is written into that reader as a parenthesised
-    sub-expression (up to a fixed nesting depth, see :func:`_render`);
-    every other slot is assigned to its name.  Python so evaluates the
-    same operations on the same operands, and floats come out bit for bit
-    as from one statement per instruction; only the stores and loads of
-    single-use temporaries are saved.  A program whose form
+    ``p.apply(x, p.precompute(b))``, computes, bit for bit on floats, with
+    the one exception below.  A program whose form
     :meth:`Program._check_form` refuses raises ``ValueError`` before any
-    source is made; a well-formed one need not be bilinear.
+    source is made; a well-formed one need not be bilinear.  A slot read
+    by exactly one operation and not an output is written into that reader
+    as a parenthesised sub-expression (up to a fixed nesting depth, see
+    :func:`_render`); every other slot is assigned to its name, so only
+    the stores and loads of single-use temporaries are saved.
 
-    Every program's ``kernel`` opens with one test of the coefficients'
-    types, and a shift by ``k`` multiplies by the local ``_scale(k)``
-    (``_q1``, ``_qn3``) that the branch taken sets.  The exact factor
+    ``kernel`` opens with one test of the coefficients' types:
+
+    - When all sixteen are of type ``float``, it runs its own body:
+      :func:`_fold`'s, whose negations are folded into the ``+``/``-``
+      that read them and whose shifts multiply by float literals
+      (``0.125``, ``2.0``; see :func:`_float_factor`), with ``0.0`` for a
+      ``zero``.  Only a ``neg`` read by a sum whose other operand carries
+      a minus too, and an output that ends negative, stay negations.  The
+      body ends in one test, ``_isfinite`` of the outputs' sum, before the
+      checking ``Octo``: a sum of floats with an infinite or NaN term is
+      infinite or NaN, so a finite sum proves every output finite, and
+      those outputs make their ``Octo`` without its checks.  A sum that
+      overflows, though its terms are finite, falls through to ``Octo``,
+      which checks the outputs one by one, so nothing ``Octo`` refuses (a
+      non-finite output raises its ``ValueError``) gets through.
+    - When all sixteen are of type ``int``, it returns ``_int_kernel(x,
+      b)``, the twin in exact dyadic ints that :func:`_int_kernel_source`
+      describes, folded the same way.  This is the exception to equal
+      types: integral values are ``int``s where the walk has
+      ``Fraction``s.
+    - Every other kind (``Fraction``, mixed int and float, ``bool``,
+      subclasses, instrumented scalars, linear forms) runs
+      ``_generic_kernel(x, b)``: the walk op for op, each ``neg`` a
+      negation, each ``zero`` ``zero_like`` of its operand, as in a
+      quasi-diagonal stage, ending in the checking ``Octo``.  A folded
+      body does not serve mixed operands: an int ``0`` has no sign, so
+      ``0 + (-0.0)`` is ``0.0`` where ``-0.0 - 0`` is ``-0.0``.
+
+    A shift by ``k`` in the generic body multiplies by the exact factor
     ``pow2(k)`` (an int for ``k >= 0``, a ``Fraction`` for ``k < 0``, as
-    the walk's stages multiply by) is never written into the source: it is
-    the kernel's global ``_scale(k).upper()`` (``_Q1``, ``_QN3``), which
+    the walk's stages multiply by), which is never written into the source:
+    it is the kernel's global ``_scale(k)`` (``_Q1``, ``_QN3``), which
     :func:`compile_program` binds, so no constant is too large to write.
-    When all sixteen are of type ``float``, the branch sets ``_f = True``
-    and the local to the float literal of ``pow2(k)`` (``_qn3 = 0.125``,
-    ``_q1 = 2.0``) when ``2**k`` is a finite float (``k < 1024``), else to
-    that global, so that a float times it raises the walk's
-    ``OverflowError``; otherwise ``_f = False`` and the local is that
-    global (``_q1 = _Q1``).  A float times a ``Fraction`` or an int is
-    that float product, so the results are the same and only the cost
-    differs.
-
-    A ``zero`` is ``zero_like`` of its operand, as in a quasi-diagonal
-    stage, or when ``_f`` the literal ``0.0``, which is what ``zero_like``
-    gives a float.  When ``_f`` the body also ends in one test,
-    ``_isfinite`` of the outputs' sum, before the checking ``Octo``.  A sum
-    of floats with an infinite or NaN term is infinite or NaN, so a finite
-    sum proves every output finite, and those outputs make their ``Octo``
-    without its checks.  A sum that overflows, though its terms are finite,
-    falls through to ``Octo``, which checks the outputs one by one as every
-    other branch does; so nothing ``Octo`` refuses gets through.
-
-    The one exception to equal types: when all sixteen coefficients are
-    of type ``int``, ``kernel`` returns ``_int_kernel(x, b)``, the twin in
-    exact dyadic ints that :func:`_int_kernel_source` describes, whose
-    int literals are all hex and whose integral values are ``int``s where
-    the walk has ``Fraction``s.  The call to the twin sits in the branch
-    that float operands do not reach, so they pay nothing for it.
     """
     if len(prog.outputs) != 8:
         raise ValueError(f"a program has 8 outputs, the coefficients of the "
@@ -440,42 +512,43 @@ def program_source(prog: Program) -> str:
     prog._check_form()
     unpack = ["    " + ", ".join(INPUTS[:8]) + ", = x",
               "    " + ", ".join(INPUTS[8:]) + ", = b"]
-    # every instruction, dead ones included, as the walk runs them all
-    node = {ins.dest: ["scale", ins.a, _scale(ins.k)] if ins.op == "shift"
-            else [ins.op, ins.a, ins.b] for ins in prog.instrs}
-    lines, _ = _render(node, list(node), set(prog.outputs))
-    scales = sorted({ins.k for ins in prog.instrs if ins.op == "shift"})
 
     def all_of(kind):
         return " and ".join(f"_type({name}) is {kind}" for name in INPUTS)
 
-    head = _int_kernel_source(prog, unpack) + ["", "", "def kernel(x, b):"]
-    head += unpack + [f"    if {all_of('_float')}:", "        _f = True"]
-    head += [f"        {_scale(k)} = "
-             f"{float(pow2(k)) if k < float_info.max_exp else _scale(k).upper()}"
-             for k in scales]
-    head += [f"    elif {all_of('_int')}:", "        return _int_kernel(x, b)",
-             "    else:", "        _f = False"]
-    head += [f"        {_scale(k)} = {_scale(k).upper()}" for k in scales]
-    outs = ", ".join(prog.outputs) + ","
-    tail = [f"    if _f and _isfinite({' + '.join(prog.outputs)}):",
-            f"        return _unchecked_octo(({outs}))",
-            f"    return _Octo(({outs}))"]
-    return "\n".join(head + lines + tail) + "\n"
+    # every instruction, dead ones included, as the walk runs them all
+    node = {ins.dest: ["scale", ins.a, _scale(ins.k)] if ins.op == "shift"
+            else [ins.op, ins.a, ins.b] for ins in prog.instrs}
+    generic = (["def _generic_kernel(x, b):"] + unpack
+               + _render(node, set(prog.outputs))[0]
+               + [f"    return _Octo(({', '.join(prog.outputs)},))"])
+    node, reads = _fold(prog, exact=False)
+    lines, text = _render(node, {r for r, _ in reads})
+    outs = [text[r] for r, _ in reads]
+    head = ["def kernel(x, b):"] + unpack + [
+        f"    if not ({all_of('_float')}):",
+        f"        if {all_of('_int')}:",
+        "            return _int_kernel(x, b)",
+        "        return _generic_kernel(x, b)"]
+    tail = [f"    if _isfinite({' + '.join(outs)}):",
+            f"        return _unchecked_octo(({', '.join(outs)},))",
+            f"    return _Octo(({', '.join(outs)},))"]
+    return "\n".join(_int_kernel_source(prog, unpack) + ["", ""] + generic
+                     + ["", ""] + head + lines + tail) + "\n"
 
 
 def compile_program(prog: Program):
     """``prog`` as a Python function ``kernel(x, b) -> Octo``, compiled
     from :func:`program_source`: the program's operations, with single-use
-    slots inlined, and the int twin for all-int operands.  Each shift's
-    exact factor ``pow2(k)`` is bound in the function's globals as
-    ``_scale(k).upper()``, which the source reads instead of a literal.  A
-    program without exactly 8 outputs raises ``ValueError``."""
+    slots inlined, in the float body, the int twin and the generic body.
+    Each shift's exact factor ``pow2(k)`` is bound in the function's
+    globals as ``_scale(k)``, which the generic body reads instead of a
+    literal.  A program without exactly 8 outputs raises ``ValueError``."""
     scope = {"_zero_like": zero_like, "_isfinite": isfinite,
              "_type": type, "_float": float,
              "_int": int, "_Fraction": Fraction, "_Octo": Octo,
              "_unchecked_octo": _unchecked_octo}
-    scope.update({_scale(ins.k).upper(): pow2(ins.k)
+    scope.update({_scale(ins.k): pow2(ins.k)
                   for ins in prog.instrs if ins.op == "shift"})
     exec(compile(program_source(prog), "<octofast kernel>", "exec"), scope)
     return scope["kernel"]

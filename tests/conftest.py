@@ -17,6 +17,16 @@ def clone_pipeline(p, stages=None, forms=None, pre_stages=None, recipes=None):
                     p.tap_index)
 
 
+def float_outcome(product, x, b):
+    """``float.hex`` of each coefficient that ``product(x, b)`` gives, an
+    ``Octo`` or a sequence, or the type and text of what it raises."""
+    try:
+        got = product(x, b)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return [v.hex() for v in getattr(got, "c", got)]
+
+
 def identity(n=8):
     """The reindexing stage that leaves ``n`` lanes where they are."""
     return FanOut(src=tuple(range(n)), in_dim=n)

@@ -6,14 +6,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import clone_pipeline, identity, sign_mutation_sites
+from conftest import (clone_pipeline, float_outcome, identity,
+                      sign_mutation_sites)
 
 from octofast.algebra import Octo, basis_mul, mul_naive
 from octofast.kernel import (CORRECTION_FORMS, ENTRY_FORMS, LANES, Pipeline,
                              PrecomputeSet, build_pipeline, default_pipeline, mul_fast)
 from octofast.linform import LinForm
-from octofast.program import (INPUTS, Instr, Program, emit_text, eval_program,
-                              flatten, program_source)
+from octofast.program import (INPUTS, Instr, Program, compile_program,
+                              emit_text, eval_program, flatten,
+                              program_source)
 from octofast.stages import QuasiDiagonal, SignScale, Sum, apply_stage
 from octofast.verify import certify, solve_corrections
 
@@ -385,6 +387,29 @@ def test_int_twin_equals_an_exact_interpreter_on_random_programs():
             == _exactly(_interpret(prog, xq, bq)), emit_text(prog)
 
 
+def test_float_body_equals_the_generic_body_on_random_programs():
+    # the float body folds each neg into the operations that read it; on
+    # random programs, whose negs meet sums, products, shifts, zeros and
+    # outputs in every order, it gives the generic body's bits, signed
+    # zeros included, and its exceptions; shifts by up to 2**+-1500 reach
+    # infinities, subnormals and the exact factors past the float range
+    rng = random.Random(103)
+    values = (0.0, -0.0, 1.0, -1.0, 0.75, 3.0, 5e-324, 2.0 ** 1000)
+    outcomes = set()
+    for step in (1,) * 200 + (500,) * 30:
+        prog = _random_program(rng, step)
+        fn = compile_program(prog)
+        for _ in range(4):
+            x, b = (tuple(rng.choice(values) * rng.choice((1, -1))
+                          for _ in range(8)) for _ in range(2))
+            got = float_outcome(fn, x, b)
+            assert got == float_outcome(fn.__globals__["_generic_kernel"],
+                                        x, b), emit_text(prog)
+            outcomes.add(got[0] if isinstance(got, tuple) else
+                         "-0.0" if "-0x0.0p+0" in got else "finite")
+    assert outcomes == {OverflowError, ValueError, "-0.0", "finite"}
+
+
 def _factor_operand(node):
     """What ``node`` multiplies by a constant factor, a nonzero literal
     (``* 8``, ``* -8``) or a unary minus; ``None`` when it is no factor."""
@@ -556,7 +581,8 @@ def test_pipeline_rejects_a_core_cell_that_names_nothing(name):
 
 
 @pytest.mark.parametrize("field", ["stages", "pre_stages", "recipes",
-                                   "entry_forms", "tap_index", "_program"])
+                                   "entry_forms", "tap_index", "_program",
+                                   "_kernel"])
 def test_pipeline_structure_is_fixed_once_built(field):
     p = build_pipeline()
     assert certify(p).ok

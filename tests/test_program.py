@@ -1,12 +1,15 @@
 import ast
 import hashlib
+import itertools
 import random
 import re
+import struct
 from fractions import Fraction
 from math import isfinite
+from types import FunctionType
 
 import pytest
-from conftest import (clone_pipeline, identity, read_program,
+from conftest import (clone_pipeline, float_outcome, identity, read_program,
                       sign_mutation_sites)
 
 from octofast import kernel, program
@@ -54,6 +57,8 @@ def test_each_pipeline_is_lowered_and_compiled_once(monkeypatch):
 
 
 def test_mul_fast_runs_the_flattened_programs_function():
+    # the pipeline's _kernel compiles the program on the first product and
+    # is that function from then on
     p = build_pipeline()
     assert certify(p).ok
     prog = flatten(p)
@@ -64,9 +69,12 @@ def test_mul_fast_runs_the_flattened_programs_function():
         return compiled(x, b)
 
     prog.__dict__["_compiled"] = spy  # where the cached function is kept
+    assert p._kernel == p._first_product
     x, b = Octo((1, 2, 3, 4, 5, 6, 7, 8)), Octo((8, 7, 6, 5, 4, 3, 2, 1))
     assert mul_fast(x, b, p) == mul_naive(x, b)
-    assert seen == [(x.c, b.c)]
+    assert p._kernel is spy
+    assert mul_fast(b, x, p) == mul_naive(b, x)
+    assert seen == [(x.c, b.c), (b.c, x.c)]
 
 
 @pytest.mark.parametrize("n", [7, 9])
@@ -77,7 +85,7 @@ def test_a_program_without_8_outputs_is_refused_before_it_runs(n):
                    outputs=("t1",) + INPUTS[1:n])
     assert len(prog.outputs) == n
     p = Pipeline(stages=[identity()])
-    p.__dict__["_program"] = prog  # where the cached lowering is kept
+    object.__setattr__(p, "_lowered", prog)  # where the lowering is kept
     x, b = Octo((1, 2, 3, 4, 5, 6, 7, 8)), Octo((8, 7, 6, 5, 4, 3, 2, 1))
     for make in (program_source, compile_program,
                  lambda prog: eval_program(prog, x, b),
@@ -232,7 +240,7 @@ def test_kernel_source_is_pinned():
     # what execution, counting and the proof's artifact share
     source = program_source(flatten(default_pipeline()))
     assert hashlib.sha256(source.encode()).hexdigest() \
-        == "631275bec3339ab5847efd4e1a360824a346f7675adb0ea118e90bc66c76edd8"
+        == "da392ea961baeb57d07dee5f445cd964240cc328e0bf970ef54158f23babc872"
 
 
 def test_kernel_source_of_every_sign_mutant_is_pinned():
@@ -244,7 +252,7 @@ def test_kernel_source_of_every_sign_mutant_is_pinned():
     assert len(pipelines) == 125
     source = "".join(program_source(q._program) for q in pipelines)
     assert hashlib.sha256(source.encode()).hexdigest() \
-        == "674ed0719cbfa4565d52fa1b57590778565adbc171cb74103939861746ebd5b2"
+        == "61025cef3f8ddc672e1c95fabc4a038cfb37b2331332949327a3496f616ccb6a"
 
 
 def test_program_source_refuses_an_unknown_op():
@@ -547,11 +555,11 @@ def _additions(fn):
 
 def _is_scale(node):
     """A constant factor: a literal (negated or not) or one of the
-    kernel's ``_qK``."""
+    kernel's globals ``_QK``."""
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
         node = node.operand
     return (isinstance(node, ast.Constant)
-            or isinstance(node, ast.Name) and node.id.startswith("_q"))
+            or isinstance(node, ast.Name) and node.id.startswith("_Q"))
 
 
 def _reads_a_product(node, value):
@@ -568,11 +576,11 @@ def _reads_a_product(node, value):
 
 
 def test_generated_bodies_keep_every_operation():
-    # inlining moves operations into their readers; none may be dropped or
-    # written twice
+    # inlining and sign folding move operations into their readers; none
+    # may be dropped or written twice
     prog = flatten(default_pipeline())
     fns = _functions(prog)
-    for name in ("kernel", "_int_kernel"):
+    for name in ("kernel", "_generic_kernel", "_int_kernel"):
         fn = fns[name]
         assert len(_additions(fn)) == 92
         assert len(_binops(fn, ast.Add, ast.Sub)) \
@@ -585,8 +593,9 @@ def test_generated_bodies_keep_every_operation():
                    and n.targets[0].id.startswith("t")]
         assert len(assigns) < len(prog.instrs)
     # the eight 1/8 scalings and the four doublings of b0, b5, b6, b7
-    assert sum(_is_scale(n.right) for n in _binops(fns["kernel"], ast.Mult)) \
-        == 12
+    for name in ("kernel", "_generic_kernel"):
+        assert sum(_is_scale(n.right)
+                   for n in _binops(fns[name], ast.Mult)) == 12
     # the int twin aligns a product by scaling its b operand, never the
     # product itself
     twin = fns["_int_kernel"]
@@ -597,7 +606,8 @@ def test_generated_bodies_keep_every_operation():
 
 
 def _structural_zero(node, zero):
-    """The generic body's zero slot, or the int twin's literal 0."""
+    """The generic body's zero slot, or a folded body's literal 0 or
+    0.0."""
     return (isinstance(node, ast.Name) and node.id == zero
             or isinstance(node, ast.Constant) and node.value == 0)
 
@@ -615,7 +625,7 @@ def test_every_flipped_addition_in_the_generated_bodies_is_caught():
     floats = [(tuple(rng.uniform(-1, 1) for _ in range(8)),
                tuple(rng.uniform(-1, 1) for _ in range(8))) for _ in range(4)]
     ints = [(rnd_octo(rng, 1000).c, rnd_octo(rng, 1000).c) for _ in range(4)]
-    # Fractions take the shared body's generic path, floats its _f path
+    # floats run kernel's own body, Fractions _generic_kernel
     fractions = [tuple(tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 20))
                              for _ in range(8)) for _ in range(2))
                  for _ in range(4)]
@@ -632,8 +642,8 @@ def test_every_flipped_addition_in_the_generated_bodies_is_caught():
         return all(ok(mutant["kernel"](x, b).c, mul_naive(Octo(x), Octo(b)).c)
                    for ok, pairs in checks for x, b in pairs)
 
-    for name, checks in (("kernel", ((float_ok, floats),
-                                     (exact_ok, fractions))),
+    for name, checks in (("kernel", ((float_ok, floats),)),
+                         ("_generic_kernel", ((exact_ok, fractions),)),
                          ("_int_kernel", ((exact_ok, ints),))):
         assert survives(checks)  # the unmutated source passes
         flips = _additions(fns[name])
@@ -648,6 +658,69 @@ def test_every_flipped_addition_in_the_generated_bodies_is_caught():
         assert len(survivors) == 2, name
         assert all(_structural_zero(n.right, zero) for n in survivors), [
             ast.unparse(n) for n in survivors]
+
+
+def test_the_float_body_keeps_the_sign_of_every_zero():
+    # the float body folds negations into the + and - that read them; with
+    # every coefficient +0.0 or -0.0 each sum is an exact zero, whose sign
+    # a fold can get wrong: -(a + b) is -0.0 where the walk's (-a) + (-b)
+    # is +0.0.  All 256 x 256 pairs, against the generic body, the walk op
+    # for op.  A float times the Fraction 1/8 or the int 2 is that float
+    # times 0.125 or 2.0, so the generic body runs here with those float
+    # factors in its globals: the same operations, several times faster.
+    fn = compile_program(flatten(default_pipeline()))
+    generic = fn.__globals__["_generic_kernel"]
+    walk = FunctionType(generic.__code__,
+                        generic.__globals__ | {"_QN3": 0.125, "_Q1": 2.0})
+    signs = list(itertools.product((0.0, -0.0), repeat=8))
+    for x, b in zip(signs[::17], signs[::-23]):
+        assert float_outcome(walk, x, b) == float_outcome(generic, x, b)
+    pack = struct.Struct("8d").pack  # the bits of eight floats
+    got = [pack(*fn(x, b).c) for x in signs for b in signs]
+    want = [pack(*walk(x, b).c) for x in signs for b in signs]
+    assert len(got) == 65536 and got == want
+    assert len(set(got)) > 1
+
+
+def test_products_of_signed_zeros_are_the_walks_on_sign_mutants():
+    # one operand all zeros, the other drawn from signed zeros and small
+    # values: every output is a zero, and its sign is the walk's, on the
+    # shipped pipeline and on every tenth sign mutant, whose folds differ
+    p = default_pipeline()
+    pipelines = [p] + [q for _, q in sign_mutation_sites(p)[::10]]
+    rng = random.Random(107)
+    values = (0.0, -0.0, 1.0, -1.0, 3.0)
+    pairs = []
+    for _ in range(2000):
+        zeros = tuple(rng.choice((0.0, -0.0)) for _ in range(8))
+        other = tuple(rng.choice(values) for _ in range(8))
+        pairs.append((zeros, other) if rng.random() < 0.5 else (other, zeros))
+    signs = set()
+    for k, (x, b) in enumerate(pairs):
+        q = pipelines[k % len(pipelines)]
+        want = float_outcome(lambda x, b: q.apply(x, q.precompute(b)), x, b)
+        got = float_outcome(lambda x, b: mul_fast(Octo(x), Octo(b), q), x, b)
+        assert got == want, (x, b)
+        signs.update(v[0] == "-" for v in want)
+    assert signs == {True, False}
+
+
+def test_mixed_int_and_float_zeros_are_the_walks():
+    # an int 0 has no sign: 0 + (-0.0) is 0.0 where -0.0 - 0 is -0.0, so
+    # mixed operands run the generic body, never a folded one; one operand
+    # is all floats in half the pairs
+    p = default_pipeline()
+    rng = random.Random(109)
+    for k in range(400):
+        x, b = (tuple(rng.choice((0, 0.0, -0.0, -1.0)) for _ in range(8))
+                for _ in range(2))
+        if k % 2:
+            x, b = (tuple(map(float, x)), b) if k % 4 == 1 \
+                else (x, tuple(map(float, b)))
+        want = p.apply(x, p.precompute(b))
+        got = mul_fast(Octo(x), Octo(b), p).c
+        assert [(type(v), float(v).hex()) for v in got] \
+            == [(type(v), float(v).hex()) for v in want], (x, b)
 
 
 def test_int_twin_counts_an_aliases_readers_toward_its_source():

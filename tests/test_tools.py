@@ -1,0 +1,86 @@
+"""The scripts under ``tools/``: each runs on its own, takes no flags and
+prints what its docstring says."""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(script: str) -> str:
+    return subprocess.run([sys.executable, str(ROOT / "tools" / script)],
+                          capture_output=True, text=True, check=True).stdout
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_kernel_ops_counts_every_body_of_the_shipped_kernel():
+    lines = _run("kernel_ops.py").splitlines()
+    assert lines[0].split() == ["body", "products", "scalings", "additions",
+                                "negations", "stores"]
+    rows = {ln.split()[0]: [int(v) for v in ln.split()[2:]]
+            for ln in lines[1:]}
+    assert list(rows) == ["float", "int", "generic"]
+    for products, scalings, additions, negations, stores in rows.values():
+        assert (products, additions) == (26, 92) and stores > 0
+    # the folded float body keeps 7 of the walk's 14 negations
+    assert rows["float"][3] <= 7 and rows["generic"][3] == 14
+    assert rows["float"][1] == rows["generic"][1] == 12
+
+
+def test_bench_trend_prints_every_record_in_pr_order():
+    text = _run("bench_trend.py")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    numbers = sorted(int(p.stem.split("_")[1])
+                     for p in ROOT.glob("BENCH_*.json"))
+    sections = text.split("\n\n")
+    assert [s.splitlines()[0] for s in sections] \
+        == [w["name"] for w in spec["workloads"]] + ["machine"]
+    for section in sections[:-1]:
+        header, *rows = section.splitlines()[1:]
+        assert header.split() \
+            == ["PR"] + [m["name"] for m in spec["end_to_end"]]
+        assert [int(r.split()[0]) for r in rows] == numbers
+    last = json.loads((ROOT / f"BENCH_{numbers[-1]}.json").read_text())
+    want = last["end_to_end"]["float-pairs"]["metrics"]["fast_us_p50"]
+    row = sections[0].splitlines()[-1].split()
+    assert row[2] == f"{want['change_median']:.4g}"
+    assert all("3.11" in r for r in sections[-1].splitlines()[1:])
+
+
+def test_bench_trend_prints_a_dash_for_what_a_record_lacks(tmp_path):
+    spec = {"workloads": [{"name": "float-pairs"}, {"name": "int-pairs"}],
+            "end_to_end": [{"name": "fast_us_p50"}, {"name": "setup_s"}]}
+    one = {"end_to_end": {"float-pairs": {"metrics": {
+        "fast_us_p50": {"change_median": 1.82}}}},
+        "machine": {"implementation": "CPython", "python": "3.11.7"}}
+    two = {"end_to_end": {"float-pairs": {"metrics": {
+        "fast_us_p50": {"change_median": 1.5},
+        "setup_s": {"change_median": 0.005}}}}}
+    (tmp_path / "BENCH_10.json").write_text(json.dumps(one))
+    (tmp_path / "BENCH_9.json").write_text(json.dumps(two))
+    (tmp_path / "BENCH_notes.json").write_text("{}")
+    text = _load("bench_trend").trend(tmp_path, spec)
+    assert text == (
+        "float-pairs\n"
+        "PR   fast_us_p50   setup_s\n"
+        "9            1.5     0.005\n"
+        "10          1.82         -\n"
+        "\n"
+        "int-pairs\n"
+        "PR   fast_us_p50   setup_s\n"
+        "9              -         -\n"
+        "10             -         -\n"
+        "\n"
+        "machine\n"
+        "9    -\n"
+        "10   CPython 3.11.7\n")
