@@ -35,10 +35,11 @@ negations are folded into the additions that read them, and whose results
 are the interpreter walk's bit for bit; one finiteness test of the
 outputs' sum stands in for ``Octo``'s checks, and a sum that overflows
 falls through to them.  When all sixteen are of type ``int``, it hands
-them to a generated twin in exact dyadic ints
-(:func:`octofast.program._int_kernel_source` states its rule), so the 1/8
-above costs no ``Fraction`` arithmetic and a certified pipeline returns
-``int`` coefficients.  Every other kind of operand (``Fraction``, mixed,
+them to a generated twin in exact dyadic ints, which decodes each output
+by one rule, ``>> 3`` when its low bits are zero, else a ``Fraction``
+(:func:`octofast.program._int_kernel_source` states it), so the 1/8 above
+costs no ``Fraction`` arithmetic and a certified pipeline returns ``int``
+coefficients.  Every other kind of operand (``Fraction``, mixed,
 ``bool``, instrumented scalars, linear forms) runs the generic body, which
 computes exactly what the interpreter walk computes, operation for
 operation, and ends in the checking ``Octo``.  See

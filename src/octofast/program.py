@@ -20,11 +20,11 @@ the program's operation tree and returns the product as an
 :class:`~octofast.algebra.Octo`.  It has one body per kind of scalar, chosen
 by the coefficients' types: all-float operands run a body whose negations
 are folded into the additions and products that read them, with the walk's
-bits; all-int operands a twin in exact dyadic ints, folded the same way;
-every other kind the walk op for op.  In each body, a slot that one
-operation reads, and that is not an output, is written into that reader as
-a parenthesised sub-expression, up to a fixed nesting depth; every other
-slot is assigned to its name (see :func:`program_source`, :func:`_fold`
+bits; all-int operands a twin in exact dyadic ints, folded the same way,
+that decodes each output by one rule; every other kind the walk op for op.
+In each body, a slot that one operation reads, and that is not an output,
+is written into that reader as a parenthesised sub-expression, up to a
+fixed nesting depth; every other slot is assigned to its name (see :func:`program_source`, :func:`_fold`
 and :func:`_int_kernel_source`).
 :func:`octofast.kernel.mul_fast` and :func:`eval_program` return what that
 function returns, so execution, counting, emission and proof share it.
@@ -321,17 +321,24 @@ def _fold(prog: Program, exact: bool) -> tuple:
 
     ``exact`` gives the int twin's nodes (:func:`_int_kernel_source`),
     whose slots hold int numerators, each over its ``2**e``, with ``e >=
-    0`` fixed at codegen.  Both operands carrying a minus
-    fold into one tracked sign, ``a + b`` with ``c = -1``, and the literal
-    ``0``, which has no sign, takes its partner's, so that ``... + 0``
-    stays ``... + 0``.  A shift by ``k`` gives ``(root, c, e - k)`` when
-    ``e >= k``, else ``(root, c * 2**(k - e), 0)``; an ``add``/``sub``
-    reads both operands at the larger of their ``e``.  Every product sits
-    at one exponent ``top``: a first walk puts each ``mul`` at its own
-    ``e_x + e_b``, and ``top`` is the largest.  A ``mul`` reads its b
-    operand times a further ``2**(top - e_x - e_b)`` (the value of ``<<
-    d``, and an int product that CPython specialises), so sums of products
-    need no alignment.  A reader reads ``(r, c)`` as ``r`` when ``|c|`` is
+    0`` fixed at codegen.  Both operands carrying a minus fold into one
+    tracked sign, ``a + b`` with ``c = -1``; written the float body's way,
+    ``(-a) - b``, the shipped twin has 7 negations in place of 4, and its
+    ``int-pairs`` ``fast_us_p50`` was 1-7 % higher in 4 of 4 paired runs
+    (CPython 3.11).  The literal ``0``, which has no sign, takes its
+    partner's, so that ``... + 0`` stays ``... + 0``; without that the
+    twin writes ``t139 = 0 - (t118 + t122)``, a negation spelled as a
+    subtraction that the flipped-addition test refuses.  A shift by ``k``
+    gives ``(root, c, e - k)`` when ``e >= k``, else ``(root, c * 2**(k -
+    e), 0)``; an ``add``/``sub`` reads both operands at the larger of
+    their ``e``.  Every product sits at one exponent ``top``: a first walk
+    puts each ``mul`` at its own ``e_x + e_b``, and ``top`` is the
+    largest.  A ``mul`` reads its b operand times a further ``2**(top -
+    e_x - e_b)`` (the value of ``<< d``, and an int product that CPython
+    specialises), so sums of products need no alignment; with each
+    product at its own exponent the shipped twin has 18 scalings in place
+    of 13, and its ``int-pairs`` ``fast_us_p50`` was 2-5 % higher in 4 of
+    4 paired runs.  A reader reads ``(r, c)`` as ``r`` when ``|c|`` is
     1 or ``r`` is ``0``, else as ``r``'s one copy, made just before its
     first reader and named by root, sign and ``j``: ``r_pj`` for
     ``2**j``, ``r_nj`` for ``-2**j`` (``b0_p4``, ``t1_n0``); it is ``-r``
@@ -419,14 +426,16 @@ def _int_kernel_source(prog: Program, unpack: list) -> list:
     Its nodes are :func:`_fold`'s with ``exact``: each slot's numerator
     ``N`` is an int and its value ``N / 2**e``, with ``e >= 0`` fixed at
     codegen.  Int products are exact, so each numerator is the walk's value
-    times ``2**e``.  An output is ``N >> e`` when its low ``e`` bits are
-    zero, else ``Fraction(N, 2**e)``: each value equals the walk's, and an
-    integral one is an ``int`` where the walk has a ``Fraction``.  One test
-    checks the low bits of all outputs at one ``e`` at once (``not (t1 |
-    t2) & 0x7``), and when every such test passes each output is its
-    ``N >> e``; otherwise each output takes its own test.  What an output
-    reads is kept named, as those tests read it.  Being 8 ints and
-    ``Fraction``s, the outputs make their ``Octo`` without its checks.
+    times ``2**e``.  Each output has one rule, ``N >> e if not N & (2**e
+    - 1) else Fraction(N, 2**e)``, and the twin one ``return``: each value
+    equals the walk's, and an integral one is an ``int`` where the walk has
+    a ``Fraction``.  What an output reads is kept named, as its rule reads
+    it up to three times.  Being 8 ints and ``Fraction``s, the outputs make
+    their ``Octo`` without its checks.  A shared test of all outputs' low
+    bits (``not (t1 | t2) & 0x7``) ahead of these rules does not pay:
+    paired ``int-pairs`` runs could not tell the twin with it from the
+    twin without it (``fast_us_p50`` medians 2.78 and 2.81 µs, fast /
+    naive 1.27 and 1.26, over 6 pairs, CPython 3.11), so there is none.
 
     Every int literal of the twin, a copy's factor and an output's mask
     ``2**e - 1`` and denominator ``2**e``, is written in hex, which
@@ -436,22 +445,11 @@ def _int_kernel_source(prog: Program, unpack: list) -> list:
     """
     node, reads = _fold(prog, exact=True)
     lines, text = _render(node, {r for r, _ in reads})
-    outs = [(text[r], e) for r, e in reads]
-    shared = {}
-    for t, e in outs:
-        if e:
-            shared.setdefault(e, {})[t] = None  # a set, in output order
-    tests = [f"not ({' | '.join(ts)}) & {(1 << e) - 1:#x}"
-             for e, ts in shared.items()]
-    whole = ", ".join(f"{t} >> {e}" if e else t for t, e in outs)
-    each = ", ".join(f"{t} >> {e} if not {t} & {(1 << e) - 1:#x} "
+    outs = ", ".join(f"{t} >> {e} if not {t} & {(1 << e) - 1:#x} "
                      f"else _Fraction({t}, {1 << e:#x})" if e else t
-                     for t, e in outs)
-    if tests:
-        lines += [f"    if {' and '.join(tests)}:",
-                  f"        return _unchecked_octo(({whole},))"]
+                     for t, e in ((text[r], e) for r, e in reads))
     return (["def _int_kernel(x, b):"] + unpack + lines
-            + [f"    return _unchecked_octo(({each},))"])
+            + [f"    return _unchecked_octo(({outs},))"])
 
 
 def program_source(prog: Program) -> str:
@@ -489,8 +487,10 @@ def program_source(prog: Program) -> str:
       non-finite output raises its ``ValueError``) gets through.
     - When all sixteen are of type ``int``, it returns ``_int_kernel(x,
       b)``, the twin in exact dyadic ints that :func:`_int_kernel_source`
-      describes, folded the same way.  This is the exception to equal
-      types: integral values are ``int``s where the walk has
+      describes, folded the same way, with one ``return`` and one rule
+      per output: ``N >> e`` when the low ``e`` bits of its numerator
+      ``N`` are zero, else ``Fraction(N, 2**e)``.  This is the exception
+      to equal types: integral values are ``int``s where the walk has
       ``Fraction``s.
     - Every other kind (``Fraction``, mixed int and float, ``bool``,
       subclasses, instrumented scalars, linear forms) runs

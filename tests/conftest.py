@@ -1,5 +1,7 @@
+import importlib.util
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 from octofast.algebra import schoolbook_matrix
 from octofast.kernel import Pipeline
@@ -7,6 +9,15 @@ from octofast.linform import LinForm, SymMatrix
 from octofast.program import INPUTS, Instr, Program, emit_text
 from octofast.stages import FanOut, QuasiDiagonal, SignScale, Sum
 from octofast.verify import CorrectionSolve, InconsistentSystemError
+
+
+def load_tool(name):
+    """The script ``tools/<name>.py``, loaded by path as a module."""
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parents[1] / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def clone_pipeline(p, stages=None, forms=None, pre_stages=None, recipes=None):
@@ -146,7 +157,9 @@ def reference_solve(p, unknown=None):
             f = rows[r][0][col]
             if r != rank and f != 0:
                 rc, rrhs = rows[r]
-                rows[r] = ([a - f * b for a, b in zip(rc, pc)], rrhs - f * prhs)
+                # a zero of the pivot row leaves its entry as it is
+                rows[r] = ([a - f * b if b else a for a, b in zip(rc, pc)],
+                           rrhs - f * prhs)
         pivot_of_col[col] = rank
         rank += 1
     for _, rhs in rows[rank:]:

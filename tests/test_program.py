@@ -9,8 +9,8 @@ from math import isfinite
 from types import FunctionType
 
 import pytest
-from conftest import (clone_pipeline, float_outcome, identity, read_program,
-                      sign_mutation_sites)
+from conftest import (clone_pipeline, float_outcome, identity, load_tool,
+                      read_program, sign_mutation_sites)
 
 from octofast import kernel, program
 from octofast.algebra import Octo, basis_mul, mul_naive
@@ -22,6 +22,8 @@ from octofast.program import (INPUTS, Instr, Program, compile_program,
                               program_source)
 from octofast.stages import Butterfly, FanOut, QuasiDiagonal, SignScale, Sum
 from octofast.verify import certify, compose_symbolic
+
+kernel_ops = load_tool("kernel_ops")  # how tools/kernel_ops.py reads a body
 
 
 def rnd_octo(rng, r=100):
@@ -240,7 +242,7 @@ def test_kernel_source_is_pinned():
     # what execution, counting and the proof's artifact share
     source = program_source(flatten(default_pipeline()))
     assert hashlib.sha256(source.encode()).hexdigest() \
-        == "da392ea961baeb57d07dee5f445cd964240cc328e0bf970ef54158f23babc872"
+        == "c9274739085e3ef6d28778a7ce069100332665b5b63e7c4c8410238f72314621"
 
 
 def test_kernel_source_of_every_sign_mutant_is_pinned():
@@ -252,7 +254,7 @@ def test_kernel_source_of_every_sign_mutant_is_pinned():
     assert len(pipelines) == 125
     source = "".join(program_source(q._program) for q in pipelines)
     assert hashlib.sha256(source.encode()).hexdigest() \
-        == "61025cef3f8ddc672e1c95fabc4a038cfb37b2331332949327a3496f616ccb6a"
+        == "e4be8382e174233282246c4f93a33cadae53f9678b02eddbaa382914414f99f4"
 
 
 def test_program_source_refuses_an_unknown_op():
@@ -547,19 +549,8 @@ def _binops(fn, *ops):
 def _additions(fn):
     """``fn``'s additions and subtractions, less the sum of the outputs
     that its finiteness test ``_isfinite(...)`` reads."""
-    test = {id(n) for call in ast.walk(fn) if isinstance(call, ast.Call)
-            and getattr(call.func, "id", None) == "_isfinite"
-            for n in ast.walk(call)}
+    test = kernel_ops.finiteness(fn)
     return [n for n in _binops(fn, ast.Add, ast.Sub) if id(n) not in test]
-
-
-def _is_scale(node):
-    """A constant factor: a literal (negated or not) or one of the
-    kernel's globals ``_QK``."""
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        node = node.operand
-    return (isinstance(node, ast.Constant)
-            or isinstance(node, ast.Name) and node.id.startswith("_Q"))
 
 
 def _reads_a_product(node, value):
@@ -567,7 +558,8 @@ def _reads_a_product(node, value):
     directly or through a name assigned in ``value``."""
     for n in ast.walk(node):
         if (isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
-                and not _is_scale(n.left) and not _is_scale(n.right)):
+                and not kernel_ops.constant(n.left)
+                and not kernel_ops.constant(n.right)):
             return True
         if isinstance(n, ast.Name) and n.id in value \
                 and _reads_a_product(value[n.id], value):
@@ -586,7 +578,8 @@ def test_generated_bodies_keep_every_operation():
         assert len(_binops(fn, ast.Add, ast.Sub)) \
             == 92 + (7 if name == "kernel" else 0)
         products = _binops(fn, ast.Mult)
-        assert sum(not _is_scale(n.left) and not _is_scale(n.right)
+        assert sum(not kernel_ops.constant(n.left)
+                   and not kernel_ops.constant(n.right)
                    for n in products) == 26
         assigns = [n for n in ast.walk(fn) if isinstance(n, ast.Assign)
                    and isinstance(n.targets[0], ast.Name)
@@ -594,15 +587,19 @@ def test_generated_bodies_keep_every_operation():
         assert len(assigns) < len(prog.instrs)
     # the eight 1/8 scalings and the four doublings of b0, b5, b6, b7
     for name in ("kernel", "_generic_kernel"):
-        assert sum(_is_scale(n.right)
+        assert sum(kernel_ops.constant(n.right)
                    for n in _binops(fns[name], ast.Mult)) == 12
     # the int twin aligns a product by scaling its b operand, never the
     # product itself
     twin = fns["_int_kernel"]
     value = {n.targets[0].id: n.value for n in ast.walk(twin)
              if isinstance(n, ast.Assign) and isinstance(n.targets[0], ast.Name)}
-    scaled = [n.left for n in _binops(twin, ast.Mult) if _is_scale(n.right)]
+    scaled = [n.left for n in _binops(twin, ast.Mult)
+              if kernel_ops.constant(n.right)]
     assert scaled and not any(_reads_a_product(n, value) for n in scaled)
+    # one rule per output, so one return and no shared test of low bits
+    assert sum(isinstance(n, ast.Return) for n in ast.walk(twin)) == 1
+    assert not _binops(twin, ast.BitOr)
 
 
 def _structural_zero(node, zero):

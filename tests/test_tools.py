@@ -1,11 +1,12 @@
 """The scripts under ``tools/``: each runs on its own, takes no flags and
 prints what its docstring says."""
 
-import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+from conftest import load_tool
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -15,26 +16,25 @@ def _run(script: str) -> str:
                           capture_output=True, text=True, check=True).stdout
 
 
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(
-        name, ROOT / "tools" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_kernel_ops_counts_every_body_of_the_shipped_kernel():
     lines = _run("kernel_ops.py").splitlines()
     assert lines[0].split() == ["body", "products", "scalings", "additions",
-                                "negations", "stores"]
+                                "negations", "decode", "stores"]
     rows = {ln.split()[0]: [int(v) for v in ln.split()[2:]]
             for ln in lines[1:]}
     assert list(rows) == ["float", "int", "generic"]
-    for products, scalings, additions, negations, stores in rows.values():
+    for products, scalings, additions, negations, decode, stores \
+            in rows.values():
         assert (products, additions) == (26, 92) and stores > 0
-    # the folded float body keeps 7 of the walk's 14 negations
+    # the folded float body keeps 7 of the walk's 14 negations; the twin's
+    # tracked sign of a sum of two negated operands keeps it at 4, where
+    # the float body's fold, (-a) - b, would give it 7
     assert rows["float"][3] <= 7 and rows["generic"][3] == 14
+    assert rows["int"][3] <= 4
     assert rows["float"][1] == rows["generic"][1] == 12
+    # the twin decodes each of its 8 outputs with one >> and one &
+    assert (rows["float"][4], rows["int"][4], rows["generic"][4]) \
+        == (0, 16, 0)
 
 
 def test_bench_trend_prints_every_record_in_pr_order():
@@ -69,7 +69,7 @@ def test_bench_trend_prints_a_dash_for_what_a_record_lacks(tmp_path):
     (tmp_path / "BENCH_10.json").write_text(json.dumps(one))
     (tmp_path / "BENCH_9.json").write_text(json.dumps(two))
     (tmp_path / "BENCH_notes.json").write_text("{}")
-    text = _load("bench_trend").trend(tmp_path, spec)
+    text = load_tool("bench_trend").trend(tmp_path, spec)
     assert text == (
         "float-pairs\n"
         "PR   fast_us_p50   setup_s\n"

@@ -9,10 +9,12 @@ the shipped program (the float body in ``kernel``, ``_int_kernel`` and
 - additions: ``+`` and ``-``, less the outputs' sum that the float body's
   finiteness test reads;
 - negations: unary ``-`` of a value that is not a literal;
+- decode: ``>>``, ``&`` and ``|``, with which the int twin turns its
+  numerators into outputs (the other bodies have none);
 - stores: assignments to one name, the unpacking of the operands excluded.
 
-The int twin's decode of its outputs (``>>``, ``&``, ``|``) is in none of
-these columns.  Run from anywhere:
+The tests read the generated bodies with :func:`constant` and
+:func:`finiteness` too.  Run from anywhere:
 
     python tools/kernel_ops.py
 """
@@ -28,28 +30,40 @@ from octofast.program import flatten, program_source  # noqa: E402
 
 BODIES = (("kernel", "float"), ("_int_kernel", "int"),
           ("_generic_kernel", "generic"))
-COLUMNS = ("products", "scalings", "additions", "negations", "stores")
+COLUMNS = ("products", "scalings", "additions", "negations", "decode",
+           "stores")
 
 
-def _constant(node) -> bool:
+def constant(node) -> bool:
+    """Whether ``node`` is a constant factor: a literal, negated or not, or
+    one of the kernel's globals ``_QK``."""
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
         node = node.operand
     return (isinstance(node, ast.Constant)
             or isinstance(node, ast.Name) and node.id.startswith("_Q"))
 
 
+def finiteness(fn: ast.FunctionDef) -> set:
+    """The ``id`` of every node of the outputs' sum that the float body's
+    finiteness test ``_isfinite(...)`` reads; empty in the other bodies."""
+    return {id(n) for call in ast.walk(fn) if isinstance(call, ast.Call)
+            and getattr(call.func, "id", None) == "_isfinite"
+            for n in ast.walk(call)}
+
+
 def count(fn: ast.FunctionDef) -> dict:
     """The :data:`COLUMNS` of one generated function."""
-    finiteness = {id(n) for call in ast.walk(fn) if isinstance(call, ast.Call)
-                  and getattr(call.func, "id", None) == "_isfinite"
-                  for n in ast.walk(call)}
+    test = finiteness(fn)
     ops = dict.fromkeys(COLUMNS, 0)
     for n in ast.walk(fn):
         if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult):
-            scaled = _constant(n.left) or _constant(n.right)
+            scaled = constant(n.left) or constant(n.right)
             ops["scalings" if scaled else "products"] += 1
         elif isinstance(n, ast.BinOp) and isinstance(n.op, (ast.Add, ast.Sub)):
-            ops["additions"] += id(n) not in finiteness
+            ops["additions"] += id(n) not in test
+        elif isinstance(n, ast.BinOp) and isinstance(
+                n.op, (ast.RShift, ast.BitAnd, ast.BitOr)):
+            ops["decode"] += 1
         elif isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.USub):
             ops["negations"] += not isinstance(n.operand, ast.Constant)
         elif isinstance(n, ast.Assign):
