@@ -21,13 +21,14 @@ Its core cell is read off its name: ``<block>_<r><c>`` sits at
 ``(start + r, start + c)``, where ``start`` is the block's first lane.
 
 :func:`mul_fast` does not interpret the stages.  A pipeline lowers its own
-``precompute``/``apply`` walk into a straight-line program once, on first
-use, and keeps it: ``octofast.verify.certify`` proves that program,
+``precompute``/``apply`` walk into a straight-line program when it is
+built, and keeps it: ``octofast.verify.certify`` proves that program,
 precompute and recipes included, ``flatten`` hands it out and
-:func:`mul_fast` runs it, compiled once into one Python function.  The
-entry forms only document, in closed form, what the precompute yields, and
-are the targets of ``verify.solve_corrections``, which reads the same
-program with the known ones in place of the products' b-side values.
+:func:`mul_fast` runs it, compiled once, on its first product, into one
+Python function that the program keeps.  The entry forms only document, in
+closed form, what the precompute yields, and are the targets of
+``verify.solve_corrections``, which reads the same program with the known
+ones in place of the products' b-side values.
 
 That function builds the product's ``Octo`` itself, in one of three
 bodies.  When all sixteen coefficients are floats, it runs a body whose
@@ -55,7 +56,7 @@ from typing import Mapping, Optional, Sequence
 
 from .algebra import Octo
 from .linform import LinForm
-from .program import Program, _lower
+from .program import _lower
 from .stages import (Butterfly, FanOut, QuasiDiagonal, SignScale, Sum,
                      canonical_pow2, run)
 from .verify import certify
@@ -221,10 +222,12 @@ class Pipeline:
     their chains through the one chain walk, :func:`octofast.stages.run`;
     the widths inside a chain were checked when the pipeline was built.
     The walk of ``pre_stages``, ``recipes``, ``tap_index`` and ``stages``
-    is lowered once, on first use, into the one program that ``certify``
-    proves, ``flatten`` emits and :func:`mul_fast` runs, through
-    ``_kernel``: a plain attribute whose first call compiles the program
-    and puts the compiled function in its place.  ``certified`` vouches
+    is lowered when the pipeline is built, as the constructor's last step,
+    into ``_program``, the one program that ``certify`` proves, ``flatten``
+    emits and :func:`mul_fast` runs; a walk that
+    :meth:`~octofast.program.Program.validate` refuses
+    (:class:`~octofast.linform.DegreeError`), or a constant not ``+-2^k``
+    (``ValueError``), makes the constructor raise.  ``certified`` vouches
     for that program, so the structure stays as built: the chains are tuples,
     ``recipes`` is read-only with canonical factors (``canonical_pow2``
     refuses one that is not ``+-2^k``), ``entry_forms`` is read-only, and
@@ -245,8 +248,6 @@ class Pipeline:
              for name, (src, lane, factor) in (recipes or {}).items()}))
         fix(self, "entry_forms", MappingProxyType(dict(entry_forms or {})))
         fix(self, "tap_index", tap_index)
-        fix(self, "_lowered", None)
-        fix(self, "_kernel", self._first_product)
         self.certified = False
         _check_chain(self.stages, 8, 8, "main")
         _check_chain(self.pre_stages, 8, 8, "precompute")
@@ -270,6 +271,7 @@ class Pipeline:
                         f"{st.label or type(st).__name__} cell ({r},{c}): "
                         f"{name!r} is neither a precompute lane s0..s7 nor "
                         f"a recipe")
+        fix(self, "_program", _lower(self))
 
     def __setattr__(self, name, value):
         if name != "certified":
@@ -279,27 +281,6 @@ class Pipeline:
 
     def __delattr__(self, name):
         raise AttributeError(f"Pipeline.{name} cannot be deleted")
-
-    # A property, not a cached_property: that one writes into the instance
-    # __dict__, and once CPython 3.11 has made that dict, every attribute
-    # read on the pipeline, _kernel on each product included, costs about
-    # three times as much.
-    @property
-    def _program(self) -> Program:
-        """:func:`octofast.program._lower` of this pipeline, lowered on
-        first use and kept in ``_lowered``."""
-        prog = self._lowered
-        if prog is None:
-            prog = _lower(self)
-            object.__setattr__(self, "_lowered", prog)
-        return prog
-
-    def _first_product(self, x, b):
-        """``_kernel`` until the first product: the lowered program's
-        compiled function replaces it, then runs."""
-        kernel = self._program._compiled
-        object.__setattr__(self, "_kernel", kernel)
-        return kernel(x, b)
 
     # -- right-operand pass --
 
@@ -338,7 +319,7 @@ def _check_chain(stages, in_dim, out_dim, what):
 
 def build_pipeline() -> Pipeline:
     """A new, uncertified fast-kernel pipeline over the chains and recipes
-    built at import; each pipeline is certified and lowered on its own."""
+    built at import; each pipeline is lowered and certified on its own."""
     return Pipeline(stages=_MAIN_STAGES,
                     pre_stages=_PRE_STAGES,
                     recipes=CORRECTION_RECIPES,
@@ -368,17 +349,17 @@ def mul_fast(x: Octo, b: Octo, pipeline: Optional[Pipeline] = None) -> Octo:
     arithmetic; uses 26 multiplications instead of 64.  Runs the function
     compiled from the one lowered program of ``pipeline`` (default: the
     certified :func:`default_pipeline`), which ``flatten`` hands out, and
-    returns the ``Octo`` that function builds; the pipeline keeps it in
-    the plain attribute ``_kernel``, compiled on the first product.  Its
+    returns the ``Octo`` that function builds; the program keeps it in
+    the plain attribute ``_kernel``, compiled on its first product.  Its
     coefficients equal ``p.apply(x.c, p.precompute(b))`` in value, bit for
     bit on floats, signed zeros included; in type too, except that when
     every coefficient of ``x`` and ``b`` is an ``int`` each integral
     result is an ``int`` and any other a ``Fraction``.  A float product
     that overflows raises ``Octo``'s ``ValueError``.  A non-bilinear
-    pipeline raises ``certify``'s ``DegreeError`` on first use.
+    pipeline cannot be built, so it never gets here.
     """
     p = pipeline if pipeline is not None else default_pipeline()
     # read, then called: CPython 3.11 specialises the read of an instance
     # attribute, and not a method call through one
-    kernel = p._kernel
+    kernel = p._program._kernel
     return kernel(x.c, b.c)

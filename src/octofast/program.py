@@ -12,22 +12,24 @@ The lowering is refused unless :meth:`Program.validate` finds the shape of
 a bilinear algorithm and every constant is ``+-2^k``
 (:func:`~octofast.stages.pow2_exponent` gives the shift's ``k``).
 
-A pipeline is lowered once and keeps that program (``Pipeline._program``);
-:func:`flatten` hands it out once the pipeline is certified, the form that is
-emitted as text or CSV.  :func:`compile_program` turns a program with 8
-outputs into one Python function, built once per program, that evaluates
-the program's operation tree and returns the product as an
-:class:`~octofast.algebra.Octo`.  It has one body per kind of scalar, chosen
-by the coefficients' types: all-float operands run a body whose negations
-are folded into the additions and products that read them, with the walk's
-bits; all-int operands a twin in exact dyadic ints, folded the same way,
-that decodes each output by one rule; every other kind the walk op for op.
-In each body, a slot that one operation reads, and that is not an output,
-is written into that reader as a parenthesised sub-expression, up to a
-fixed nesting depth; every other slot is assigned to its name (see :func:`program_source`, :func:`_fold`
-and :func:`_int_kernel_source`).
-:func:`octofast.kernel.mul_fast` and :func:`eval_program` return what that
-function returns, so execution, counting, emission and proof share it.
+A pipeline is lowered when it is built and keeps that program
+(``Pipeline._program``); :func:`flatten` hands it out once the pipeline is
+certified, the form that is emitted as text or CSV.  :func:`compile_program`
+turns a program with 8 outputs into one Python function that evaluates the
+program's operation tree and returns the product as an
+:class:`~octofast.algebra.Octo`; each program compiles it once, on its first
+product, and keeps it in ``Program._kernel``.  It has one body per kind of
+scalar, chosen by the coefficients' types: all-float operands run a body
+whose negations are folded into the additions and products that read them,
+with the walk's bits; all-int operands a twin in exact dyadic ints, folded
+the same way, that decodes each output by one rule; every other kind the
+walk op for op.  In each body, a slot that one operation reads, and that is
+not an output, is written into that reader as a parenthesised
+sub-expression, up to a fixed nesting depth; every other slot is assigned to
+its name (see :func:`program_source`, :func:`_fold` and
+:func:`_int_kernel_source`).  :func:`octofast.kernel.mul_fast` and
+:func:`eval_program` return what that function returns, so execution,
+counting, emission and proof share it.
 
 Emission is deterministic: same pipeline, byte-identical text.  Free ops
 (``neg``/``shift``/``zero``) are memoized so a value the walk negates or
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from functools import cached_property
 from fractions import Fraction
 from math import isfinite
 from sys import float_info
@@ -99,17 +100,25 @@ _OPERANDS = {"add": (True, type(None)), "sub": (True, type(None)),
 
 
 class Program(_Record):
-    """Straight-line code: ``instrs`` over :data:`INPUTS`, then ``outputs``."""
+    """Straight-line code: ``instrs`` over :data:`INPUTS`, then ``outputs``.
+
+    ``_kernel``, outside the fields, runs the program: it is
+    :meth:`_first_product` until the first product, which puts
+    :func:`compile_program`'s function in its place.
+    """
 
     def __init__(self, instrs: tuple, outputs: tuple):
         _set = object.__setattr__
         _set(self, "instrs", tuple(instrs))
         _set(self, "outputs", tuple(outputs))
+        _set(self, "_kernel", self._first_product)
 
-    @cached_property
-    def _compiled(self):
-        """:func:`compile_program` of this program, built on first use."""
-        return compile_program(self)
+    def _first_product(self, x, b):
+        """Compile this program, put the function in ``_kernel``'s place
+        and run it on ``x`` and ``b``."""
+        kernel = compile_program(self)
+        object.__setattr__(self, "_kernel", kernel)
+        return kernel(x, b)
 
     def opcount(self) -> OpCount:
         mults = sum(1 for i in self.instrs if i.op == "mul")
@@ -138,13 +147,14 @@ class Program(_Record):
             if o not in defined:
                 raise ValueError(f"output {o} undefined")
 
-    def validate(self) -> None:
+    def validate(self) -> dict:
         """Two passes: the form, :meth:`_check_form`, then the shape of a
         bilinear algorithm.  Each slot is on a side: ``x`` (from ``x0..x7``
         alone), ``b`` (from ``b0..b7`` alone) or ``m`` (reads a product).  A
         ``mul`` not x-side times b-side, in that order, an ``add``/``sub``
         mixing the b side with another, and a b-side output raise
         :class:`~octofast.linform.DegreeError`; a form fault ``ValueError``.
+        Returns the side of each slot, inputs included, as a ``dict``.
         """
         self._check_form()
         side = dict.fromkeys(INPUTS[:8], "x") | dict.fromkeys(INPUTS[8:], "b")
@@ -160,6 +170,7 @@ class Program(_Record):
             side[ins.dest] = "m" if sb == "m" else sa
         if any(side[o] == "b" for o in self.outputs):
             raise DegreeError("an output derives from b0..b7 alone")
+        return side
 
 
 class _Emitter:
@@ -555,14 +566,16 @@ def compile_program(prog: Program):
 
 
 def eval_program(prog: Program, x: Octo, b: Octo) -> Octo:
-    """Run ``prog`` on concrete operands through :func:`compile_program`,
-    compiled on the first call and kept on ``prog``, and return the
-    ``Octo`` it builds: the same function, and so the same values and
-    types, as :func:`octofast.kernel.mul_fast`.
+    """Run ``prog`` on concrete operands through ``prog._kernel``, the
+    function :func:`compile_program` made of it on its first product, and
+    return the ``Octo`` it builds: for ``flatten(p)``, the very function
+    that :func:`octofast.kernel.mul_fast` runs for ``p``, and so the same
+    values and types.
 
     Kept because the frozen benchmark (``perfbench/layers.py``) imports it.
     """
-    return prog._compiled(x.c, b.c)
+    kernel = prog._kernel
+    return kernel(x.c, b.c)
 
 
 def emit_text(prog: Program) -> str:

@@ -83,10 +83,11 @@ class _Record:
     Every record is frozen, and a field given as a sequence is kept as a
     tuple (``Sum`` rows and ``QuasiDiagonal`` cells as tuples of tuples), so
     a record built from lists equals and hashes as one built from tuples.
-    Fields live in the instance ``__dict__``, so a ``cached_property`` works
-    on a frozen record.  A class that sets ``__dataclass_fields__ =
-    _DataclassFields()`` passes for a dataclass, and so does each subclass
-    of it, with its own fields.
+    Fields live in the instance ``__dict__``, and so may an attribute
+    outside them that a subclass sets with ``object.__setattr__``
+    (``Program._kernel``); it takes no part in equality, hash or ``repr``.
+    A class that sets ``__dataclass_fields__ = _DataclassFields()`` passes
+    for a dataclass, and so does each subclass of it, with its own fields.
     """
 
     def __init_subclass__(cls, **kwargs):

@@ -73,9 +73,7 @@ def compose_symbolic(p) -> SymMatrix:
     """The 8x8 matrix of forms in ``b`` that the lowered program of ``p``
     computes: ``SymMatrix(V) @ W``, with ``V``, ``X`` and ``B`` read off
     ``p._program`` by :func:`_terms` and ``W`` the 8 unit rows of
-    ``x0..x7``, then ``B[k] * X[k]`` for each ``mul`` ``k``.  Lowering
-    raises what it refuses: a non-bilinear program, as from two cores
-    (:class:`~octofast.linform.DegreeError`), or a constant not ``+-2^k``.
+    ``x0..x7``, then ``B[k] * X[k]`` for each ``mul`` ``k``.
     """
     return _decode(*_terms(p._program))
 
@@ -137,7 +135,7 @@ def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionS
     """
     cores = [st for st in p.stages if isinstance(st, QuasiDiagonal)]
     if len(cores) != 1:
-        # with two cores the chain multiplies core values: not linear
+        # mul k is read as cell k of the one core
         raise ValueError(
             f"expected exactly one quasi-diagonal stage, found {len(cores)}")
     cells = cores[0].cells

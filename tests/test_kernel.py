@@ -365,11 +365,9 @@ def test_int_twin_equals_an_exact_interpreter_on_random_programs():
                 emit_text(prog)
             types.update(map(type, got.c))
         # a product-side shift by k < 0 that meets a sum
-        side_m, halved = set(), set()
+        side, halved = prog.validate(), set()
         for ins in prog.instrs:
-            if ins.op == "mul" or {ins.a, ins.b} & side_m:
-                side_m.add(ins.dest)
-            if ins.op == "shift" and ins.k < 0 and ins.a in side_m:
+            if ins.op == "shift" and ins.k < 0 and side[ins.a] == "m":
                 halved.add(ins.dest)
             met += ins.op in ("add", "sub") and bool({ins.a, ins.b} & halved)
     assert types == {int, Fraction} and met > 20
@@ -581,8 +579,7 @@ def test_pipeline_rejects_a_core_cell_that_names_nothing(name):
 
 
 @pytest.mark.parametrize("field", ["stages", "pre_stages", "recipes",
-                                   "entry_forms", "tap_index", "_program",
-                                   "_kernel"])
+                                   "entry_forms", "tap_index", "_program"])
 def test_pipeline_structure_is_fixed_once_built(field):
     p = build_pipeline()
     assert certify(p).ok
@@ -590,6 +587,9 @@ def test_pipeline_structure_is_fixed_once_built(field):
     assert mul_fast(x, b, p) == mul_naive(x, b)
     with pytest.raises(AttributeError, match=field):
         setattr(p, field, getattr(p, field))
+    # the compiled function is the program's, and as fixed as its fields
+    with pytest.raises(AttributeError, match="_kernel"):
+        p._program._kernel = p._program._kernel
     assert p.tap_index == 1 and emit_text(flatten(p)) == emit_text(
         flatten(default_pipeline()))
     p.certified = False  # the verdict stays writable

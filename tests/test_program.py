@@ -58,25 +58,26 @@ def test_each_pipeline_is_lowered_and_compiled_once(monkeypatch):
     assert calls == {"lower": 1, "compile": 1}
 
 
-def test_mul_fast_runs_the_flattened_programs_function():
-    # the pipeline's _kernel compiles the program on the first product and
-    # is that function from then on
+def test_mul_fast_runs_the_flattened_programs_function(monkeypatch):
+    # the program's _kernel compiles it on the first product and is that
+    # function from then on, for mul_fast and eval_program alike
     p = build_pipeline()
     assert certify(p).ok
     prog = flatten(p)
-    seen, compiled = [], prog._compiled
+    seen, compiled = [], compile_program(prog)
 
     def spy(x, b):
         seen.append((x, b))
         return compiled(x, b)
 
-    prog.__dict__["_compiled"] = spy  # where the cached function is kept
-    assert p._kernel == p._first_product
+    monkeypatch.setattr(program, "compile_program", lambda _: spy)
+    assert prog._kernel == prog._first_product
     x, b = Octo((1, 2, 3, 4, 5, 6, 7, 8)), Octo((8, 7, 6, 5, 4, 3, 2, 1))
     assert mul_fast(x, b, p) == mul_naive(x, b)
-    assert p._kernel is spy
+    assert p._program._kernel is spy
     assert mul_fast(b, x, p) == mul_naive(b, x)
-    assert seen == [(x.c, b.c), (b.c, x.c)]
+    assert eval_program(flatten(p), x, b) == mul_naive(x, b)
+    assert seen == [(x.c, b.c), (b.c, x.c), (x.c, b.c)]
 
 
 @pytest.mark.parametrize("n", [7, 9])
@@ -87,7 +88,7 @@ def test_a_program_without_8_outputs_is_refused_before_it_runs(n):
                    outputs=("t1",) + INPUTS[1:n])
     assert len(prog.outputs) == n
     p = Pipeline(stages=[identity()])
-    object.__setattr__(p, "_lowered", prog)  # where the lowering is kept
+    object.__setattr__(p, "_program", prog)  # where the lowering is kept
     x, b = Octo((1, 2, 3, 4, 5, 6, 7, 8)), Octo((8, 7, 6, 5, 4, 3, 2, 1))
     for make in (program_source, compile_program,
                  lambda prog: eval_program(prog, x, b),

@@ -14,9 +14,10 @@ from pathlib import Path
 import pytest
 
 import octofast
+from octofast.algebra import Octo
 from octofast.kernel import PrecomputeSet, default_pipeline
 from octofast.linform import LinForm
-from octofast.program import Instr, OpCount, Program
+from octofast.program import Instr, OpCount, Program, eval_program
 from octofast.stages import (Butterfly, FanOut, QuasiDiagonal, SignScale, Sum,
                              _Record)
 from octofast.verify import CorrectionSolve, Residual, ResidualReport
@@ -270,12 +271,15 @@ def test_post_init_checks_refuse_as_before():
 
 def test_a_program_keeps_its_compiled_kernel_outside_its_fields():
     prog = default_pipeline()._program
+    x, b = Octo((1, 2, 3, 4, 5, 6, 7, 8)), Octo((8, 7, 6, 5, 4, 3, 2, 1))
+    eval_program(prog, x, b)  # compiled, and kept in _kernel
     again = Program(prog.instrs, prog.outputs)
-    assert prog._compiled is prog._compiled
-    assert "_compiled" in vars(prog) and "_compiled" not in vars(again)
+    assert prog._kernel != prog._first_product
+    assert again._kernel == again._first_product
     assert prog == again and hash(prog) == hash(again)
     assert repr(prog) == repr(again)
-    assert again._compiled is not prog._compiled
+    assert eval_program(again, x, b) == eval_program(prog, x, b)
+    assert again._kernel is not prog._kernel
 
 
 def test_the_other_methods_of_the_records_still_answer():

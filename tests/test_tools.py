@@ -16,6 +16,25 @@ def _run(script: str) -> str:
                           capture_output=True, text=True, check=True).stdout
 
 
+def test_code_lines_prints_each_module_and_three_totals():
+    *rows, total, tests, tools = [ln.split() for ln in
+                                  _run("code_lines.py").splitlines()]
+    assert total[1:] == ["total"] and sum(int(n) for n, _ in rows) \
+        == int(total[0])
+    assert sorted(name for _, name in rows) \
+        == sorted(p.name for p in (ROOT / "src" / "octofast").glob("*.py"))
+    assert tests[1:] == ["tests/", "total"] and int(tests[0]) > 0
+    assert tools[1:] == ["tools/", "total"] and int(tools[0]) > 0
+
+
+def test_code_lines_counts_no_docstring_comment_or_blank_line():
+    code_lines = load_tool("code_lines").code_lines
+    assert code_lines('"""A module docstring,\n\non three lines."""\n'
+                      "\n# a comment\n\n    # an indented one\n") == 0
+    assert code_lines('def f(x):\n    """Its docstring,\n    on two lines."""'
+                      "\n\n    # a comment\n    return x + 1\n") == 2
+
+
 def test_kernel_ops_counts_every_body_of_the_shipped_kernel():
     lines = _run("kernel_ops.py").splitlines()
     assert lines[0].split() == ["body", "products", "scalings", "additions",

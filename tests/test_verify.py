@@ -3,7 +3,9 @@ import importlib
 import random
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
+from itertools import repeat
+from operator import add, lshift, mul, neg, rshift, sub
 from pathlib import Path
 
 import pytest
@@ -12,13 +14,14 @@ from conftest import (clone_pipeline, identity, reference_compose,
 
 from octofast.algebra import Octo, mul_naive, schoolbook_matrix
 from octofast.kernel import (CORRECTION_FORMS, LANES, Pipeline,
-                             PrecomputeSet, build_pipeline, mul_fast)
+                             PrecomputeSet, build_pipeline, default_pipeline,
+                             mul_fast)
 from octofast.linform import DegreeError, LinForm, SymMatrix
-from octofast.opcount import count_algorithm
 from octofast.stages import (Butterfly, FanOut, QuasiDiagonal, SignScale, Sum,
-                             apply_stage, zero_like)
+                             apply_stage, run, zero_like)
 from octofast import verify
-from octofast.program import _Slot, eval_program, flatten
+from octofast.program import (INPUTS, _Slot, compile_program,
+                              eval_program, flatten)
 from octofast.verify import (InconsistentSystemError, certify,
                              compose_symbolic, solve_corrections)
 
@@ -173,18 +176,16 @@ class _SquaringFanOut(FanOut):
 
 def test_nonlinear_stage_breaks_certification():
     # unit vectors square to themselves, so the matrix read off apply is
-    # the FanOut's; the lowering sees the x-by-x multiplications
+    # the FanOut's; the lowering sees the x-by-x multiplications, so the
+    # pipeline cannot be built
     p = build_pipeline()
     si = next(i for i, st in enumerate(p.stages) if st.label == "swap04")
     squaring = _SquaringFanOut(p.stages[si].src, 8, "swap04")
-    bad = clone_pipeline(p, stages=p.stages[:si] + (squaring,) + p.stages[si + 1:])
+    stages = p.stages[:si] + (squaring,) + p.stages[si + 1:]
     x, b = Octo((1, 2, 3, 4, 5, 6, 7, 8)), Octo((8, 7, 6, 5, 4, 3, 2, 1))
-    assert Octo(bad.apply(x.c, bad.precompute(b))) != mul_naive(x, b)
+    assert Octo(run(stages, x.c, p.precompute(b))) != mul_naive(x, b)
     with pytest.raises(DegreeError, match="mul x4 x4"):
-        certify(bad)
-    assert not bad.certified
-    with pytest.raises(DegreeError):
-        mul_fast(x, b, bad)
+        clone_pipeline(p, stages=stages)
 
 
 class _BSideFirstCore(QuasiDiagonal):
@@ -205,21 +206,16 @@ def test_core_product_with_b_side_first_is_refused():
     si = next(i for i, st in enumerate(p.stages) if isinstance(st, QuasiDiagonal))
     core = p.stages[si]
     swapped = _BSideFirstCore(core.dim, core.cells, core.label)
-    bad = clone_pipeline(p, stages=p.stages[:si] + (swapped,) + p.stages[si + 1:])
+    stages = p.stages[:si] + (swapped,) + p.stages[si + 1:]
     x, b = Octo((1, 2, 3, 4, 5, 6, 7, 8)), Octo((8, 7, 6, 5, 4, 3, 2, 1))
-    assert Octo(bad.apply(x.c, bad.precompute(b))) == mul_naive(x, b)
+    assert Octo(run(stages, x.c, p.precompute(b))) == mul_naive(x, b)
     with pytest.raises(DegreeError,
                        match=r"^t\d+ = mul t\d+ t\d+: not an x-side value"):
-        certify(bad)
-    assert not bad.certified
-    with pytest.raises(DegreeError, match=r"= mul "):
-        mul_fast(x, b, bad)
+        clone_pipeline(p, stages=stages)
     # the smallest case names the inputs themselves
-    first = Pipeline(stages=[_BSideFirstCore(dim=8, cells=((0, 0, "a"),))],
-                     pre_stages=[identity()],
-                     recipes={"a": ("input", 0, 1)})
     with pytest.raises(DegreeError, match=r"^t1 = mul b0 x0: "):
-        mul_fast(x, b, first)
+        Pipeline(stages=[_BSideFirstCore(dim=8, cells=((0, 0, "a"),))],
+                 pre_stages=[identity()], recipes={"a": ("input", 0, 1)})
 
 
 class _TriplingFanOut(FanOut):
@@ -236,22 +232,15 @@ def test_constant_that_is_not_a_power_of_two_is_refused():
                  recipes={"a": ("input", 0, 3)})
     # the walk multiplies b0 by 3 in a stage; a walk alone would prove
     # 3*b0*I, so only the lowering refuses it
-    p = Pipeline(stages=[core],
-                 pre_stages=[_TriplingFanOut(tuple(range(8)), 8)],
+    tripling = _TriplingFanOut(tuple(range(8)), 8)
+    with pytest.raises(ValueError, match="power of two"):
+        Pipeline(stages=[core], pre_stages=[tripling],
                  recipes={"a": ("tap", 0, 1)},
                  entry_forms={"a": LinForm.var(0, 3)})
     tripled = SymMatrix([[LinForm.var(0, 3) if i == j else 0
                           for j in range(8)] for i in range(8)])
-    with pytest.raises(ValueError, match="power of two") as proof:
-        certify(p)
-    assert not p.certified
-    with pytest.raises(ValueError) as run:
-        mul_fast(Octo((1,) * 8), Octo((5,) + (0,) * 7), p)
-    assert str(run.value) == str(proof.value)
-    with pytest.raises(ValueError) as composed:
-        compose_symbolic(p)
-    assert str(composed.value) == str(proof.value)
-    assert reference_compose(p) == tripled
+    tap = tripling.apply([LinForm.var(i) for i in range(8)])
+    assert core.matrix({"a": tap[0]}) == tripled
 
 
 class _NegatedWhenLowered(SignScale):
@@ -315,22 +304,13 @@ class _PuttingS0(SignScale):
     (_PuttingS0, "an output derives from b0..b7 alone"),
 ])
 def test_a_b_side_value_in_the_output_is_not_bilinear(leak, message):
-    # no mul reads it, yet the lowering refuses it: running, counting and
-    # both proofs stop on first use with the one message
+    # no mul reads it, yet the lowering refuses it: the pipeline cannot be
+    # built, so nothing runs, counts or proves it
     p = build_pipeline()
     last = p.stages[-1]
-    x, b = Octo((1, 2, 3, 4, 5, 6, 7, 8)), Octo((8, 7, 6, 5, 4, 3, 2, 1))
-    uses = (certify, solve_corrections, partial(mul_fast, x, b),
-            partial(count_algorithm, "fast"))
-    texts = set()
-    for use in uses:
-        bad = clone_pipeline(p, stages=p.stages[:-1] + (
+    with pytest.raises(DegreeError, match=message):
+        clone_pipeline(p, stages=p.stages[:-1] + (
             leak(last.factors, last.label),))
-        with pytest.raises(DegreeError, match=message) as err:
-            use(bad)
-        texts.add(str(err.value))
-        assert not bad.certified
-    assert len(texts) == 1
 
 
 class _HalvedCore(QuasiDiagonal):
@@ -362,10 +342,9 @@ def test_solver_refuses_a_core_with_other_than_one_mul_per_cell():
 
 def test_two_quasidiagonal_stages_is_structural_violation():
     qd = QuasiDiagonal(dim=8, cells=((0, 0, "a"),))
-    p = Pipeline(stages=[qd, qd], recipes={"a": ("input", 0, 1)},
+    with pytest.raises(DegreeError, match="^t3 = mul t1 b0: not an x-side"):
+        Pipeline(stages=[qd, qd], recipes={"a": ("input", 0, 1)},
                  entry_forms={"a": LinForm.var(0)})
-    with pytest.raises(DegreeError):
-        compose_symbolic(p)
 
 
 def test_each_mul_multiplies_by_its_core_cells_entry_form():
@@ -448,11 +427,17 @@ def test_solver_rejects_a_known_with_no_entry_form():
 
 
 def test_solver_rejects_two_cores():
-    # two cores would multiply core values: the system is no longer linear
+    # two cores that multiply core values cannot be built; two that are
+    # bilinear, the second reading a lane the first left zero, the solver
+    # refuses, as it reads mul k as cell k of the one core
     qd = QuasiDiagonal(dim=8, cells=((0, 0, "a"),))
-    p = Pipeline(stages=[qd, qd], recipes={"a": ("input", 0, 1)},
+    with pytest.raises(DegreeError, match="^t3 = mul t1 b0: not an x-side"):
+        Pipeline(stages=[qd, qd], recipes={"a": ("input", 0, 1)},
                  entry_forms={"a": LinForm.var(0)})
-    with pytest.raises(ValueError, match="exactly one"):
+    p = Pipeline(stages=[qd, QuasiDiagonal(dim=8, cells=((1, 1, "a"),))],
+                 recipes={"a": ("input", 0, 1)},
+                 entry_forms={"a": LinForm.var(0)})
+    with pytest.raises(ValueError, match="exactly one.* found 2"):
         solve_corrections(p)
 
 
@@ -636,13 +621,90 @@ def test_composition_agrees_on_chains_split_anywhere(make, certifies):
 
 
 def test_two_cores_raise_in_both_compositions():
+    # the lowering refuses the pipeline, and the reference's product of
+    # the stages' matrices multiplies two forms of b
     qd = QuasiDiagonal(dim=8, cells=((0, 0, "a"), (1, 1, "a")))
-    p = Pipeline(stages=[qd, Butterfly(half=1, starts=(0,), dim=8), qd],
-                 recipes={"a": ("input", 0, 1)},
+    stages = [qd, Butterfly(half=1, starts=(0,), dim=8), qd]
+    with pytest.raises(DegreeError, match="^t6 = mul t4 b0: not an x-side"):
+        Pipeline(stages=stages, recipes={"a": ("input", 0, 1)},
                  entry_forms={"a": LinForm.var(0)})
-    for compose in (compose_symbolic, reference_compose):
-        with pytest.raises(DegreeError):
-            compose(p)
+    pre = {"a": LinForm.var(0)}
+    with pytest.raises(DegreeError):
+        reduce(lambda acc, st: st.matrix(pre) @ acc, stages,
+               SymMatrix.identity(8))
+
+
+_POINT_OPS = {"add": add, "sub": sub, "mul": mul}
+
+
+def _points(unit):
+    """The 81 operand pairs ``(x, b)``, each of ``x`` and ``b`` zero or
+    ``unit`` times a basis vector."""
+    ends = [(0 * unit,) * 8] + [tuple(unit if j == i else 0 * unit
+                                      for j in range(8)) for i in range(8)]
+    return [(x, b) for x in ends for b in ends]
+
+
+def _shift_total(prog):
+    """``S``: the sum of ``|k|`` over the shifts of ``prog`` by ``k < 0``."""
+    return sum(-ins.k for ins in prog.instrs if ins.op == "shift" and ins.k < 0)
+
+
+def _agrees_at_81_points(prog):
+    """Whether ``prog`` equals ``mul_naive`` at ``_points(2**S)``.
+
+    A plain interpreter over ``prog.instrs``, with no linear forms: each
+    slot is the tuple of its 81 values, all ints, since every operand is
+    a multiple of ``2**S``; each shift by ``k < 0`` is asserted to divide
+    exactly.  ``Program.validate`` (run when the program was lowered)
+    bounds each output's degree by 1 in x and 1 in b, and such a map is
+    fixed by its values at these points, so agreement is a proof.
+    """
+    points = _points(1 << _shift_total(prog))
+    value = dict(zip(INPUTS, [tuple(x[i] for x, _ in points) for i in range(8)]
+                     + [tuple(b[i] for _, b in points) for i in range(8)]))
+    for ins in prog.instrs:
+        a = value[ins.a]
+        if ins.op == "shift" and ins.k < 0:
+            mask = (1 << -ins.k) - 1
+            assert not any(u & mask for u in a), ins.to_text()
+            args = rshift, a, repeat(-ins.k)
+        elif ins.op == "shift":
+            args = lshift, a, repeat(ins.k)
+        elif ins.op == "zero":
+            args = mul, a, repeat(0)
+        elif ins.op == "neg":
+            args = neg, a
+        else:
+            args = _POINT_OPS[ins.op], a, value[ins.b]
+        value[ins.dest] = tuple(map(*args))
+    got = zip(*map(value.get, prog.outputs))
+    return all(y == mul_naive(Octo(x), Octo(b)).c
+               for (x, b), y in zip(points, got))
+
+
+def test_81_exact_points_agree_with_certify_on_every_sign_mutant():
+    # an independent check of the proof, sharing no code with verify
+    p = build_pipeline()
+    assert _agrees_at_81_points(p._program) and certify(p).ok
+    verdicts = set()
+    for site, m in sign_mutation_sites(p):
+        verdict = _agrees_at_81_points(m._program)
+        assert verdict is certify(m).ok, site
+        verdicts.add(verdict)
+    assert verdicts == {False}
+
+
+def test_the_three_compiled_bodies_give_mul_naive_at_the_81_points():
+    # the twin and the generic body at the int points; the float body at
+    # the unscaled ones, where every value is a small dyadic, so exact
+    prog = flatten(default_pipeline())
+    scope = compile_program(prog).__globals__
+    for body, unit in ((scope["_int_kernel"], 1 << _shift_total(prog)),
+                       (scope["_generic_kernel"], 1 << _shift_total(prog)),
+                       (scope["kernel"], 1.0)):
+        for x, b in _points(unit):
+            assert body(x, b).c == mul_naive(Octo(x), Octo(b)).c, (x, b)
 
 
 def test_certify_goes_through_the_entry_points_the_trace_wraps(monkeypatch):

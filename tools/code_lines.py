@@ -1,8 +1,10 @@
-"""Print the code lines of each module of ``src/octofast/`` and their total.
+"""Print the code lines of each module of ``src/octofast/`` and their total,
+then the totals of ``tests/`` and ``tools/``.
 
 A code line is one that holds a token other than a comment, ``NL``,
 ``NEWLINE``, ``INDENT`` or ``DEDENT``, after the docstring of every module,
-class and function is dropped; blank lines never count.  Run from anywhere:
+class and function is dropped; blank lines never count.  Each total is
+over the ``*.py`` files directly in its directory.  Run from anywhere:
 
     python tools/code_lines.py
 """
@@ -13,7 +15,8 @@ import sys
 import tokenize
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "octofast"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "octofast"
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
@@ -43,13 +46,19 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def file_lines(directory: Path) -> dict:
+    """The code lines of each ``*.py`` file in ``directory``, by name."""
+    return {path.name: code_lines(path.read_text(encoding="utf-8"))
+            for path in sorted(directory.glob("*.py"))}
+
+
 def main() -> int:
-    total = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        n = code_lines(path.read_text(encoding="utf-8"))
-        total += n
-        print(f"{n:6d}  {path.name}")
-    print(f"{total:6d}  total")
+    rows = file_lines(PACKAGE)
+    for name, n in rows.items():
+        print(f"{n:6d}  {name}")
+    print(f"{sum(rows.values()):6d}  total")
+    for name in ("tests", "tools"):
+        print(f"{sum(file_lines(ROOT / name).values()):6d}  {name}/ total")
     return 0
 
 
