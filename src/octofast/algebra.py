@@ -84,18 +84,38 @@ class Octo:
     Coefficients are either exact (int / Fraction) or float; float
     coefficients must be finite.  Scalar-like wrapper objects (e.g. the
     instrumented counters) pass through untouched.
+
+    ``kind``, read-only like ``c``, is the one exact type of all eight
+    coefficients (``float``, ``int``, ``Fraction``, ``bool``, a subclass
+    as itself), or ``None`` when their types differ; the compiled kernel
+    picks its body by it.  Finding it costs seven ``is`` tests, and it
+    spares the finiteness loop: an all-``int`` value has no float to
+    check, and an all-``float`` value whose sum is finite has none that
+    is not (a float sum with an infinite or NaN term is infinite or NaN).
+    Every other value, one whose float sum overflows included, runs the
+    loop, so ``Octo`` refuses exactly the non-finite floats.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ("c", "kind")
 
     def __init__(self, coeffs: Sequence):
         c = tuple(coeffs)
         if len(c) != 8:
             raise ValueError(f"expected 8 coefficients, got {len(c)}")
-        for v in c:
-            if isinstance(v, float) and not _isfinite(v):
-                raise ValueError(f"non-finite coefficient: {v!r}")
+        c0, c1, c2, c3, c4, c5, c6, c7 = c
+        kind = type(c0)
+        if not (type(c1) is kind and type(c2) is kind and type(c3) is kind
+                and type(c4) is kind and type(c5) is kind
+                and type(c6) is kind and type(c7) is kind):
+            kind = None
+        if kind is not int and not (
+                kind is float
+                and _isfinite(c0 + c1 + c2 + c3 + c4 + c5 + c6 + c7)):
+            for v in c:
+                if isinstance(v, float) and not _isfinite(v):
+                    raise ValueError(f"non-finite coefficient: {v!r}")
         _set_c(self, c)
+        _set_kind(self, kind)
 
     def __setattr__(self, name, value):
         raise AttributeError("Octo is immutable")
@@ -164,19 +184,13 @@ class Octo:
         return f"Octo({self.to_text()})"
 
 
-# bound once: ``Octo.__init__`` runs on every product
+# bound once: ``Octo.__init__`` runs on every product, and the compiled
+# kernel builds an ``Octo`` whose checks its outputs pass by construction
+# with ``_new(Octo)``, ``_set_c`` and ``_set_kind``
 _isfinite = math.isfinite
 _set_c = Octo.c.__set__
+_set_kind = Octo.kind.__set__
 _new = object.__new__
-
-
-def _unchecked_octo(c: tuple) -> Octo:
-    """The ``Octo`` of the 8-tuple ``c``, without ``Octo``'s length and
-    finiteness checks: for a caller whose ``c`` passes them by construction
-    (8 ``int``/``Fraction`` values, or 8 floats already found finite)."""
-    o = _new(Octo)
-    _set_c(o, c)
-    return o
 
 
 def mul_naive(x: Octo, b: Octo) -> Octo:

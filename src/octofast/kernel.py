@@ -30,27 +30,31 @@ closed form, what the precompute yields, and are the targets of
 ``verify.solve_corrections``, which reads the same program with the known
 ones in place of the products' b-side values.
 
-That function builds the product's ``Octo`` itself, in one of three
-bodies.  When all sixteen coefficients are floats, it runs a body whose
-negations are folded into the additions that read them, and whose results
-are the interpreter walk's bit for bit; one finiteness test of the
-outputs' sum stands in for ``Octo``'s checks, and a sum that overflows
-falls through to them.  When all sixteen are of type ``int``, it hands
-them to a generated twin in exact dyadic ints, which decodes each output
-by one rule, ``>> 3`` when its low bits are zero, else a ``Fraction``
+That function takes the two ``Octo`` operands and builds the product's
+``Octo`` itself, in one of three bodies, picked by the operands' ``kind``
+(:class:`~octofast.algebra.Octo` finds it when it checks its
+coefficients), two slot reads.  When both operands' kind is ``float``, it
+runs a body whose negations are folded into the additions that read
+them, and whose results are the interpreter walk's bit for bit; one
+finiteness test of the outputs' sum stands in for ``Octo``'s checks, and
+a sum that overflows falls through to them.  When both are of kind
+``int``, it hands their coefficients to a generated twin in exact dyadic
+ints, which tests the low bits of all outputs at once and returns them
+``>> 3`` with kind ``int`` when they are zero, else decodes each output
+by itself into an ``int`` or a ``Fraction``
 (:func:`octofast.program._int_kernel_source` states it), so the 1/8 above
-costs no ``Fraction`` arithmetic and a certified pipeline returns ``int``
-coefficients.  Every other kind of operand (``Fraction``, mixed,
-``bool``, instrumented scalars, linear forms) runs the generic body, which
-computes exactly what the interpreter walk computes, operation for
-operation, and ends in the checking ``Octo``.  See
+costs no ``Fraction`` arithmetic, a certified pipeline returns ``int``
+coefficients, and a product of that product runs the twin again.  Every
+other kind of operand (``Fraction``, mixed, ``bool``, subclasses,
+instrumented scalars, linear forms) runs the generic body, which computes
+exactly what the interpreter walk computes, operation for operation, and
+ends in the checking ``Octo``.  See
 :func:`octofast.program.program_source`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -327,15 +331,24 @@ def build_pipeline() -> Pipeline:
                     tap_index=_TAP_INDEX)
 
 
-@lru_cache(maxsize=1)
+# default_pipeline()'s pipeline, kept once it is built and certified: a
+# global that mul_fast reads, so that a product made with no pipeline calls
+# nothing before the kernel
+_default = None
+
+
 def default_pipeline() -> Pipeline:
-    """The shared certified pipeline used by :func:`mul_fast`."""
-    p = build_pipeline()
-    report = certify(p)
-    if not report.ok:
-        raise AssertionError(
-            "fast kernel failed self-certification:\n" + report.to_text())
-    return p
+    """The shared certified pipeline used by :func:`mul_fast`, built and
+    certified on the first call and the same object on every later one."""
+    global _default
+    if _default is None:
+        p = build_pipeline()
+        report = certify(p)
+        if not report.ok:
+            raise AssertionError(
+                "fast kernel failed self-certification:\n" + report.to_text())
+        _default = p
+    return _default
 
 
 # ---------------------------------------------------------------------------
@@ -346,20 +359,24 @@ def mul_fast(x: Octo, b: Octo, pipeline: Optional[Pipeline] = None) -> Octo:
     """Product ``x * b`` through the factorized kernel.
 
     Numerically identical to :func:`octofast.algebra.mul_naive` in exact
-    arithmetic; uses 26 multiplications instead of 64.  Runs the function
-    compiled from the one lowered program of ``pipeline`` (default: the
-    certified :func:`default_pipeline`), which ``flatten`` hands out, and
-    returns the ``Octo`` that function builds; the program keeps it in
-    the plain attribute ``_kernel``, compiled on its first product.  Its
+    arithmetic; uses 26 multiplications instead of 64.  Hands ``x`` and
+    ``b`` to the function compiled from the one lowered program of
+    ``pipeline`` (default: the certified :func:`default_pipeline`, read
+    from the module's ``_default`` once it is built, so that a product
+    with no pipeline makes no call for it), which ``flatten`` hands out,
+    and returns the ``Octo`` that function builds; the program keeps it
+    in the plain attribute ``_kernel``, compiled on its first product.
+    That function picks its body by ``x.kind`` and ``b.kind``.  Its
     coefficients equal ``p.apply(x.c, p.precompute(b))`` in value, bit for
     bit on floats, signed zeros included; in type too, except that when
-    every coefficient of ``x`` and ``b`` is an ``int`` each integral
-    result is an ``int`` and any other a ``Fraction``.  A float product
-    that overflows raises ``Octo``'s ``ValueError``.  A non-bilinear
-    pipeline cannot be built, so it never gets here.
+    both operands are of kind ``int`` each integral result is an ``int``
+    and any other a ``Fraction``.  The result's ``kind`` is the one its
+    coefficients give.  A float product that overflows raises ``Octo``'s
+    ``ValueError``.  A non-bilinear pipeline cannot be built, so it never
+    gets here.
     """
-    p = pipeline if pipeline is not None else default_pipeline()
+    p = pipeline if pipeline is not None else _default or default_pipeline()
     # read, then called: CPython 3.11 specialises the read of an instance
     # attribute, and not a method call through one
     kernel = p._program._kernel
-    return kernel(x.c, b.c)
+    return kernel(x, b)

@@ -19,14 +19,16 @@ turns a program with 8 outputs into one Python function that evaluates the
 program's operation tree and returns the product as an
 :class:`~octofast.algebra.Octo`; each program compiles it once, on its first
 product, and keeps it in ``Program._kernel``.  It has one body per kind of
-scalar, chosen by the coefficients' types: all-float operands run a body
-whose negations are folded into the additions and products that read them,
-with the walk's bits; all-int operands a twin in exact dyadic ints, folded
-the same way, that decodes each output by one rule; every other kind the
-walk op for op.  In each body, a slot that one operation reads, and that is
-not an output, is written into that reader as a parenthesised
-sub-expression, up to a fixed nesting depth; every other slot is assigned to
-its name (see :func:`program_source`, :func:`_fold` and
+scalar, chosen by the two operands' :attr:`~octofast.algebra.Octo.kind`:
+operands of kind ``float`` run a body whose negations are folded into the
+additions and products that read them, with the walk's bits; of kind
+``int`` a twin in exact dyadic ints, folded the same way, that tests the
+low bits of all its outputs at once; every other kind the walk op for op.
+The folded bodies build the product's ``Octo`` with its kind, so the next
+product reads it as well.  In each body, a slot that one operation reads,
+and that is not an output, is written into that reader as a parenthesised
+sub-expression, up to a fixed nesting depth; every other slot is assigned
+to its name (see :func:`program_source`, :func:`_fold` and
 :func:`_int_kernel_source`).  :func:`octofast.kernel.mul_fast` and
 :func:`eval_program` return what that function returns, so execution,
 counting, emission and proof share it.
@@ -46,7 +48,7 @@ from math import isfinite
 from sys import float_info
 from typing import Optional
 
-from .algebra import Octo, _unchecked_octo
+from .algebra import Octo, _new, _set_c, _set_kind
 from .linform import DegreeError
 from .stages import _Record, pow2, pow2_exponent, zero_like
 
@@ -330,13 +332,14 @@ def _fold(prog: Program, exact: bool) -> tuple:
     node ``[op, a, b]`` named by its slot, with the triple ``(dest, +-1,
     e)``, and an output whose ``c`` is negative keeps its one negation.
 
-    ``exact`` gives the int twin's nodes (:func:`_int_kernel_source`),
-    whose slots hold int numerators, each over its ``2**e``, with ``e >=
-    0`` fixed at codegen.  Both operands carrying a minus fold into one
-    tracked sign, ``a + b`` with ``c = -1``; written the float body's way,
-    ``(-a) - b``, the shipped twin has 7 negations in place of 4, and its
-    ``int-pairs`` ``fast_us_p50`` was 1-7 % higher in 4 of 4 paired runs
-    (CPython 3.11).  The literal ``0``, which has no sign, takes its
+    ``exact`` gives the nodes of the int twin (:func:`_int_kernel_source`),
+    which the kernel runs on two operands of kind ``int``, and whose slots
+    hold int numerators, each over its ``2**e``, with ``e >= 0`` fixed at
+    codegen.  Both operands carrying a minus fold into one tracked sign,
+    ``a + b`` with ``c = -1``; written the float body's way, ``(-a) - b``,
+    the shipped twin has 7 negations in place of 4, and its ``int-pairs``
+    ``fast_us_p50`` was 1-7 % higher in 4 of 4 paired runs (CPython
+    3.11).  The literal ``0``, which has no sign, takes its
     partner's, so that ``... + 0`` stays ``... + 0``; without that the
     twin writes ``t139 = 0 - (t118 + t122)``, a negation spelled as a
     subtraction that the flipped-addition test refuses.  A shift by ``k``
@@ -355,7 +358,8 @@ def _fold(prog: Program, exact: bool) -> tuple:
     ``2**j``, ``r_nj`` for ``-2**j`` (``b0_p4``, ``t1_n0``); it is ``-r``
     for ``c == -1``, else ``r`` times ``c`` written in hex.
 
-    Otherwise, the float body's: ``e`` stays 0 and ``c`` is +-1, a shift
+    Otherwise, the nodes of the float body, which the kernel runs on two
+    operands of kind ``float``: ``e`` stays 0 and ``c`` is +-1, a shift
     by ``k`` is a node ``["scale", root, _float_factor(k)]`` that keeps the
     sign, and the zero is the literal ``0.0`` (``-0.0`` negated).
     Negation is exact in IEEE 754 and round-to-nearest is symmetric, so a
@@ -429,24 +433,44 @@ def _fold(prog: Program, exact: bool) -> tuple:
     return node, [(scaled(r, c), e) for r, c, e in map(val.get, prog.outputs)]
 
 
+def _exact_octo(outs: str, kind: str, indent: str) -> list:
+    """Lines that return the ``Octo`` of the outputs ``outs`` with kind
+    ``kind``, built without ``Octo``'s checks, which the outputs pass by
+    construction."""
+    return [f"{indent}y = _new(_Octo)",
+            f"{indent}_set_c(y, ({outs},))",
+            f"{indent}_set_kind(y, {kind})",
+            f"{indent}return y"]
+
+
 def _int_kernel_source(prog: Program, unpack: list) -> list:
     """Lines of ``_int_kernel(x, b)``, the twin in exact dyadic ints that
-    :func:`program_source`'s ``kernel`` returns when all sixteen
-    coefficients are of type ``int`` (not ``bool``, no subclass).
+    :func:`program_source`'s ``kernel`` runs when both operands' kind is
+    ``int`` (not ``bool``, no subclass).
 
     Its nodes are :func:`_fold`'s with ``exact``: each slot's numerator
     ``N`` is an int and its value ``N / 2**e``, with ``e >= 0`` fixed at
     codegen.  Int products are exact, so each numerator is the walk's value
-    times ``2**e``.  Each output has one rule, ``N >> e if not N & (2**e
-    - 1) else Fraction(N, 2**e)``, and the twin one ``return``: each value
-    equals the walk's, and an integral one is an ``int`` where the walk has
-    a ``Fraction``.  What an output reads is kept named, as its rule reads
-    it up to three times.  Being 8 ints and ``Fraction``s, the outputs make
-    their ``Octo`` without its checks.  A shared test of all outputs' low
-    bits (``not (t1 | t2) & 0x7``) ahead of these rules does not pay:
-    paired ``int-pairs`` runs could not tell the twin with it from the
-    twin without it (``fast_us_p50`` medians 2.78 and 2.81 µs, fast /
-    naive 1.27 and 1.26, over 6 pairs, CPython 3.11), so there is none.
+    times ``2**e``, and an output is ``N >> e`` when its low ``e`` bits
+    are zero, else ``Fraction(N, 2**e)``: each value equals the walk's, and
+    an integral one is an ``int`` where the walk has a ``Fraction``.  One
+    shared test of all outputs' low bits (``not (t1 & 0x7 | t2 & 0x7)``)
+    comes first: when it holds, every output is its ``N >> e``, and the
+    twin builds the ``Octo`` of those eight ints itself, with kind
+    ``int``, so that a product of that product runs the twin again.
+    Otherwise each output takes its own rule, ``N >> e if not N & (2**e -
+    1) else Fraction(N, 2**e)``, and the checking ``Octo`` finds the kind
+    of the mix.  Alone, the shared test did not pay for speed (over 6
+    paired ``int-pairs`` runs, ``fast_us_p50`` medians 2.78 µs with it and
+    2.81 µs without, CPython 3.11); it is here for the kind, which one
+    rule per output could state only through the checking ``Octo``'s type
+    tests.  Each output's bits are masked before the ``|``: an ``&`` with
+    a small mask gives a small int, where an ``|`` of wide numerators
+    builds a wide one (on 16,400-bit numerators the test took 1.7 µs this
+    way and 8.2 µs as ``not (t1 | t2) & 0x7``; on small ints the two forms
+    took the same time, in-process ``timeit``, CPython 3.11).  What an
+    output reads is kept named, as the test and the rules read it several
+    times.
 
     Every int literal of the twin, a copy's factor and an output's mask
     ``2**e - 1`` and denominator ``2**e``, is written in hex, which
@@ -456,11 +480,18 @@ def _int_kernel_source(prog: Program, unpack: list) -> list:
     """
     node, reads = _fold(prog, exact=True)
     lines, text = _render(node, {r for r, _ in reads})
-    outs = ", ".join(f"{t} >> {e} if not {t} & {(1 << e) - 1:#x} "
+    outs = [(text[r], e) for r, e in reads]
+    whole = ", ".join(f"{t} >> {e}" if e else t for t, e in outs)
+    low = " | ".join(f"{t} & {(1 << e) - 1:#x}" for t, e in outs if e)
+    if not low:
+        return (["def _int_kernel(x, b):"] + unpack + lines
+                + _exact_octo(whole, "_int", "    "))
+    each = ", ".join(f"{t} >> {e} if not {t} & {(1 << e) - 1:#x} "
                      f"else _Fraction({t}, {1 << e:#x})" if e else t
-                     for t, e in ((text[r], e) for r, e in reads))
+                     for t, e in outs)
     return (["def _int_kernel(x, b):"] + unpack + lines
-            + [f"    return _unchecked_octo(({outs},))"])
+            + [f"    if not ({low}):"] + _exact_octo(whole, "_int", "        ")
+            + [f"    return _Octo(({each},))"])
 
 
 def program_source(prog: Program) -> str:
@@ -469,10 +500,10 @@ def program_source(prog: Program) -> str:
     exactly once written into its reader.
 
     ``prog`` is a lowered program (inputs :data:`INPUTS`) with exactly 8
-    outputs, else ``ValueError``; ``x`` and ``b`` are 8-sequences of
-    coefficients and the result is the ``Octo`` of the output slots, equal
-    in value and type to what the walk it was lowered from,
-    ``p.apply(x, p.precompute(b))``, computes, bit for bit on floats, with
+    outputs, else ``ValueError``; ``x`` and ``b`` are ``Octo``s, and the
+    result is the ``Octo`` of the output slots, equal in value and type
+    to what the walk it was lowered from, ``p.apply(x.c,
+    p.precompute(b))``, computes, bit for bit on floats, with
     the one exception below.  A program whose form
     :meth:`Program._check_form` refuses raises ``ValueError`` before any
     source is made; a well-formed one need not be bilinear.  A slot read
@@ -481,9 +512,13 @@ def program_source(prog: Program) -> str:
     :func:`_render`); every other slot is assigned to its name, so only
     the stores and loads of single-use temporaries are saved.
 
-    ``kernel`` opens with one test of the coefficients' types:
+    ``kernel`` opens with two slot reads, ``x.kind`` and ``b.kind``, which
+    ``Octo`` set when it checked the coefficients; an operand that has no
+    ``kind`` (an 8-sequence of coefficients) is made an ``Octo`` first,
+    through its checks, and the kernel runs on the two ``Octo``s.  Then:
 
-    - When all sixteen are of type ``float``, it runs its own body:
+    - When both kinds are ``float``, it runs its own body on ``x.c`` and
+      ``b.c``:
       :func:`_fold`'s, whose negations are folded into the ``+``/``-``
       that read them and whose shifts multiply by float literals
       (``0.125``, ``2.0``; see :func:`_float_factor`), with ``0.0`` for a
@@ -492,29 +527,33 @@ def program_source(prog: Program) -> str:
       body ends in one test, ``_isfinite`` of the outputs' sum, before the
       checking ``Octo``: a sum of floats with an infinite or NaN term is
       infinite or NaN, so a finite sum proves every output finite, and
-      those outputs make their ``Octo`` without its checks.  A sum that
-      overflows, though its terms are finite, falls through to ``Octo``,
-      which checks the outputs one by one, so nothing ``Octo`` refuses (a
-      non-finite output raises its ``ValueError``) gets through.
-    - When all sixteen are of type ``int``, it returns ``_int_kernel(x,
-      b)``, the twin in exact dyadic ints that :func:`_int_kernel_source`
-      describes, folded the same way, with one ``return`` and one rule
-      per output: ``N >> e`` when the low ``e`` bits of its numerator
-      ``N`` are zero, else ``Fraction(N, 2**e)``.  This is the exception
+      those outputs, all floats, make their ``Octo`` without its checks,
+      with kind ``float`` (``_new(_Octo)``, then ``c``, then ``kind``).
+      A sum that overflows, though its terms are finite, falls through to
+      ``Octo``, which checks the outputs one by one, so nothing ``Octo``
+      refuses (a non-finite output raises its ``ValueError``) gets
+      through.
+    - When both are ``int``, it returns ``_int_kernel(x.c, b.c)``, the
+      twin in exact dyadic ints that :func:`_int_kernel_source`
+      describes, folded the same way: ``N >> e`` when the low ``e`` bits
+      of an output's numerator ``N`` are zero, else ``Fraction(N,
+      2**e)``, and kind ``int`` when all are zero.  This is the exception
       to equal types: integral values are ``int``s where the walk has
       ``Fraction``s.
     - Every other kind (``Fraction``, mixed int and float, ``bool``,
       subclasses, instrumented scalars, linear forms) runs
-      ``_generic_kernel(x, b)``: the walk op for op, each ``neg`` a
+      ``_generic_kernel(x.c, b.c)``: the walk op for op, each ``neg`` a
       negation, each ``zero`` ``zero_like`` of its operand, as in a
       quasi-diagonal stage, ending in the checking ``Octo``.  A folded
       body does not serve mixed operands: an int ``0`` has no sign, so
       ``0 + (-0.0)`` is ``0.0`` where ``-0.0 - 0`` is ``-0.0``.
 
-    A shift by ``k`` in the generic body multiplies by the exact factor
-    ``pow2(k)`` (an int for ``k >= 0``, a ``Fraction`` for ``k < 0``, as
-    the walk's stages multiply by), which is never written into the source:
-    it is the kernel's global ``_scale(k)`` (``_Q1``, ``_QN3``), which
+    The two helper bodies take the operands' coefficients, two
+    8-sequences, so either can be run on its own.  A shift by ``k`` in the
+    generic body multiplies by the exact factor ``pow2(k)`` (an int for
+    ``k >= 0``, a ``Fraction`` for ``k < 0``, as the walk's stages
+    multiply by), which is never written into the source: it is the
+    kernel's global ``_scale(k)`` (``_Q1``, ``_QN3``), which
     :func:`compile_program` binds, so no constant is too large to write.
     """
     if len(prog.outputs) != 8:
@@ -523,10 +562,6 @@ def program_source(prog: Program) -> str:
     prog._check_form()
     unpack = ["    " + ", ".join(INPUTS[:8]) + ", = x",
               "    " + ", ".join(INPUTS[8:]) + ", = b"]
-
-    def all_of(kind):
-        return " and ".join(f"_type({name}) is {kind}" for name in INPUTS)
-
     # every instruction, dead ones included, as the walk runs them all
     node = {ins.dest: ["scale", ins.a, _scale(ins.k)] if ins.op == "shift"
             else [ins.op, ins.a, ins.b] for ins in prog.instrs}
@@ -536,14 +571,19 @@ def program_source(prog: Program) -> str:
     node, reads = _fold(prog, exact=False)
     lines, text = _render(node, {r for r, _ in reads})
     outs = [text[r] for r, _ in reads]
-    head = ["def kernel(x, b):"] + unpack + [
-        f"    if not ({all_of('_float')}):",
-        f"        if {all_of('_int')}:",
-        "            return _int_kernel(x, b)",
-        "        return _generic_kernel(x, b)"]
-    tail = [f"    if _isfinite({' + '.join(outs)}):",
-            f"        return _unchecked_octo(({', '.join(outs)},))",
-            f"    return _Octo(({', '.join(outs)},))"]
+    head = ["def kernel(x, b):",
+            "    try:",
+            "        xk, bk = x.kind, b.kind",
+            "    except AttributeError:",
+            "        return kernel(_Octo(x), _Octo(b))",
+            "    if xk is not _float or bk is not _float:",
+            "        if xk is _int and bk is _int:",
+            "            return _int_kernel(x.c, b.c)",
+            "        return _generic_kernel(x.c, b.c)"] + [
+                line + ".c" for line in unpack]
+    tail = ([f"    if _isfinite({' + '.join(outs)}):"]
+            + _exact_octo(", ".join(outs), "_float", "        ")
+            + [f"    return _Octo(({', '.join(outs)},))"])
     return "\n".join(_int_kernel_source(prog, unpack) + ["", ""] + generic
                      + ["", ""] + head + lines + tail) + "\n"
 
@@ -556,9 +596,9 @@ def compile_program(prog: Program):
     globals as ``_scale(k)``, which the generic body reads instead of a
     literal.  A program without exactly 8 outputs raises ``ValueError``."""
     scope = {"_zero_like": zero_like, "_isfinite": isfinite,
-             "_type": type, "_float": float,
-             "_int": int, "_Fraction": Fraction, "_Octo": Octo,
-             "_unchecked_octo": _unchecked_octo}
+             "_float": float, "_int": int, "_Fraction": Fraction,
+             "_Octo": Octo, "_new": _new, "_set_c": _set_c,
+             "_set_kind": _set_kind}
     scope.update({_scale(ins.k): pow2(ins.k)
                   for ins in prog.instrs if ins.op == "shift"})
     exec(compile(program_source(prog), "<octofast kernel>", "exec"), scope)
@@ -566,16 +606,17 @@ def compile_program(prog: Program):
 
 
 def eval_program(prog: Program, x: Octo, b: Octo) -> Octo:
-    """Run ``prog`` on concrete operands through ``prog._kernel``, the
-    function :func:`compile_program` made of it on its first product, and
-    return the ``Octo`` it builds: for ``flatten(p)``, the very function
+    """Run ``prog`` on the ``Octo``s ``x`` and ``b`` through
+    ``prog._kernel``, the function :func:`compile_program` made of it on
+    its first product, which picks its body by their kinds, and return
+    the ``Octo`` it builds: for ``flatten(p)``, the very function
     that :func:`octofast.kernel.mul_fast` runs for ``p``, and so the same
     values and types.
 
     Kept because the frozen benchmark (``perfbench/layers.py``) imports it.
     """
     kernel = prog._kernel
-    return kernel(x.c, b.c)
+    return kernel(x, b)
 
 
 def emit_text(prog: Program) -> str:

@@ -38,6 +38,14 @@ def float_outcome(product, x, b):
     return [v.hex() for v in getattr(got, "c", got)]
 
 
+class IntSubclass(int):
+    """An int subclass: its values are ints, its type is not ``int``."""
+
+
+class FloatSubclass(float):
+    """A float subclass: its values are floats, its type is not ``float``."""
+
+
 def identity(n=8):
     """The reindexing stage that leaves ``n`` lanes where they are."""
     return FanOut(src=tuple(range(n)), in_dim=n)

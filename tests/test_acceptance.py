@@ -66,7 +66,7 @@ def corpus_scan():
         fast = mul_fast(x, b, p)
         if fast != ref:
             fast_bad += 1
-        got = Octo(shipped(x.c, b.c))
+        got = shipped(x, b)
         if got != ref or got != fast:
             prog_bad += 1
     basis_bad = basis_prog_bad = 0

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import FloatSubclass
 
 from octofast.algebra import (Octo, basis_mul, mul_naive, quadratic_form,
                               schoolbook_matrix)
@@ -134,6 +135,36 @@ def test_nonfinite_floats_rejected():
         Octo((math.nan,) + (0.0,) * 7)
     with pytest.raises(ValueError):
         Octo.from_text("inf,0,0,0,0,0,0,0", mode="float")
+
+
+def test_octo_refuses_what_it_refused_before_it_had_a_kind():
+    # an all-float value skips the loop over its coefficients when their
+    # sum is finite; a non-finite term makes the sum inf or nan, a float
+    # subclass is not of kind float, and a mixed value has no kind, so
+    # each of these still meets the loop
+    F = FloatSubclass
+    for bad in (math.inf, -math.inf, math.nan, F(math.inf), F(math.nan)):
+        for rest in (0.5, 1, F(0.5)):
+            for lane in (0, 7):
+                c = [rest] * 8
+                c[lane] = bad
+                with pytest.raises(ValueError, match="non-finite coefficient"):
+                    Octo(c)
+    with pytest.raises(ValueError, match="non-finite coefficient: inf"):
+        Octo((math.inf, -math.inf) + (0.0,) * 6)
+    # every term finite, their sum not: the loop runs and accepts
+    for zero in (0.0, 0):
+        big = Octo((1e308, 1e308) + (zero,) * 6)
+        assert big.c[:2] == (1e308, 1e308)
+        assert big.kind is (float if type(zero) is float else None)
+
+
+def test_an_octos_kind_is_read_only():
+    x = Octo((1,) * 8)
+    assert x.kind is int
+    with pytest.raises(AttributeError, match="immutable"):
+        x.kind = float
+    assert x.kind is int
 
 
 def test_octo_shape_checked():

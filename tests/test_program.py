@@ -9,8 +9,9 @@ from math import isfinite
 from types import FunctionType
 
 import pytest
-from conftest import (clone_pipeline, float_outcome, identity, load_tool,
-                      read_program, sign_mutation_sites)
+from conftest import (FloatSubclass, IntSubclass, clone_pipeline,
+                      float_outcome, identity, load_tool, read_program,
+                      sign_mutation_sites)
 
 from octofast import kernel, program
 from octofast.algebra import Octo, basis_mul, mul_naive
@@ -77,7 +78,7 @@ def test_mul_fast_runs_the_flattened_programs_function(monkeypatch):
     assert p._program._kernel is spy
     assert mul_fast(b, x, p) == mul_naive(b, x)
     assert eval_program(flatten(p), x, b) == mul_naive(x, b)
-    assert seen == [(x.c, b.c), (b.c, x.c), (x.c, b.c)]
+    assert seen == [(x, b), (b, x), (x, b)]
 
 
 @pytest.mark.parametrize("n", [7, 9])
@@ -243,7 +244,7 @@ def test_kernel_source_is_pinned():
     # what execution, counting and the proof's artifact share
     source = program_source(flatten(default_pipeline()))
     assert hashlib.sha256(source.encode()).hexdigest() \
-        == "c9274739085e3ef6d28778a7ce069100332665b5b63e7c4c8410238f72314621"
+        == "0b4d0b5f1e83d0467e2f3f7847d2e3975f57e8d00f292ee2fa9d33332d128415"
 
 
 def test_kernel_source_of_every_sign_mutant_is_pinned():
@@ -255,7 +256,7 @@ def test_kernel_source_of_every_sign_mutant_is_pinned():
     assert len(pipelines) == 125
     source = "".join(program_source(q._program) for q in pipelines)
     assert hashlib.sha256(source.encode()).hexdigest() \
-        == "e4be8382e174233282246c4f93a33cadae53f9678b02eddbaa382914414f99f4"
+        == "6c10f44547001ab422c33a698cb82eb1e04fc686cd5e53ec76f77bc9955f83d9"
 
 
 def test_program_source_refuses_an_unknown_op():
@@ -306,7 +307,7 @@ def test_the_compiler_runs_a_well_formed_program_that_is_not_bilinear():
         prog.validate()
     x, b = Octo(tuple(range(3, 11))), Octo(tuple(range(5, 13)))
     want = Octo((9,) + x.c[1:])
-    assert eval_program(prog, x, b) == compile_program(prog)(x.c, b.c) == want
+    assert eval_program(prog, x, b) == compile_program(prog)(x, b) == want
 
 
 def test_text_layout():
@@ -522,18 +523,110 @@ def test_a_program_without_a_negative_shift_gets_the_one_kernel_shape():
     rng = random.Random(79)
     for _ in range(20):
         x, b = rnd_octo(rng, 1000), rnd_octo(rng, 1000)
-        y = fn(x.c, b.c)
+        y = fn(x, b)
         assert seen.pop() == x.c
         assert y == mul_naive(x, b)
         assert [type(v) for v in y.c] == [int] * 8
         x = Octo(tuple(rng.uniform(-1, 1) for _ in range(8)))
         b = Octo(tuple(rng.uniform(-1, 1) for _ in range(8)))
         want = p.apply(x.c, p.precompute(b))
-        assert [v.hex() for v in fn(x.c, b.c).c] == [v.hex() for v in want]
+        assert [v.hex() for v in fn(x, b).c] == [v.hex() for v in want]
         assert not seen
     big = Octo((1e308, 1e308, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="non-finite coefficient"):
-        fn(big.c, big.c)
+        fn(big, big)
+
+
+def _spies(monkeypatch, fn, names):
+    """Replace each helper body ``names`` of the compiled kernel ``fn`` by
+    one that records its operand ``x`` under its name, then runs it."""
+    seen = {name: [] for name in names}
+    for name in names:
+        body = fn.__globals__[name]
+        monkeypatch.setitem(
+            fn.__globals__, name,
+            lambda x, b, body=body, log=seen[name]: log.append(x)
+            or body(x, b))
+    return seen
+
+
+def test_the_folded_bodies_hand_back_their_kind():
+    # the float body and the twin build the product's Octo themselves; its
+    # kind is the one the checking Octo would find, so the next product
+    # picks the same body
+    p = default_pipeline()
+    rng = random.Random(113)
+    for _ in range(20):
+        x, b = (Octo(tuple(rng.uniform(-1, 1) for _ in range(8)))
+                for _ in range(2))
+        y = mul_fast(x, b, p)
+        assert y.kind is float is Octo(y.c).kind
+        x, b = rnd_octo(rng, 1000), rnd_octo(rng, 1000)
+        y = mul_fast(x, b, p)
+        assert y.kind is int is Octo(y.c).kind
+        assert y == mul_naive(x, b)
+    # finite outputs whose sum overflows fall through to the checking Octo
+    y = mul_fast(Octo((1e308,) + (0.0,) * 7), Octo((1.0, 1.0) + (0.0,) * 6))
+    assert y.c[:2] == (1e308, 1e308) and y.kind is float
+
+
+def test_chained_int_products_run_the_twin_each_time(monkeypatch):
+    x, b = Octo((2, -3, 5, -7, 11, -13, 17, -19)), Octo(tuple(range(1, 9)))
+    mul_fast(x, b)  # compiles the default pipeline's kernel
+    fn = default_pipeline()._program._kernel
+    seen = _spies(monkeypatch, fn, ("_int_kernel", "_generic_kernel"))
+    y = mul_fast(x, b)
+    z = mul_fast(y, b)
+    assert seen == {"_int_kernel": [x.c, y.c], "_generic_kernel": []}
+    assert z == mul_naive(mul_naive(x, b), b) and z.kind is int
+
+
+def test_a_sign_mutants_fraction_outputs_leave_the_int_kind():
+    # a mutant's twin gives a Fraction where an output's low bits are not
+    # zero: the checking Octo finds a kind other than int, and the next
+    # product runs the generic body, the walk op for op
+    p = default_pipeline()
+    x = Octo((-5, 9, -7, -1, -6, 6, 5, 6))
+    b = Octo((3, -3, -6, 6, -9, 3, 4, -9))
+    mutants = 0
+    for site, q in sign_mutation_sites(p):
+        y = mul_fast(x, b, q)
+        if all(type(v) is int for v in y.c):
+            continue
+        mutants += 1
+        assert y.kind is not int and y.kind is Octo(y.c).kind, site
+        walk = q.apply(y.c, q.precompute(b))
+        z = mul_fast(y, b, q)
+        assert z.c == tuple(walk), site
+        assert [type(v) for v in z.c] == [type(v) for v in walk], site
+    assert mutants > 0
+
+
+def test_operands_of_no_folded_kind_reach_the_generic_body(monkeypatch):
+    # mixed types, Fractions, bools, subclasses, counted scalars and
+    # linear forms: none is of kind float or int on both sides
+    p = default_pipeline()
+    mul_fast(Octo((1,) * 8), Octo((1,) * 8), p)
+    fn = p._program._kernel
+    ints = Octo((2, -3, 5, -7, 11, -13, 17, -19))
+    tally = Tally()
+    others = [Octo((1.5,) + ints.c[1:]), Octo(map(Fraction, ints.c)),
+              Octo((True, False) * 4), Octo(map(IntSubclass, ints.c)),
+              Octo(map(FloatSubclass, ints.c)), tally.wrap_octo(ints),
+              Octo(LinForm.var(i) for i in range(8))]
+    for x in others:
+        seen = _spies(monkeypatch, fn, ("_int_kernel", "_generic_kernel"))
+        y = mul_fast(x, ints, p)
+        assert seen == {"_int_kernel": [], "_generic_kernel": [x.c]}, x
+        walk = p.apply(x.c, p.precompute(ints))
+        assert y.kind is Octo(walk).kind
+        # a Counted has no ==: its value is compared
+        assert [getattr(v, "v", v) for v in y.c] \
+            == [getattr(v, "v", v) for v in walk]
+    # a kernel handed coefficients makes Octos of them first
+    seen = _spies(monkeypatch, fn, ("_int_kernel", "_generic_kernel"))
+    assert fn(ints.c, ints.c) == fn(ints, ints)
+    assert seen == {"_int_kernel": [ints.c, ints.c], "_generic_kernel": []}
 
 
 def _functions(prog):
@@ -598,9 +691,10 @@ def test_generated_bodies_keep_every_operation():
     scaled = [n.left for n in _binops(twin, ast.Mult)
               if kernel_ops.constant(n.right)]
     assert scaled and not any(_reads_a_product(n, value) for n in scaled)
-    # one rule per output, so one return and no shared test of low bits
-    assert sum(isinstance(n, ast.Return) for n in ast.walk(twin)) == 1
-    assert not _binops(twin, ast.BitOr)
+    # one shared test of the eight outputs' low bits, each masked, then
+    # two returns: the eight >> 3 with kind int, or one rule each
+    assert sum(isinstance(n, ast.Return) for n in ast.walk(twin)) == 2
+    assert len(_binops(twin, ast.BitOr)) == 7
 
 
 def _structural_zero(node, zero):

@@ -5,6 +5,7 @@ import re
 from decimal import Decimal
 
 import pytest
+from conftest import FloatSubclass, IntSubclass
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,6 +60,27 @@ def test_compiled_float_kernel_is_the_walk_bit_for_bit(x, b):
     want = p.apply(x.c, p.precompute(b))
     assert all(type(v) is float for v in got)
     assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+# scalars of six exact types, two of them subclasses and one bool, which
+# is an int subclass too
+KINDS = (st.integers(-10 ** 6, 10 ** 6), st.booleans(),
+         st.builds(IntSubclass, st.integers(-99, 99)), st.floats(-1e6, 1e6),
+         st.builds(FloatSubclass, st.floats(-1e6, 1e6)),
+         st.fractions(max_denominator=100))
+
+
+@FIXED
+@given(st.one_of(
+    st.sampled_from(KINDS).flatmap(
+        lambda kind: st.lists(kind, min_size=8, max_size=8)),
+    st.lists(st.one_of(KINDS), min_size=8, max_size=8)))
+def test_an_octos_kind_is_the_one_exact_type_of_its_coefficients(c):
+    types = {type(v) for v in c}
+    kind = Octo(c).kind
+    assert kind is (types.pop() if len(types) == 1 else None)
+    assert (kind is int) == all(type(v) is int for v in c)
+    assert (kind is float) == all(type(v) is float for v in c)
 
 
 class Mat:

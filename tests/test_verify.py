@@ -270,7 +270,6 @@ def test_stage_that_lowers_otherwise_than_it_walks_breaks_certification():
 
 def test_certify_and_the_solver_read_only_the_lowered_program(monkeypatch):
     p = build_pipeline()
-    p._program  # lowered: from here on no stage may run
 
     def refuse(*args, **kwargs):
         raise AssertionError("a stage ran after the lowering")
@@ -700,11 +699,14 @@ def test_the_three_compiled_bodies_give_mul_naive_at_the_81_points():
     # the unscaled ones, where every value is a small dyadic, so exact
     prog = flatten(default_pipeline())
     scope = compile_program(prog).__globals__
-    for body, unit in ((scope["_int_kernel"], 1 << _shift_total(prog)),
-                       (scope["_generic_kernel"], 1 << _shift_total(prog)),
-                       (scope["kernel"], 1.0)):
+    # the two helper bodies take coefficients, kernel takes Octos
+    for body, unit, wrap in (
+            (scope["_int_kernel"], 1 << _shift_total(prog), tuple),
+            (scope["_generic_kernel"], 1 << _shift_total(prog), tuple),
+            (scope["kernel"], 1.0, Octo)):
         for x, b in _points(unit):
-            assert body(x, b).c == mul_naive(Octo(x), Octo(b)).c, (x, b)
+            assert body(wrap(x), wrap(b)).c \
+                == mul_naive(Octo(x), Octo(b)).c, (x, b)
 
 
 def test_certify_goes_through_the_entry_points_the_trace_wraps(monkeypatch):

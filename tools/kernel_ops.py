@@ -9,8 +9,9 @@ the shipped program (the float body in ``kernel``, ``_int_kernel`` and
 - additions: ``+`` and ``-``, less the outputs' sum that the float body's
   finiteness test reads;
 - negations: unary ``-`` of a value that is not a literal;
-- decode: ``>>``, ``&`` and ``|``, with which the int twin turns its
-  numerators into outputs (the other bodies have none);
+- decode: ``>>``, ``&`` and ``|``, with which the int twin tests the low
+  bits of its numerators once, for all of them, and turns them into
+  outputs (the other bodies have none);
 - stores: assignments to one name, the unpacking of the operands excluded.
 
 The tests read the generated bodies with :func:`constant` and
