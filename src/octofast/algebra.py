@@ -120,6 +120,11 @@ class Octo:
     def __setattr__(self, name, value):
         raise AttributeError("Octo is immutable")
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the checking constructor,
+        # which finds the kind again; the default restores slots by setattr
+        return (Octo, (self.c,))
+
     # ---- constructors ----
 
     @classmethod

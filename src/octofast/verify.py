@@ -18,14 +18,15 @@ core entries become unknowns of a linear system that reconstructs them.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import chain
+from math import lcm
 from operator import add, mul, neg, sub
 from typing import Iterable, Optional
 
 from .algebra import schoolbook_matrix
 from .linform import (_LF_ZERO, _SMALL, LinForm, SymMatrix, _coerce, _entry,
-                      _matrix)
+                      _matrix, _reduced)
 from .program import INPUTS
 from .stages import QuasiDiagonal, _Record, pow2
 
@@ -69,13 +70,39 @@ class InconsistentSystemError(ValueError):
     """The correction system has no solution: the fixed stages are wrong."""
 
 
+# the unit rows of x0..x7 as forms, shared by every composition
+_IDENTITY = tuple(tuple(_SMALL[int(i == j)] for j in range(8))
+                  for i in range(8))
+_ZERO_ROW = (_LF_ZERO,) * 8
+# entry (i, j) of the schoolbook matrix, at 8*i + j, is +-b_k: its one
+# nonzero numerator c, in field t = 1 + k, as (t, c)
+_TARGET = tuple(next((t, c) for t, c in enumerate(e.numerators) if c)
+                for row in schoolbook_matrix().entries for e in row)
+_NINE_ZEROS = (0,) * 9
+
+
 def compose_symbolic(p) -> SymMatrix:
     """The 8x8 matrix of forms in ``b`` that the lowered program of ``p``
     computes: ``SymMatrix(V) @ W``, with ``V``, ``X`` and ``B`` read off
     ``p._program`` by :func:`_terms` and ``W`` the 8 unit rows of
     ``x0..x7``, then ``B[k] * X[k]`` for each ``mul`` ``k``.
+
+    ``W`` is built as forms and taken as is.  Its first 8 rows are one
+    shared identity block.  In row ``k`` a coefficient 0, 1 or -1 picks the
+    shared zero, ``B[k]`` or its negation (made once per row), any other
+    ``c`` gives ``B[k] * c``, and a zero form gives a row of zeros.  ``V``,
+    ints and ``Fraction`` from :func:`_terms`, is coerced once.
     """
-    return _decode(*_terms(p._program))
+    V, X, B = _terms(p._program)
+    rows = list(_IDENTITY)
+    for x, f in zip(X, B):
+        if f.is_zero:
+            rows.append(_ZERO_ROW)
+            continue
+        pick = {0: _LF_ZERO, 1: f, -1: -f}
+        rows.append(tuple([pick[c] if c in pick else f * c for c in x]))
+    v = _matrix(tuple(tuple(map(_coerce, row)) for row in V))
+    return v @ _matrix(tuple(rows))
 
 
 def certify(p) -> ResidualReport:
@@ -118,12 +145,28 @@ def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionS
     Entries named in ``unknown`` (default: every core entry with a
     correction recipe) are unknown linear forms.  The one core of the main
     chain makes one ``mul`` per cell, in ``cells`` order, so ``mul`` ``k``
-    is cell ``k``; another ``mul`` count raises ``ValueError``.  The known
-    part is :func:`compose_symbolic`'s product with each cell's entry form,
-    or 0 for an unknown, as ``B[k]``; an unknown's coefficient in entry
-    ``(i, j)`` is ``sum(V[i][8 + k] * X[k][j])`` over the cells ``k`` that
-    read it.  Matched against the schoolbook matrix, these give one linear
-    equation per entry.
+    is cell ``k``; another ``mul`` count raises ``ValueError``.  With ``V``
+    and ``X`` read off the program by :func:`_terms`, entry ``(i, j)`` of
+    the product is ``V[i][j]`` plus the sum of ``V[i][8 + k] * X[k][j]``
+    times cell ``k``'s form; matched against the schoolbook matrix, it is
+    one linear equation in the unknowns.
+
+    The equations are rows of Python ints.  ``V`` and ``X`` are multiplied
+    through by the lcm of their denominators, ``s_V`` and ``s_X`` (other
+    than 1 only after a ``2^-k`` scale), and the known forms put over the
+    lcm ``D`` of theirs.  Row ``8*i + j`` is then ``S = s_V * s_X`` times
+    equation ``(i, j)``: first each unknown's coefficient, summed over the
+    cells that read it, then the nine numerators of target minus known part
+    over ``D``.  The known part is most of the work, so each known form's
+    nine numerators are packed into one int, ``w`` bits a field, and each
+    entry's sum of them is one int, unpacked once with a bias of
+    ``2^(w-1)`` per field.  ``w`` is one more than the bit length of a bound
+    on every field: over the known cells ``k``, the sum of the largest
+    magnitudes in ``V``'s column ``8 + k``, in ``X[k]`` and in ``k``'s
+    numerators, multiplied, plus ``D * S`` for the target (its numerators
+    are +-1) and ``D * s_X`` times the largest ``V[i][j]``.  So a field
+    fits in ``w - 1`` bits and a sign, and biased it cannot carry into the
+    next.
 
     Inconsistency raises :class:`InconsistentSystemError`; under-determined
     unknowns resolve to the zero form (the fewest-nonzero-coefficients
@@ -157,26 +200,69 @@ def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionS
     if len(X) != len(cells):
         raise ValueError(f"the program makes {len(X)} multiplications, "
                          f"the core has {len(cells)} cells")
+    V, sv = _int_rows(V)
+    X, sx = _int_rows(X)
+    vcols = list(zip(*V))
+    # the nonzero (row 8*i, V[i][c]) of each column c of V
+    vnz = [[(8 * i, v) for i, v in enumerate(c) if v] for c in vcols]
     col = {n: u for u, n in enumerate(names)}
-    known = _decode(V, X, [0 if name in col else p.entry_forms[name]
-                           for _, _, name in cells])
-    coeffs = [[0] * len(names) for _ in range(64)]  # row 8*i + j: entry (i, j)
+    n = len(names)
+    rows = [[0] * n for _ in range(64)]  # row 8*i + j: entry (i, j)
+    known = []
     for k, (_, _, name) in enumerate(cells):
+        x = X[k]
         if name not in col:
+            known.append((k, x, _entry(p.entry_forms[name])))
             continue
-        u, x = col[name], X[k]
-        for i, row in enumerate(V):
-            v = row[8 + k]
-            if v:
-                for j, c in enumerate(x):
-                    coeffs[8 * i + j][u] += v * c
+        u = col[name]
+        xs = [(j, c) for j, c in enumerate(x) if c]
+        for base, v in vnz[8 + k]:
+            for j, c in xs:
+                rows[base + j][u] += v * c
 
-    # One equation per output entry: sum(coeff * unknown) = target - known.
-    target = schoolbook_matrix()
-    rhs = [e - g for want, row in zip(target.entries, known.entries)
-           for e, g in zip(want, row)]
-    assignment, free = _solve_linear(names, coeffs, rhs)
+    # target minus known part, times D * S, as one packed int per entry
+    D = lcm(*(f.denominator for _, _, f in known))
+    S = sv * sx
+    F = [(k, x, [c * (D // f.denominator) for c in f.numerators])
+         for k, x, f in known]
+    bound = (D * S + D * sx * max((abs(v) for c in vnz[:8] for _, v in c),
+                                  default=0)
+             + sum(max(map(abs, vcols[8 + k])) * max(map(abs, x))
+                   * max(map(abs, nums)) for k, x, nums in F))
+    w = bound.bit_length() + 1
+    acc = [(D * S * c) << (w * t) for t, c in _TARGET]
+    for j in range(8):
+        for base, v in vnz[j]:
+            acc[base + j] -= D * sx * v
+    for k, x, nums in F:
+        packed = 0
+        for c in reversed(nums):
+            packed = (packed << w) + c
+        xs = [(j, c * packed) for j, c in enumerate(x) if c]
+        for base, v in vnz[8 + k]:
+            for j, cp in xs:
+                acc[base + j] -= v * cp
+    half, mask, shifts = 1 << (w - 1), (1 << w) - 1, range(0, 9 * w, w)
+    bias = sum(half << s for s in shifts)
+    for row, e in zip(rows, acc):
+        if e:
+            e += bias
+            row += [((e >> s) & mask) - half for s in shifts]
+        else:
+            row += _NINE_ZEROS
+    assignment, free = _solve_linear(names, rows, D, S)
     return CorrectionSolve(assignment=assignment, free=free)
+
+
+def _int_rows(rows) -> tuple:
+    """``rows`` multiplied through by the lcm ``s`` of their entries'
+    denominators, as int rows, and ``s``; ``rows`` as they are, and 1, if
+    every entry is an int."""
+    values = set(chain.from_iterable(rows))
+    if all(type(v) is int for v in values):
+        return rows, 1
+    s = lcm(*(v.denominator for v in values))
+    return [[int(v * s) for v in row] for row in rows], s
 
 
 # "zero" is its operand times 0, on its operand's side
@@ -236,79 +322,63 @@ def _terms(prog) -> tuple:
     return V, X, B
 
 
-# the unit rows of x0..x7 as forms, shared by every decode
-_IDENTITY = tuple(tuple(_SMALL[int(i == j)] for j in range(8))
-                  for i in range(8))
-_ZERO_ROW = (_LF_ZERO,) * 8
+def _solve_linear(names, rows, D, S):
+    """Gauss-Jordan on the int rows of :func:`solve_corrections`, free of
+    division until the end.
 
-
-def _decode(V, X, forms) -> SymMatrix:
-    """``SymMatrix(V) @ W``, ``W`` the 8 unit rows of ``x0..x7`` and then
-    ``forms[k] * X[k]`` for each ``mul`` ``k``.
-
-    ``W`` is built as forms and taken as is.  Its first 8 rows are one
-    shared identity block.  In row ``k`` a coefficient 0, 1 or -1 picks the
-    shared zero, ``forms[k]`` or its negation (made once per row), any other
-    ``c`` gives ``forms[k] * c``, and a zero form gives a row of zeros.
-    ``V``, ints and ``Fraction`` from :func:`_terms`, is coerced once.
-    """
-    rows = list(_IDENTITY)
-    for x, f in zip(X, forms):
-        f = _entry(f)
-        if f.is_zero:
-            rows.append(_ZERO_ROW)
-            continue
-        pick = {0: _LF_ZERO, 1: f, -1: -f}
-        rows.append(tuple([pick[c] if c in pick else f * c for c in x]))
-    v = _matrix(tuple(tuple(map(_coerce, row)) for row in V))
-    return v @ _matrix(tuple(rows))
-
-
-def _solve_linear(names, coeffs, rhs):
-    """Gauss-Jordan on int or ``Fraction`` coefficient rows with LinForm
-    right-hand sides, free of division until the end.
-
-    A pivot ``a`` clears its column from row ``r`` by ``r <- a*r - f*pivot``
-    (the integer-preserving step of Bareiss elimination, without Bareiss's
-    division by the previous pivot, which the chain's small coefficients do
-    not need); each solved right-hand side is scaled once by ``1/a`` for
-    its final pivot ``a``.  ``scale`` keeps what each row was multiplied by,
-    so a residual is reported as plain subtraction would leave it.
+    Row ``r`` is ``S`` times an equation: its first ``len(names)`` ints
+    are the unknowns' coefficients, its last nine the numerators of the
+    right-hand side over ``D``.  A pivot ``a`` clears its column from row
+    ``r`` by ``r <- a*r - f*pivot`` (the integer-preserving step of Bareiss
+    elimination, without Bareiss's division by the previous pivot, which
+    the chain's small coefficients do not need); ``scale`` keeps what each
+    row was multiplied by.  A solved unknown is its pivot row's last nine
+    ints over ``D * a``, ``a`` its final pivot, and a residual, as plain
+    subtraction of forms would leave it, its last nine over
+    ``D * S * scale``: lowest-terms forms with a positive denominator.
     """
     n = len(names)
-    rows = [[list(c), r, 1] for c, r in zip(coeffs, rhs)]
+    scale = [1] * len(rows)
     pivot_of_col = {}
     rank = 0
     for col in range(n):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][0][col]),
-                   None)
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        pc, prhs, _ = rows[rank]
-        a = pc[col]
-        for r, row in enumerate(rows):
-            f = row[0][col]
-            if f and r != rank:
-                row[0] = [a * u - f * v for u, v in zip(row[0], pc)]
-                row[1] = a * row[1] - f * prhs
-                row[2] *= a
+        scale[rank], scale[piv] = scale[piv], scale[rank]
+        prow = rows[rank]
+        a = prow[col]
+        for r in [r for r, row in enumerate(rows) if row[col] and r != rank]:
+            row, f = rows[r], rows[r][col]
+            if a == 1 and f in (1, -1):
+                rows[r] = list(map(sub if f == 1 else add, row, prow))
+            else:
+                rows[r] = [a * u - f * v for u, v in zip(row, prow)]
+                scale[r] *= a
         pivot_of_col[col] = rank
         rank += 1
 
-    for _, residual, scale in rows[rank:]:
-        if not residual.is_zero:
+    for row, s in zip(rows[rank:], scale[rank:]):
+        if any(row[n:]):
             raise InconsistentSystemError(
                 f"no entry assignment satisfies the fixed stages "
-                f"(residual {residual * (1 / Fraction(scale))} over zero "
+                f"(residual {_form_over(row[n:], D * S * s)} over zero "
                 f"coefficients)")
 
     free = [names[c] for c in range(n) if c not in pivot_of_col]
     assignment = {}
     for col, name in enumerate(names):
         if col in pivot_of_col:
-            pc, prhs, _ = rows[pivot_of_col[col]]
-            assignment[name] = prhs * (1 / Fraction(pc[col]))
+            prow = rows[pivot_of_col[col]]
+            assignment[name] = _form_over(prow[n:], D * prow[col])
         else:
             assignment[name] = LinForm.zero()
     return assignment, free
+
+
+def _form_over(nums, den) -> LinForm:
+    """The form ``nums / den`` in lowest terms, for a nonzero int ``den``."""
+    if den < 0:
+        nums, den = [-v for v in nums], -den
+    return _reduced(tuple(nums), den)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -165,6 +167,24 @@ def test_an_octos_kind_is_read_only():
     with pytest.raises(AttributeError, match="immutable"):
         x.kind = float
     assert x.kind is int
+
+
+@pytest.mark.parametrize("c, kind", [
+    ((0.5, -1.25, 0.0, -0.0, 3.0, 1e300, -7.5, 2.0), float),
+    ((1, -2, 3, 0, 5, -6, 7, 10**40), int),
+    (tuple(Fraction(k, 3) for k in range(-4, 4)), Fraction),
+    ((True, False) * 4, bool),
+    ((1, 0.5, Fraction(1, 3), 4, 5, 6, 7, 8), None),
+], ids=["float", "int", "Fraction", "bool", "mixed"])
+def test_an_octo_copies_and_pickles_with_its_kind(c, kind):
+    x = Octo(c)
+    assert x.kind is kind
+    for copied in (copy.copy(x), copy.deepcopy(x),
+                   pickle.loads(pickle.dumps(x))):
+        assert type(copied) is Octo
+        assert copied == x and copied.kind is kind
+        assert hash(copied) == hash(x)
+        assert list(map(type, copied.c)) == list(map(type, c))
 
 
 def test_octo_shape_checked():

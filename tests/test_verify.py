@@ -3,12 +3,14 @@ import importlib
 import random
 from dataclasses import replace
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import repeat
 from operator import add, lshift, mul, neg, rshift, sub
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from conftest import (clone_pipeline, identity, reference_compose,
                       reference_solve, sign_mutation_sites)
 
@@ -598,6 +600,81 @@ def _core_last():
 def _fraction_halves():
     # 2^-1 and 2^2 before the core, their inverses after it
     return _scaled_core([Fraction(1, 2)] * 4 + [1] * 4 + [4] * 4 + [1] * 12)
+
+
+def _post_scaled(p, e):
+    """``p`` with every core output lane scaled by ``2^-e`` right after
+    the core: each cell's form times ``2^e`` gives the same product."""
+    at, core = next((k, st) for k, st in enumerate(p.stages)
+                    if isinstance(st, QuasiDiagonal))
+    return clone_pipeline(p, stages=(
+        p.stages[:at + 1]
+        + (SignScale((Fraction(1, 2**e),) * core.dim, label="post-shift"),)
+        + p.stages[at + 1:]))
+
+
+_WIDE = [("shipped", build_pipeline),
+         ("fraction-halves", _fraction_halves),
+         ("scaled-core",
+          lambda: _scaled_core(((2,) * 4 + (Fraction(1, 2),) * 4) * 3))]
+
+
+@pytest.mark.parametrize("make", [m for _, m in _WIDE],
+                         ids=[i for i, _ in _WIDE])
+def test_solver_packs_wide_known_forms_without_overflow(make):
+    # the known part is summed as one packed int per entry, ``w`` bits a
+    # field: one known cell with numerators of 2^70 and more dominates the
+    # bound on a field, so a field one bit narrower than ``w`` overflows
+    q = make()
+    core, = (st for st in q.stages if isinstance(st, QuasiDiagonal))
+    every = sorted({name for _, _, name in core.cells})
+    for known in ("s0", "sumcorr_01"):
+        unknown = [n for n in every if n != known]
+        form = q.entry_forms[known]
+        for factor in (2**70 + 1, -(2**127 - 1)):
+            bad = clone_pipeline(q, forms={**q.entry_forms,
+                                           known: form * factor})
+            got = _solve_outcome(solve_corrections, bad, unknown)
+            assert got[0] == "inconsistent", (known, factor)
+            assert got == _solve_outcome(reference_solve, bad, unknown)
+        # the same product with the core's outputs shifted down by 2^70
+        # and the known form shifted up: every unknown comes out 2^70 times
+        # its form
+        wide = _post_scaled(clone_pipeline(
+            q, forms={**q.entry_forms, known: form * 2**70}), 70)
+        got = _solve_outcome(solve_corrections, wide, unknown)
+        assert got == _solve_outcome(reference_solve, wide, unknown)
+        assert got == ({n: q.entry_forms[n] * 2**70 for n in unknown}, ())
+    # every known form wide at once
+    forms = {n: f * (2**70 + 1) for n, f in q.entry_forms.items()}
+    for unknown in (None, []):
+        bad = clone_pipeline(q, forms=forms)
+        got = _solve_outcome(solve_corrections, bad, unknown)
+        assert got[0] == "inconsistent"
+        assert got == _solve_outcome(reference_solve, bad, unknown)
+
+
+_CORE_NAMES = sorted({name for st in build_pipeline().stages
+                      if isinstance(st, QuasiDiagonal)
+                      for _, _, name in st.cells})
+
+
+@lru_cache(maxsize=1)
+def _a_few_sign_mutants():
+    sites = sign_mutation_sites(build_pipeline())
+    return tuple(m for _, m in sites[::30])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(unknown=hst.sets(hst.sampled_from(_CORE_NAMES)),
+       which=hst.integers(min_value=-1, max_value=4))
+def test_solver_agrees_with_the_walk_on_random_unknowns(unknown, which):
+    # a random set of unknowns, on the shipped pipeline (-1) or one of a
+    # few sign mutants
+    q = build_pipeline() if which < 0 else _a_few_sign_mutants()[which]
+    unknown = sorted(unknown)
+    assert _solve_outcome(solve_corrections, q, unknown) == \
+        _solve_outcome(reference_solve, q, unknown)
 
 
 @pytest.mark.parametrize("make, certifies", [
