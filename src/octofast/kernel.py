@@ -62,7 +62,7 @@ from .algebra import Octo
 from .linform import LinForm
 from .program import _lower
 from .stages import (Butterfly, FanOut, QuasiDiagonal, SignScale, Sum,
-                     canonical_pow2, run)
+                     _store, canonical_pow2, run)
 from .verify import certify
 
 EIGHTH = Fraction(1, 8)
@@ -244,15 +244,12 @@ class Pipeline:
                  recipes: Optional[Mapping] = None,
                  entry_forms: Optional[Mapping] = None,
                  tap_index: int = 0):
-        fix = object.__setattr__
-        fix(self, "stages", tuple(stages))
-        fix(self, "pre_stages", tuple(pre_stages))
-        fix(self, "recipes", MappingProxyType(
-            {name: (src, lane, canonical_pow2(factor))
-             for name, (src, lane, factor) in (recipes or {}).items()}))
-        fix(self, "entry_forms", MappingProxyType(dict(entry_forms or {})))
-        fix(self, "tap_index", tap_index)
-        self.certified = False
+        _store(self, stages=tuple(stages), pre_stages=tuple(pre_stages),
+               recipes=MappingProxyType(
+                   {name: (src, lane, canonical_pow2(factor))
+                    for name, (src, lane, factor) in (recipes or {}).items()}),
+               entry_forms=MappingProxyType(dict(entry_forms or {})),
+               tap_index=tap_index, certified=False)
         _check_chain(self.stages, 8, 8, "main")
         _check_chain(self.pre_stages, 8, 8, "precompute")
         # the width of each source a recipe may read; "tap" only when
@@ -275,13 +272,13 @@ class Pipeline:
                         f"{st.label or type(st).__name__} cell ({r},{c}): "
                         f"{name!r} is neither a precompute lane s0..s7 nor "
                         f"a recipe")
-        fix(self, "_program", _lower(self))
+        _store(self, _program=_lower(self))
 
     def __setattr__(self, name, value):
         if name != "certified":
             raise AttributeError(f"Pipeline.{name} cannot be assigned; only "
                                  f"Pipeline.certified can")
-        object.__setattr__(self, name, value)
+        _store(self, certified=value)
 
     def __delattr__(self, name):
         raise AttributeError(f"Pipeline.{name} cannot be deleted")

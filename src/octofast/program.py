@@ -50,7 +50,7 @@ from typing import Optional
 
 from .algebra import Octo, _new, _set_c, _set_kind
 from .linform import DegreeError
-from .stages import _Record, pow2, pow2_exponent, zero_like
+from .stages import _Record, _store, pow2, pow2_exponent, zero_like
 
 INPUTS = tuple(f"x{i}" for i in range(8)) + tuple(f"b{i}" for i in range(8))
 
@@ -65,9 +65,7 @@ class OpCount(_Record):
     additions (subtractions included)."""
 
     def __init__(self, mults: int, adds: int):
-        _set = object.__setattr__
-        _set(self, "mults", mults)
-        _set(self, "adds", adds)
+        _store(self, mults=mults, adds=adds)
 
     def __str__(self):
         return f"mults={self.mults} adds={self.adds}"
@@ -79,12 +77,8 @@ class Instr(_Record):
 
     def __init__(self, dest: str, op: str, a: str, b: Optional[str] = None,
                  k: Optional[int] = None):
-        _set = object.__setattr__
-        _set(self, "dest", dest)
-        _set(self, "op", op)  # add | sub | neg | shift | mul | zero
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "k", k)
+        # op: add | sub | neg | shift | mul | zero
+        _store(self, dest=dest, op=op, a=a, b=b, k=k)
 
     def to_text(self) -> str:
         return f"{self.dest} = {self.op} {self.a} {self.second()}".rstrip()
@@ -110,17 +104,14 @@ class Program(_Record):
     """
 
     def __init__(self, instrs: tuple, outputs: tuple):
-        _set = object.__setattr__
-        _set(self, "instrs", tuple(instrs))
-        _set(self, "outputs", tuple(outputs))
-        _set(self, "_kernel", self._first_product)
+        _store(self, instrs=tuple(instrs), outputs=tuple(outputs),
+               _kernel=self._first_product)
 
     def _first_product(self, x, b):
         """Compile this program, put the function in ``_kernel``'s place
         and run it on ``x`` and ``b``."""
-        kernel = compile_program(self)
-        object.__setattr__(self, "_kernel", kernel)
-        return kernel(x, b)
+        _store(self, _kernel=compile_program(self))
+        return self._kernel(x, b)
 
     def opcount(self) -> OpCount:
         mults = sum(1 for i in self.instrs if i.op == "mul")

@@ -70,21 +70,33 @@ class _DataclassFields:
         return fields
 
 
+def _store(obj, **attrs) -> None:
+    """Set ``attrs`` on a frozen ``obj`` past its ``__setattr__``, with
+    ``object.__setattr__``.  The one writer of a record's fields and of a
+    :class:`~octofast.kernel.Pipeline`'s attributes.  Not through
+    ``vars(obj)``: on CPython 3.11 and 3.12 that read materialises the
+    instance's ``__dict__``, and each later attribute read of it is slower
+    (``Pipeline._program`` and ``Program._kernel`` on every product)."""
+    for name, value in attrs.items():
+        object.__setattr__(obj, name, value)
+
+
 class _Record:
     """Base of the package's record classes, which a frozen ``@dataclass``
     would generate code for at import.
 
     A subclass's ``__init__`` names its fields: its parameters after
     ``self``, in order (a subclass without one keeps its parent's).  It
-    checks them and sets each with ``object.__setattr__``, as a frozen
-    dataclass's does, so Python refuses a bad call with its own
-    ``TypeError``.  The base gives the dataclass ``repr``, equality with a
-    record of the same class and equal fields, and a hash of the fields.
+    checks them and sets them with one :func:`_store`, as a frozen
+    dataclass's sets them past its ``__setattr__``, so Python refuses a bad
+    call with its own ``TypeError``.  The base gives the dataclass
+    ``repr``, equality with a record of the same class and equal fields,
+    and a hash of the fields.
     Every record is frozen, and a field given as a sequence is kept as a
     tuple (``Sum`` rows and ``QuasiDiagonal`` cells as tuples of tuples), so
     a record built from lists equals and hashes as one built from tuples.
     Fields live in the instance ``__dict__``, and so may an attribute
-    outside them that a subclass sets with ``object.__setattr__``
+    outside them that a subclass sets with :func:`_store`
     (``Program._kernel``); it takes no part in equality, hash or ``repr``.
     A class that sets ``__dataclass_fields__ = _DataclassFields()`` passes
     for a dataclass, and so does each subclass of it, with its own fields.
@@ -160,9 +172,7 @@ class SignScale(Stage, _Record):
     __dataclass_fields__ = _DataclassFields()
 
     def __init__(self, factors: tuple, label: str = ""):
-        _set = object.__setattr__
-        _set(self, "factors", tuple(map(canonical_pow2, factors)))
-        _set(self, "label", label)
+        _store(self, factors=tuple(map(canonical_pow2, factors)), label=label)
 
     @property
     def in_dim(self):
@@ -184,11 +194,7 @@ class Butterfly(Stage, _Record):
         for s in starts:
             if s < 0 or s + 2 * half > dim:
                 raise ValueError(f"block at {s} exceeds dimension {dim}")
-        _set = object.__setattr__
-        _set(self, "half", half)
-        _set(self, "starts", starts)
-        _set(self, "dim", dim)
-        _set(self, "label", label)
+        _store(self, half=half, starts=starts, dim=dim, label=label)
 
     @property
     def in_dim(self):
@@ -214,10 +220,7 @@ class FanOut(Stage, _Record):
         for j in src:
             if not 0 <= j < in_dim:
                 raise ValueError(f"source lane {j} out of range")
-        _set = object.__setattr__
-        _set(self, "src", src)
-        _set(self, "in_dim", in_dim)
-        _set(self, "label", label)
+        _store(self, src=src, in_dim=in_dim, label=label)
 
     @property
     def out_dim(self):
@@ -243,10 +246,7 @@ class Sum(Stage, _Record):
                     raise ValueError(f"lane {lane} out of range")
                 if sign not in (1, -1):
                     raise ValueError(f"sign must be +-1, got {sign}")
-        _set = object.__setattr__
-        _set(self, "rows", rows)
-        _set(self, "in_dim", in_dim)
-        _set(self, "label", label)
+        _store(self, rows=rows, in_dim=in_dim, label=label)
 
     @property
     def out_dim(self):
@@ -286,10 +286,7 @@ class QuasiDiagonal(Stage, _Record):
             if (r, c) in seen:
                 raise ValueError(f"duplicate cell ({r},{c})")
             seen.add((r, c))
-        _set = object.__setattr__
-        _set(self, "dim", dim)
-        _set(self, "cells", cells)
-        _set(self, "label", label)
+        _store(self, dim=dim, cells=cells, label=label)
 
     @property
     def in_dim(self):

@@ -28,7 +28,7 @@ from .algebra import schoolbook_matrix
 from .linform import (_LF_ZERO, _SMALL, LinForm, SymMatrix, _coerce, _entry,
                       _matrix, _reduced)
 from .program import INPUTS
-from .stages import QuasiDiagonal, _Record, pow2
+from .stages import QuasiDiagonal, _Record, _store, pow2
 
 
 class Residual(_Record):
@@ -36,18 +36,14 @@ class Residual(_Record):
     schoolbook form ``expected`` and the composed form ``got``."""
 
     def __init__(self, row: int, col: int, expected: LinForm, got: LinForm):
-        _set = object.__setattr__
-        _set(self, "row", row)
-        _set(self, "col", col)
-        _set(self, "expected", expected)
-        _set(self, "got", got)
+        _store(self, row=row, col=col, expected=expected, got=got)
 
 
 class ResidualReport(_Record):
     """Entrywise differences between a composed pipeline and the product."""
 
     def __init__(self, residuals: tuple):
-        object.__setattr__(self, "residuals", tuple(residuals))
+        _store(self, residuals=tuple(residuals))
 
     @property
     def ok(self) -> bool:
@@ -73,7 +69,6 @@ class InconsistentSystemError(ValueError):
 # the unit rows of x0..x7 as forms, shared by every composition
 _IDENTITY = tuple(tuple(_SMALL[int(i == j)] for j in range(8))
                   for i in range(8))
-_ZERO_ROW = (_LF_ZERO,) * 8
 # entry (i, j) of the schoolbook matrix, at 8*i + j, is +-b_k: its one
 # nonzero numerator c, in field t = 1 + k, as (t, c)
 _TARGET = tuple(next((t, c) for t, c in enumerate(e.numerators) if c)
@@ -89,16 +84,14 @@ def compose_symbolic(p) -> SymMatrix:
 
     ``W`` is built as forms and taken as is.  Its first 8 rows are one
     shared identity block.  In row ``k`` a coefficient 0, 1 or -1 picks the
-    shared zero, ``B[k]`` or its negation (made once per row), any other
-    ``c`` gives ``B[k] * c``, and a zero form gives a row of zeros.  ``V``,
-    ints and ``Fraction`` from :func:`_terms`, is coerced once.
+    shared zero, ``B[k]`` or its negation (made once per row), and any
+    other ``c`` gives ``B[k] * c``; a zero ``B[k]`` so gives a row of forms
+    equal to zero.  ``V``, ints and ``Fraction`` from :func:`_terms`, is
+    coerced once.
     """
     V, X, B = _terms(p._program)
     rows = list(_IDENTITY)
     for x, f in zip(X, B):
-        if f.is_zero:
-            rows.append(_ZERO_ROW)
-            continue
         pick = {0: _LF_ZERO, 1: f, -1: -f}
         rows.append(tuple([pick[c] if c in pick else f * c for c in x]))
     v = _matrix(tuple(tuple(map(_coerce, row)) for row in V))
@@ -134,9 +127,7 @@ class CorrectionSolve(_Record):
     """Solved entry forms; ``free`` lists under-determined names (set to 0)."""
 
     def __init__(self, assignment: dict, free: tuple):
-        _set = object.__setattr__
-        _set(self, "assignment", assignment)
-        _set(self, "free", tuple(free))
+        _store(self, assignment=assignment, free=tuple(free))
 
 
 def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionSolve:

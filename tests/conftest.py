@@ -127,9 +127,11 @@ def reference_solve(p, unknown=None):
     """What ``verify.solve_corrections`` computes, built the slow way.
 
     The whole main chain is walked through ``Pipeline.apply`` on unit
-    vectors once with the known entry forms in the core and once per
-    unknown set to 1 alone, and the system is eliminated by Gauss-Jordan
-    over ``Fraction``s, normalizing each pivot row as it is chosen.
+    vectors once with the known entry forms in the core, once with every
+    value 0 (what the outputs read of x directly) and once per unknown set
+    to 1 alone, less that direct part.  The system is eliminated by
+    Gauss-Jordan over ``Fraction``s, normalizing each pivot row as it is
+    chosen.
     Validation of ``unknown`` is left to the solver under test.
     """
     core, = (st for st in p.stages if isinstance(st, QuasiDiagonal))
@@ -144,9 +146,12 @@ def reference_solve(p, unknown=None):
         return SymMatrix(list(zip(*cols)))
 
     known = walk({n: 0 if n in names else p.entry_forms[n] for n in read})
+    # an output that reads x directly adds the same term to every walk:
+    # the walk with all values 0 is taken off each unknown's coefficient
+    direct = walk(dict.fromkeys(read, 0))
     coeffs = [walk({n: int(n == u) for n in read}) for u in names]
     target = schoolbook_matrix()
-    rows = [([c.entry(i, j).const for c in coeffs],
+    rows = [([(c.entry(i, j) - direct.entry(i, j)).const for c in coeffs],
              target.entry(i, j) - known.entry(i, j))
             for i in range(8) for j in range(8)]
 

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,20 @@ def test_an_octo_copies_and_pickles_with_its_kind(c, kind):
         assert list(map(type, copied.c)) == list(map(type, c))
 
 
+@pytest.mark.parametrize("x, y, diff, kind", [
+    ((5, -2, 0, 7, 1, 1, 9, 10**40), (3,) * 8,
+     (2, -5, -3, 4, -2, -2, 6, 10**40 - 3), int),
+    ((0.5, -1.25, 0.0, 3.0, 1.0, 2.0, -7.5, 1e300), (0.25,) * 8,
+     (0.25, -1.5, -0.25, 2.75, 0.75, 1.75, -7.75, 1e300), float),
+    (tuple(Fraction(k, 3) for k in range(8)), (Fraction(1, 3),) * 8,
+     tuple(Fraction(k - 1, 3) for k in range(8)), Fraction),
+], ids=["int", "float", "Fraction"])
+def test_difference_keeps_the_operands_kind(x, y, diff, kind):
+    d = Octo(x) - Octo(y)
+    assert d.c == diff and d.kind is kind
+    assert list(map(type, d.c)) == [kind] * 8
+
+
 def test_octo_shape_checked():
     with pytest.raises(ValueError):
         Octo((1, 2, 3))
@@ -196,3 +211,7 @@ def test_octo_shape_checked():
 def test_unit_refuses_an_index_outside_0_to_7(i):
     with pytest.raises(ValueError, match=f"unit index out of range: {i}"):
         Octo.unit(i)
+    for pair in ((i, 0), (0, i)):
+        message = re.escape(f"unit index out of range: {pair}")
+        with pytest.raises(ValueError, match=message):
+            basis_mul(*pair)

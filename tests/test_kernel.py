@@ -16,7 +16,8 @@ from octofast.linform import LinForm
 from octofast.program import (INPUTS, Instr, Program, compile_program,
                               emit_text, eval_program, flatten,
                               program_source)
-from octofast.stages import QuasiDiagonal, SignScale, Sum, apply_stage
+from octofast.stages import (FanOut, QuasiDiagonal, SignScale, Sum,
+                             apply_stage)
 from octofast.verify import certify, solve_corrections
 
 HALF = Fraction(1, 2)
@@ -481,6 +482,9 @@ def test_pipeline_rejects_broken_chains():
         Pipeline(stages=[identity(3)])  # 3 lanes, needs 8
     with pytest.raises(ValueError):
         Pipeline(stages=[identity()], pre_stages=[identity(2)])
+    with pytest.raises(ValueError,
+                       match="^main chain ends at 16 lanes, wanted 8$"):
+        Pipeline(stages=[FanOut(src=tuple(range(8)) * 2, in_dim=8)])
 
 
 def _with_recipe(recipe, tap_index=0):

@@ -42,6 +42,9 @@ def test_counted_wrapper_rules():
     _ = a + b
     _ = a - b
     assert t.adds == 2
+    # a plain left operand: each reflected add or sub counts once
+    assert (1 + a).value == 7 and t.adds == 3
+    assert (1 - a).value == -5 and t.adds == 4
 
 
 def test_naive_counts():

@@ -469,6 +469,57 @@ def test_solver_agrees_with_the_walk_per_unknown(unknowns):
     assert outcomes == {True, False}  # both kinds of outcome are compared
 
 
+class _ReadsX3(QuasiDiagonal):
+    """A core whose output 1 also reads its input lane 3 directly."""
+
+    def apply(self, vec, pre):
+        out = super().apply(vec, pre)
+        out[1] = out[1] + vec[3]
+        return out
+
+
+class _ReadsX3Twice(QuasiDiagonal):
+    """A core whose output 1 adds its input lane 3 and takes it off."""
+
+    def apply(self, vec, pre):
+        out = super().apply(vec, pre)
+        out[1] = out[1] + vec[3] - vec[3]
+        return out
+
+
+@pytest.mark.parametrize("unknown", [None, ["s0", "s1"], ["sumcorr_01"], []],
+                         ids=["default", "s0-s1", "sumcorr_01", "none"])
+@pytest.mark.parametrize("core", [_ReadsX3, _ReadsX3Twice])
+def test_solver_agrees_with_the_walk_on_outputs_that_read_x(core, unknown):
+    # the program's outputs read x0..x7 directly as well as the products
+    # (validate allows x plus m), which the solver moves to the target side
+    p = build_pipeline()
+    q = clone_pipeline(p, stages=tuple(
+        core(st.dim, st.cells, st.label) if isinstance(st, QuasiDiagonal)
+        else st for st in p.stages))
+    V, _, _ = verify._terms(q._program)
+    assert any(any(row[:8]) for row in V) is (core is _ReadsX3)
+    got = _solve_outcome(solve_corrections, q, unknown)
+    assert got == _solve_outcome(reference_solve, q, unknown)
+    # a constant in an entry no b-form can cancel; a term taken off again
+    # leaves the shipped system
+    assert (got[0] == "inconsistent") is (core is _ReadsX3)
+
+
+def test_composition_keeps_a_zero_b_form():
+    # the precompute makes lane 0 b0 - b0, so the core's first mul
+    # multiplies x0 by a zero form of b
+    zero_first = Sum(rows=(((0, 1), (0, -1)),)
+                     + tuple(((i, 1),) for i in range(1, 8)), in_dim=8)
+    p = Pipeline(stages=[QuasiDiagonal(
+                     dim=8, cells=tuple((i, i, f"s{i}") for i in range(8)))],
+                 pre_stages=[zero_first])
+    _, _, B = verify._terms(p._program)
+    assert B[0].is_zero
+    assert compose_symbolic(p) == reference_compose(p)
+    assert len(certify(p).residuals) == 64
+
+
 def _toy_chain(name64, row64):
     """A chain through a 65-lane core.  Lane 8i + j carries x_j times
     schoolbook entry (i, j), read off a recipe e{i}{j}, and row i of a Sum
