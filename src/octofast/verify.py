@@ -3,32 +3,33 @@
 The one claim a certificate makes is "this pipeline computes the product of
 hyperbolic octonions", and it is discharged by algebra, not sampling, on the
 lowered program ``p._program`` that ``mul_fast`` compiles, ``flatten`` emits
-and ``count`` measures.  One walk over its instructions (:func:`_terms`)
+and ``count`` measures.  One walk over its instructions (:func:`_walk`)
 reads it in the encode/multiply/decode form of a bilinear algorithm (the
-lowering's ``Program.validate`` checks that shape): the output rows ``V``,
-and for each ``mul`` the x-row ``X[k]`` and b-form ``B[k]`` it multiplies.
-Their product (:func:`compose_symbolic`) is compared entry by entry with
-the 8x8 left-multiplication matrix: a theorem about all inputs at once,
-about the code that runs.
+lowering's ``Program.validate`` checks that shape), each slot's
+coefficient row packed into one int (a Kronecker substitution): the output
+rows ``V``, and for each ``mul`` the x-row ``X[k]`` and b-form ``B[k]`` it
+multiplies (:func:`_terms`).  Their product (:func:`compose_symbolic`) is
+compared entry by entry with the 8x8 left-multiplication matrix: a theorem
+about all inputs at once, about the code that runs.
 
 The entry forms take no part in the proof.  They are the targets of
-:func:`solve_corrections`, which reads the same terms in reverse: chosen
+:func:`solve_corrections`, which reads the same walk in reverse: chosen
 core entries become unknowns of a linear system that reconstructs them.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
-from itertools import chain
+from fractions import Fraction
 from math import lcm
-from operator import add, mul, neg, sub
+from operator import add, sub
+from sys import byteorder
 from typing import Iterable, Optional
 
 from .algebra import schoolbook_matrix
 from .linform import (_LF_ZERO, _SMALL, LinForm, SymMatrix, _coerce, _entry,
-                      _matrix, _reduced)
+                      _form, _matrix, _reduced)
 from .program import INPUTS
-from .stages import QuasiDiagonal, _Record, _store, pow2
+from .stages import QuasiDiagonal, _Record, _store
 
 
 class Residual(_Record):
@@ -69,11 +70,12 @@ class InconsistentSystemError(ValueError):
 # the unit rows of x0..x7 as forms, shared by every composition
 _IDENTITY = tuple(tuple(_SMALL[int(i == j)] for j in range(8))
                   for i in range(8))
-# entry (i, j) of the schoolbook matrix, at 8*i + j, is +-b_k: its one
-# nonzero numerator c, in field t = 1 + k, as (t, c)
-_TARGET = tuple(next((t, c) for t, c in enumerate(e.numerators) if c)
-                for row in schoolbook_matrix().entries for e in row)
-_NINE_ZEROS = (0,) * 9
+# entry (i, j) of the schoolbook matrix is +-b_k: per row i, its one
+# nonzero numerator c and the field 9*j + t, t = 1 + k, that it takes in
+# the row's packed int, as (9*j + t, c)
+_TARGET = tuple(tuple(next((9 * j + t, c) for t, c in enumerate(e.numerators)
+                           if c) for j, e in enumerate(row))
+                for row in schoolbook_matrix().entries)
 
 
 def compose_symbolic(p) -> SymMatrix:
@@ -86,8 +88,9 @@ def compose_symbolic(p) -> SymMatrix:
     shared identity block.  In row ``k`` a coefficient 0, 1 or -1 picks the
     shared zero, ``B[k]`` or its negation (made once per row), and any
     other ``c`` gives ``B[k] * c``; a zero ``B[k]`` so gives a row of forms
-    equal to zero.  ``V``, ints and ``Fraction`` from :func:`_terms`, is
-    coerced once.
+    equal to zero.  ``V``, ints and ``Fraction`` that :func:`_terms` reads
+    off one packed walk, is coerced once, and the product is one
+    ``SymMatrix @``.
     """
     V, X, B = _terms(p._program)
     rows = list(_IDENTITY)
@@ -137,27 +140,31 @@ def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionS
     correction recipe) are unknown linear forms.  The one core of the main
     chain makes one ``mul`` per cell, in ``cells`` order, so ``mul`` ``k``
     is cell ``k``; another ``mul`` count raises ``ValueError``.  With ``V``
-    and ``X`` read off the program by :func:`_terms`, entry ``(i, j)`` of
+    and ``X`` read off the program by :func:`_walk`, entry ``(i, j)`` of
     the product is ``V[i][j]`` plus the sum of ``V[i][8 + k] * X[k][j]``
     times cell ``k``'s form; matched against the schoolbook matrix, it is
-    one linear equation in the unknowns.
+    one linear equation in the unknowns.  ``B`` is not read: the forms
+    are the cells'.
 
-    The equations are rows of Python ints.  ``V`` and ``X`` are multiplied
-    through by the lcm of their denominators, ``s_V`` and ``s_X`` (other
-    than 1 only after a ``2^-k`` scale), and the known forms put over the
-    lcm ``D`` of theirs.  Row ``8*i + j`` is then ``S = s_V * s_X`` times
-    equation ``(i, j)``: first each unknown's coefficient, summed over the
-    cells that read it, then the nine numerators of target minus known part
-    over ``D``.  The known part is most of the work, so each known form's
-    nine numerators are packed into one int, ``w`` bits a field, and each
-    entry's sum of them is one int, unpacked once with a bias of
-    ``2^(w-1)`` per field.  ``w`` is one more than the bit length of a bound
-    on every field: over the known cells ``k``, the sum of the largest
-    magnitudes in ``V``'s column ``8 + k``, in ``X[k]`` and in ``k``'s
-    numerators, multiplied, plus ``D * S`` for the target (its numerators
-    are +-1) and ``D * s_X`` times the largest ``V[i][j]``.  So a field
-    fits in ``w - 1`` bits and a sign, and biased it cannot carry into the
-    next.
+    The equations are rows of Python ints.  ``V`` and ``X`` are read off
+    the walk as int rows, each matrix over one power of two, ``s_V`` and
+    ``s_X`` (other than 1 only after a ``2^-k`` scale), and the known forms
+    put over the lcm ``D`` of theirs.  Row ``8*i + j`` is then
+    ``S = s_V * s_X`` times equation ``(i, j)``: first each unknown's
+    coefficient, summed over the cells that read it, then the nine
+    numerators of target minus known part over ``D``.  The known part is
+    most of the work, so it is summed on packed ints, ``w`` bits a field:
+    row ``i`` of the product is one int whose fields ``9*j`` to ``9*j + 8``
+    are entry ``(i, j)``'s numerators.  Each known packs its nine
+    numerators into one int, spreads that over ``j`` times its x-row and
+    takes it from row ``i`` times its column of ``V``: known cell ``k``
+    has ``X[k]`` and column ``8 + k``; the outputs' term ``V[i][j]`` in
+    ``x_j`` is a known with the form 1, column ``j`` and ``s_X`` at ``j``
+    for x-row.  The 8 ints are read back at once by :func:`_read`.  ``w``
+    is the least multiple of 64 above the bit length of a bound on every
+    field (:func:`_width`): ``D * S`` for the target (its numerators are
+    +-1) plus, over the knowns, the largest magnitudes in the column, the
+    x-row and the numerators, multiplied.
 
     Inconsistency raises :class:`InconsistentSystemError`; under-determined
     unknowns resolve to the zero form (the fewest-nonzero-coefficients
@@ -187,130 +194,167 @@ def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionS
     if formless:
         raise ValueError(f"knowns with no entry form: {', '.join(formless)}")
 
-    V, X, _ = _terms(p._program)
+    V, X, _, bits = _walk(p._program)
     if len(X) != len(cells):
         raise ValueError(f"the program makes {len(X)} multiplications, "
                          f"the core has {len(cells)} cells")
-    V, sv = _int_rows(V)
-    X, sx = _int_rows(X)
+    (V, ev), (X, ex) = (_int_matrix(V, 8 + len(X), bits),
+                        _int_matrix(X, 8, bits))
     vcols = list(zip(*V))
-    # the nonzero (row 8*i, V[i][c]) of each column c of V
-    vnz = [[(8 * i, v) for i, v in enumerate(c) if v] for c in vcols]
+    # the nonzero (i, V[i][c]) of each column c of V
+    vnz = [[(i, v) for i, v in enumerate(c) if v] for c in vcols]
     col = {n: u for u, n in enumerate(names)}
-    n = len(names)
-    rows = [[0] * n for _ in range(64)]  # row 8*i + j: entry (i, j)
+    # row 8*i + j: entry (i, j)
+    rows = [[0] * len(names) for _ in range(64)]
     known = []
-    for k, (_, _, name) in enumerate(cells):
-        x = X[k]
+    for k, ((_, _, name), x) in enumerate(zip(cells, X)):
         if name not in col:
             known.append((k, x, _entry(p.entry_forms[name])))
             continue
         u = col[name]
         xs = [(j, c) for j, c in enumerate(x) if c]
-        for base, v in vnz[8 + k]:
+        for i, v in vnz[8 + k]:
             for j, c in xs:
-                rows[base + j][u] += v * c
+                rows[8 * i + j][u] += v * c
 
-    # target minus known part, times D * S, as one packed int per entry
+    # target minus known part, times D * S, as one packed int per row i of
+    # the product: entry (i, j) is its fields 9*j to 9*j + 8.  Each known
+    # is (column c of V, x-row, numerators over D); an output's term in
+    # x_j is a known with the x-row of x_j and the constant form 1
     D = lcm(*(f.denominator for _, _, f in known))
-    S = sv * sx
-    F = [(k, x, [c * (D // f.denominator) for c in f.numerators])
-         for k, x, f in known]
-    bound = (D * S + D * sx * max((abs(v) for c in vnz[:8] for _, v in c),
-                                  default=0)
-             + sum(max(map(abs, vcols[8 + k])) * max(map(abs, x))
-                   * max(map(abs, nums)) for k, x, nums in F))
-    w = bound.bit_length() + 1
-    acc = [(D * S * c) << (w * t) for t, c in _TARGET]
-    for j in range(8):
-        for base, v in vnz[j]:
-            acc[base + j] -= D * sx * v
-    for k, x, nums in F:
-        packed = 0
-        for c in reversed(nums):
-            packed = (packed << w) + c
-        xs = [(j, c * packed) for j, c in enumerate(x) if c]
-        for base, v in vnz[8 + k]:
-            for j, cp in xs:
-                acc[base + j] -= v * cp
-    half, mask, shifts = 1 << (w - 1), (1 << w) - 1, range(0, 9 * w, w)
-    bias = sum(half << s for s in shifts)
-    for row, e in zip(rows, acc):
-        if e:
-            e += bias
-            row += [((e >> s) & mask) - half for s in shifts]
-        else:
-            row += _NINE_ZEROS
+    S = 1 << ev + ex
+    F = [(j, [int(t == j) << ex for t in range(8)], [D] + [0] * 8)
+         for j in range(8) if vnz[j]]
+    F += [(8 + k, x, [c * (D // f.denominator) for c in f.numerators])
+          for k, x, f in known]
+    w = _width(D * S + sum(max(map(abs, vcols[c])) * max(map(abs, x))
+                           * max(map(abs, nums)) for c, x, nums in F))
+    acc = [sum((D * S * c) << w * f for f, c in row) for row in _TARGET]
+    for c, x, nums in F:
+        packed = spread = 0
+        for t in reversed(nums):
+            packed = (packed << w) + t
+        for t in reversed(x):
+            spread = (spread << 9 * w) + t * packed
+        for i, v in vnz[c]:
+            acc[i] -= v * spread
+    for row, fields in zip(rows, _read(acc, 9, w, 8)):
+        row += fields
     assignment, free = _solve_linear(names, rows, D, S)
     return CorrectionSolve(assignment=assignment, free=free)
 
 
-def _int_rows(rows) -> tuple:
-    """``rows`` multiplied through by the lcm ``s`` of their entries'
-    denominators, as int rows, and ``s``; ``rows`` as they are, and 1, if
-    every entry is an int."""
-    values = set(chain.from_iterable(rows))
-    if all(type(v) is int for v in values):
-        return rows, 1
-    s = lcm(*(v.denominator for v in values))
-    return [[int(v * s) for v in row] for row in rows], s
+def _walk(prog, w: int = 64) -> tuple:
+    """The lowered program ``prog``, read in one pass on packed ints.
+
+    Each slot is a triple ``(N, e, A)``: ``N`` packs the slot's coefficient
+    row, field ``j`` taking ``w`` bits at bit ``w*j``, so the slot's value
+    is ``N / 2^e``; ``A`` bounds ``|field|`` for every field of ``N``.  On
+    the x/m side the fields are ``x0..x7``, then ``m0..m{K-1}``, ``m_k``
+    the ``k``-th ``mul``; on the b side ``b0..b7``.  ``add``/``sub``
+    bring both operands to the larger ``e``, shifting the other's ``N``
+    and ``A`` left; ``neg`` negates ``N``; a shift by ``k`` is ``e - k``;
+    ``mul`` ``k`` records its operands and gives the marker of ``m_k`` with
+    ``A = 1``; ``zero`` is ``(0, 0, 0)``.  Packing is Z-linear, so ``N`` is
+    exact whatever its fields hold; ``A`` only decides how it is read.
+
+    Returns ``(V, X, B, w)``: the 8 output slots, and for each ``mul`` the
+    slots of its x and b operands.  A field of ``2^(w-1)`` or more in
+    magnitude would not read back, so where any of their ``A`` reaches it
+    ``prog`` is walked again with the wider ``w`` of :func:`_width`.
+    """
+    val = {name: (1 << w * (j % 8), 0, 1) for j, name in enumerate(INPUTS)}
+    X, B = [], []
+    for ins in prog.instrs:
+        op = ins.op
+        n, e, a = val[ins.a]
+        if op == "add" or op == "sub":
+            n2, e2, a2 = val[ins.b]
+            if e < e2:
+                n, a, e = n << e2 - e, a << e2 - e, e2
+            elif e2 < e:
+                n2, a2 = n2 << e - e2, a2 << e - e2
+            val[ins.dest] = (n + n2 if op == "add" else n - n2, e, a + a2)
+        elif op == "mul":
+            val[ins.dest] = (1 << w * (8 + len(X)), 0, 1)
+            X.append((n, e, a))
+            B.append(val[ins.b])
+        elif op == "neg":
+            val[ins.dest] = (-n, e, a)
+        elif op == "shift":
+            val[ins.dest] = (n, e - ins.k, a)
+        else:
+            val[ins.dest] = (0, 0, 0)
+    V = [val[o] for o in prog.outputs]
+    wide = _width(max([a for _, _, a in V + X + B], default=0))
+    return (V, X, B, w) if wide <= w else _walk(prog, wide)
 
 
-# "zero" is its operand times 0, on its operand's side
-_OPS = {"add": add, "sub": sub, "neg": neg, "zero": partial(mul, 0)}
+def _width(bound: int) -> int:
+    """The fewest bits, a multiple of 64, that hold every signed field of
+    magnitude at most ``bound``: more than ``bound``'s bit length."""
+    return (bound.bit_length() + 64) // 64 * 64
 
 
-@lru_cache(maxsize=8)
-def _inputs(n: int) -> tuple:
-    """The ``n`` unit rows of width ``n``, and each input slot's value for
-    :func:`_terms`, keyed by :data:`~octofast.program.INPUTS`: ``x_j``
-    unit row ``j`` of width 8, ``b_i`` the form of ``b_i``.  Built once
-    per width (the last 8 widths are kept); callers copy the dict and only
-    read the rows."""
-    unit = tuple((0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n))
-    forms = tuple(map(LinForm.var, range(8)))
-    return unit, dict(zip(INPUTS, tuple(u[:8] for u in unit[:8]) + forms))
+def _read(ns, width: int, w: int = 64, per: int = 1) -> list:
+    """The signed ``w``-bit fields of the packed ints ``ns``, ``per``
+    rows of ``width`` fields to an int, as one tuple of ints per row.
+    ``w`` is a multiple of 64 and every field lies in
+    ``[-2^(w-1), 2^(w-1))``.
+
+    Biased by ``2^(w-1)`` per field, no field carries into the next, and
+    xor with the same bias leaves each field in two's complement: the
+    joined little-endian bytes of all of ``ns`` are one array of signed
+    ``w``-bit ints, read with one ``memoryview.cast`` where ``w`` is 64 on
+    a little-endian machine and field by field otherwise.
+    """
+    step, count = w // 8, width * per
+    bias = int.from_bytes((bytes(step - 1) + b"\x80") * count, "little")
+    buf = b"".join([((n + bias) ^ bias).to_bytes(step * count, "little")
+                    for n in ns])
+    if step == 8 and byteorder == "little":
+        flat = memoryview(buf).cast("q").tolist()
+    else:
+        flat = [int.from_bytes(buf[i:i + step], "little", signed=True)
+                for i in range(0, len(buf), step)]
+    return list(zip(*[iter(flat)] * width))
+
+
+def _int_matrix(slots, width: int, w: int) -> tuple:
+    """The rows of ``slots``, slots of one :func:`_walk` with fields of
+    ``w`` bits, ``width`` to a row, as int rows over one power of two
+    ``2^E``, ``E`` their largest ``e`` and at least 0; and ``E``."""
+    E = max([0] + [e for _, e, _ in slots])
+    rows = _read([n for n, _, _ in slots], width, w)
+    return [row if e == E else tuple([f << E - e for f in row])
+            for row, (_, e, _) in zip(rows, slots)], E
+
+
+def _over(rows, E: int) -> list:
+    """Each int row of ``rows`` over ``2^E``, as a tuple of values: an
+    ``int`` where it divides, else a ``Fraction``."""
+    d = 1 << E
+    return rows if not E else [
+        tuple([Fraction(f, d) if f % d else f >> E for f in row])
+        for row in rows]
 
 
 def _terms(prog) -> tuple:
-    """``(V, X, B)``: the lowered program ``prog``, read in one pass.
+    """``(V, X, B)``: the lowered program ``prog`` as a bilinear algorithm,
+    read off one :func:`_walk`.
 
-    A slot derived from ``b0..b7`` alone is a :class:`LinForm` of them; any
-    other is a row of ints and ``Fraction`` over ``x0..x7, m0..m{K-1}``,
-    ``m_k`` the ``k``-th ``mul``.  A row that reads no product is kept 8
-    wide, over ``x0..x7`` alone, and padded with ``K`` zeros only where it
-    meets a row that reads one, and as an output.  ``V`` holds the 8
-    output rows, ``X[k]`` the 8 x-coefficients of ``mul`` ``k``'s left
-    operand and ``B[k]`` the form of its right one, in the shape
-    ``Program.validate`` checked.  The unit rows and the input slots'
-    values come from a table built once per width ``8 + K``
-    (:func:`_inputs`).
+    ``V`` holds the 8 output rows over ``x0..x7, m0..m{K-1}``, ``X[k]`` the
+    8 x-coefficients of ``mul`` ``k``'s left operand and ``B[k]`` the
+    :class:`LinForm` of its right one, in the shape ``Program.validate``
+    checked.  The rows are tuples of ints and ``Fraction``: an integral
+    value is an ``int``.
     """
-    K = sum(1 for i in prog.instrs if i.op == "mul")
-    unit, inputs = _inputs(8 + K)
-
-    def wide(row):
-        return row + (0,) * K if len(row) == 8 else row
-
-    val = dict(inputs)
-    X, B = [], []
-    for ins in prog.instrs:
-        a = val[ins.a]
-        args = (a,) if ins.b is None else (a, val[ins.b])
-        if ins.op == "mul":
-            val[ins.dest] = unit[8 + len(X)]
-            X.append(a)
-            B.append(args[1])
-            continue
-        f = partial(mul, pow2(ins.k)) if ins.op == "shift" else _OPS[ins.op]
-        if type(a) is LinForm:
-            val[ins.dest] = f(*args)
-            continue
-        if len(args) == 2 and len(a) != len(args[1]):
-            args = map(wide, args)
-        val[ins.dest] = tuple(map(f, *args))
-    V = list(map(wide, map(val.get, prog.outputs)))
-    return V, X, B
+    V, X, B, w = _walk(prog)
+    (V, ev), (X, ex) = _int_matrix(V, 8 + len(X), w), _int_matrix(X, 8, w)
+    B = [_reduced((0, *row), 1 << e) if e >= 0
+         else _form((0, *[f << -e for f in row]), 1)
+         for row, (_, e, _) in zip(_read([n for n, _, _ in B], 8, w), B)]
+    return _over(V, ev), _over(X, ex), B
 
 
 def _solve_linear(names, rows, D, S):

@@ -1,13 +1,15 @@
 import importlib.util
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache, partial
+from operator import add, mul, neg, sub
 from pathlib import Path
 
 from octofast.algebra import schoolbook_matrix
 from octofast.kernel import Pipeline
 from octofast.linform import LinForm, SymMatrix
 from octofast.program import INPUTS, Instr, Program, emit_text
-from octofast.stages import FanOut, QuasiDiagonal, SignScale, Sum
+from octofast.stages import FanOut, QuasiDiagonal, SignScale, Sum, pow2
 from octofast.verify import CorrectionSolve, InconsistentSystemError
 
 
@@ -184,6 +186,65 @@ def reference_solve(p, unknown=None):
     assignment = {n: rows[pivot_of_col[c]][1] if c in pivot_of_col
                   else LinForm.zero() for c, n in enumerate(names)}
     return CorrectionSolve(assignment=assignment, free=free)
+
+
+# "zero" is its operand times 0, on its operand's side
+_OPS = {"add": add, "sub": sub, "neg": neg, "zero": partial(mul, 0)}
+
+
+@lru_cache(maxsize=8)
+def _inputs(n: int) -> tuple:
+    """The ``n`` unit rows of width ``n``, and each input slot's value for
+    :func:`reference_terms`, keyed by :data:`~octofast.program.INPUTS`:
+    ``x_j`` unit row ``j`` of width 8, ``b_i`` the form of ``b_i``.  Built
+    once per width (the last 8 widths are kept); callers copy the dict and
+    only read the rows."""
+    unit = tuple((0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n))
+    forms = tuple(map(LinForm.var, range(8)))
+    return unit, dict(zip(INPUTS, tuple(u[:8] for u in unit[:8]) + forms))
+
+
+def reference_terms(prog) -> tuple:
+    """What ``verify._terms`` computes, read the slow way: one tuple of
+    ints and ``Fraction`` per slot, and a :class:`LinForm` per b-side slot.
+
+    ``(V, X, B)``: the lowered program ``prog``, read in one pass.
+    A slot derived from ``b0..b7`` alone is a :class:`LinForm` of them; any
+    other is a row of ints and ``Fraction`` over ``x0..x7, m0..m{K-1}``,
+    ``m_k`` the ``k``-th ``mul``.  A row that reads no product is kept 8
+    wide, over ``x0..x7`` alone, and padded with ``K`` zeros only where it
+    meets a row that reads one, and as an output.  ``V`` holds the 8
+    output rows, ``X[k]`` the 8 x-coefficients of ``mul`` ``k``'s left
+    operand and ``B[k]`` the form of its right one, in the shape
+    ``Program.validate`` checked.  The unit rows and the input slots'
+    values come from a table built once per width ``8 + K``
+    (:func:`_inputs`).
+    """
+    K = sum(1 for i in prog.instrs if i.op == "mul")
+    unit, inputs = _inputs(8 + K)
+
+    def wide(row):
+        return row + (0,) * K if len(row) == 8 else row
+
+    val = dict(inputs)
+    X, B = [], []
+    for ins in prog.instrs:
+        a = val[ins.a]
+        args = (a,) if ins.b is None else (a, val[ins.b])
+        if ins.op == "mul":
+            val[ins.dest] = unit[8 + len(X)]
+            X.append(a)
+            B.append(args[1])
+            continue
+        f = partial(mul, pow2(ins.k)) if ins.op == "shift" else _OPS[ins.op]
+        if type(a) is LinForm:
+            val[ins.dest] = f(*args)
+            continue
+        if len(args) == 2 and len(a) != len(args[1]):
+            args = map(wide, args)
+        val[ins.dest] = tuple(map(f, *args))
+    V = list(map(wide, map(val.get, prog.outputs)))
+    return V, X, B
 
 
 _ARITY = {"add": 2, "sub": 2, "mul": 2, "neg": 1, "zero": 1, "shift": 2}

@@ -3,7 +3,7 @@ import importlib
 import random
 from dataclasses import replace
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import repeat
 from operator import add, lshift, mul, neg, rshift, sub
 from pathlib import Path
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 from conftest import (clone_pipeline, identity, reference_compose,
-                      reference_solve, sign_mutation_sites)
+                      reference_solve, reference_terms, sign_mutation_sites)
 
 from octofast.algebra import Octo, mul_naive, schoolbook_matrix
 from octofast.kernel import (CORRECTION_FORMS, LANES, Pipeline,
@@ -22,8 +22,8 @@ from octofast.linform import DegreeError, LinForm, SymMatrix
 from octofast.stages import (Butterfly, FanOut, QuasiDiagonal, SignScale, Sum,
                              apply_stage, run, zero_like)
 from octofast import verify
-from octofast.program import (INPUTS, _Slot, compile_program,
-                              eval_program, flatten)
+from octofast.program import (INPUTS, Instr, Program, _Slot,
+                              compile_program, eval_program, flatten)
 from octofast.verify import (InconsistentSystemError, certify,
                              compose_symbolic, solve_corrections)
 
@@ -949,3 +949,133 @@ def test_solver_refuses_a_bare_string_of_unknowns():
         solve_corrections(build_pipeline(), unknown="diffcorr_12")
     sol = solve_corrections(build_pipeline(), unknown=["diffcorr_12"])
     assert sol.assignment == {"diffcorr_12": CORRECTION_FORMS["diffcorr_12"]}
+
+
+def _emit(instrs, op, a, b=None, k=None):
+    """Append ``op a [b]`` (or ``shift a k``) to ``instrs`` as the next
+    slot ``t<n>``, and return that slot's name."""
+    instrs.append(Instr(f"t{len(instrs) + 1}", op, a, b, k))
+    return instrs[-1].dest
+
+
+def _rescaled(prog, shifts):
+    """``prog`` with the x operand of ``mul`` ``k`` shifted by ``a``, its b
+    operand by ``c`` and its result by ``-(a + c)``, ``(a, c) = shifts[k]``:
+    the same bilinear map, now with x-side shifts by ``k < 0`` and slots of
+    other than one scale.  A shift by 0 is left out."""
+    names = dict(zip(INPUTS, INPUTS))
+    instrs = []
+    emit = partial(_emit, instrs)
+
+    def shifted(slot, k):
+        return emit("shift", slot, k=k) if k else slot
+
+    pairs = iter(shifts)
+    for ins in prog.instrs:
+        a, b = names[ins.a], names.get(ins.b)
+        if ins.op == "mul":
+            ka, kc = next(pairs)
+            names[ins.dest] = shifted(
+                emit("mul", shifted(a, ka), shifted(b, kc)), -(ka + kc))
+        else:
+            names[ins.dest] = emit(ins.op, a, b, ins.k)
+    return Program(tuple(instrs), tuple(names[o] for o in prog.outputs))
+
+
+def _rescaled_programs(count=12, seed=42):
+    """``count`` rescalings of the shipped program, each product's ``a``
+    and ``c`` drawn from [-3, 3]."""
+    prog = build_pipeline()._program
+    rng = random.Random(seed)
+    return [_rescaled(prog, [(rng.randint(-3, 3), rng.randint(-3, 3))
+                             for ins in prog.instrs if ins.op == "mul"])
+            for _ in range(count)]
+
+
+def test_the_packed_walk_reads_what_the_tuple_walk_reads():
+    # value for value against the old walk, kept as the slow reference
+    p = build_pipeline()
+    corpus = [("shipped", p._program)]
+    corpus += [(site, m._program) for site, m in sign_mutation_sites(p)]
+    corpus += [(name, make()._program) for name, make in _WIDE[1:]]
+    corpus += [("toy-spare", _toy_chain("spare", None)._program),
+               ("toy-e00", _toy_chain("e00", 0)._program)]
+    rescaled = _rescaled_programs()
+    corpus += [(f"rescaled-{r}", q) for r, q in enumerate(rescaled)]
+    for name, prog in corpus:
+        assert verify._terms(prog) == reference_terms(prog), name
+    for q in rescaled:
+        assert q.validate() and _agrees_at_81_points(q)
+        V, X, _, _ = verify._walk(q)
+        assert any(e for _, e, _ in X) and any(e for _, e, _ in V)
+    assert any(ins.op == "shift" and ins.k < 0 and ins.a.startswith("x")
+               for q in rescaled for ins in q.instrs)
+
+
+def test_fields_past_63_bits_are_read_with_wider_fields():
+    # x2^70 on the first 4 core lanes and x2^-70 after: the outputs add
+    # m_k / 2^70 to the other products, so V's fields reach 2^70
+    q = _scaled_core((2**70,) * 4 + (1,) * 20)
+    V, _, _, w = verify._walk(q._program)
+    assert w == 128 and max(a for _, _, a in V) >= 2**70
+    assert verify._terms(q._program) == reference_terms(q._program)
+    assert compose_symbolic(q) == reference_compose(q)
+    assert certify(q).ok
+    assert solve_corrections(q) == reference_solve(q)
+
+
+def _times(c, instrs):
+    """Append to ``instrs`` the slots of ``c * x0``, by doubling and
+    adding the bits of ``|c|``, then adding a zero, so the last slot's
+    one field is ``c`` itself at ``e = 0`` with the bound ``|c|``; return
+    its name."""
+    emit = partial(_emit, instrs)
+    x = slot = "x0"
+    for bit in bin(abs(c))[3:]:
+        slot = emit("shift", slot, k=1)
+        if bit == "1":
+            slot = emit("add", slot, x)
+    slot = emit("add", slot, emit("zero", x))
+    return emit("neg", slot) if c < 0 else slot
+
+
+@pytest.mark.parametrize("c", [2**63 - 1, 2**63, -2**63, 2**63 + 1,
+                               -(2**63 - 1), 3 * 2**100 + 1])
+def test_a_field_reads_back_exactly_on_either_side_of_63_bits(c):
+    # below 2^63 in magnitude a field is read 64 bits wide; from there on
+    # the program is walked again wider, even for -2^63, which would fit
+    instrs = []
+    out = _times(c, instrs)
+    prog = Program(tuple(instrs), (out,) + INPUTS[1:8])
+    prog.validate()
+    V, _, _, w = verify._walk(prog)
+    assert w == (64 if abs(c) < 2**63 else 128 if abs(c) < 2**127 else 192)
+    assert max(a for _, _, a in V) == abs(c)
+    got, _, _ = verify._terms(prog)
+    assert got[0] == (c,) + (0,) * 7
+    assert got == reference_terms(prog)[0]
+
+
+@pytest.mark.parametrize("w", [64, 128, 192])
+@pytest.mark.parametrize("little", [True, False])
+def test_the_row_reader_agrees_with_shift_and_mask(w, little, monkeypatch):
+    # the same fields as a plain shift-and-mask read gives, which does not
+    # depend on byte order, on either branch of the reader
+    monkeypatch.setattr(verify, "byteorder", "little" if little else "big")
+    rng = random.Random(w)
+    half = 1 << (w - 1)
+    for width, per in ((1, 1), (8, 1), (34, 1), (9, 8)):
+        rows = [[rng.choice((-half, half - 1, 0, -1))
+                 if rng.random() < 0.2 else rng.randrange(-half, half)
+                 for _ in range(width)] for _ in range(3 * per)]
+        ns = [sum(f << w * t for t, f in enumerate(
+            [f for row in rows[i:i + per] for f in row]))
+            for i in range(0, len(rows), per)]
+        mask = (1 << w) - 1
+        plain = [[((n + half * sum(1 << w * t for t in range(width * per)))
+                   >> w * t & mask) - half for t in range(width * per)]
+                 for n in ns]
+        want = [tuple(r[i:i + width]) for r in plain
+                for i in range(0, width * per, width)]
+        assert want == [tuple(r) for r in rows]
+        assert verify._read(ns, width, w, per) == want
