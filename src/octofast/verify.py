@@ -1,16 +1,28 @@
-"""Symbolic certification of pipelines against the schoolbook matrix.
+"""Certification of pipelines against the product of hyperbolic octonions.
 
 The one claim a certificate makes is "this pipeline computes the product of
 hyperbolic octonions", and it is discharged by algebra, not sampling, on the
 lowered program ``p._program`` that ``mul_fast`` compiles, ``flatten`` emits
-and ``count`` measures.  One walk over its instructions (:func:`_walk`)
-reads it in the encode/multiply/decode form of a bilinear algorithm (the
-lowering's ``Program.validate`` checks that shape), each slot's
-coefficient row packed into one int (a Kronecker substitution): the output
-rows ``V``, and for each ``mul`` the x-row ``X[k]`` and b-form ``B[k]`` it
-multiplies (:func:`_terms`).  Their product (:func:`compose_symbolic`) is
-compared entry by entry with the 8x8 left-multiplication matrix: a theorem
-about all inputs at once, about the code that runs.
+and ``count`` measures.  The lowering's ``Program.validate`` checks that it
+has the encode/multiply/decode shape of a bilinear algorithm: each output
+is a sum of ``c * x_j * b_l`` and ``a * x_j``.  Such a map is fixed by one
+exact run at the point ``x_j = 2^(9wj)``, ``b_l = 2^(w(l+1))`` (a Kronecker
+substitution): each coefficient lands in a field of ``w`` bits of the
+output's int, ``c`` at field ``9j + l + 1`` and ``a`` at field ``9j``, and
+:func:`certify` compares the 8 ints with the schoolbook rows packed the
+same way.  ``w`` grows until no compared field can reach ``2^(w-1)``, so
+equal ints mean equal coefficient tensors: a theorem about all inputs at
+once, about the code that runs.  The run is :func:`_slots` on ``(N, e,
+A)`` slots, ``N / 2^e`` a slot's packed value and ``A`` a bound on its
+fields; it holds only for programs that ``validate`` accepted, which every
+pipeline's program is.
+
+A refused pipeline is explained by the symbolic product
+(:func:`compose_symbolic`): the same program read by :func:`_walk` as the
+output rows ``V`` over the products, and for each ``mul`` the x-row
+``X[k]`` and b-form ``B[k]`` it multiplies (:func:`_terms`), multiplied out
+to the 8x8 matrix of forms and compared entry by entry with the
+left-multiplication matrix.
 
 The entry forms take no part in the proof.  They are the targets of
 :func:`solve_corrections`, which reads the same walk in reverse: chosen
@@ -19,9 +31,12 @@ core entries become unknowns of a linear system that reconstructs them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from functools import lru_cache
+from itertools import compress, count
 from math import lcm
-from operator import add, sub
+from operator import add, itemgetter, sub
 from sys import byteorder
 from typing import Iterable, Optional
 
@@ -78,6 +93,13 @@ _TARGET = tuple(tuple(next((9 * j + t, c) for t, c in enumerate(e.numerators)
                 for row in schoolbook_matrix().entries)
 
 
+@lru_cache(maxsize=64)
+def _target(w: int) -> tuple:
+    """The 8 rows of :data:`_TARGET` packed ``w`` bits a field, one int a
+    row: the outputs of the product at :func:`_point`'s point."""
+    return tuple(sum(c << w * f for f, c in row) for row in _TARGET)
+
+
 def compose_symbolic(p) -> SymMatrix:
     """The 8x8 matrix of forms in ``b`` that the lowered program of ``p``
     computes: ``SymMatrix(V) @ W``, with ``V``, ``X`` and ``B`` read off
@@ -105,14 +127,28 @@ def certify(p) -> ResidualReport:
     """Prove that ``p`` computes the hyperbolic-octonion product for every
     input.
 
-    :func:`compose_symbolic`, read off the lowered program that
-    ``mul_fast`` runs and ``flatten`` emits, must equal the schoolbook
-    matrix, and no other target can be given.  The eight rows are compared
-    as tuples; in a row that differs, each differing entry is a
-    :class:`Residual`, in row-major order.  Once the program is built no
-    stage runs.  On success ``p.certified`` is set: it vouches for this one
+    The proof is one exact run of the lowered program ``p._program``, the
+    one ``mul_fast`` compiles and ``flatten`` emits, at one point
+    (:func:`_proves`): ``x_j = 2^(9wj)`` and ``b_l = 2^(w(l+1))``.  The
+    lowering ran ``Program.validate``, so each output is a sum of
+    ``c * x_j * b_l`` and ``a * x_j``, and at the point those terms land in
+    72 fields of ``w`` bits: ``c`` at field ``9j + l + 1``, ``a`` at field
+    ``9j``.  No field of the output or of the packed schoolbook row reaches
+    ``2^(w-1)`` in magnitude (:func:`_point` widens ``w`` until none
+    does), so the two ints are equal exactly when every field is: when the
+    whole coefficient tensor equals the product's.  No other target can be
+    given.  On success ``p.certified`` is set: it vouches for this one
     claim alone.
+
+    A refused pipeline is explained entry by entry: :func:`compose_symbolic`
+    gives the 8x8 matrix of forms it computes, and each entry that differs
+    from the schoolbook matrix is a :class:`Residual`, in row-major order.
+    The point's difference holds the same forms, but reading them back is
+    left to the symbolic product, which the report's texts come from.
     """
+    if _proves(p._program):
+        p.certified = True
+        return ResidualReport(())
     target = schoolbook_matrix()
     got = compose_symbolic(p)
     residuals = []
@@ -229,7 +265,7 @@ def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionS
           for k, x, f in known]
     w = _width(D * S + sum(max(map(abs, vcols[c])) * max(map(abs, x))
                            * max(map(abs, nums)) for c, x, nums in F))
-    acc = [sum((D * S * c) << w * f for f, c in row) for row in _TARGET]
+    acc = [D * S * t for t in _target(w)]
     for c, x, nums in F:
         packed = spread = 0
         for t in reversed(nums):
@@ -244,27 +280,17 @@ def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionS
     return CorrectionSolve(assignment=assignment, free=free)
 
 
-def _walk(prog, w: int = 64) -> tuple:
-    """The lowered program ``prog``, read in one pass on packed ints.
-
-    Each slot is a triple ``(N, e, A)``: ``N`` packs the slot's coefficient
-    row, field ``j`` taking ``w`` bits at bit ``w*j``, so the slot's value
-    is ``N / 2^e``; ``A`` bounds ``|field|`` for every field of ``N``.  On
-    the x/m side the fields are ``x0..x7``, then ``m0..m{K-1}``, ``m_k``
-    the ``k``-th ``mul``; on the b side ``b0..b7``.  ``add``/``sub``
-    bring both operands to the larger ``e``, shifting the other's ``N``
-    and ``A`` left; ``neg`` negates ``N``; a shift by ``k`` is ``e - k``;
-    ``mul`` ``k`` records its operands and gives the marker of ``m_k`` with
-    ``A = 1``; ``zero`` is ``(0, 0, 0)``.  Packing is Z-linear, so ``N`` is
-    exact whatever its fields hold; ``A`` only decides how it is read.
-
-    Returns ``(V, X, B, w)``: the 8 output slots, and for each ``mul`` the
-    slots of its x and b operands.  A field of ``2^(w-1)`` or more in
-    magnitude would not read back, so where any of their ``A`` reaches it
-    ``prog`` is walked again with the wider ``w`` of :func:`_width`.
+def _slots(prog, val: dict, mul) -> list:
+    """The output slots of ``prog`` run on ``(N, e, A)`` slots from the
+    inputs' slots ``val``, which it fills in: ``N / 2^e`` is the slot's
+    value, its fields packed side by side, and ``A`` bounds ``|field|`` for
+    every field of ``N``.  ``add``/``sub`` bring both operands to the larger
+    ``e``, shifting the other's ``N`` and ``A`` left; ``neg`` negates
+    ``N``; a shift by ``k`` is ``e - k``; ``zero`` is ``(0, 0, 0)``; ``mul``
+    gives ``mul(x, b)`` of its operands' slots.  Packing is Z-linear, so
+    ``N`` is exact whatever its fields hold; ``A`` only decides how it is
+    read.
     """
-    val = {name: (1 << w * (j % 8), 0, 1) for j, name in enumerate(INPUTS)}
-    X, B = [], []
     for ins in prog.instrs:
         op = ins.op
         n, e, a = val[ins.a]
@@ -276,18 +302,85 @@ def _walk(prog, w: int = 64) -> tuple:
                 n2, a2 = n2 << e - e2, a2 << e - e2
             val[ins.dest] = (n + n2 if op == "add" else n - n2, e, a + a2)
         elif op == "mul":
-            val[ins.dest] = (1 << w * (8 + len(X)), 0, 1)
-            X.append((n, e, a))
-            B.append(val[ins.b])
+            val[ins.dest] = mul((n, e, a), val[ins.b])
         elif op == "neg":
             val[ins.dest] = (-n, e, a)
         elif op == "shift":
             val[ins.dest] = (n, e - ins.k, a)
         else:
             val[ins.dest] = (0, 0, 0)
-    V = [val[o] for o in prog.outputs]
+    return [val[o] for o in prog.outputs]
+
+
+def _walk(prog, w: int = 64) -> tuple:
+    """The lowered program ``prog``, read in one pass of :func:`_slots` on
+    packed ints.
+
+    On the x/m side the fields are ``x0..x7``, then ``m0..m{K-1}``, ``m_k``
+    the ``k``-th ``mul``; on the b side ``b0..b7``.  ``mul`` ``k`` records
+    its operands and gives the marker of ``m_k`` with ``A = 1``.
+
+    Returns ``(V, X, B, w)``: the 8 output slots, and for each ``mul`` the
+    slots of its x and b operands.  A field of ``2^(w-1)`` or more in
+    magnitude would not read back, so where any of their ``A`` reaches it
+    ``prog`` is walked again with the wider ``w`` of :func:`_width`.
+    """
+    X, B = [], []
+
+    def mul(x, b):
+        X.append(x)
+        B.append(b)
+        return (1 << w * (7 + len(X)), 0, 1)
+
+    V = _slots(prog, {name: (1 << w * (j % 8), 0, 1)
+                      for j, name in enumerate(INPUTS)}, mul)
     wide = _width(max([a for _, _, a in V + X + B], default=0))
     return (V, X, B, w) if wide <= w else _walk(prog, wide)
+
+
+def _product(x, b) -> tuple:
+    """The slot of ``x * b`` at the point: every field of the product is
+    one field of ``x`` times one of ``b``."""
+    return (x[0] * b[0], x[1] + b[1], x[2] * b[2])
+
+
+@lru_cache(maxsize=64)
+def _point_inputs(w: int) -> tuple:
+    """The slots of :data:`INPUTS` at :func:`_point`'s point, ``w`` bits a
+    field: ``x_j`` is ``2^(9wj)`` and ``b_l`` is ``2^(w(l+1))``."""
+    return tuple((1 << w * (9 * j if j < 8 else j - 7), 0, 1)
+                 for j in range(16))
+
+
+def _point(prog, w: int = 16) -> tuple:
+    """``(outs, w)``: the output slots of ``prog`` at the point of
+    :func:`_point_inputs`, run by :func:`_slots` with ``w`` wide enough for
+    :func:`_proves` to compare them.
+
+    Output ``(N, e, A)`` is compared as ``N * 2^-e`` with its packed
+    target row times ``2^e``, the negative one of the two exponents taken
+    as 0.  A field of the one is at most ``A * 2^-e`` in magnitude (``A``
+    for ``e >= 0``), and a field of the other ``2^e`` (1 for ``e < 0``).
+    Signed fields below ``2^(w-1)`` in magnitude are the digits of one int
+    in base ``2^w`` and of no other, so where the larger bound reaches
+    ``2^(w-1)``, ``prog`` is run again with ``w`` one more than its bit
+    length.
+    """
+    outs = _slots(prog, dict(zip(INPUTS, _point_inputs(w))), _product)
+    reach = max([a << -e if e < 0 else max(a, 1 << e) for _, e, a in outs],
+                default=0)
+    return (outs, w) if reach.bit_length() < w else _point(
+        prog, reach.bit_length() + 1)
+
+
+def _proves(prog) -> bool:
+    """Whether the program ``prog``, which ``Program.validate`` accepted,
+    computes the hyperbolic-octonion product for every input: its 8
+    outputs at :func:`_point` equal the packed target rows."""
+    outs, w = _point(prog)
+    return len(outs) == 8 and all(
+        n << -e == t if e < 0 else n == t << e
+        for (n, e, _), t in zip(outs, _target(w)))
 
 
 def _width(bound: int) -> int:
@@ -377,14 +470,19 @@ def _solve_linear(names, rows, D, S):
     pivot_of_col = {}
     rank = 0
     for col in range(n):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
+        # the rows with a nonzero in col, in order, scanned in C; the
+        # first at or below rank is the pivot and moves up to rank, whose
+        # row, zero in col, takes its place
+        hits = list(compress(count(), map(itemgetter(col), rows)))
+        i = bisect_left(hits, rank)
+        if i == len(hits):
             continue
+        piv = hits.pop(i)
         rows[rank], rows[piv] = rows[piv], rows[rank]
         scale[rank], scale[piv] = scale[piv], scale[rank]
         prow = rows[rank]
         a = prow[col]
-        for r in [r for r, row in enumerate(rows) if row[col] and r != rank]:
+        for r in hits:
             row, f = rows[r], rows[r][col]
             if a == 1 and f in (1, -1):
                 rows[r] = list(map(sub if f == 1 else add, row, prow))

@@ -60,15 +60,18 @@ def test_kernel_ops_counts_every_body_of_the_shipped_kernel():
 
 def test_proof_phases_times_every_phase_and_restores_what_it_wraps():
     from octofast import verify
+    from octofast.kernel import default_pipeline
     from octofast.linform import SymMatrix
     wrapped = verify._solve_linear, SymMatrix.__matmul__
     tool = load_tool("proof_phases")
     times = tool.phases(repeat=2)
-    assert list(times) == ["walk", "row reads", "compose product", "certify",
+    assert list(times) == ["point proof", "walk", "row reads",
+                           "compose product", "certify", "certify (refused)",
                            "solver rows", "solver elimination",
                            "solve_corrections"]
     assert all(us > 0 for us in times.values())
     assert (verify._solve_linear, SymMatrix.__matmul__) == wrapped
+    assert not verify.certify(tool.refused(default_pipeline())).ok
     header, *rows = tool.table(times).splitlines()
     assert header.split() == ["phase", "us"]
     assert [row.rsplit(None, 1)[0] for row in rows] == list(times)

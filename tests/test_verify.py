@@ -7,6 +7,7 @@ from functools import lru_cache, partial, reduce
 from itertools import repeat
 from operator import add, lshift, mul, neg, rshift, sub
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -840,7 +841,9 @@ def test_the_three_compiled_bodies_give_mul_naive_at_the_81_points():
 def test_certify_goes_through_the_entry_points_the_trace_wraps(monkeypatch):
     # perfbench/layers.py times certify by wrapping verify.compose_symbolic
     # and SymMatrix.__matmul__, and calls solve_corrections(p); CI's traced
-    # smoke run reads those spans and fails obscurely without them
+    # smoke run reads those spans and fails obscurely without them.  A
+    # traced run takes them from the refused mutants it certifies: a
+    # proved pipeline is proved at one point, with no symbolic product
     calls = {"compose": 0, "matmul": 0}
     compose, matmul = verify.compose_symbolic, SymMatrix.__matmul__
 
@@ -855,11 +858,16 @@ def test_certify_goes_through_the_entry_points_the_trace_wraps(monkeypatch):
     monkeypatch.setattr(verify, "compose_symbolic", counted_compose)
     monkeypatch.setattr(SymMatrix, "__matmul__", counted_matmul)
     p = build_pipeline()
-    assert certify(p).ok
+    _, mutant = sign_mutation_sites(p)[0]
+    assert not certify(mutant).ok
     assert calls["compose"] == 1, \
         "certify must call compose_symbolic through the module attribute"
     assert calls["matmul"] >= 1, \
-        "certify of a one-core pipeline must make at least one SymMatrix @"
+        "certify of a refused pipeline must make at least one SymMatrix @"
+    calls.update(compose=0, matmul=0)
+    assert certify(p).ok
+    assert calls == {"compose": 0, "matmul": 0}, \
+        "certify of the shipped pipeline makes no symbolic product"
     sol = solve_corrections(p)
     assert sol.free == () and sol.assignment == CORRECTION_FORMS
 
@@ -1079,3 +1087,149 @@ def test_the_row_reader_agrees_with_shift_and_mask(w, little, monkeypatch):
                 for i in range(0, width * per, width)]
         assert want == [tuple(r) for r in rows]
         assert verify._read(ns, width, w, per) == want
+
+
+def _plus(prog, out, term):
+    """``prog`` with the slot that ``term(emit)`` emits added to output
+    ``out``, validated."""
+    instrs = list(prog.instrs)
+    emit = partial(_emit, instrs)
+    outs = list(prog.outputs)
+    outs[out] = emit("add", outs[out], term(emit))
+    q = Program(tuple(instrs), tuple(outs))
+    q.validate()
+    return q
+
+
+def _shifted_outputs(prog, k):
+    """``prog`` with every output times ``2^k``, validated."""
+    instrs = list(prog.instrs)
+    outs = tuple([_emit(instrs, "shift", o, k=k) for o in prog.outputs])
+    q = Program(tuple(instrs), outs)
+    q.validate()
+    return q
+
+
+def _spike(W, s=0):
+    """The term ``(x0 * b0 / 2^s) * 2^W - x0 * b1 / 2^s``."""
+    def term(emit):
+        b0, b1 = (emit("shift", b, k=-s) if s else b for b in ("b0", "b1"))
+        high = emit("shift", emit("mul", "x0", b0), k=W)
+        return emit("sub", high, emit("mul", "x0", b1))
+    return term
+
+
+def _naught(K):
+    """The term ``x0 * b0 * 2^K - x0 * b0 * 2^K``: zero, but made of
+    slots of ``e = -K``."""
+    def term(emit):
+        m = emit("mul", "x0", "b0")
+        return emit("sub", emit("shift", m, k=K), emit("shift", m, k=K))
+    return term
+
+
+def _point_cases():
+    """``(name, program)``: the shipped program, every sign mutant, the
+    rescaled and toy chains, and programs whose outputs at the point have
+    ``e < 0`` or compared fields past 63 bits."""
+    p = build_pipeline()
+    prog = p._program
+    cases = [("shipped", prog)]
+    cases += [(site, m._program) for site, m in sign_mutation_sites(p)]
+    cases += [("fraction-halves", _fraction_halves()._program)]
+    cases += [(f"scaled-core-{c}", _scaled_core((c,) * 24)._program)
+              for c in (2, Fraction(1, 2))]
+    cases += [("scaled-core-2**70",
+               _scaled_core((2**70,) * 4 + (1,) * 20)._program)]
+    cases += [("toy-spare", _toy_chain("spare", None)._program),
+              ("toy-e00", _toy_chain("e00", 0)._program)]
+    cases += [(f"rescaled-{r}", q) for r, q in enumerate(_rescaled_programs())]
+    cases += [(f"outputs-times-2**{k}", _shifted_outputs(prog, k))
+              for k in (1, 5, 70)]
+    cases += [(f"plus-naught-{K}", _plus(prog, 3, _naught(K)))
+              for K in (70, -70)]
+    cases += [(f"plus-spike-{W}", _plus(prog, 0, _spike(W))) for W in (16, 70)]
+    return cases
+
+
+def test_the_point_verdict_is_the_symbolic_verdict():
+    # one exact run at the point against the 8x8 product of forms, on
+    # programs proved and refused, at 16 bits a field and wider
+    target = schoolbook_matrix()
+    seen = set()
+    for name, prog in _point_cases():
+        outs, w = verify._point(prog)
+        proved = verify._proves(prog)
+        assert proved is (compose_symbolic(
+            SimpleNamespace(_program=prog)) == target), name
+        seen.add((proved, w > 64, any(e < 0 for _, e, _ in outs)))
+    assert {(True, False, False), (False, False, False), (True, True, False),
+            (False, True, False), (False, False, True),
+            (False, True, True)} <= seen
+
+
+def _moved(W):
+    """The shipped program with outputs 1..7 replaced by rows 1..7 of the
+    product moved up one field and over ``2^W``: each ``x_j b_k`` becomes
+    ``x_j b_(k+1)``, or ``x_(j+1)`` for ``k = 7``."""
+    prog = build_pipeline()._program
+    instrs = list(prog.instrs)
+    emit = partial(_emit, instrs)
+    outs = [prog.outputs[0]]
+    for i in range(1, 8):
+        slot = None
+        for j in range(8):
+            nums = schoolbook_matrix().entry(i, j).numerators
+            k = next(k for k in range(8) if nums[1 + k])
+            term = (f"x{j + 1}" if k == 7
+                    else emit("mul", f"x{j}", f"b{k + 1}"))
+            if nums[1 + k] < 0:
+                term = emit("neg", term)
+            slot = term if slot is None else emit("add", slot, term)
+        outs.append(emit("shift", slot, k=-W))
+    q = Program(tuple(instrs), tuple(outs))
+    q.validate()
+    return q
+
+
+def _equal_at(prog, w):
+    """Whether the outputs of ``prog`` at the point, ``w`` bits a field,
+    compare equal to the packed product, with no widening."""
+    outs = verify._slots(prog, dict(zip(INPUTS, verify._point_inputs(w))),
+                         verify._product)
+    return all(n << -e == t if e < 0 else n == t << e
+               for (n, e, _), t in zip(outs, verify._target(w)))
+
+
+def _compared_reach(prog, outs):
+    """The largest compared field of ``prog`` at the point, from its true
+    coefficients: each output's ``|c|``, and its target's 1, times
+    ``2^e`` where its slot in ``outs`` has ``e > 0``."""
+    got = compose_symbolic(SimpleNamespace(_program=prog))
+    return max(max([Fraction(abs(c), f.denominator) for j in range(8)
+                    for f in [got.entry(i, j)] for c in f.numerators] + [1])
+               * 2 ** max(e, 0) for i, (_, e, _) in enumerate(outs))
+
+
+@pytest.mark.parametrize("make", [
+    lambda W: _plus(build_pipeline()._program, 0, _spike(W)),
+    lambda W: _plus(build_pipeline()._program, 0, _spike(W, 3)),
+    _moved,
+], ids=["spike", "spike-over-8", "moved"])
+def test_the_point_is_widened_before_a_field_can_carry(make):
+    # each program is not the product, yet with fields of W bits its ints
+    # equal the product's: x0 b0's field carries 2^W into x0 b1's, or the
+    # target's 2^W reaches the next field.  The point must widen first,
+    # for every W around the width it starts at, to a w whose compared
+    # fields, read off the symbolic product, stay below 2^(w-1): the
+    # bound the proof rests on.  A rule one bit looser leaves fields of
+    # 2^(w-1) (still no collision here, since A bounds the sum of a slot's
+    # |field|s and each product row has 8 entries of +-1); two bits looser,
+    # or one without the target's 2^e, lets "spike-over-8" or "moved"
+    # through
+    for W in range(8, 29):
+        q = make(W)
+        assert _equal_at(q, W), W
+        assert not verify._proves(q), W
+        outs, w = verify._point(q)
+        assert _compared_reach(q, outs) < 1 << w - 1, W

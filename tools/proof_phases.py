@@ -1,16 +1,22 @@
 """Print the in-process median time of each phase of the proof and of the
-correction solver, on the shipped pipeline.
+correction solver, on the shipped pipeline, and of ``certify`` on one sign
+mutant that it refuses.
 
 The phases, each timed alone in one process after one warm-up call:
 
+- point proof: ``verify._proves``, the one exact run of the lowered
+  program at the point and the comparison with the packed product;
 - walk: ``verify._walk``, the one pass over the lowered program on packed
-  ints;
+  ints that the symbolic product and the solver read;
 - row reads: the output rows ``V`` and the x-rows ``X`` read back as int
   rows, and the b-rows ``B`` as fields, from that walk;
 - compose product: the ``SymMatrix @`` that ends ``compose_symbolic``, on
   the operands it builds;
-- certify: ``verify.certify``, which is ``compose_symbolic`` and the
-  comparison with the schoolbook matrix;
+- certify: ``verify.certify``, which proves the shipped pipeline at the
+  point;
+- certify (refused): ``verify.certify`` on the shipped pipeline with the
+  sign of its last stage's lane 5 flipped: the point proof, then
+  ``compose_symbolic`` and the residuals that explain the refusal;
 - solver rows: ``solve_corrections`` with its elimination left out;
 - solver elimination: ``verify._solve_linear`` on a fresh copy of the rows
   the solver builds;
@@ -32,8 +38,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from octofast import verify  # noqa: E402
-from octofast.kernel import default_pipeline  # noqa: E402
+from octofast.kernel import Pipeline, default_pipeline  # noqa: E402
 from octofast.linform import SymMatrix  # noqa: E402
+from octofast.stages import SignScale  # noqa: E402
 
 REPEAT = 300
 
@@ -75,9 +82,21 @@ def first_call(owner, name: str, call) -> tuple:
     return seen[0]
 
 
+def refused(p):
+    """``p`` with the sign of lane 5 of its last stage, a ``SignScale``,
+    flipped: a pipeline that ``certify`` refuses."""
+    last = p.stages[-1]
+    factors = list(last.factors)
+    factors[5] = -factors[5]
+    return Pipeline(p.stages[:-1] + (SignScale(tuple(factors),
+                                               label=last.label),),
+                    p.pre_stages, p.recipes, p.entry_forms, p.tap_index)
+
+
 def phases(repeat: int = REPEAT) -> dict:
     """Each phase's name and its median time in microseconds."""
     p = default_pipeline()
+    bad = refused(p)
     V, X, B, w = verify._walk(p._program)
 
     def reads():
@@ -90,10 +109,14 @@ def phases(repeat: int = REPEAT) -> dict:
     names, rows, D, S = first_call(verify, "_solve_linear",
                                    lambda: verify.solve_corrections(p))
     copies = iter([list(rows) for _ in range(repeat + 1)])
-    out = {"walk": median_us(lambda: verify._walk(p._program), repeat),
+    out = {"point proof": median_us(lambda: verify._proves(p._program),
+                                    repeat),
+           "walk": median_us(lambda: verify._walk(p._program), repeat),
            "row reads": median_us(reads, repeat),
            "compose product": median_us(lambda: v @ W, repeat),
-           "certify": median_us(lambda: verify.certify(p), repeat)}
+           "certify": median_us(lambda: verify.certify(p), repeat),
+           "certify (refused)": median_us(lambda: verify.certify(bad),
+                                          repeat)}
     out["solver rows"] = patched(
         verify, "_solve_linear", lambda *args: ({}, ()),
         lambda: median_us(lambda: verify.solve_corrections(p), repeat))
