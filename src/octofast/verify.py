@@ -25,8 +25,10 @@ to the 8x8 matrix of forms and compared entry by entry with the
 left-multiplication matrix.
 
 The entry forms take no part in the proof.  They are the targets of
-:func:`solve_corrections`, which reads the same walk in reverse: chosen
-core entries become unknowns of a linear system that reconstructs them.
+:func:`solve_corrections`, which runs the same program in reverse, once,
+at another point (:func:`_equations`): each product's b operand is its
+cell's form, packed, or a marker for an unknown one, so the 8 output ints
+hold the 64 equations of a linear system that reconstructs the unknowns.
 """
 
 from __future__ import annotations
@@ -86,18 +88,20 @@ class InconsistentSystemError(ValueError):
 _IDENTITY = tuple(tuple(_SMALL[int(i == j)] for j in range(8))
                   for i in range(8))
 # entry (i, j) of the schoolbook matrix is +-b_k: per row i, its one
-# nonzero numerator c and the field 9*j + t, t = 1 + k, that it takes in
-# the row's packed int, as (9*j + t, c)
-_TARGET = tuple(tuple(next((9 * j + t, c) for t, c in enumerate(e.numerators)
+# nonzero numerator c and its place t = 1 + k among entry j's nine, as
+# (j, t, c)
+_TARGET = tuple(tuple(next((j, t, c) for t, c in enumerate(e.numerators)
                            if c) for j, e in enumerate(row))
                 for row in schoolbook_matrix().entries)
 
 
 @lru_cache(maxsize=64)
-def _target(w: int) -> tuple:
+def _target(w: int, stride: int = 9) -> tuple:
     """The 8 rows of :data:`_TARGET` packed ``w`` bits a field, one int a
-    row: the outputs of the product at :func:`_point`'s point."""
-    return tuple(sum(c << w * f for f, c in row) for row in _TARGET)
+    row, entry ``j``'s nine numerators from field ``stride*j`` on: with
+    ``stride`` 9, the outputs of the product at :func:`_point`'s point."""
+    return tuple(sum(c << w * (stride * j + t) for j, t, c in row)
+                 for row in _TARGET)
 
 
 def compose_symbolic(p) -> SymMatrix:
@@ -175,40 +179,25 @@ def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionS
     Entries named in ``unknown`` (default: every core entry with a
     correction recipe) are unknown linear forms.  The one core of the main
     chain makes one ``mul`` per cell, in ``cells`` order, so ``mul`` ``k``
-    is cell ``k``; another ``mul`` count raises ``ValueError``.  With ``V``
-    and ``X`` read off the program by :func:`_walk`, entry ``(i, j)`` of
-    the product is ``V[i][j]`` plus the sum of ``V[i][8 + k] * X[k][j]``
-    times cell ``k``'s form; matched against the schoolbook matrix, it is
-    one linear equation in the unknowns.  ``B`` is not read: the forms
-    are the cells'.
+    is cell ``k``; another ``mul`` count raises ``ValueError``.  Entry
+    ``(i, j)`` of the product is then output ``i``'s coefficient of
+    ``x_j``, with each product's b operand taken as its cell's form: the
+    known forms' sum plus each unknown times its summed coefficient.
+    Matched against the schoolbook matrix, it is one linear equation in
+    the unknowns.  The program's b side is not read: the forms are the
+    cells'.
 
-    The equations are rows of Python ints.  ``V`` and ``X`` are read off
-    the walk as int rows, each matrix over one power of two, ``s_V`` and
-    ``s_X`` (other than 1 only after a ``2^-k`` scale), and the known forms
-    put over the lcm ``D`` of theirs.  Row ``8*i + j`` is then
-    ``S = s_V * s_X`` times equation ``(i, j)``: first each unknown's
-    coefficient, summed over the cells that read it, then the nine
-    numerators of target minus known part over ``D``.  The known part is
-    most of the work, so it is summed on packed ints, ``w`` bits a field:
-    row ``i`` of the product is one int whose fields ``9*j`` to ``9*j + 8``
-    are entry ``(i, j)``'s numerators.  Each known packs its nine
-    numerators into one int, spreads that over ``j`` times its x-row and
-    takes it from row ``i`` times its column of ``V``: known cell ``k``
-    has ``X[k]`` and column ``8 + k``; the outputs' term ``V[i][j]`` in
-    ``x_j`` is a known with the form 1, column ``j`` and ``s_X`` at ``j``
-    for x-row.  The 8 ints are read back at once by :func:`_read`.  ``w``
-    is the least multiple of 64 above the bit length of a bound on every
-    field (:func:`_width`): ``D * S`` for the target (its numerators are
-    +-1) plus, over the knowns, the largest magnitudes in the column, the
-    x-row and the numerators, multiplied.
+    All 64 equations are read off one run of ``p._program`` by
+    :func:`_equations`, at a point where every equation is a row of
+    ``w``-bit fields of Python ints, and solved by :func:`_solve_linear`.
 
     Inconsistency raises :class:`InconsistentSystemError`; under-determined
     unknowns resolve to the zero form (the fewest-nonzero-coefficients
     choice) and are reported in ``free``.  Unknowns are processed in
     sorted-name order, so the result is deterministic.  An unknown the core
     does not read, and a known with no entry form, raise ``ValueError``;
-    a bare string for ``unknown`` raises ``TypeError``: it takes a list of
-    names, ``["diffcorr_12"]`` for one.
+    ``unknown`` takes a list of names, ``["diffcorr_12"]`` for one, and a
+    bare string or a name that is not a string raises ``TypeError``.
     """
     cores = [st for st in p.stages if isinstance(st, QuasiDiagonal)]
     if len(cores) != 1:
@@ -220,8 +209,11 @@ def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionS
 
     if isinstance(unknown, str):
         raise TypeError(f"unknown takes a list of names: [{unknown!r}]")
-    if unknown is None:
-        unknown = [name for name in read if name in p.recipes]
+    unknown = ([name for name in read if name in p.recipes]
+               if unknown is None else list(unknown))
+    odd = [n for n in unknown if not isinstance(n, str)]
+    if odd:
+        raise TypeError(f"unknown takes a list of names, not {odd[0]!r}")
     names = sorted(set(unknown))
     stray = [n for n in names if n not in read]
     if stray:
@@ -230,54 +222,67 @@ def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionS
     if formless:
         raise ValueError(f"knowns with no entry form: {', '.join(formless)}")
 
-    V, X, _, bits = _walk(p._program)
-    if len(X) != len(cells):
-        raise ValueError(f"the program makes {len(X)} multiplications, "
+    muls = sum(ins.op == "mul" for ins in p._program.instrs)
+    if muls != len(cells):
+        raise ValueError(f"the program makes {muls} multiplications, "
                          f"the core has {len(cells)} cells")
-    (V, ev), (X, ex) = (_int_matrix(V, 8 + len(X), bits),
-                        _int_matrix(X, 8, bits))
-    vcols = list(zip(*V))
-    # the nonzero (i, V[i][c]) of each column c of V
-    vnz = [[(i, v) for i, v in enumerate(c) if v] for c in vcols]
     col = {n: u for u, n in enumerate(names)}
-    # row 8*i + j: entry (i, j)
-    rows = [[0] * len(names) for _ in range(64)]
-    known = []
-    for k, ((_, _, name), x) in enumerate(zip(cells, X)):
-        if name not in col:
-            known.append((k, x, _entry(p.entry_forms[name])))
-            continue
-        u = col[name]
-        xs = [(j, c) for j, c in enumerate(x) if c]
-        for i, v in vnz[8 + k]:
-            for j, c in xs:
-                rows[8 * i + j][u] += v * c
-
-    # target minus known part, times D * S, as one packed int per row i of
-    # the product: entry (i, j) is its fields 9*j to 9*j + 8.  Each known
-    # is (column c of V, x-row, numerators over D); an output's term in
-    # x_j is a known with the x-row of x_j and the constant form 1
-    D = lcm(*(f.denominator for _, _, f in known))
-    S = 1 << ev + ex
-    F = [(j, [int(t == j) << ex for t in range(8)], [D] + [0] * 8)
-         for j in range(8) if vnz[j]]
-    F += [(8 + k, x, [c * (D // f.denominator) for c in f.numerators])
-          for k, x, f in known]
-    w = _width(D * S + sum(max(map(abs, vcols[c])) * max(map(abs, x))
-                           * max(map(abs, nums)) for c, x, nums in F))
-    acc = [D * S * t for t in _target(w)]
-    for c, x, nums in F:
-        packed = spread = 0
-        for t in reversed(nums):
-            packed = (packed << w) + t
-        for t in reversed(x):
-            spread = (spread << 9 * w) + t * packed
-        for i, v in vnz[c]:
-            acc[i] -= v * spread
-    for row, fields in zip(rows, _read(acc, 9, w, 8)):
-        row += fields
-    assignment, free = _solve_linear(names, rows, D, S)
+    factors = [col[name] if name in col else _entry(p.entry_forms[name])
+               for _, _, name in cells]
+    D = lcm(*(f.denominator for f in factors if type(f) is not int))
+    rows, E = _equations(p._program, factors, D, 9 + len(names))
+    assignment, free = _solve_linear(names, rows, D, 1 << E)
     return CorrectionSolve(assignment=assignment, free=free)
+
+
+def _equations(prog, factors, D: int, stride: int, w: int = 16) -> tuple:
+    """``(rows, E)``: the 64 equations of :func:`solve_corrections`, read
+    off one run of ``prog`` by :func:`_slots`.  Row ``8*i + j`` is ``S =
+    2^E`` times equation ``(i, j)``: the unknowns' coefficients, then the
+    nine numerators of its right-hand side over ``D``, as
+    :func:`_solve_linear` reads them.
+
+    ``factors[k]`` is cell ``k``'s factor, an unknown's index ``u`` or a
+    known form, and ``D`` the lcm of the known forms' denominators.  The
+    point puts ``x_j`` at ``D`` times ``2^(w*stride*j)``, ``w`` bits a
+    field, and the b inputs at zero, so every x-side ``N`` is ``D`` times
+    a packed int.  ``mul`` ``k`` multiplies its x slot by its factor: a
+    known form as ``N // d * P``, ``P`` its nine numerators packed and
+    ``d`` its denominator; unknown ``u`` as ``N // D * -2^(w*(9+u))``, a
+    marker ``9 + u`` fields up.  So output ``i``, over ``2^e``, holds in
+    the ``stride`` fields from ``stride*j`` on entry ``(i, j)``'s known
+    part, its nine numerators over ``D``, then its unknowns'
+    coefficients, negated.  Taken from the packed target row times
+    ``D * 2^E``, ``E`` the largest ``e`` and at least 0, it leaves each
+    row's right-hand side and then its coefficients, which each row is
+    rotated to put first.
+
+    No field of that difference exceeds ``D * 2^E`` plus the largest
+    output's ``A`` times ``2^(E - e)``; where that bound reaches
+    ``2^(w-1)``, ``prog`` is run again with the wider ``w`` of
+    :func:`_width`.
+    """
+    packs = [(D, -(1 << w * (9 + f)), 1) if type(f) is int else
+             (f.denominator, sum([c << w * t
+                                  for t, c in enumerate(f.numerators)]),
+              max(map(abs, f.numerators)))
+             for f in factors]
+    pack = iter(packs)
+
+    def mul(x, b):
+        d, P, a = next(pack)
+        return (x[0] // d * P, x[1], x[2] // d * a)
+
+    outs = _slots(prog, dict(zip(INPUTS, [(D << w * stride * j, 0, D)
+                                          for j in range(8)]
+                                 + [(0, 0, 0)] * 8)), mul)
+    E = max([0] + [e for _, e, _ in outs])
+    wide = _width((D << E) + max([a << E - e for _, e, a in outs]))
+    if wide > w:
+        return _equations(prog, factors, D, stride, wide)
+    acc = [(D << E) * t - (n << E - e)
+           for (n, e, _), t in zip(outs, _target(w, stride))]
+    return [r[9:] + r[:9] for r in _read(acc, stride, w, 8)], E
 
 
 def _slots(prog, val: dict, mul) -> list:
@@ -323,7 +328,9 @@ def _walk(prog, w: int = 64) -> tuple:
     Returns ``(V, X, B, w)``: the 8 output slots, and for each ``mul`` the
     slots of its x and b operands.  A field of ``2^(w-1)`` or more in
     magnitude would not read back, so where any of their ``A`` reaches it
-    ``prog`` is walked again with the wider ``w`` of :func:`_width`.
+    ``prog`` is walked again with the wider ``w`` of :func:`_width`; the
+    first walk is 64 bits a field.  Only :func:`compose_symbolic` reads
+    the walk, through :func:`_terms`.
     """
     X, B = [], []
 
@@ -384,29 +391,31 @@ def _proves(prog) -> bool:
 
 
 def _width(bound: int) -> int:
-    """The fewest bits, a multiple of 64, that hold every signed field of
-    magnitude at most ``bound``: more than ``bound``'s bit length."""
-    return (bound.bit_length() + 64) // 64 * 64
+    """The fewest bits, 16 or a multiple of 64, that hold every signed
+    field of magnitude at most ``bound``: more than ``bound``'s bit
+    length."""
+    n = bound.bit_length()
+    return 16 if n < 16 else (n + 64) // 64 * 64
 
 
 def _read(ns, width: int, w: int = 64, per: int = 1) -> list:
     """The signed ``w``-bit fields of the packed ints ``ns``, ``per``
     rows of ``width`` fields to an int, as one tuple of ints per row.
-    ``w`` is a multiple of 64 and every field lies in
+    ``w`` is 16 or a multiple of 64 and every field lies in
     ``[-2^(w-1), 2^(w-1))``.
 
     Biased by ``2^(w-1)`` per field, no field carries into the next, and
     xor with the same bias leaves each field in two's complement: the
     joined little-endian bytes of all of ``ns`` are one array of signed
-    ``w``-bit ints, read with one ``memoryview.cast`` where ``w`` is 64 on
-    a little-endian machine and field by field otherwise.
+    ``w``-bit ints, read with one ``memoryview.cast`` where ``w`` is 16 or
+    64 on a little-endian machine and field by field otherwise.
     """
     step, count = w // 8, width * per
     bias = int.from_bytes((bytes(step - 1) + b"\x80") * count, "little")
     buf = b"".join([((n + bias) ^ bias).to_bytes(step * count, "little")
                     for n in ns])
-    if step == 8 and byteorder == "little":
-        flat = memoryview(buf).cast("q").tolist()
+    if step in (2, 8) and byteorder == "little":
+        flat = memoryview(buf).cast("h" if step == 2 else "q").tolist()
     else:
         flat = [int.from_bytes(buf[i:i + step], "little", signed=True)
                 for i in range(0, len(buf), step)]

@@ -65,10 +65,10 @@ def test_proof_phases_times_every_phase_and_restores_what_it_wraps():
     wrapped = verify._solve_linear, SymMatrix.__matmul__
     tool = load_tool("proof_phases")
     times = tool.phases(repeat=2)
-    assert list(times) == ["point proof", "walk", "row reads",
-                           "compose product", "certify", "certify (refused)",
-                           "solver rows", "solver elimination",
-                           "solve_corrections"]
+    assert list(times) == ["point proof", "certify", "certify (refused)",
+                           "compose walk", "compose row reads",
+                           "compose product", "solver rows",
+                           "solver elimination", "solve_corrections"]
     assert all(us > 0 for us in times.values())
     assert (verify._solve_linear, SymMatrix.__matmul__) == wrapped
     assert not verify.certify(tool.refused(default_pipeline())).ok

@@ -673,10 +673,10 @@ _WIDE = [("shipped", build_pipeline),
 
 @pytest.mark.parametrize("make", [m for _, m in _WIDE],
                          ids=[i for i, _ in _WIDE])
-def test_solver_packs_wide_known_forms_without_overflow(make):
-    # the known part is summed as one packed int per entry, ``w`` bits a
-    # field: one known cell with numerators of 2^70 and more dominates the
-    # bound on a field, so a field one bit narrower than ``w`` overflows
+def test_solver_packs_wide_known_forms_without_overflow(make, monkeypatch):
+    # the equations are read as packed ints, ``w`` bits a field: one known
+    # cell with numerators of 2^70 and more dominates the bound on a
+    # field, so a field one bit narrower than ``w`` overflows
     q = make()
     core, = (st for st in q.stages if isinstance(st, QuasiDiagonal))
     every = sorted({name for _, _, name in core.cells})
@@ -704,6 +704,33 @@ def test_solver_packs_wide_known_forms_without_overflow(make):
         got = _solve_outcome(solve_corrections, bad, unknown)
         assert got[0] == "inconsistent"
         assert got == _solve_outcome(reference_solve, bad, unknown)
+    # the known sumcorr_01 times F * 2^e, after a core scaled by 2^-e,
+    # puts the largest compared field at D * S * (1 - F) = T (twice that
+    # on the scaled core, whose x-rows hold 2), D the denominator of F and
+    # S = 2^e: the fields 2^15 - 1 and 2^15 sit either side of 16 bits,
+    # and at 2^15 the target's D * S and the bound on the outputs are each
+    # below 2^15, so only their sum widens the fields
+    fields = []
+    real = verify._solve_linear
+
+    def solve_linear(names, rows, D, S):
+        fields.append((max(f for row in rows for f in row), S))
+        return real(names, rows, D, S)
+
+    monkeypatch.setattr(verify, "_solve_linear", solve_linear)
+    unknown = [n for n in every if n != "sumcorr_01"]
+    form = q.entry_forms["sumcorr_01"]
+    for T, F, e in ((2**14 - 1, Fraction(-16376, 7), 0),
+                    (2**14, Fraction(-1, 3), 12),
+                    (2**15 - 1, Fraction(-32764, 3), 0),
+                    (2**15, Fraction(-1, 3), 13)):
+        bad = _post_scaled(clone_pipeline(
+            q, forms={**q.entry_forms, "sumcorr_01": form * F * 2**e}), e)
+        got = _solve_outcome(solve_corrections, bad, unknown)
+        assert got[0] == "inconsistent", T
+        assert got == _solve_outcome(reference_solve, bad, unknown), T
+        field, S = fields.pop()
+        assert field == T * (S >> e), T
 
 
 _CORE_NAMES = sorted({name for st in build_pipeline().stages
@@ -959,6 +986,12 @@ def test_solver_refuses_a_bare_string_of_unknowns():
     assert sol.assignment == {"diffcorr_12": CORRECTION_FORMS["diffcorr_12"]}
 
 
+@pytest.mark.parametrize("unknown", [[1], ["s0", 1], ("s0", None)])
+def test_solver_refuses_unknowns_that_are_not_names(unknown):
+    with pytest.raises(TypeError, match="unknown takes a list of names"):
+        solve_corrections(build_pipeline(), unknown=unknown)
+
+
 def _emit(instrs, op, a, b=None, k=None):
     """Append ``op a [b]`` (or ``shift a k``) to ``instrs`` as the next
     slot ``t<n>``, and return that slot's name."""
@@ -1064,7 +1097,7 @@ def test_a_field_reads_back_exactly_on_either_side_of_63_bits(c):
     assert got == reference_terms(prog)[0]
 
 
-@pytest.mark.parametrize("w", [64, 128, 192])
+@pytest.mark.parametrize("w", [16, 64, 128, 192])
 @pytest.mark.parametrize("little", [True, False])
 def test_the_row_reader_agrees_with_shift_and_mask(w, little, monkeypatch):
     # the same fields as a plain shift-and-mask read gives, which does not
@@ -1087,6 +1120,16 @@ def test_the_row_reader_agrees_with_shift_and_mask(w, little, monkeypatch):
                 for i in range(0, width * per, width)]
         assert want == [tuple(r) for r in rows]
         assert verify._read(ns, width, w, per) == want
+
+
+@pytest.mark.parametrize("bound, w", [
+    (0, 16), (1, 16), (2**14, 16), (2**15 - 1, 16), (2**15, 64),
+    (2**16, 64), (2**63 - 1, 64), (2**63, 128), (2**127 - 1, 128),
+    (2**127, 192)])
+def test_fields_are_16_bits_wide_or_a_multiple_of_64(bound, w):
+    # the fewest of those bits that hold a signed field of magnitude bound
+    assert verify._width(bound) == w
+    assert bound < 1 << w - 1
 
 
 def _plus(prog, out, term):

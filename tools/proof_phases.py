@@ -6,18 +6,19 @@ The phases, each timed alone in one process after one warm-up call:
 
 - point proof: ``verify._proves``, the one exact run of the lowered
   program at the point and the comparison with the packed product;
-- walk: ``verify._walk``, the one pass over the lowered program on packed
-  ints that the symbolic product and the solver read;
-- row reads: the output rows ``V`` and the x-rows ``X`` read back as int
-  rows, and the b-rows ``B`` as fields, from that walk;
-- compose product: the ``SymMatrix @`` that ends ``compose_symbolic``, on
-  the operands it builds;
 - certify: ``verify.certify``, which proves the shipped pipeline at the
   point;
 - certify (refused): ``verify.certify`` on the shipped pipeline with the
   sign of its last stage's lane 5 flipped: the point proof, then
   ``compose_symbolic`` and the residuals that explain the refusal;
-- solver rows: ``solve_corrections`` with its elimination left out;
+- compose walk: ``verify._walk``, the one pass over the lowered program on
+  packed ints that ``compose_symbolic`` reads;
+- compose row reads: the output rows ``V`` and the x-rows ``X`` read back
+  as int rows, and the b-rows ``B`` as fields, from that walk;
+- compose product: the ``SymMatrix @`` that ends ``compose_symbolic``, on
+  the operands it builds;
+- solver rows: ``solve_corrections`` with its elimination left out: its
+  checks and the one run of the lowered program that gives its rows;
 - solver elimination: ``verify._solve_linear`` on a fresh copy of the rows
   the solver builds;
 - solve_corrections: the whole call.
@@ -111,12 +112,13 @@ def phases(repeat: int = REPEAT) -> dict:
     copies = iter([list(rows) for _ in range(repeat + 1)])
     out = {"point proof": median_us(lambda: verify._proves(p._program),
                                     repeat),
-           "walk": median_us(lambda: verify._walk(p._program), repeat),
-           "row reads": median_us(reads, repeat),
-           "compose product": median_us(lambda: v @ W, repeat),
            "certify": median_us(lambda: verify.certify(p), repeat),
            "certify (refused)": median_us(lambda: verify.certify(bad),
-                                          repeat)}
+                                          repeat),
+           "compose walk": median_us(lambda: verify._walk(p._program),
+                                     repeat),
+           "compose row reads": median_us(reads, repeat),
+           "compose product": median_us(lambda: v @ W, repeat)}
     out["solver rows"] = patched(
         verify, "_solve_linear", lambda *args: ({}, ()),
         lambda: median_us(lambda: verify.solve_corrections(p), repeat))
