@@ -17,12 +17,15 @@ A)`` slots, ``N / 2^e`` a slot's packed value and ``A`` a bound on its
 fields; it holds only for programs that ``validate`` accepted, which every
 pipeline's program is.
 
-A refused pipeline is explained by the symbolic product
-(:func:`compose_symbolic`): the same program read by :func:`_walk` as the
-output rows ``V`` over the products, and for each ``mul`` the x-row
-``X[k]`` and b-form ``B[k]`` it multiplies (:func:`_terms`), multiplied out
-to the 8x8 matrix of forms and compared entry by entry with the
-left-multiplication matrix.
+The point judges each output on its own: no compared field of an output
+reaches ``2^(w-1)``, so an output whose int equals its target row is that
+row of the product and holds no differing entry.  A refused pipeline is
+explained by the symbolic product (:func:`compose_symbolic`) of the
+outputs the point refused, and of no other: the same program read by
+:func:`_walk` as the output rows ``V`` over the products, and for each
+``mul`` the x-row ``X[k]`` and b-form ``B[k]`` it multiplies
+(:func:`_terms`), multiplied out to one row of forms per output and
+compared entry by entry with the left-multiplication matrix.
 
 The entry forms take no part in the proof.  They are the targets of
 :func:`solve_corrections`, which runs the same program in reverse, once,
@@ -40,12 +43,13 @@ from itertools import compress, count
 from math import lcm
 from operator import add, itemgetter, sub
 from sys import byteorder
+from types import SimpleNamespace
 from typing import Iterable, Optional
 
 from .algebra import schoolbook_matrix
 from .linform import (_LF_ZERO, _SMALL, LinForm, SymMatrix, _coerce, _entry,
                       _form, _matrix, _reduced)
-from .program import INPUTS
+from .program import INPUTS, Program
 from .stages import QuasiDiagonal, _Record, _store
 
 
@@ -105,9 +109,15 @@ def _target(w: int, stride: int = 9) -> tuple:
 
 
 def compose_symbolic(p) -> SymMatrix:
-    """The 8x8 matrix of forms in ``b`` that the lowered program of ``p``
-    computes: ``SymMatrix(V) @ W``, with ``V``, ``X`` and ``B`` read off
-    ``p._program`` by :func:`_terms` and ``W`` the 8 unit rows of
+    """The matrix of forms in ``b`` that the lowered program of ``p``
+    computes, one row per output over ``x0..x7``: 8x8 for a pipeline's
+    program.  ``p._program`` must be a program that ``Program.validate``
+    accepted; one that keeps such a program's instructions and a subset
+    of its outputs is one too, and :func:`certify` composes only the
+    outputs its point refuses that way.
+
+    The matrix is ``SymMatrix(V) @ W``, with ``V``, ``X`` and ``B`` read
+    off ``p._program`` by :func:`_terms` and ``W`` the 8 unit rows of
     ``x0..x7``, then ``B[k] * X[k]`` for each ``mul`` ``k``.
 
     ``W`` is built as forms and taken as is.  Its first 8 rows are one
@@ -133,37 +143,43 @@ def certify(p) -> ResidualReport:
 
     The proof is one exact run of the lowered program ``p._program``, the
     one ``mul_fast`` compiles and ``flatten`` emits, at one point
-    (:func:`_proves`): ``x_j = 2^(9wj)`` and ``b_l = 2^(w(l+1))``.  The
+    (:func:`_refused`): ``x_j = 2^(9wj)`` and ``b_l = 2^(w(l+1))``.  The
     lowering ran ``Program.validate``, so each output is a sum of
     ``c * x_j * b_l`` and ``a * x_j``, and at the point those terms land in
     72 fields of ``w`` bits: ``c`` at field ``9j + l + 1``, ``a`` at field
     ``9j``.  No field of the output or of the packed schoolbook row reaches
     ``2^(w-1)`` in magnitude (:func:`_point` widens ``w`` until none
     does), so the two ints are equal exactly when every field is: when the
-    whole coefficient tensor equals the product's.  No other target can be
-    given.  On success ``p.certified`` is set: it vouches for this one
-    claim alone.
+    output's row of the coefficient tensor equals the product's.  If all 8
+    are equal, no other target can be given, and ``p.certified`` is set:
+    it vouches for this one claim alone.  A program without 8 outputs
+    raises ``ValueError``.
 
-    A refused pipeline is explained entry by entry: :func:`compose_symbolic`
-    gives the 8x8 matrix of forms it computes, and each entry that differs
+    A refused pipeline is explained entry by entry, and only in the
+    outputs the point refused: :func:`compose_symbolic`, on a program with
+    ``p._program``'s instructions and those outputs (or on ``p`` when all
+    8 are refused), gives their rows of forms, and each entry that differs
     from the schoolbook matrix is a :class:`Residual`, in row-major order.
+    An output the point proved is the schoolbook row, so it holds no
+    residual, and the report is the one the whole 8x8 product would give.
     The point's difference holds the same forms, but reading them back is
     left to the symbolic product, which the report's texts come from.
     """
-    if _proves(p._program):
+    prog = p._program
+    if len(prog.outputs) != 8:
+        raise ValueError(f"a program has 8 outputs, the coefficients of the "
+                         f"product; this one has {len(prog.outputs)}")
+    refused = _refused(prog)
+    if not refused:
         p.certified = True
         return ResidualReport(())
-    target = schoolbook_matrix()
-    got = compose_symbolic(p)
-    residuals = []
-    for i, (want, row) in enumerate(zip(target.entries, got.entries)):
-        if want != row:
-            residuals += [Residual(i, j, e, g)
-                          for j, (e, g) in enumerate(zip(want, row)) if e != g]
-    report = ResidualReport(residuals)
-    if report.ok:
-        p.certified = True
-    return report
+    got = compose_symbolic(p if len(refused) == 8 else SimpleNamespace(
+        _program=Program(prog.instrs, [prog.outputs[i] for i in refused])))
+    target = schoolbook_matrix().entries
+    return ResidualReport([Residual(i, j, e, g)
+                           for i, row in zip(refused, got.entries)
+                           for j, (e, g) in enumerate(zip(target[i], row))
+                           if e != g])
 
 
 class CorrectionSolve(_Record):
@@ -238,8 +254,8 @@ def solve_corrections(p, unknown: Optional[Iterable[str]] = None) -> CorrectionS
 def _equations(prog, factors, D: int, stride: int, w: int = 16) -> tuple:
     """``(rows, E)``: the 64 equations of :func:`solve_corrections`, read
     off one run of ``prog`` by :func:`_slots`.  Row ``8*i + j`` is ``S =
-    2^E`` times equation ``(i, j)``: the unknowns' coefficients, then the
-    nine numerators of its right-hand side over ``D``, as
+    2^E`` times equation ``(i, j)``: the nine numerators of its right-hand
+    side over ``D``, then the unknowns' coefficients, as
     :func:`_solve_linear` reads them.
 
     ``factors[k]`` is cell ``k``'s factor, an unknown's index ``u`` or a
@@ -254,8 +270,8 @@ def _equations(prog, factors, D: int, stride: int, w: int = 16) -> tuple:
     part, its nine numerators over ``D``, then its unknowns'
     coefficients, negated.  Taken from the packed target row times
     ``D * 2^E``, ``E`` the largest ``e`` and at least 0, it leaves each
-    row's right-hand side and then its coefficients, which each row is
-    rotated to put first.
+    row's right-hand side and then its coefficients: the rows of
+    :func:`_read`, as they are read.
 
     No field of that difference exceeds ``D * 2^E`` plus the largest
     output's ``A`` times ``2^(E - e)``; where that bound reaches
@@ -282,7 +298,7 @@ def _equations(prog, factors, D: int, stride: int, w: int = 16) -> tuple:
         return _equations(prog, factors, D, stride, wide)
     acc = [(D << E) * t - (n << E - e)
            for (n, e, _), t in zip(outs, _target(w, stride))]
-    return [r[9:] + r[:9] for r in _read(acc, stride, w, 8)], E
+    return _read(acc, stride, w, 8), E
 
 
 def _slots(prog, val: dict, mul) -> list:
@@ -325,7 +341,7 @@ def _walk(prog, w: int = 64) -> tuple:
     the ``k``-th ``mul``; on the b side ``b0..b7``.  ``mul`` ``k`` records
     its operands and gives the marker of ``m_k`` with ``A = 1``.
 
-    Returns ``(V, X, B, w)``: the 8 output slots, and for each ``mul`` the
+    Returns ``(V, X, B, w)``: the output slots, and for each ``mul`` the
     slots of its x and b operands.  A field of ``2^(w-1)`` or more in
     magnitude would not read back, so where any of their ``A`` reaches it
     ``prog`` is walked again with the wider ``w`` of :func:`_width`; the
@@ -362,7 +378,7 @@ def _point_inputs(w: int) -> tuple:
 def _point(prog, w: int = 16) -> tuple:
     """``(outs, w)``: the output slots of ``prog`` at the point of
     :func:`_point_inputs`, run by :func:`_slots` with ``w`` wide enough for
-    :func:`_proves` to compare them.
+    :func:`_refused` to compare them.
 
     Output ``(N, e, A)`` is compared as ``N * 2^-e`` with its packed
     target row times ``2^e``, the negative one of the two exponents taken
@@ -380,14 +396,17 @@ def _point(prog, w: int = 16) -> tuple:
         prog, reach.bit_length() + 1)
 
 
-def _proves(prog) -> bool:
-    """Whether the program ``prog``, which ``Program.validate`` accepted,
-    computes the hyperbolic-octonion product for every input: its 8
-    outputs at :func:`_point` equal the packed target rows."""
+def _refused(prog) -> list:
+    """The indices, in order, of the outputs of the program ``prog``, which
+    ``Program.validate`` accepted, whose ints at :func:`_point` differ from
+    their packed target rows: the outputs that do not compute their
+    coefficient of the hyperbolic-octonion product for every input.  Every
+    output is refused for a program without 8 outputs."""
     outs, w = _point(prog)
-    return len(outs) == 8 and all(
-        n << -e == t if e < 0 else n == t << e
-        for (n, e, _), t in zip(outs, _target(w)))
+    if len(outs) != 8:
+        return list(range(len(outs)))
+    return [i for i, ((n, e, _), t) in enumerate(zip(outs, _target(w)))
+            if (n << -e != t if e < 0 else n != t << e)]
 
 
 def _width(bound: int) -> int:
@@ -445,7 +464,7 @@ def _terms(prog) -> tuple:
     """``(V, X, B)``: the lowered program ``prog`` as a bilinear algorithm,
     read off one :func:`_walk`.
 
-    ``V`` holds the 8 output rows over ``x0..x7, m0..m{K-1}``, ``X[k]`` the
+    ``V`` holds one row per output over ``x0..x7, m0..m{K-1}``, ``X[k]`` the
     8 x-coefficients of ``mul`` ``k``'s left operand and ``B[k]`` the
     :class:`LinForm` of its right one, in the shape ``Program.validate``
     checked.  The rows are tuples of ints and ``Fraction``: an integral
@@ -463,15 +482,15 @@ def _solve_linear(names, rows, D, S):
     """Gauss-Jordan on the int rows of :func:`solve_corrections`, free of
     division until the end.
 
-    Row ``r`` is ``S`` times an equation: its first ``len(names)`` ints
-    are the unknowns' coefficients, its last nine the numerators of the
-    right-hand side over ``D``.  A pivot ``a`` clears its column from row
-    ``r`` by ``r <- a*r - f*pivot`` (the integer-preserving step of Bareiss
-    elimination, without Bareiss's division by the previous pivot, which
-    the chain's small coefficients do not need); ``scale`` keeps what each
-    row was multiplied by.  A solved unknown is its pivot row's last nine
-    ints over ``D * a``, ``a`` its final pivot, and a residual, as plain
-    subtraction of forms would leave it, its last nine over
+    Row ``r`` is ``S`` times an equation: its first nine ints are the
+    numerators of the right-hand side over ``D``, and unknown ``col``'s
+    coefficient is at ``9 + col``.  A pivot ``a`` clears its column from
+    row ``r`` by ``r <- a*r - f*pivot`` (the integer-preserving step of
+    Bareiss elimination, without Bareiss's division by the previous pivot,
+    which the chain's small coefficients do not need); ``scale`` keeps
+    what each row was multiplied by.  A solved unknown is its pivot row's
+    first nine ints over ``D * a``, ``a`` its final pivot, and a residual,
+    as plain subtraction of forms would leave it, its first nine over
     ``D * S * scale``: lowest-terms forms with a positive denominator.
     """
     n = len(names)
@@ -482,7 +501,7 @@ def _solve_linear(names, rows, D, S):
         # the rows with a nonzero in col, in order, scanned in C; the
         # first at or below rank is the pivot and moves up to rank, whose
         # row, zero in col, takes its place
-        hits = list(compress(count(), map(itemgetter(col), rows)))
+        hits = list(compress(count(), map(itemgetter(9 + col), rows)))
         i = bisect_left(hits, rank)
         if i == len(hits):
             continue
@@ -490,9 +509,9 @@ def _solve_linear(names, rows, D, S):
         rows[rank], rows[piv] = rows[piv], rows[rank]
         scale[rank], scale[piv] = scale[piv], scale[rank]
         prow = rows[rank]
-        a = prow[col]
+        a = prow[9 + col]
         for r in hits:
-            row, f = rows[r], rows[r][col]
+            row, f = rows[r], rows[r][9 + col]
             if a == 1 and f in (1, -1):
                 rows[r] = list(map(sub if f == 1 else add, row, prow))
             else:
@@ -502,10 +521,10 @@ def _solve_linear(names, rows, D, S):
         rank += 1
 
     for row, s in zip(rows[rank:], scale[rank:]):
-        if any(row[n:]):
+        if any(row[:9]):
             raise InconsistentSystemError(
                 f"no entry assignment satisfies the fixed stages "
-                f"(residual {_form_over(row[n:], D * S * s)} over zero "
+                f"(residual {_form_over(row[:9], D * S * s)} over zero "
                 f"coefficients)")
 
     free = [names[c] for c in range(n) if c not in pivot_of_col]
@@ -513,7 +532,7 @@ def _solve_linear(names, rows, D, S):
     for col, name in enumerate(names):
         if col in pivot_of_col:
             prow = rows[pivot_of_col[col]]
-            assignment[name] = _form_over(prow[n:], D * prow[col])
+            assignment[name] = _form_over(prow[:9], D * prow[9 + col])
         else:
             assignment[name] = LinForm.zero()
     return assignment, free

@@ -66,12 +66,15 @@ def test_proof_phases_times_every_phase_and_restores_what_it_wraps():
     tool = load_tool("proof_phases")
     times = tool.phases(repeat=2)
     assert list(times) == ["point proof", "certify", "certify (refused)",
-                           "compose walk", "compose row reads",
-                           "compose product", "solver rows",
-                           "solver elimination", "solve_corrections"]
+                           "certify (refused, all outputs)", "compose walk",
+                           "compose row reads", "compose product",
+                           "solver rows", "solver elimination",
+                           "solve_corrections"]
     assert all(us > 0 for us in times.values())
     assert (verify._solve_linear, SymMatrix.__matmul__) == wrapped
     assert not verify.certify(tool.refused(default_pipeline())).ok
+    assert tool.refusals() == {"certify (refused)": 1,
+                               "certify (refused, all outputs)": 8}
     header, *rows = tool.table(times).splitlines()
     assert header.split() == ["phase", "us"]
     assert [row.rsplit(None, 1)[0] for row in rows] == list(times)

@@ -899,6 +899,65 @@ def test_certify_goes_through_the_entry_points_the_trace_wraps(monkeypatch):
     assert sol.free == () and sol.assignment == CORRECTION_FORMS
 
 
+def _whole_report(q):
+    """The report on ``q`` built from the whole 8x8 symbolic product
+    against the schoolbook matrix, row-major."""
+    target, got = schoolbook_matrix().entries, compose_symbolic(q).entries
+    return verify.ResidualReport(
+        [verify.Residual(i, j, e, g) for i in range(8)
+         for j, (e, g) in enumerate(zip(target[i], got[i])) if e != g])
+
+
+def test_certify_composes_only_the_outputs_its_point_refuses(monkeypatch):
+    # certify multiplies out only the rows of the outputs the point
+    # refuses, through one call of the module's compose_symbolic, and its
+    # report is the one the whole product gives: same entries, texts and
+    # order
+    programs = []
+    compose = verify.compose_symbolic
+
+    def spy(q):
+        programs.append(q._program)
+        return compose(q)
+
+    monkeypatch.setattr(verify, "compose_symbolic", spy)
+    counts = {}
+    sites = sign_mutation_sites(build_pipeline())
+    for site, q in sites:
+        programs.clear()
+        report = certify(q)
+        want = _whole_report(q)
+        assert report == want and report.to_text() == want.to_text(), site
+        rows = sorted({r.row for r in want.residuals})
+        prog, = programs
+        if len(rows) == 8:
+            assert prog is q._program, site
+        else:
+            assert prog.instrs == q._program.instrs, site
+            assert prog.outputs \
+                == tuple(q._program.outputs[i] for i in rows), site
+        counts.setdefault(len(rows), set()).add(site.split(":")[0])
+    assert counts[1] >= {"main", "recipe"} and counts[2] >= {"main", "recipe"}
+    assert counts[8] == {"pre"}
+    # the lane-5 flip of the last stage is refused in output 5 alone
+    programs.clear()
+    q = dict(sites)["main:flip-tail[5]"]
+    certify(q)
+    assert [prog.outputs for prog in programs] == [(q._program.outputs[5],)]
+
+
+def test_certify_refuses_a_program_without_8_outputs():
+    # a program without 8 outputs is not the product, however many of
+    # its outputs match their rows: the point refuses every output of one
+    prog = build_pipeline()._program
+    for outputs in ((), prog.outputs[:7], prog.outputs + prog.outputs[:1]):
+        q = SimpleNamespace(_program=Program(prog.instrs, outputs))
+        with pytest.raises(ValueError, match=f"has {len(outputs)}$"):
+            certify(q)
+        assert not hasattr(q, "certified")
+        assert verify._refused(q._program) == list(range(len(outputs)))
+
+
 def _resolve(dotted):
     """The object a dotted name under ``octofast`` names (the package
     imports each of its modules, so attribute lookups reach them all)."""
@@ -1196,15 +1255,17 @@ def _point_cases():
 
 
 def test_the_point_verdict_is_the_symbolic_verdict():
-    # one exact run at the point against the 8x8 product of forms, on
-    # programs proved and refused, at 16 bits a field and wider
-    target = schoolbook_matrix()
+    # one exact run at the point against the 8x8 product of forms, output
+    # by output, on programs proved and refused, at 16 bits a field and
+    # wider: an output the point refuses is exactly a row that differs
+    target = schoolbook_matrix().entries
     seen = set()
     for name, prog in _point_cases():
         outs, w = verify._point(prog)
-        proved = verify._proves(prog)
-        assert proved is (compose_symbolic(
-            SimpleNamespace(_program=prog)) == target), name
+        refused = verify._refused(prog)
+        got = compose_symbolic(SimpleNamespace(_program=prog)).entries
+        assert refused == [i for i in range(8) if got[i] != target[i]], name
+        proved = not refused
         seen.add((proved, w > 64, any(e < 0 for _, e, _ in outs)))
     assert {(True, False, False), (False, False, False), (True, True, False),
             (False, True, False), (False, False, True),
@@ -1273,6 +1334,6 @@ def test_the_point_is_widened_before_a_field_can_carry(make):
     for W in range(8, 29):
         q = make(W)
         assert _equal_at(q, W), W
-        assert not verify._proves(q), W
+        assert verify._refused(q), W
         outs, w = verify._point(q)
         assert _compared_reach(q, outs) < 1 << w - 1, W

@@ -1,16 +1,21 @@
 """Print the in-process median time of each phase of the proof and of the
-correction solver, on the shipped pipeline, and of ``certify`` on one sign
-mutant that it refuses.
+correction solver, on the shipped pipeline, and of ``certify`` on two sign
+mutants that it refuses.
 
 The phases, each timed alone in one process after one warm-up call:
 
-- point proof: ``verify._proves``, the one exact run of the lowered
-  program at the point and the comparison with the packed product;
+- point proof: ``verify._refused``, the one exact run of the lowered
+  program at the point and the comparison of each output with its packed
+  row of the product;
 - certify: ``verify.certify``, which proves the shipped pipeline at the
   point;
 - certify (refused): ``verify.certify`` on the shipped pipeline with the
-  sign of its last stage's lane 5 flipped: the point proof, then
-  ``compose_symbolic`` and the residuals that explain the refusal;
+  sign of its last stage's lane 5 flipped, which the point refuses in one
+  output: the point proof, then ``compose_symbolic`` of that output and
+  the residuals that explain the refusal;
+- certify (refused, all outputs): the same on the shipped pipeline with
+  the sign of its first precompute stage's lane 0 flipped, which the point
+  refuses in all 8 outputs, so the whole program is composed;
 - compose walk: ``verify._walk``, the one pass over the lowered program on
   packed ints that ``compose_symbolic`` reads;
 - compose row reads: the output rows ``V`` and the x-rows ``X`` read back
@@ -25,6 +30,8 @@ The phases, each timed alone in one process after one warm-up call:
 
 Each time is the median of a fixed number of calls, in microseconds.
 Times move with the machine's state, so compare rows of one run, not runs.
+A last line gives how many outputs the point refuses in each refused
+mutant.
 Run from anywhere:
 
     python tools/proof_phases.py
@@ -83,21 +90,43 @@ def first_call(owner, name: str, call) -> tuple:
     return seen[0]
 
 
+def flipped(stage: SignScale, lane: int) -> SignScale:
+    """``stage`` with the sign of lane ``lane`` flipped."""
+    factors = list(stage.factors)
+    factors[lane] = -factors[lane]
+    return SignScale(tuple(factors), label=stage.label)
+
+
 def refused(p):
     """``p`` with the sign of lane 5 of its last stage, a ``SignScale``,
-    flipped: a pipeline that ``certify`` refuses."""
-    last = p.stages[-1]
-    factors = list(last.factors)
-    factors[5] = -factors[5]
-    return Pipeline(p.stages[:-1] + (SignScale(tuple(factors),
-                                               label=last.label),),
+    flipped: a pipeline that ``certify`` refuses in output 5 alone."""
+    return Pipeline(p.stages[:-1] + (flipped(p.stages[-1], 5),),
                     p.pre_stages, p.recipes, p.entry_forms, p.tap_index)
+
+
+def refused_everywhere(p):
+    """``p`` with the sign of lane 0 of its first precompute stage, a
+    ``SignScale``, flipped: a pipeline that ``certify`` refuses in all 8
+    outputs."""
+    return Pipeline(p.stages,
+                    (flipped(p.pre_stages[0], 0),) + p.pre_stages[1:],
+                    p.recipes, p.entry_forms, p.tap_index)
+
+
+def refusals() -> dict:
+    """For each refused phase, how many outputs the point refuses in the
+    pipeline it certifies."""
+    p = default_pipeline()
+    return {name: len(verify._refused(make(p)._program))
+            for name, make in (("certify (refused)", refused),
+                               ("certify (refused, all outputs)",
+                                refused_everywhere))}
 
 
 def phases(repeat: int = REPEAT) -> dict:
     """Each phase's name and its median time in microseconds."""
     p = default_pipeline()
-    bad = refused(p)
+    bad, worse = refused(p), refused_everywhere(p)
     V, X, B, w = verify._walk(p._program)
 
     def reads():
@@ -110,11 +139,13 @@ def phases(repeat: int = REPEAT) -> dict:
     names, rows, D, S = first_call(verify, "_solve_linear",
                                    lambda: verify.solve_corrections(p))
     copies = iter([list(rows) for _ in range(repeat + 1)])
-    out = {"point proof": median_us(lambda: verify._proves(p._program),
+    out = {"point proof": median_us(lambda: verify._refused(p._program),
                                     repeat),
            "certify": median_us(lambda: verify.certify(p), repeat),
            "certify (refused)": median_us(lambda: verify.certify(bad),
                                           repeat),
+           "certify (refused, all outputs)": median_us(
+               lambda: verify.certify(worse), repeat),
            "compose walk": median_us(lambda: verify._walk(p._program),
                                      repeat),
            "compose row reads": median_us(reads, repeat),
@@ -131,8 +162,8 @@ def phases(repeat: int = REPEAT) -> dict:
 
 def table(times: dict) -> str:
     """``times`` as a two-column table under a header."""
-    lines = [f"{'phase':<20}{'us':>10}"]
-    lines += [f"{name:<20}{us:>10.1f}" for name, us in times.items()]
+    lines = [f"{'phase':<32}{'us':>10}"]
+    lines += [f"{name:<32}{us:>10.1f}" for name, us in times.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -140,6 +171,8 @@ def main() -> int:
     print(f"# {platform.python_implementation()} "
           f"{platform.python_version()}, median of {REPEAT} calls")
     print(table(phases()), end="")
+    print("# outputs the point refuses: " + ", ".join(
+        f"{name} {n}" for name, n in refusals().items()))
     return 0
 
 
