@@ -118,6 +118,13 @@ class Program(_Record):
         adds = sum(1 for i in self.instrs if i.op in ("add", "sub"))
         return OpCount(mults, adds)
 
+    def _check_outputs(self) -> None:
+        """8 outputs, the coefficients of the product; ``ValueError``
+        otherwise."""
+        if len(self.outputs) != 8:
+            raise ValueError(f"a program has 8 outputs, the coefficients of "
+                             f"the product; this one has {len(self.outputs)}")
+
     def _check_form(self) -> None:
         """The form of straight-line code: every op known with its operands
         (see :data:`_OPERANDS`), every slot named ``t`` and digits, assigned
@@ -547,9 +554,7 @@ def program_source(prog: Program) -> str:
     kernel's global ``_scale(k)`` (``_Q1``, ``_QN3``), which
     :func:`compile_program` binds, so no constant is too large to write.
     """
-    if len(prog.outputs) != 8:
-        raise ValueError(f"a program has 8 outputs, the coefficients of the "
-                         f"product; this one has {len(prog.outputs)}")
+    prog._check_outputs()
     prog._check_form()
     unpack = ["    " + ", ".join(INPUTS[:8]) + ", = x",
               "    " + ", ".join(INPUTS[8:]) + ", = b"]

@@ -153,27 +153,25 @@ def certify(p) -> ResidualReport:
     output's row of the coefficient tensor equals the product's.  If all 8
     are equal, no other target can be given, and ``p.certified`` is set:
     it vouches for this one claim alone.  A program without 8 outputs
-    raises ``ValueError``.
+    raises ``ValueError`` (``Program._check_outputs``).
 
     A refused pipeline is explained entry by entry, and only in the
     outputs the point refused: :func:`compose_symbolic`, on a program with
-    ``p._program``'s instructions and those outputs (or on ``p`` when all
-    8 are refused), gives their rows of forms, and each entry that differs
-    from the schoolbook matrix is a :class:`Residual`, in row-major order.
+    ``p._program``'s instructions and those outputs, in order, gives their
+    rows of forms, and each entry that differs from the schoolbook matrix
+    is a :class:`Residual`, in row-major order.
     An output the point proved is the schoolbook row, so it holds no
     residual, and the report is the one the whole 8x8 product would give.
     The point's difference holds the same forms, but reading them back is
     left to the symbolic product, which the report's texts come from.
     """
     prog = p._program
-    if len(prog.outputs) != 8:
-        raise ValueError(f"a program has 8 outputs, the coefficients of the "
-                         f"product; this one has {len(prog.outputs)}")
+    prog._check_outputs()
     refused = _refused(prog)
     if not refused:
         p.certified = True
         return ResidualReport(())
-    got = compose_symbolic(p if len(refused) == 8 else SimpleNamespace(
+    got = compose_symbolic(SimpleNamespace(
         _program=Program(prog.instrs, [prog.outputs[i] for i in refused])))
     target = schoolbook_matrix().entries
     return ResidualReport([Residual(i, j, e, g)
@@ -397,14 +395,12 @@ def _point(prog, w: int = 16) -> tuple:
 
 
 def _refused(prog) -> list:
-    """The indices, in order, of the outputs of the program ``prog``, which
-    ``Program.validate`` accepted, whose ints at :func:`_point` differ from
-    their packed target rows: the outputs that do not compute their
-    coefficient of the hyperbolic-octonion product for every input.  Every
-    output is refused for a program without 8 outputs."""
+    """The indices, in order, of the 8 outputs of the program ``prog``,
+    which ``Program.validate`` accepted, whose ints at :func:`_point`
+    differ from their packed target rows: the outputs that do not compute
+    their coefficient of the hyperbolic-octonion product for every
+    input."""
     outs, w = _point(prog)
-    if len(outs) != 8:
-        return list(range(len(outs)))
     return [i for i, ((n, e, _), t) in enumerate(zip(outs, _target(w)))
             if (n << -e != t if e < 0 else n != t << e)]
 

@@ -15,7 +15,7 @@ The phases, each timed alone in one process after one warm-up call:
   the residuals that explain the refusal;
 - certify (refused, all outputs): the same on the shipped pipeline with
   the sign of its first precompute stage's lane 0 flipped, which the point
-  refuses in all 8 outputs, so the whole program is composed;
+  refuses in all 8 outputs, so all 8 rows are composed;
 - compose walk: ``verify._walk``, the one pass over the lowered program on
   packed ints that ``compose_symbolic`` reads;
 - compose row reads: the output rows ``V`` and the x-rows ``X`` read back
